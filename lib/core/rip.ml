@@ -116,11 +116,6 @@ type probe_event =
   | Dp of Power_dp.probe_event
   | Refine of Refine.probe_event
 
-type probe = {
-  dp : (Power_dp.probe_event -> unit) option;
-  refine : (Refine.probe_event -> unit) option;
-}
-
 let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
     geometry ~budget =
   let started = Rip_numerics.Cpu_clock.thread_seconds () in
@@ -333,15 +328,3 @@ let solve ?config ?hooks { process; net; geometry; budget } =
         match geometry with Some g -> g | None -> Geometry.of_net net
       in
       solve_prepared ?config ?hooks process geometry ~budget
-
-let solve_callbacks ?config ?cancel ?probe ?phase problem =
-  let probe_fn =
-    match probe with
-    | None | Some { dp = None; refine = None } -> None
-    | Some { dp; refine } ->
-        Some
-          (function
-          | Dp e -> ( match dp with None -> () | Some f -> f e)
-          | Refine e -> ( match refine with None -> () | Some f -> f e))
-  in
-  solve ?config ~hooks:(Hooks.make ?cancel ?probe:probe_fn ?phase ()) problem

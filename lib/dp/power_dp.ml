@@ -306,17 +306,3 @@ let run (r : request) =
                   labels = fstats.Fast_dp.labels;
                 };
             })
-
-(* Deprecated pre-backend entry point; kept for one release.  Pinned to
-   [Reference] so existing callers keep byte-identical behaviour even
-   where a binding frontier cap makes the backends diverge. *)
-let solve ?frontier_cap ?cancel ?probe geometry repeater ~library ~candidates
-    ~budget =
-  (match frontier_cap with
-  | Some cap when cap < 2 ->
-      invalid_arg "Power_dp.solve: frontier_cap must be at least 2"
-  | Some _ | None -> ());
-  run
-    (request ~backend:Reference ?frontier_cap
-       ~hooks:(Hooks.make ?cancel ?probe ())
-       geometry repeater ~library ~candidates ~budget)

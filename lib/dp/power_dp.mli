@@ -113,15 +113,3 @@ val run : request -> result option
     recomputed through {!Rip_elmore.Delay.total} and always satisfies
     [delay <= budget].
     @raise Invalid_argument when [frontier_cap < 2]. *)
-
-val solve :
-  ?frontier_cap:int ->
-  ?cancel:(unit -> unit) ->
-  ?probe:(probe_event -> unit) ->
-  Rip_net.Geometry.t -> Rip_tech.Repeater_model.t ->
-  library:Repeater_library.t -> candidates:float list -> budget:float ->
-  result option
-[@@ocaml.deprecated
-  "Use Power_dp.run with a Power_dp.request (and Hooks.t) instead."]
-(** The pre-backend entry point, pinned to [Reference]: byte-identical
-    to releases before the backend split.  Kept for one release. *)

@@ -1,36 +1,38 @@
 (** Cooperative cancellation for long-running solves.
 
-    A token is a single atomic flag shared between the thread that may
-    want a solve stopped (a deadline watchdog, a shutdown path) and the
-    worker running it.  The worker side is wired in as a plain
-    [?cancel:(unit -> unit)] hook on {!Rip_dp.Power_dp.solve},
+    A token carries an optional absolute deadline on
+    {!Rip_numerics.Cpu_clock.monotonic_seconds}; it fires once the clock
+    passes it.  The worker side is wired in as the plain [cancel] poll of
+    a {!Rip_numerics.Hooks.t} bundle handed to {!Rip_dp.Power_dp.run},
     {!Rip_refine.Refine.run} and {!Rip_core.Rip.solve} — those libraries
-    never depend on this module; {!hook} adapts a token to the hook shape.
+    never depend on this module; {!hook} adapts a token to the poll
+    shape.  No thread watches the clock: the solver's own polls read it.
 
     Polling granularity is one DP candidate column / one REFINE
-    iteration, so a fired token stops a pseudo-polynomial label explosion
-    within one column's work, not after it. *)
+    iteration, so a token stops a pseudo-polynomial label explosion
+    within one column's work of its deadline, not after the solve. *)
 
 exception Cancelled
-(** Raised by a {!hook} once its token has been {!cancel}ed.  Escapes
+(** Raised by a {!hook} once its token's deadline has passed.  Escapes
     through the solver's polling points; never raised spontaneously. *)
 
 type t
-(** A cancellation token.  Thread-safe: any thread may {!cancel} while
-    workers poll. *)
+(** A cancellation token.  Immutable, so any thread may poll it. *)
 
-val create : unit -> t
-(** A fresh, unfired token. *)
+val create : ?deadline:float -> unit -> t
+(** A token firing at [deadline] (absolute monotonic seconds).  Without
+    a deadline the token never fires and never reads the clock. *)
 
-val cancel : t -> unit
-(** Fire the token.  Idempotent; takes effect at the workers' next poll. *)
+val deadline : t -> float option
+(** The deadline the token was created with. *)
 
 val cancelled : t -> bool
-(** Whether the token has fired. *)
+(** Whether the deadline has passed. *)
 
 val hook : t -> unit -> unit
-(** [hook t] is the poll closure to pass as [?cancel]: it raises
-    {!Cancelled} when [t] has fired and returns unit otherwise. *)
+(** [hook t] is the poll closure to pass as [cancel]: it raises
+    {!Cancelled} once [t] has fired and returns unit otherwise.  A token
+    without a deadline yields [ignore]. *)
 
 val protect : (unit -> 'a) -> 'a option
 (** [protect f] runs [f], mapping an escaped {!Cancelled} to [None]. *)

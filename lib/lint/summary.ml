@@ -48,7 +48,7 @@ type call = {
 
 type fn = {
   fn_unit : string;  (* unprefixed unit name, "Router" *)
-  fn_sub : string;  (* "poll_loop", "Watchdog.arm", "worker.take" *)
+  fn_sub : string;  (* "poll_loop", "Pool.checkout", "worker.take" *)
   fn_params : int;  (* number of peeled value parameters *)
   mutable fn_accesses : access list;
   mutable fn_calls : call list;

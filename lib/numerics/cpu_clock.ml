@@ -16,9 +16,9 @@ let monotonic_available = monotonic_seconds_raw () >= 0.0
 
 let monotonic_seconds () =
   (* The wall clock is the only portable stand-in when CLOCK_MONOTONIC is
-     missing: a deadline watchdog needs a clock that advances while a
+     missing: a request deadline needs a clock that advances while a
      thread sleeps, which no CPU clock does.  Deliberate and waived — a
-     wall-clock step under an armed watchdog merely fires a deadline
+     wall-clock step under a pending deadline merely fires a deadline
      early or late, it cannot corrupt results. *)
   if monotonic_available then monotonic_seconds_raw ()
   else (Unix.gettimeofday () [@lint.allow "no-wall-clock"])

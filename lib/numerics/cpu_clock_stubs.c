@@ -20,7 +20,7 @@ CAMLprim value rip_cpu_clock_thread_seconds(value unit)
   return caml_copy_double(-1.0);
 }
 
-/* Monotonic clock for deadlines and watchdogs: immune to wall-clock
+/* Monotonic clock for deadlines and timeouts: immune to wall-clock
    steps (NTP, manual adjustment), which a request deadline must be. */
 CAMLprim value rip_cpu_clock_monotonic_seconds(value unit)
 {

@@ -217,8 +217,3 @@ let run ?(config = default_config) ?(hooks = Hooks.default) geometry repeater
           delay = st.best.Width_solver.delay;
           converged = !converged;
         }
-
-let run_callbacks ?config ?cancel ?probe geometry repeater ~budget ~initial =
-  run ?config
-    ~hooks:(Hooks.make ?cancel ?probe ())
-    geometry repeater ~budget ~initial

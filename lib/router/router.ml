@@ -537,47 +537,70 @@ let route t key =
   Mutex.unlock t.mutex;
   decision
 
-let forward ?(args = []) t shard frame =
-  let started = Cpu_clock.monotonic_seconds () in
-  let result =
-    Trace.span t.config.tracer ~cat:"router" ~args
+(* One forward attempt, split so a hedge can bound its wait on it: the
+   [forward:<id>] span and the round-trip clock start at [send_forward]
+   and stop at [receive_forward] or [abandon_forward]. *)
+type sent = {
+  shard : shard;
+  pending : Client.Pool.pending;
+  sent_at : float;
+  end_span : unit -> unit;
+}
+
+let send_forward ?(args = []) t shard frame =
+  let sent_at = Cpu_clock.monotonic_seconds () in
+  let end_span =
+    Trace.begin_opt t.config.tracer ~cat:"router" ~args
       ("forward:" ^ shard.spec.id)
-      (fun () -> Client.Pool.request shard.pool frame)
   in
+  match Client.Pool.send shard.pool frame with
+  | Ok pending -> Ok { shard; pending; sent_at; end_span }
+  | Error _ as e ->
+      end_span ();
+      note_forward_error t shard;
+      Obs.Counter.incr shard.inst.failovers;
+      e
+
+let receive_forward t s =
+  let result = Client.Pool.receive s.pending in
+  s.end_span ();
   (match result with
   | Ok _ ->
-      note_forward_ok t shard;
-      Obs.Counter.incr shard.inst.forwarded;
+      note_forward_ok t s.shard;
+      Obs.Counter.incr s.shard.inst.forwarded;
       Obs.Histogram.observe t.metrics.forward_seconds
-        (Cpu_clock.monotonic_seconds () -. started)
+        (Cpu_clock.monotonic_seconds () -. s.sent_at)
   | Error _ ->
-      note_forward_error t shard;
-      Obs.Counter.incr shard.inst.failovers);
+      note_forward_error t s.shard;
+      Obs.Counter.incr s.shard.inst.failovers);
   result
+
+(* A straggler given up on still feeds its elapsed time (a lower bound
+   of its round trip) into the histogram the hedge delay is derived
+   from, so slow shards keep raising the p99.  It counts neither as
+   forwarded nor as failed, and leaves the breaker alone: slowness is
+   not a transport failure. *)
+let abandon_forward t s =
+  Client.Pool.abandon s.pending;
+  s.end_span ();
+  Obs.Histogram.observe t.metrics.forward_seconds
+    (Cpu_clock.monotonic_seconds () -. s.sent_at)
+
+let forward ?args t shard frame =
+  Result.bind (send_forward ?args t shard frame) (receive_forward t)
 
 (* --- Hedged forwards ------------------------------------------------------- *)
 
-(* Tail tolerance: once a forward has been in flight longer than the
+(* Tail tolerance: the primary is sent, then waited on for at most the
    hedge delay — derived from the p99 of recent forward round-trips,
-   floored so a cold histogram cannot hedge everything — the same
-   request is issued to the failover candidate (the spill target, whose
-   cache the key would land on anyway) and the first answer wins.  The
-   loser is not torn down mid-flight: its connection completes in the
-   background inside its pool slot and the late answer is discarded,
-   which keeps the pool invariant (one request per checkout) intact.
+   floored so a cold histogram cannot hedge everything.  Only a primary
+   still silent by then is hedged: the same request goes to the
+   failover candidate (the spill target, whose cache the key would land
+   on anyway), all on the connection's own thread.  A primary that has
+   answered by the time the hedge returns still wins; one that has not
+   is abandoned (see [abandon_forward]). *)
 
-   The slot poll mirrors {!Watchdog}: [Condition] has no timed wait, so
-   a 2 ms tick bounds the added latency at well under the hedge delay
-   floor. *)
-
-type forward_slot = {
-  slot_mutex : Mutex.t;
-  mutable slot_result : (Protocol.response, string) result option;
-}
-
-(* Per-request involvement flags for the wide event; mutated only on
-   the connection thread (the hedge's primary runs on its own thread
-   but posts through the slot, never through this). *)
+(* Per-request involvement flags for the wide event. *)
 type request_obs = {
   mutable o_shard : string;
   mutable o_hedged : bool;
@@ -585,83 +608,50 @@ type request_obs = {
   mutable o_failover : bool;
 }
 
-let hedge_tick_seconds = 0.002
-
 let hedge_delay t =
   let snapshot = Obs.Histogram.snapshot t.metrics.forward_seconds in
   Float.max t.config.hedge_delay_floor
     (t.config.hedge_delay_factor *. Obs.Histogram.quantile snapshot 0.99)
 
+(* The first candidate's transport failed: retry on the other one right
+   away.  Inside a hedge this happens only before the hedge delay
+   expires, so it is an ordinary failover, not a hedge. *)
+let fail_over t obs (secondary, frame, args) =
+  obs.o_failover <- true;
+  obs.o_shard <- secondary.spec.id;
+  forward ~args t secondary frame
+
+let hedge_won t obs secondary response =
+  Obs.Counter.incr t.metrics.hedge_wins;
+  obs.o_hedge_won <- true;
+  obs.o_shard <- secondary.spec.id;
+  Ok response
+
 let hedged_forward t obs (primary, primary_frame, primary_args)
-    (secondary, secondary_frame, secondary_args) =
-  let slot = { slot_mutex = Mutex.create (); slot_result = None } in
-  let post result =
-    Mutex.lock slot.slot_mutex;
-    slot.slot_result <- Some result;
-    Mutex.unlock slot.slot_mutex
-  in
-  let peek () =
-    Mutex.lock slot.slot_mutex;
-    let r = slot.slot_result in
-    Mutex.unlock slot.slot_mutex;
-    r
-  in
-  ignore
-    (Thread.create
-       (fun () -> post (forward ~args:primary_args t primary primary_frame))
-       ()
-      : Thread.t);
-  let deadline = Cpu_clock.monotonic_seconds () +. hedge_delay t in
-  let rec await_primary () =
-    match peek () with
-    | Some result -> Some result
-    | None ->
-        if Cpu_clock.monotonic_seconds () >= deadline then None
-        else begin
-          Thread.delay hedge_tick_seconds;
-          await_primary ()
-        end
-  in
-  match await_primary () with
-  | Some (Ok response) -> Ok response
-  | Some (Error _) ->
-      (* The primary's transport failed before the delay expired: this
-         is an ordinary failover, not a hedge. *)
-      obs.o_failover <- true;
-      obs.o_shard <- secondary.spec.id;
-      forward ~args:secondary_args t secondary secondary_frame
-  | None -> (
+    ((secondary, secondary_frame, secondary_args) as hedge) =
+  match send_forward ~args:primary_args t primary primary_frame with
+  | Error _ -> fail_over t obs hedge
+  | Ok first when Client.Pool.wait first.pending (hedge_delay t) -> (
+      match receive_forward t first with
+      | Ok _ as answered -> answered
+      | Error _ -> fail_over t obs hedge)
+  | Ok first -> (
       Obs.Counter.incr t.metrics.hedges;
       obs.o_hedged <- true;
       match forward ~args:secondary_args t secondary secondary_frame with
-      | Ok response -> (
-          (* First answer wins: if the primary posted while the hedge
-             ran, its answer was first and is the one served. *)
-          match peek () with
-          | Some (Ok primary_response) -> Ok primary_response
-          | Some (Error _) | None ->
-              Obs.Counter.incr t.metrics.hedge_wins;
-              obs.o_hedge_won <- true;
-              obs.o_shard <- secondary.spec.id;
-              Ok response)
+      | Ok response when Client.Pool.wait first.pending 0.0 -> (
+          (* First answer wins: the primary's arrived while the hedge
+             ran, so it is the one served. *)
+          match receive_forward t first with
+          | Ok _ as answered -> answered
+          | Error _ -> hedge_won t obs secondary response)
+      | Ok response ->
+          abandon_forward t first;
+          hedge_won t obs secondary response
       | Error _ ->
-          (* The hedge lost its transport; all that is left is waiting
-             out the primary, bounded by the request timeout. *)
-          let give_up =
-            Cpu_clock.monotonic_seconds () +. t.config.request_timeout
-          in
-          let rec await_outcome () =
-            match peek () with
-            | Some result -> result
-            | None ->
-                if Cpu_clock.monotonic_seconds () >= give_up then
-                  Error "hedged forward: both candidates failed"
-                else begin
-                  Thread.delay hedge_tick_seconds;
-                  await_outcome ()
-                end
-          in
-          await_outcome ())
+          (* The hedge lost its transport; all that is left is the
+             primary, bounded by the request timeout. *)
+          receive_forward t first)
 
 let serve_solve t ~budget ~deadline_ms ~trace ~net =
   let started = Cpu_clock.monotonic_seconds () in
@@ -740,42 +730,30 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
                 | _ -> None
               else None
             in
-            match hedge_target with
-            | Some other -> (
-                match
-                  hedged_forward t obs
-                    (target, frame_for target, fwd_args target)
-                    (other, frame_for other, fwd_args other)
-                with
-                | Ok response -> response
-                | Error _ ->
-                    (* Both candidates were already tried inside the
-                       hedge. *)
-                    degraded_response t ~budget ~net ~shed:false
-                      Protocol.Worker_lost)
-            | None -> (
-                match
-                  forward ~args:(fwd_args target) t target (frame_for target)
-                with
-                | Ok response -> response
-                | Error _ -> (
-                    (* The poller will notice the death on its own tick;
-                       the request fails over right now. *)
-                    match failover with
-                    | Some other when shard_available t other -> (
-                        obs.o_failover <- true;
-                        obs.o_shard <- other.spec.id;
-                        match
-                          forward ~args:(fwd_args other) t other
-                            (frame_for other)
-                        with
-                        | Ok response -> response
-                        | Error _ ->
-                            degraded_response t ~budget ~net ~shed:false
-                              Protocol.Worker_lost)
-                    | _ ->
-                        degraded_response t ~budget ~net ~shed:false
-                          Protocol.Worker_lost))))
+            let forward_to shard = (shard, frame_for shard, fwd_args shard) in
+            let result =
+              match hedge_target with
+              | Some other ->
+                  hedged_forward t obs (forward_to target) (forward_to other)
+              | None -> (
+                  match
+                    forward ~args:(fwd_args target) t target (frame_for target)
+                  with
+                  | Ok _ as answered -> answered
+                  | Error _ as e -> (
+                      (* The poller will notice the death on its own tick;
+                         the request fails over right now. *)
+                      match failover with
+                      | Some other when shard_available t other ->
+                          fail_over t obs (forward_to other)
+                      | _ -> e))
+            in
+            match result with
+            | Ok response -> response
+            | Error _ ->
+                (* Every candidate was tried (the hedge tries both). *)
+                degraded_response t ~budget ~net ~shed:false
+                  Protocol.Worker_lost))
   in
   (* Exactly one wide event per request through the router, always kept
      by the tail sampler when anything interesting happened (degraded,

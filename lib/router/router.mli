@@ -26,8 +26,12 @@
       derived from the p99 of recent forward round-trips
       ([hedge_delay_factor] times the p99, floored at
       [hedge_delay_floor]) is also issued to the key's failover
-      candidate, and the first answer wins; the loser's late answer is
-      discarded when its connection completes.  Counted as
+      candidate, from the same thread.  A primary that has answered by
+      the time the hedge returns wins; otherwise the hedge's answer is
+      served and the primary is abandoned: its connection is closed,
+      its elapsed time still lands in [rip_router_forward_seconds]
+      (stragglers keep raising the p99), and it counts as neither
+      forwarded nor failed and leaves the breaker alone.  Counted as
       [rip_router_hedges_total] / [rip_router_hedge_wins_total].
     - {b Circuit breaker}, per shard: [breaker_threshold] consecutive
       transport failures open the breaker, removing the shard from the

@@ -49,7 +49,7 @@ val add_solve_times : t -> queue_seconds:float -> cpu_seconds:float -> unit
 
 (** {1 Solver-probe counters}
 
-    Fed by the server's {!Rip_core.Rip.probe} hooks; they aggregate what
+    Fed by the server's [hooks.probe] ({!Rip_core.Rip.probe_event}); they aggregate what
     the probes report per event.  All lock-free. *)
 
 val incr_dp_columns : t -> unit

@@ -37,95 +37,12 @@ let default_config =
     journal_dir = None;
   }
 
-(* --- Deadline watchdog ----------------------------------------------------
-
-   One thread per server owns every armed deadline.  It sleeps on a
-   condition while nothing is armed and otherwise polls on a 2 ms tick
-   (OCaml's [Condition] has no timed wait), firing each entry's
-   cancellation token once the monotonic clock passes its deadline.  The
-   solve itself observes the token at DP-column / REFINE-iteration
-   granularity, so cancellation latency is tick + poll granularity, both
-   small against any meaningful deadline. *)
-
-module Watchdog = struct
-  type entry = { id : int; fires_at : float; token : Cancel.t }
-
-  type t = {
-    mutex : Mutex.t;
-    wake : Condition.t;
-    mutable armed : entry list;
-    mutable stopped : bool;
-    mutable next_id : int;
-    mutable thread : Thread.t option;
-  }
-
-  let tick_seconds = 0.002
-
-  let rec loop w =
-    Mutex.lock w.mutex;
-    while
-      (match w.armed with [] -> true | _ :: _ -> false) && not w.stopped
-    do
-      Condition.wait w.wake w.mutex
-    done;
-    let stop = w.stopped in
-    let now = Cpu_clock.monotonic_seconds () in
-    let expired, live =
-      List.partition (fun e -> e.fires_at <= now) w.armed
-    in
-    w.armed <- live;
-    Mutex.unlock w.mutex;
-    List.iter (fun e -> Cancel.cancel e.token) expired;
-    if not stop then begin
-      Thread.delay tick_seconds;
-      loop w
-    end
-
-  let create () =
-    let w =
-      {
-        mutex = Mutex.create ();
-        wake = Condition.create ();
-        armed = [];
-        stopped = false;
-        next_id = 0;
-        thread = None;
-      }
-    in
-    w.thread <- Some (Thread.create loop w);
-    w
-
-  let arm w ~fires_at token =
-    Mutex.lock w.mutex;
-    let id = w.next_id in
-    w.next_id <- id + 1;
-    w.armed <- { id; fires_at; token } :: w.armed;
-    Condition.signal w.wake;
-    Mutex.unlock w.mutex;
-    id
-
-  let disarm w id =
-    Mutex.lock w.mutex;
-    w.armed <- List.filter (fun e -> e.id <> id) w.armed;
-    Mutex.unlock w.mutex
-
-  let stop w =
-    Mutex.lock w.mutex;
-    w.stopped <- true;
-    let thread = w.thread in
-    w.thread <- None;
-    Condition.signal w.wake;
-    Mutex.unlock w.mutex;
-    Option.iter Thread.join thread
-end
-
 type t = {
   process : Rip_tech.Process.t;
   config : config;
   handle : Engine.handle;
   cache : Protocol.solution Solve_cache.t;
   metrics : Metrics.t;
-  watchdog : Watchdog.t;
   faults : Faults.t;
   journal : Journal.t option;
   journal_recovery : Journal.recovery option;
@@ -237,7 +154,6 @@ let create ?(config = default_config) process =
         ?journal_stats:
           (Option.map (fun journal () -> Journal.stats journal) journal)
         ();
-    watchdog = Watchdog.create ();
     faults;
     journal;
     journal_recovery;
@@ -295,7 +211,6 @@ let request_shutdown t =
 let shutdown t =
   request_shutdown t;
   Engine.shutdown_handle t.handle;
-  Watchdog.stop t.watchdog;
   (* Clean shutdown seals the journal with its footer, so the next boot
      replays without the torn-tail repair pass. *)
   Option.iter Journal.close t.journal
@@ -368,19 +283,18 @@ let degraded_response t ~budget ~net reason =
 
 (* --- Solving -------------------------------------------------------------- *)
 
-(* A fault-injected solve delay that still honours the deadline: sleep in
-   watchdog-tick chunks, aborting the moment the token fires. *)
+(* A fault-injected solve delay that still honours the deadline: one
+   sleep to whichever comes first, the delay's end or the token's
+   deadline, then the token's own poll decides. *)
 let interruptible_delay token seconds =
-  let finish = Cpu_clock.monotonic_seconds () +. seconds in
-  let rec wait () =
-    if Cancel.cancelled token then raise Cancel.Cancelled;
-    let remaining = finish -. Cpu_clock.monotonic_seconds () in
-    if remaining > 0.0 then begin
-      Thread.delay (Float.min remaining Watchdog.tick_seconds);
-      wait ()
-    end
+  let now = Cpu_clock.monotonic_seconds () in
+  let wake =
+    match Cancel.deadline token with
+    | Some deadline -> Float.min deadline (now +. seconds)
+    | None -> now +. seconds
   in
-  wait ()
+  if wake > now then Unix.sleepf (wake -. now);
+  Cancel.hook token ()
 
 type solve_outcome =
   | Solved of Rip.report
@@ -467,49 +381,42 @@ let run_full_solve t ~budget ~net ~key ~trace ~pruned token =
 
 let serve_admitted t ~budget ~deadline_ms ~net ~key ~trace ~pruned ~queue_wait
     ~admitted_at =
-  let token = Cancel.create () in
-  let watchdog_id =
-    Option.map
-      (fun ms ->
-        Watchdog.arm t.watchdog
-          ~fires_at:(admitted_at +. (ms /. 1000.0))
-          token)
-      deadline_ms
+  let token =
+    Cancel.create
+      ?deadline:(Option.map (fun ms -> admitted_at +. (ms /. 1000.0)) deadline_ms)
+      ()
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter (Watchdog.disarm t.watchdog) watchdog_id)
-    (fun () ->
-      let outcome, queue_seconds, cpu_seconds =
-        run_full_solve t ~budget ~net ~key ~trace ~pruned token
-      in
-      queue_wait := queue_seconds;
-      Metrics.add_solve_times t.metrics ~queue_seconds ~cpu_seconds;
-      match outcome with
-      | Solved report ->
-          (* A solve that completed before the watchdog's cancellation was
-             observed wins over the deadline: the work is already paid
-             for and the full answer strictly dominates the fallback. *)
-          let solution = solution_of_report report in
-          let body = Protocol.solution_body solution in
-          let digest = Digest.string body in
-          Solve_cache.add_verified t.cache key solution ~digest;
-          (* Journal the good bytes before any fault can corrupt the
-             in-memory entry: durability must persist what was solved,
-             not what a fault plan mangled. *)
-          (match t.journal with
-          | Some journal -> Journal.append journal ~key ~value:(digest ^ body)
-          | None -> ());
-          if Faults.corrupt_cache t.faults then
-            ignore (Solve_cache.corrupt t.cache key);
-          Metrics.incr_solved t.metrics;
-          Protocol.Result { served = Fresh; solution }
-      | Failed error ->
-          Metrics.incr_errors t.metrics;
-          error_response error
-      | Cancelled_mid_solve ->
-          degraded_response t ~budget ~net Protocol.Deadline_exceeded
-      | Worker_lost_mid_solve ->
-          degraded_response t ~budget ~net Protocol.Worker_lost)
+  let outcome, queue_seconds, cpu_seconds =
+    run_full_solve t ~budget ~net ~key ~trace ~pruned token
+  in
+  queue_wait := queue_seconds;
+  Metrics.add_solve_times t.metrics ~queue_seconds ~cpu_seconds;
+  match outcome with
+  | Solved report ->
+      (* A solve that completed before its token's deadline was
+         observed wins over the deadline: the work is already paid
+         for and the full answer strictly dominates the fallback. *)
+      let solution = solution_of_report report in
+      let body = Protocol.solution_body solution in
+      let digest = Digest.string body in
+      Solve_cache.add_verified t.cache key solution ~digest;
+      (* Journal the good bytes before any fault can corrupt the
+         in-memory entry: durability must persist what was solved,
+         not what a fault plan mangled. *)
+      (match t.journal with
+      | Some journal -> Journal.append journal ~key ~value:(digest ^ body)
+      | None -> ());
+      if Faults.corrupt_cache t.faults then
+        ignore (Solve_cache.corrupt t.cache key);
+      Metrics.incr_solved t.metrics;
+      Protocol.Result { served = Fresh; solution }
+  | Failed error ->
+      Metrics.incr_errors t.metrics;
+      error_response error
+  | Cancelled_mid_solve ->
+      degraded_response t ~budget ~net Protocol.Deadline_exceeded
+  | Worker_lost_mid_solve ->
+      degraded_response t ~budget ~net Protocol.Worker_lost
 
 let serve_solve t ~budget ~deadline_ms ~trace ~net =
   let started = Cpu_clock.monotonic_seconds () in
@@ -714,7 +621,6 @@ let run t listen_fd =
     Mutex.unlock t.mutex;
     List.iter Thread.join threads;
     Engine.shutdown_handle t.handle;
-    Watchdog.stop t.watchdog;
     Option.iter Journal.close t.journal
   end
 

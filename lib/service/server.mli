@@ -1,9 +1,8 @@
 (** The [rip_serviced] daemon core, embeddable in-process.
 
     One server owns a long-lived {!Rip_engine.Engine.handle} (the worker
-    pool), a digest-verified {!Solve_cache} in front of it, {!Metrics}, a
-    deadline watchdog thread, and a {!Faults} plan (disabled unless
-    configured).  Connections are served by one thread each, speaking
+    pool), a digest-verified {!Solve_cache} in front of it, {!Metrics} and
+    a {!Faults} plan (disabled unless configured).  Connections are served by one thread each, speaking
     {!Protocol} over a bounded {!Wire} reader.
 
     A SOLVE request walks a degradation ladder — every rung answers with
@@ -19,9 +18,9 @@
     + load shedding: an admitted solve finding the queue deeper than
       [high_water] answers [DEGRADED overload] from the analytic
       fallback tier without running the DP;
-    + the full solve runs on the pool under a cancellation token; the
-      watchdog fires the token at the deadline (monotonic clock), and a
-      cancelled or fault-killed solve answers [DEGRADED] with the
+    + the full solve runs on the pool under a cancellation token that
+      carries the deadline (monotonic clock) and fires at the solver's
+      next poll once it has passed; a cancelled or fault-killed solve answers [DEGRADED] with the
       fallback solution ([deadline] / [worker-lost] reason) — unless
       the solve completed first, in which case the full RESULT wins.
 
@@ -85,7 +84,7 @@ val default_config : config
 type t
 
 val create : ?config:config -> Rip_tech.Process.t -> t
-(** Spawn the worker pool and the watchdog; the server is ready to serve
+(** Spawn the worker pool; the server is ready to serve
     connections.  When [journal_dir] is set, recovery and replay happen
     here, before anything is served.
     @raise Invalid_argument on a non-positive [queue_depth] or
@@ -136,15 +135,14 @@ val run : t -> Unix.file_descr -> unit
 (** Accept loop over a listening socket: one thread per connection.
     Returns once shutdown is requested (SHUTDOWN frame, or
     {!request_shutdown} from a signal handler) and every connection
-    thread has finished; the worker pool and the watchdog are then shut
-    down too.  Closes the listening socket. *)
+    thread has finished; the worker pool is then shut down too.  Closes the listening socket. *)
 
 val request_shutdown : t -> unit
 (** Stop accepting connections and reject further solves; idempotent and
     async-signal-usable.  In-flight requests complete. *)
 
 val shutdown : t -> unit
-(** {!request_shutdown} plus releasing the worker pool and the watchdog.
+(** {!request_shutdown} plus releasing the worker pool.
     Embedders that drive {!handle_connection} directly (no {!run} loop)
     must call this; after {!run} returns it is a no-op. *)
 

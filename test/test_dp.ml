@@ -362,8 +362,9 @@ let prop_power_dp_deterministic =
       | Some _, None | None, Some _ -> false)
 
 (* The cancellation hook must be a pure observer: threading a token that
-   never fires through the DP has to leave the result bit-identical to a
-   solve without the hook. *)
+   never fires through the DP — one without a deadline, and one whose
+   deadline lies far in the future, so every poll reads the clock — has
+   to leave the result bit-identical to a solve without the hook. *)
 let prop_power_dp_cancel_identity =
   QCheck.Test.make
     ~name:"a never-firing cancel token leaves the solve bit-identical"
@@ -373,16 +374,16 @@ let prop_power_dp_cancel_identity =
       let library = Repeater_library.create widths in
       let bare = Delay.total repeater geometry Solution.empty in
       let budget = bare *. slack in
-      let token = Rip_engine.Cancel.create () in
       let plain =
         run_dp geometry repeater ~library ~candidates:sites ~budget
       in
-      let hooked =
+      let hooked token =
         run_dp
           ~hooks:
             (Rip_numerics.Hooks.make ~cancel:(Rip_engine.Cancel.hook token) ())
           geometry repeater ~library ~candidates:sites ~budget
       in
+      let far_future = Rip_numerics.Cpu_clock.monotonic_seconds () +. 1e6 in
       let identical (a : Power_dp.result) (b : Power_dp.result) =
         let eq = List.for_all2 Float.equal in
         eq (Solution.positions a.solution) (Solution.positions b.solution)
@@ -390,10 +391,16 @@ let prop_power_dp_cancel_identity =
         && Float.equal a.delay b.delay
         && Float.equal a.total_width b.total_width
       in
-      match (plain, hooked) with
-      | None, None -> true
-      | Some a, Some b -> identical a b
-      | Some _, None | None, Some _ -> false)
+      List.for_all
+        (fun token ->
+          match (plain, hooked token) with
+          | None, None -> true
+          | Some a, Some b -> identical a b
+          | Some _, None | None, Some _ -> false)
+        [
+          Rip_engine.Cancel.create ();
+          Rip_engine.Cancel.create ~deadline:far_future ();
+        ])
 
 (* --- Backend equivalence ----------------------------------------------------- *)
 
@@ -495,30 +502,6 @@ let test_auto_backend () =
        ~library_size:1
     = Power_dp.Fast)
 
-(* The deprecated entry point must stay a faithful shim over the new
-   one. *)
-let[@alert "-deprecated"] test_deprecated_solve_shim () =
-  let net = zoned_net () in
-  let geometry = Geometry.of_net net in
-  let bare = Delay.total repeater geometry Solution.empty in
-  let library = Repeater_library.uniform ~min_width:10.0 ~step:10.0 ~count:5 in
-  let candidates = Candidates.uniform net ~pitch:200.0 in
-  let budget = 0.8 *. bare in
-  let old_style =
-    Power_dp.solve geometry repeater ~library ~candidates ~budget
-  in
-  let new_style =
-    run_dp ~backend:Power_dp.Reference geometry repeater ~library ~candidates
-      ~budget
-  in
-  match (old_style, new_style) with
-  | None, None -> ()
-  | Some a, Some b ->
-      Alcotest.(check bool) "solve = run (request ~backend:Reference)" true
-        (identical_results a b)
-  | Some _, None | None, Some _ ->
-      Alcotest.fail "deprecated shim feasibility mismatch"
-
 let test_run_rejects_tiny_cap () =
   let net = zoned_net () in
   let geometry = Geometry.of_net net in
@@ -571,8 +554,6 @@ let suite =
         qcheck prop_backend_equivalence;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
         Alcotest.test_case "auto cutover" `Quick test_auto_backend;
-        Alcotest.test_case "deprecated solve shim" `Quick
-          test_deprecated_solve_shim;
         Alcotest.test_case "tiny frontier cap rejected" `Quick
           test_run_rejects_tiny_cap;
       ] );

@@ -68,11 +68,18 @@ let check_degraded_legal net ~budget (s : Protocol.solution) =
 (* --- Cancellation tokens ------------------------------------------------- *)
 
 let test_cancel_token () =
-  let t = Cancel.create () in
-  Alcotest.(check bool) "fresh token not cancelled" false (Cancel.cancelled t);
-  Cancel.hook t ();
-  Cancel.cancel t;
-  Alcotest.(check bool) "cancelled after cancel" true (Cancel.cancelled t);
+  let now = Rip_numerics.Cpu_clock.monotonic_seconds () in
+  let never = Cancel.create () in
+  Alcotest.(check bool) "no deadline: not cancelled" false
+    (Cancel.cancelled never);
+  Cancel.hook never ();
+  let future = Cancel.create ~deadline:(now +. 3600.0) () in
+  Alcotest.(check bool) "future deadline: not yet cancelled" false
+    (Cancel.cancelled future);
+  Cancel.hook future ();
+  let t = Cancel.create ~deadline:(now -. 0.001) () in
+  Alcotest.(check bool) "past deadline fires without any cancel call" true
+    (Cancel.cancelled t);
   Alcotest.check_raises "hook raises once fired" Cancel.Cancelled
     (Cancel.hook t);
   Alcotest.(check (option int))
@@ -80,7 +87,11 @@ let test_cancel_token () =
     (Cancel.protect (fun () -> Cancel.hook t (); 1));
   Alcotest.(check (option int))
     "protect passes values through" (Some 7)
-    (Cancel.protect (fun () -> 7))
+    (Cancel.protect (fun () -> 7));
+  (* The clock never runs backwards, so a fired token stays fired and a
+     token without a deadline stays unfired. *)
+  Alcotest.(check bool) "still fired" true (Cancel.cancelled t);
+  Alcotest.(check bool) "never fires" false (Cancel.cancelled never)
 
 (* --- Deadline edge cases -------------------------------------------------- *)
 
@@ -139,8 +150,9 @@ let test_cache_hit_beats_expired_deadline () =
 
 let test_deadline_mid_solve_degrades () =
   (* The injected 500 ms solve delay guarantees the 50 ms deadline fires
-     mid-solve; the interruptible delay observes the token, so the
-     request still answers promptly. *)
+     mid-solve; the delay sleeps only until the token's deadline, so the
+     request still answers promptly — well before the delay would have
+     ended. *)
   with_server
     ~config:
       {
@@ -152,12 +164,19 @@ let test_deadline_mid_solve_degrades () =
       let client, worker = connect_pair server in
       let net = sample_net () in
       let budget = feasible_budget net in
+      let sent = Rip_numerics.Cpu_clock.monotonic_seconds () in
       (match
          Client.request client
            (Protocol.Solve { budget; deadline_ms = Some 50.0; trace = None; net })
        with
       | Ok (Protocol.Degraded { reason = Protocol.Deadline_exceeded; solution })
         ->
+          let elapsed = Rip_numerics.Cpu_clock.monotonic_seconds () -. sent in
+          if elapsed >= 0.25 then
+            Alcotest.failf
+              "DEGRADED took %.0f ms; the 500 ms delay was not cut at the \
+               50 ms deadline"
+              (elapsed *. 1000.0);
           check_degraded_legal net ~budget solution
       | Ok other ->
           Alcotest.failf "deadline mid-solve answered %S"

@@ -1,8 +1,10 @@
-(* The router subsystem's pure parts: consistent-hash ring placement
-   (balance, restart determinism, minimal remap on membership edits)
-   and the price controller's climb/decay dynamics.  The process-level
-   behaviour — supervision, failover, shedding — is exercised by the
-   bench cluster ladder and the CI cluster smoke job. *)
+(* The router subsystem: consistent-hash ring placement (balance,
+   restart determinism, minimal remap on membership edits), the price
+   controller's climb/decay dynamics, config validation, and — against
+   in-process shards — trace parentage plus the tail-tolerance path
+   (hedging, failover, abandoned stragglers).  Supervision and shedding
+   of real daemons are exercised by the bench cluster ladder and the CI
+   cluster smoke job. *)
 
 module Ring = Rip_router.Ring
 module Pricing = Rip_router.Pricing
@@ -373,6 +375,321 @@ let test_router_trace_parentage () =
       Alcotest.failf "expected exactly 1 merged trace, got %d"
         (List.length traces)
 
+(* --- End to end: hedging and failover -------------------------------------
+
+   Two in-process shards, "a" and "b", behind an in-process router.  A
+   shard's fault plan (or its absence: a dead socket) makes it the slow
+   or failed primary for the nets under test; the ring decides which
+   shard is a net's primary, so the tests pick nets by their primary. *)
+
+module Server = Rip_service.Server
+module Client = Rip_service.Client
+module Protocol = Rip_service.Protocol
+module Obs = Rip_obs.Metrics
+module Cpu_clock = Rip_numerics.Cpu_clock
+
+let tail_ids = [ "a"; "b" ]
+
+let tail_net i =
+  Rip_net.Net.uniform ~name:(Printf.sprintf "tail%d" i) Rip_tech.Layer.metal4
+    ~length:(4000.0 +. (250.0 *. float_of_int i))
+    ~segment_count:3 ~driver_width:30.0 ~receiver_width:60.0
+
+let primary_of net =
+  match
+    Ring.lookup
+      (Ring.create (List.map (fun id -> (id, 1)) tail_ids))
+      (Rip_net.Net.canonical_digest net)
+  with
+  | Some id -> id
+  | None -> Alcotest.fail "a two-shard ring owns every key"
+
+(* The first [n] test nets whose primary is [id]. *)
+let nets_with_primary id n =
+  List.filteri (fun i _ -> i < n)
+    (List.filter
+       (fun net -> String.equal (primary_of net) id)
+       (List.init 64 tail_net))
+
+let tail_budget net =
+  1.3 *. Rip_core.Rip.tau_min Helpers.process (Rip_net.Geometry.of_net net)
+
+(* The RESULT body a direct, in-process solve renders. *)
+let direct_body net ~budget =
+  match
+    Rip_core.Rip.solve
+      { Rip_core.Rip.process = Helpers.process; net; geometry = None; budget }
+  with
+  | Ok report ->
+      Protocol.solution_body
+        {
+          Protocol.repeaters =
+            List.map
+              (fun (r : Rip_elmore.Solution.repeater) -> (r.position, r.width))
+              (Rip_elmore.Solution.repeaters report.solution);
+          total_width = report.total_width;
+          delay = report.delay;
+          power_watts = report.power_watts;
+        }
+  | Error e -> Alcotest.fail (Rip_core.Rip.error_to_string e)
+
+let fault_plan spec =
+  match Rip_service.Faults.parse_spec spec with
+  | Ok f -> f
+  | Error e -> Alcotest.fail e
+
+let cluster_seq = Atomic.make 0
+
+(* Run [f router client] against shards "a" and "b" (a shard listed in
+   [dead] gets no server: its socket path refuses every dial).  The
+   poller's failure detector is pushed out of the way, so routing sees
+   only the request path's own failover and hedging. *)
+let with_tail_cluster ?(faults = fun _ -> None) ?(dead = []) ~config f =
+  let dir = Filename.get_temp_dir_name () in
+  let tag =
+    Printf.sprintf "rip-tail-%d-%d" (Unix.getpid ())
+      (Atomic.fetch_and_add cluster_seq 1)
+  in
+  let sock id = Filename.concat dir (Printf.sprintf "%s-%s.sock" tag id) in
+  let servers =
+    List.filter_map
+      (fun id ->
+        if List.mem id dead then None
+        else
+          let server =
+            Server.create
+              ~config:
+                {
+                  Server.default_config with
+                  jobs = Some 1;
+                  shard_id = id;
+                  faults = faults id;
+                }
+              Helpers.process
+          in
+          let listener = Server.listen_unix (sock id) in
+          Some (id, server, Thread.create (Server.run server) listener))
+      tail_ids
+  in
+  let router =
+    Router.create
+      ~config:{ config with Router.down_after = 1000 }
+      ~shards:
+        (List.map
+           (fun id -> { Router.id; socket = sock id; weight = 1 })
+           tail_ids)
+      Helpers.process
+  in
+  let router_thread =
+    Thread.create (Router.run router) (Router.listen_unix (sock "router"))
+  in
+  let client = Client.connect_unix (sock "router") in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      Router.request_shutdown router;
+      Thread.join router_thread;
+      List.iter
+        (fun (id, server, thread) ->
+          Server.request_shutdown server;
+          (try Client.close (Client.connect_unix (sock id))
+           with Unix.Unix_error _ -> ());
+          Thread.join thread;
+          Server.shutdown server)
+        servers;
+      List.iter
+        (fun id -> try Sys.remove (sock id) with Sys_error _ -> ())
+        ("router" :: tail_ids))
+    (fun () -> f router client)
+
+(* One SOLVE through the router: the answer must be a RESULT whose body
+   is byte-identical to a direct solve.  Returns the round trip's
+   seconds. *)
+let solve_through client net =
+  let budget = tail_budget net in
+  let sent = Cpu_clock.monotonic_seconds () in
+  match
+    Client.request client
+      (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
+  with
+  | Ok (Protocol.Result { solution; _ }) ->
+      let elapsed = Cpu_clock.monotonic_seconds () -. sent in
+      Alcotest.(check string)
+        "answer matches a direct Rip.solve" (direct_body net ~budget)
+        (Protocol.solution_body solution);
+      elapsed
+  | Ok other ->
+      Alcotest.failf "SOLVE answered %S" (Protocol.print_response other)
+  | Error e -> Alcotest.failf "SOLVE failed: %s" e
+
+let shard_inst router id =
+  Rip_router.Router_metrics.shard (Router.metrics router) id
+let forward_count router =
+  (Obs.Histogram.snapshot (Router.metrics router).forward_seconds)
+    .Obs.Histogram.count
+
+let test_tail_fast_primary () =
+  let net = tail_net 0 in
+  with_tail_cluster
+    ~config:{ Router.default_config with hedge_delay_floor = 0.5 }
+    (fun router client ->
+      let elapsed = solve_through client net in
+      let m = Router.metrics router in
+      Alcotest.(check int) "no hedge" 0 (Obs.Counter.value m.hedges);
+      Alcotest.(check int) "no hedge win" 0 (Obs.Counter.value m.hedge_wins);
+      Alcotest.(check int) "forwarded by the primary" 1
+        (Obs.Counter.value (shard_inst router (primary_of net)).forwarded);
+      (* The wait woke on the answer, not at the 500 ms hedge delay. *)
+      if elapsed >= 0.4 then
+        Alcotest.failf "fast primary took %.0f ms" (elapsed *. 1000.0))
+
+let test_tail_slow_primary_hedged () =
+  let net = tail_net 0 in
+  let slow = primary_of net in
+  with_tail_cluster
+    ~faults:(fun id ->
+      if String.equal id slow then Some (fault_plan "seed=5,delay:p=1:ms=500")
+      else None)
+    ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
+    (fun router client ->
+      let elapsed = solve_through client net in
+      let m = Router.metrics router in
+      Alcotest.(check int) "one hedge" 1 (Obs.Counter.value m.hedges);
+      Alcotest.(check int) "the secondary won" 1
+        (Obs.Counter.value m.hedge_wins);
+      if elapsed >= 0.4 then
+        Alcotest.failf "hedged answer took %.0f ms; it waited on the primary"
+          (elapsed *. 1000.0);
+      (* The abandoned primary: its elapsed time still feeds the hedge
+         delay's histogram, but it is neither forwarded nor failed and
+         the breaker stays closed. *)
+      let primary = shard_inst router slow in
+      Alcotest.(check int) "histogram saw the hedge and the straggler" 2
+        (forward_count router);
+      Alcotest.(check int) "straggler not counted forwarded" 0
+        (Obs.Counter.value primary.forwarded);
+      Alcotest.(check int) "straggler not counted failed" 0
+        (Obs.Counter.value primary.failovers);
+      Alcotest.(check (float 0.0)) "primary breaker closed" 0.0
+        (Obs.Gauge.value primary.breaker_state);
+      (* The abandoned connection was closed, not pooled: the next
+         request to the same primary dials afresh and still answers. *)
+      ignore (solve_through client net : float))
+
+let test_tail_dead_primary_fails_over () =
+  let net = tail_net 0 in
+  let dead = primary_of net in
+  with_tail_cluster ~dead:[ dead ]
+    ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
+    (fun router client ->
+      ignore (solve_through client net : float);
+      let m = Router.metrics router in
+      Alcotest.(check int) "a failover is not a hedge" 0
+        (Obs.Counter.value m.hedges);
+      Alcotest.(check int) "dead primary counted as a failover" 1
+        (Obs.Counter.value (shard_inst router dead).failovers))
+
+let test_tail_zero_floor () =
+  let nets = nets_with_primary "a" 3 in
+  Alcotest.(check int) "three nets owned by shard a" 3 (List.length nets);
+  with_tail_cluster
+    ~faults:(fun id ->
+      if String.equal id "a" then Some (fault_plan "seed=9,delay:p=1:ms=200")
+      else None)
+    ~config:
+      {
+        Router.default_config with
+        hedge_delay_floor = 0.0;
+        hedge_delay_factor = 1e-4;
+      }
+    (fun router client ->
+      List.iter
+        (fun net ->
+          let elapsed = solve_through client net in
+          (* A zero wait that blocked would sit out the 200 ms delay. *)
+          if elapsed >= 0.15 then
+            Alcotest.failf "zero hedge delay blocked for %.0f ms"
+              (elapsed *. 1000.0))
+        nets;
+      let m = Router.metrics router in
+      Alcotest.(check int) "every request hedged" 3
+        (Obs.Counter.value m.hedges);
+      Alcotest.(check int) "every hedge won" 3
+        (Obs.Counter.value m.hedge_wins))
+
+(* The pool's four steps on their own: a timed wait honours its bound
+   and wakes on the answer, and an abandoned connection is closed, so
+   the next checkout re-dials. *)
+let test_pool_steps () =
+  let server =
+    Server.create
+      ~config:
+        {
+          Server.default_config with
+          jobs = Some 1;
+          faults = Some (fault_plan "seed=2,delay:p=1:ms=300");
+        }
+      Helpers.process
+  in
+  let dials = ref 0 and workers = ref [] in
+  let connect () =
+    incr dials;
+    let server_fd, client_fd =
+      Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+    in
+    workers :=
+      Thread.create (Server.handle_connection server) server_fd :: !workers;
+    Client.of_fd client_fd
+  in
+  let pool = Client.Pool.create ~timeout:5.0 ~size:1 connect in
+  let net = tail_net 1 in
+  let solve =
+    Protocol.Solve
+      { budget = tail_budget net; deadline_ms = None; trace = None; net }
+  in
+  let send frame =
+    match Client.Pool.send pool frame with
+    | Ok pending -> pending
+    | Error e -> Alcotest.failf "send failed: %s" e
+  in
+  let pending = send solve in
+  (* Each wait must return without the answer, and within bounds: an
+     instant check, the shortest blocking wait (1 us, which must not
+     turn into "block forever"), and a 20 ms wait that lasts about
+     that long (plus the kernel's tick rounding). *)
+  let timed_wait seconds =
+    let started = Cpu_clock.monotonic_seconds () in
+    Alcotest.(check bool)
+      (Printf.sprintf "not readable within %g s" seconds)
+      false
+      (Client.Pool.wait pending seconds);
+    Cpu_clock.monotonic_seconds () -. started
+  in
+  let instant = timed_wait 0.0 in
+  if instant > 0.005 then
+    Alcotest.failf "a zero wait took %.1f ms" (instant *. 1000.0);
+  let shortest = timed_wait 1e-6 in
+  if shortest > 0.1 then
+    Alcotest.failf "a 1 us wait took %.1f ms" (shortest *. 1000.0);
+  let waited = timed_wait 0.02 in
+  if waited < 0.015 || waited > 0.12 then
+    Alcotest.failf "a 20 ms wait took %.1f ms" (waited *. 1000.0);
+  Alcotest.(check bool) "readable once answered" true
+    (Client.Pool.wait pending 5.0);
+  (match Client.Pool.receive pending with
+  | Ok (Protocol.Result _) -> ()
+  | Ok other -> Alcotest.failf "answered %S" (Protocol.print_response other)
+  | Error e -> Alcotest.failf "receive failed: %s" e);
+  Client.Pool.abandon (send Protocol.Ping);
+  (match Client.Pool.request pool Protocol.Ping with
+  | Ok Protocol.Pong -> ()
+  | Ok other -> Alcotest.failf "answered %S" (Protocol.print_response other)
+  | Error e -> Alcotest.failf "request failed: %s" e);
+  Alcotest.(check int) "abandoning forced exactly one re-dial" 2 !dials;
+  Client.Pool.close_all pool;
+  List.iter Thread.join !workers;
+  Server.shutdown server
+
 let suite =
   [
     ( "router.ring",
@@ -406,5 +723,17 @@ let suite =
         Alcotest.test_case
           "merged trace links client, router and shard spans" `Quick
           test_router_trace_parentage;
+      ] );
+    ( "router.tail",
+      [
+        Alcotest.test_case "fast primary is not hedged" `Quick
+          test_tail_fast_primary;
+        Alcotest.test_case "slow primary is hedged and abandoned" `Quick
+          test_tail_slow_primary_hedged;
+        Alcotest.test_case "dead primary fails over" `Quick
+          test_tail_dead_primary_fails_over;
+        Alcotest.test_case "zero hedge floor" `Quick test_tail_zero_floor;
+        Alcotest.test_case "pool send, wait, receive, abandon" `Quick
+          test_pool_steps;
       ] );
   ]
