@@ -286,7 +286,7 @@ let run_service scale =
       (Printf.sprintf "rip-bench-%d.sock" (Unix.getpid ()))
   in
   let server = Server.create process in
-  let listener = Server.listen_unix path in
+  let listener = Rip_service.Frontend.listen_unix path in
   let acceptor = Thread.create (fun () -> Server.run server listener) () in
   let requests = scale.nets * scale.targets in
   let workload =
@@ -394,7 +394,7 @@ let run_cluster scale =
       let rpath =
         Filename.concat dir (Printf.sprintf "rip-bench-%d-router.sock" tag)
       in
-      let listener = Router.listen_unix rpath in
+      let listener = Rip_service.Frontend.listen_unix rpath in
       let acceptor = Thread.create (fun () -> Router.run router listener) () in
       let connect () = Client.connect_unix rpath in
       let r = Loadgen.run ~connect ~connections:4 wl in

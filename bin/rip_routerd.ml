@@ -13,6 +13,7 @@
    against a cluster. *)
 
 module Router = Rip_router.Router
+module Frontend = Rip_service.Frontend
 module Supervisor = Rip_router.Supervisor
 module Pricing = Rip_router.Pricing
 module Trace = Rip_obs.Trace
@@ -193,8 +194,8 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
           let listen_fd, endpoint =
             match port with
             | Some port ->
-                (Router.listen_tcp ~host ~port, Printf.sprintf "%s:%d" host port)
-            | None -> (Router.listen_unix socket_path, socket_path)
+                (Frontend.listen_tcp ~host ~port, Printf.sprintf "%s:%d" host port)
+            | None -> (Frontend.listen_unix socket_path, socket_path)
           in
           Printf.printf
             "rip_routerd: listening on %s (%d shards: %s; pool %d, poll \

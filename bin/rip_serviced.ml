@@ -13,6 +13,7 @@
    the flag wins) is for chaos testing only and is off by default. *)
 
 module Server = Rip_service.Server
+module Frontend = Rip_service.Frontend
 module Faults = Rip_service.Faults
 module Trace = Rip_obs.Trace
 module Wide_event = Rip_obs.Wide_event
@@ -178,8 +179,8 @@ let serve socket_path port host shard_id jobs cache_capacity queue_depth
         let listen_fd, endpoint =
           match port with
           | Some port ->
-              (Server.listen_tcp ~host ~port, Printf.sprintf "%s:%d" host port)
-          | None -> (Server.listen_unix socket_path, socket_path)
+              (Frontend.listen_tcp ~host ~port, Printf.sprintf "%s:%d" host port)
+          | None -> (Frontend.listen_unix socket_path, socket_path)
         in
         Printf.printf
           "rip_serviced[%s]: listening on %s (jobs %s, cache %d entries, \

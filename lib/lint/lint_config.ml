@@ -102,8 +102,9 @@ let rules_for_library = function
         Blocking_under_lock; Fd_leak; Float_format_precision ]
   | "rip_router" ->
       (* The router reads wall clocks only through poll timestamps taken
-         with the monotonic stub, owns one listening socket plus
-         per-connection fds, and shares per-shard state between the
+         with the monotonic stub, owns its per-shard client connections
+         (listening and accepted sockets belong to the service
+         library's front end), and shares per-shard state between the
          poller, the supervisor and connection threads. *)
       [ No_poly_compare; No_hashtbl_order; No_wall_clock; Domain_escape;
         Blocking_under_lock; Fd_leak ]

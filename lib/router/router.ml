@@ -1,41 +1,10 @@
-(* The cluster front end: one listening socket, N rip_serviced shards.
-
-   Requests route by consistent-hashing the net's canonical digest over
-   the shard ring — the same net always lands on the same shard, so
-   each shard's LRU solve cache stays hot for its own key range instead
-   of every shard caching a diluted copy of everything.
-
-   Admission is price-based rather than a static high-water mark.  A
-   poller thread scrapes each shard's STATS on a fixed tick, feeds the
-   delta to the shard's {!Pricing} controller, and the resulting prices
-   drive three-way decisions on the request path:
-
-     - primary price below [spill_price]       -> forward to the primary
-     - primary expensive, second choice cheaper -> spill to the second
-       choice (the next distinct shard clockwise, so no third shard's
-       key range is disturbed)
-     - every candidate above [shed_price]       -> answer DEGRADED
-       (overload) from the router's own analytic fallback tier rather
-       than queue behind a saturated cluster
-
-   With a single shard there is no spill target and pricing alone would
-   shed too eagerly, so the shard's static high-water mark keeps its
-   original role as the floor: the router only sheds when the price
-   says so *and* the shard's last-reported in-flight count is at or
-   past its high-water mark.
-
-   The same poller doubles as the failure detector.  A shard that
-   misses [down_after] consecutive polls is marked down (no longer a
-   forward target); after [remove_after] further misses it is removed
-   from the ring so its keyspace arcs fall to the survivors (a
-   rebalance, counted).  A recovered shard is re-added, reclaiming
-   exactly its old arcs — consistent hashing makes both transitions
-   minimal.  A transport failure on the request path fails over to the
-   other candidate immediately; when no candidate is left the router
-   answers DEGRADED (worker lost) locally.  The router never drops a
-   request on the floor. *)
+(* The cluster front end.  router.mli states the routing, admission,
+   failure-detection and tail-tolerance contract and DESIGN.md §6d/§6e
+   the reasoning behind it.  Connections are served by the shared
+   [Rip_service.Frontend]; this module answers what arrives on them. *)
 
 module Client = Rip_service.Client
+module Frontend = Rip_service.Frontend
 module Protocol = Rip_service.Protocol
 module Wire = Rip_service.Wire
 module Fallback = Rip_service.Fallback
@@ -181,14 +150,11 @@ type t = {
   config : config;
   shards : shard array;
   metrics : Router_metrics.t;
-  mutex : Mutex.t;  (* ring + shard state + lifecycle *)
+  frontend : Frontend.t;
+  mutex : Mutex.t;  (* ring + shard state + in_flight *)
   seq : int Atomic.t;  (* minted-trace sequence at ingress *)
   mutable ring : Ring.t;
   mutable in_flight : int;
-  mutable stopping : bool;
-  mutable listener : Unix.file_descr option;
-  mutable connection_threads : Thread.t list;
-  mutable poller : Thread.t option;
 }
 
 let create ?(config = default_config) ~shards process =
@@ -247,24 +213,18 @@ let create ?(config = default_config) ~shards process =
     config;
     shards = shard_states;
     metrics;
+    frontend = Frontend.create ~max_frame_bytes:config.max_frame_bytes ();
     mutex = Mutex.create ();
     seq = Atomic.make 0;
     ring;
     in_flight = 0;
-    stopping = false;
-    listener = None;
-    connection_threads = [];
-    poller = None;
   }
 
 let metrics t = t.metrics
 let shard_count t = Array.length t.shards
 
-let stopping t =
-  Mutex.lock t.mutex;
-  let s = t.stopping in
-  Mutex.unlock t.mutex;
-  s
+let stopping t = Frontend.stopping t.frontend
+let request_shutdown t = Frontend.request_shutdown t.frontend
 
 (* --- Poller: pricing + failure detection ---------------------------------- *)
 
@@ -455,22 +415,13 @@ let rec poll_loop t =
 let degraded_response t ~budget ~net ~shed reason =
   Obs.Counter.incr t.metrics.local_degraded;
   if shed then Obs.Counter.incr t.metrics.shed;
-  Protocol.Degraded
-    {
-      reason;
-      solution =
-        Fallback.solution ~process:t.process ?solver:t.config.solver ~budget
-          ~net ();
-    }
+  Fallback.degraded ~process:t.process ?solver:t.config.solver ~budget ~net
+    reason
 
 (* --- Request routing ------------------------------------------------------- *)
 
 let find_shard t id =
-  let found = ref None in
-  Array.iter
-    (fun s -> if String.equal s.spec.id id then found := Some s)
-    t.shards;
-  match !found with
+  match Array.find_opt (fun s -> String.equal s.spec.id id) t.shards with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Router: unknown shard %s" id)
 
@@ -763,17 +714,13 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
   | None -> ()
   | Some spool ->
       let finished = Cpu_clock.monotonic_seconds () in
-      let outcome, degrade_reason, cache =
+      let outcome, degrade_reason = Protocol.outcome_of_response response in
+      (* Only a shard's answer says whether it hit its cache. *)
+      let cache =
         match response with
-        | Protocol.Result { served = Protocol.Cached; _ } ->
-            ("cached", "", "hit")
-        | Protocol.Result { served = Protocol.Fresh; _ } ->
-            ("fresh", "", "miss")
-        | Protocol.Degraded { reason; _ } ->
-            ("degraded", Protocol.degrade_reason_to_string reason, "")
-        | Protocol.Timeout -> ("timeout", "", "")
-        | Protocol.Busy -> ("busy", "", "")
-        | _ -> ("error", "", "")
+        | Protocol.Result { served = Protocol.Cached; _ } -> "hit"
+        | Protocol.Result { served = Protocol.Fresh; _ } -> "miss"
+        | _ -> ""
       in
       Wide_event.emit spool
         {
@@ -837,6 +784,7 @@ let aggregate_stats t =
     Array.fold_left (fun acc s -> acc +. f s.baseline) 0.0 t.shards
   in
   let local_degraded = Obs.Counter.value t.metrics.local_degraded in
+  let local_toobig = Obs.Counter.value t.metrics.toobig in
   (* The whole snapshot is taken under the lock: the poller folds dead
      incarnations into [shard.baseline] concurrently, and a torn read
      would break the accounting identity below. *)
@@ -849,7 +797,7 @@ let aggregate_stats t =
     (* Requests the router shed never reached a shard; adding the
        locally-degraded count on both sides keeps the accounting
        identity requests = solved + errors + busy + timeouts + degraded
-       + toobig across the aggregate. *)
+       across the aggregate. *)
     requests = sum_i (fun s -> s.Protocol.requests) + base (fun b -> b.b_requests) + local_degraded;
     solved = sum_i (fun s -> s.Protocol.solved) + base (fun b -> b.b_solved);
     errors = sum_i (fun s -> s.Protocol.errors) + base (fun b -> b.b_errors);
@@ -859,7 +807,11 @@ let aggregate_stats t =
     degraded =
       sum_i (fun s -> s.Protocol.degraded) + base (fun b -> b.b_degraded)
       + local_degraded;
-    toobig = sum_i (fun s -> s.Protocol.toobig) + base (fun b -> b.b_toobig);
+    (* Oversized frames the router answered itself never reach a shard;
+       like a shard's, they are not SOLVE requests. *)
+    toobig =
+      sum_i (fun s -> s.Protocol.toobig) + base (fun b -> b.b_toobig)
+      + local_toobig;
     cache_self_heals =
       sum_i (fun s -> s.Protocol.cache_self_heals)
       + base (fun b -> b.b_cache_self_heals);
@@ -913,20 +865,7 @@ let health t =
     health_high_water = high_water;
   }
 
-(* --- Lifecycle ------------------------------------------------------------- *)
-
-let request_shutdown t =
-  Mutex.lock t.mutex;
-  let listener = t.listener in
-  t.stopping <- true;
-  t.listener <- None;
-  Mutex.unlock t.mutex;
-  match listener with
-  | Some fd -> (
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-  | None -> ()
-
-(* --- Connection handling --------------------------------------------------- *)
+(* --- Connection handling (see {!Frontend}) --------------------------------- *)
 
 let track_in_flight t delta =
   Mutex.lock t.mutex;
@@ -935,99 +874,24 @@ let track_in_flight t delta =
   Mutex.unlock t.mutex;
   Obs.Gauge.set t.metrics.in_flight (float_of_int now)
 
-let handle_connection t fd =
-  let wire = Wire.create ~max_frame_bytes:t.config.max_frame_bytes fd in
-  let reader = Wire.reader wire in
-  let send response = Wire.send fd (Protocol.print_response response) in
-  let rec serve () =
-    Wire.new_frame wire;
-    match Protocol.input_request reader with
-    | Ok None -> ()
-    | Error message ->
-        send (Protocol.Error_frame { kind = Protocol.Protocol_error; message })
-    | Ok (Some Protocol.Ping) ->
-        send Protocol.Pong;
-        serve ()
-    | Ok (Some Protocol.Stats) ->
-        send (Protocol.Stats_frame (aggregate_stats t));
-        serve ()
-    | Ok (Some Protocol.Metrics) ->
-        send (Protocol.Metrics_frame (Router_metrics.render t.metrics));
-        serve ()
-    | Ok (Some Protocol.Health) ->
-        send (Protocol.Health_frame (health t));
-        serve ()
-    | Ok (Some Protocol.Shutdown) ->
-        send Protocol.Bye;
-        request_shutdown t
-    | Ok (Some (Protocol.Solve { budget; deadline_ms; trace; net })) ->
+let handlers t =
+  {
+    Frontend.solve =
+      (fun ~budget ~deadline_ms ~trace ~net ->
         track_in_flight t 1;
-        let response =
-          Fun.protect
-            ~finally:(fun () -> track_in_flight t (-1))
-            (fun () ->
-              try serve_solve t ~budget ~deadline_ms ~trace ~net
-              with exn ->
-                Protocol.Error_frame
-                  {
-                    kind = Protocol.Internal_error;
-                    message = Protocol.one_line (Printexc.to_string exn);
-                  })
-        in
-        send response;
-        serve ()
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try serve () with
-      | Unix.Unix_error _ | Sys_error _ | End_of_file -> ()
-      | Wire.Frame_too_big -> (
-          try Wire.send fd (Protocol.print_response Protocol.Toobig)
-          with Unix.Unix_error _ | Sys_error _ -> ()))
-
-(* --- Accept loop ----------------------------------------------------------- *)
-
-let listen_unix = Rip_service.Server.listen_unix
-let listen_tcp = Rip_service.Server.listen_tcp
+        Fun.protect
+          ~finally:(fun () -> track_in_flight t (-1))
+          (fun () -> serve_solve t ~budget ~deadline_ms ~trace ~net));
+    stats = (fun () -> aggregate_stats t);
+    metrics = (fun () -> Router_metrics.render t.metrics);
+    health = (fun () -> health t);
+    on_toobig = (fun () -> Obs.Counter.incr t.metrics.toobig);
+  }
 
 let run t listen_fd =
-  Mutex.lock t.mutex;
-  let refused = t.stopping in
-  if not refused then begin
-    t.listener <- Some listen_fd;
-    t.poller <- Some (Thread.create poll_loop t)
-  end;
-  Mutex.unlock t.mutex;
-  if refused then (try Unix.close listen_fd with Unix.Unix_error _ -> ())
-  else begin
-    let rec accept_loop () =
-      match Unix.accept ~cloexec:true listen_fd with
-      | client_fd, _ ->
-          (match Thread.create (fun () -> handle_connection t client_fd) () with
-          | thread ->
-              Mutex.lock t.mutex;
-              t.connection_threads <- thread :: t.connection_threads;
-              Mutex.unlock t.mutex
-          | exception e ->
-              (* The spawn failed, so no thread owns the fd: close it
-                 here or it leaks. *)
-              (try Unix.close client_fd with Unix.Unix_error _ -> ());
-              raise e);
-          accept_loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    accept_loop ();
-    request_shutdown t;
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    Mutex.lock t.mutex;
-    let threads = t.connection_threads in
-    t.connection_threads <- [];
-    let poller = t.poller in
-    t.poller <- None;
-    Mutex.unlock t.mutex;
-    List.iter Thread.join threads;
-    Option.iter Thread.join poller;
-    Array.iter (fun shard -> Client.Pool.close_all shard.pool) t.shards
-  end
+  (* On a router already stopping, [Frontend.run] returns at once and
+     the poller exits at its first check. *)
+  let poller = Thread.create poll_loop t in
+  Frontend.run t.frontend (handlers t) listen_fd;
+  Thread.join poller;
+  Array.iter (fun shard -> Client.Pool.close_all shard.pool) t.shards

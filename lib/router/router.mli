@@ -1,5 +1,7 @@
 (** The cluster front end: one listening socket routing SOLVE traffic
-    over N [rip_serviced] shards.
+    over N [rip_serviced] shards.  Connections go through the shared
+    {!Rip_service.Frontend}, exactly as a shard's do; this module
+    supplies the routing, hedging, polling and aggregated answers.
 
     Requests route by consistent-hashing the net's canonical digest
     ({!Rip_net.Net.canonical_digest}) over a weighted {!Ring}, keeping
@@ -90,9 +92,10 @@ val create : ?config:config -> shards:shard_spec list -> Rip_tech.Process.t -> t
     [breaker_threshold >= 1]). *)
 
 val run : t -> Unix.file_descr -> unit
-(** Serve until {!request_shutdown}; starts the poller, owns and closes
-    the listener, joins every connection thread and the poller, and
-    closes the shard pools. *)
+(** Starts the poller, runs {!Rip_service.Frontend.run} over the
+    listener (open it with {!Rip_service.Frontend.listen_unix} or
+    [listen_tcp]) until {!request_shutdown} and every connection has
+    finished, then joins the poller and closes the shard pools. *)
 
 val request_shutdown : t -> unit
 (** Idempotent, callable from a signal handler. *)
@@ -103,13 +106,11 @@ val shard_count : t -> int
 
 val aggregate_stats : t -> Rip_service.Protocol.stats
 (** The cluster as one server: counters sum live shards, their
-    retired-incarnation baselines and the router's own local answers
-    (keeping [requests = solved + errors + busy + timeouts + degraded +
-    toobig]); percentiles are the max across shards; uptime is the
+    retired-incarnation baselines and the router's own local answers:
+    DEGRADED answers count in [requests] and [degraded], TOOBIG answers
+    in [toobig] only (an oversized frame is not a SOLVE request, as on
+    a server); percentiles are the max across shards; uptime is the
     router's own. *)
 
 val health : t -> Rip_service.Protocol.health
 (** [shard_id = "router"]; queue/high-water are sums of shard bounds. *)
-
-val listen_unix : string -> Unix.file_descr
-val listen_tcp : host:string -> port:int -> Unix.file_descr

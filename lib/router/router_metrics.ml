@@ -31,6 +31,7 @@ type t = {
   requests : Obs.Counter.t;
   shed : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
+  toobig : Obs.Counter.t;
   rebalances : Obs.Counter.t;
   hedges : Obs.Counter.t;
   hedge_wins : Obs.Counter.t;
@@ -56,6 +57,10 @@ let create ~shard_ids () =
     counter "rip_router_degraded_total"
       "SOLVE requests answered DEGRADED by the router itself (price shed + \
        shard loss)"
+  in
+  let toobig =
+    counter "rip_router_toobig_total"
+      "request frames answered TOOBIG by the router itself"
   in
   let rebalances =
     counter "rip_router_rebalances_total"
@@ -120,6 +125,7 @@ let create ~shard_ids () =
     requests;
     shed;
     local_degraded;
+    toobig;
     rebalances;
     hedges;
     hedge_wins;

@@ -23,6 +23,7 @@ type t = {
   requests : Obs.Counter.t;
   shed : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
+  toobig : Obs.Counter.t;  (** oversized frames the router answered *)
   rebalances : Obs.Counter.t;
   hedges : Obs.Counter.t;  (** hedge delays that expired (secondary sent) *)
   hedge_wins : Obs.Counter.t;  (** hedges where the secondary's answer won *)

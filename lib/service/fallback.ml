@@ -50,7 +50,7 @@ let legalise_positions net length pairs =
   in
   List.rev kept
 
-let solution ~process ?solver ~budget ~net () =
+let degraded ~process ?solver ~budget ~net reason =
   let repeater = process.Rip_tech.Process.repeater in
   let power = process.Rip_tech.Process.power in
   let solver_config = Option.value solver ~default:Rip_core.Config.default in
@@ -93,13 +93,18 @@ let solution ~process ?solver ~budget ~net () =
     | exception Invalid_argument _ -> Solution.empty
   in
   let total_width = Solution.total_width solution in
-  {
-    Protocol.repeaters =
-      List.map
-        (fun (r : Solution.repeater) -> (r.position, r.width))
-        (Solution.repeaters solution);
-    total_width;
-    delay = Rip_elmore.Delay.total repeater geometry solution;
-    power_watts =
-      Rip_tech.Power_model.repeater_power power ~repeater ~total_width;
-  }
+  Protocol.Degraded
+    {
+      reason;
+      solution =
+        {
+          Protocol.repeaters =
+            List.map
+              (fun (r : Solution.repeater) -> (r.position, r.width))
+              (Solution.repeaters solution);
+          total_width;
+          delay = Rip_elmore.Delay.total repeater geometry solution;
+          power_watts =
+            Rip_tech.Power_model.repeater_power power ~repeater ~total_width;
+        };
+    }

@@ -8,14 +8,15 @@
     cheap — microseconds to milliseconds, never a DP — with the empty
     insertion as the last resort. *)
 
-val solution :
+val degraded :
   process:Rip_tech.Process.t ->
   ?solver:Rip_core.Config.t ->
   budget:float ->
   net:Rip_net.Net.t ->
-  unit ->
-  Protocol.solution
-(** Best-effort solution for [net] under [budget].  [solver] supplies
-    the width range, REFINE configuration and coarse library ([None]
-    means {!Rip_core.Config.default}).  The result is always legal
-    (zones, width range) but its delay may exceed the budget. *)
+  Protocol.degrade_reason ->
+  Protocol.response
+(** The [DEGRADED] answer for [reason], carrying a best-effort solution
+    for [net] under [budget].  [solver] supplies the width range, REFINE
+    configuration and coarse library ([None] means
+    {!Rip_core.Config.default}).  The solution is always legal (zones,
+    width range) but its delay may exceed the budget. *)

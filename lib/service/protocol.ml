@@ -116,6 +116,13 @@ let degrade_reason_of_string = function
   | "worker-lost" -> Some Worker_lost
   | _ -> None
 
+let outcome_of_response = function
+  | Result { served; _ } -> (served_to_string served, "")
+  | Degraded { reason; _ } -> ("degraded", degrade_reason_to_string reason)
+  | Timeout -> ("timeout", "")
+  | Busy -> ("busy", "")
+  | _ -> ("error", "")
+
 (* A shard id travels on single-line frames (HEALTHY, STATS body), so it
    must be one whitespace-free token.  Enforced here once, for servers
    and routers alike. *)

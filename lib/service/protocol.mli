@@ -236,6 +236,13 @@ val response_equal : response -> response -> bool
 
 val error_kind_to_string : error_kind -> string
 val degrade_reason_to_string : degrade_reason -> string
+
+val outcome_of_response : response -> string * string
+(** The wide-event [(outcome, degrade_reason)] of a SOLVE answer:
+    ["fresh"]/["cached"]/["timeout"]/["busy"] with an empty reason,
+    ["degraded"] with its reason's wire name, ["error"] for anything
+    else. *)
+
 val one_line : string -> string
 (** Newlines collapsed to ["; "] — error messages must fit one frame
     line. *)

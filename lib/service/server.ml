@@ -46,11 +46,9 @@ type t = {
   faults : Faults.t;
   journal : Journal.t option;
   journal_recovery : Journal.recovery option;
-  mutex : Mutex.t;  (* guards in_flight, stopping, listener, threads *)
+  frontend : Frontend.t;
+  mutex : Mutex.t;  (* guards in_flight *)
   mutable in_flight : int;
-  mutable stopping : bool;
-  mutable listener : Unix.file_descr option;
-  mutable connection_threads : Thread.t list;
 }
 
 (* --- Journal persistence ---------------------------------------------------
@@ -157,11 +155,10 @@ let create ?(config = default_config) process =
     faults;
     journal;
     journal_recovery;
+    frontend =
+      Frontend.create ~faults ~max_frame_bytes:config.max_frame_bytes ();
     mutex = Mutex.create ();
     in_flight = 0;
-    stopping = false;
-    listener = None;
-    connection_threads = [];
   }
 
 let stats t =
@@ -187,26 +184,7 @@ let health t =
 let cache_key t ~net ~budget = Solve_cache.key ~process:t.process ~net ~budget
 let corrupt_cache_entry t key = Solve_cache.corrupt t.cache key
 
-let stopping t =
-  Mutex.lock t.mutex;
-  let s = t.stopping in
-  Mutex.unlock t.mutex;
-  s
-
-let request_shutdown t =
-  Mutex.lock t.mutex;
-  let listener = t.listener in
-  t.stopping <- true;
-  t.listener <- None;
-  Mutex.unlock t.mutex;
-  (* [shutdown], not [close]: closing an fd another thread is blocked in
-     [accept] on does not wake it (the in-kernel wait holds a reference),
-     whereas shutting the socket down forces the accept to return.  The
-     accept loop still owns the fd and closes it once it exits. *)
-  match listener with
-  | Some fd -> (
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-  | None -> ()
+let request_shutdown t = Frontend.request_shutdown t.frontend
 
 let shutdown t =
   request_shutdown t;
@@ -230,7 +208,9 @@ type admission = Rejected | Admitted of int  (* in-flight after admission *)
 
 let try_acquire_slot t =
   Mutex.lock t.mutex;
-  let admitted = (not t.stopping) && t.in_flight < t.config.queue_depth in
+  let admitted =
+    (not (Frontend.stopping t.frontend)) && t.in_flight < t.config.queue_depth
+  in
   if admitted then t.in_flight <- t.in_flight + 1;
   let depth = t.in_flight in
   Mutex.unlock t.mutex;
@@ -273,13 +253,8 @@ let solution_digest solution = Digest.string (Protocol.solution_body solution)
 
 let degraded_response t ~budget ~net reason =
   Metrics.incr_degraded t.metrics;
-  Protocol.Degraded
-    {
-      reason;
-      solution =
-        Fallback.solution ~process:t.process ?solver:t.config.solver ~budget
-          ~net ();
-    }
+  Fallback.degraded ~process:t.process ?solver:t.config.solver ~budget ~net
+    reason
 
 (* --- Solving -------------------------------------------------------------- *)
 
@@ -477,15 +452,11 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
   | None -> ()
   | Some spool ->
       let finished = Cpu_clock.monotonic_seconds () in
-      let outcome, degrade_reason, cache =
+      let outcome, degrade_reason = Protocol.outcome_of_response response in
+      let cache =
         match response with
-        | Protocol.Result { served = Cached; _ } -> ("cached", "", "hit")
-        | Protocol.Result { served = Fresh; _ } -> ("fresh", "", "miss")
-        | Protocol.Degraded { reason; _ } ->
-            ("degraded", Protocol.degrade_reason_to_string reason, "miss")
-        | Protocol.Timeout -> ("timeout", "", "miss")
-        | Protocol.Busy -> ("busy", "", "miss")
-        | _ -> ("error", "", "miss")
+        | Protocol.Result { served = Cached; _ } -> "hit"
+        | _ -> "miss"
       in
       let solver =
         match t.config.solver with
@@ -516,143 +487,24 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
         });
   response
 
-(* --- Connection handling -------------------------------------------------- *)
+(* --- Connection handling (see {!Frontend}) -------------------------------- *)
 
-exception Connection_dropped
+let handlers t =
+  {
+    Frontend.solve =
+      (* Eta-expanded, so a call is one direct application, not a chain
+         of partial ones. *)
+      (fun ~budget ~deadline_ms ~trace ~net ->
+        serve_solve t ~budget ~deadline_ms ~trace ~net);
+    stats = (fun () -> stats t);
+    metrics = (fun () -> Metrics.render t.metrics);
+    health = (fun () -> health t);
+    on_toobig = (fun () -> Metrics.incr_toobig t.metrics);
+  }
 
 let handle_connection t fd =
-  let wire = Wire.create ~max_frame_bytes:t.config.max_frame_bytes fd in
-  let reader = Wire.reader wire in
-  let send response =
-    let s = Protocol.print_response response in
-    match Faults.drop_after t.faults with
-    | Some n when n < String.length s ->
-        (* Injected transport fault: cut the response short and hang up,
-           leaving the client a partial frame to recover from. *)
-        Wire.write_all fd s 0 n;
-        raise Connection_dropped
-    | _ -> Wire.send fd s
-  in
-  let rec serve () =
-    Wire.new_frame wire;
-    match Protocol.input_request reader with
-    | Ok None -> ()
-    | Error message ->
-        (* Framing is lost after a malformed request; answer and hang up. *)
-        send (Protocol.Error_frame { kind = Protocol.Protocol_error; message })
-    | Ok (Some Protocol.Ping) ->
-        send Protocol.Pong;
-        serve ()
-    | Ok (Some Protocol.Stats) ->
-        send (Protocol.Stats_frame (stats t));
-        serve ()
-    | Ok (Some Protocol.Metrics) ->
-        send (Protocol.Metrics_frame (Metrics.render t.metrics));
-        serve ()
-    | Ok (Some Protocol.Health) ->
-        send (Protocol.Health_frame (health t));
-        serve ()
-    | Ok (Some Protocol.Shutdown) ->
-        send Protocol.Bye;
-        request_shutdown t
-    | Ok (Some (Protocol.Solve { budget; deadline_ms; trace; net })) ->
-        let response =
-          try serve_solve t ~budget ~deadline_ms ~trace ~net
-          with exn ->
-            Protocol.Error_frame
-              {
-                kind = Protocol.Internal_error;
-                message = Protocol.one_line (Printexc.to_string exn);
-              }
-        in
-        send response;
-        serve ()
-  in
-  (* Peer-induced I/O failures (reset, early close) end the connection,
-     never the server.  An oversized frame gets the typed TOOBIG answer
-     before the hang-up — framing is unrecoverable after it. *)
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try serve () with
-      | Unix.Unix_error _ | Sys_error _ | End_of_file | Connection_dropped ->
-          ()
-      | Wire.Frame_too_big -> (
-          Metrics.incr_toobig t.metrics;
-          try Wire.send fd (Protocol.print_response Protocol.Toobig)
-          with Unix.Unix_error _ | Sys_error _ -> ()))
-
-(* --- Accept loop ---------------------------------------------------------- *)
+  Frontend.handle_connection t.frontend (handlers t) fd
 
 let run t listen_fd =
-  Mutex.lock t.mutex;
-  let refused = t.stopping in
-  if not refused then t.listener <- Some listen_fd;
-  Mutex.unlock t.mutex;
-  if refused then (try Unix.close listen_fd with Unix.Unix_error _ -> ())
-  else begin
-    let rec accept_loop () =
-      match Unix.accept ~cloexec:true listen_fd with
-      | client_fd, _ ->
-          (match Thread.create (fun () -> handle_connection t client_fd) () with
-          | thread ->
-              Mutex.lock t.mutex;
-              t.connection_threads <- thread :: t.connection_threads;
-              Mutex.unlock t.mutex
-          | exception e ->
-              (* The spawn failed, so no thread owns the fd: close it
-                 here or it leaks. *)
-              (try Unix.close client_fd with Unix.Unix_error _ -> ());
-              raise e);
-          accept_loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-      | exception Unix.Unix_error _ ->
-          (* The listener was shut down under us: either
-             [request_shutdown] (expected) or a fatal socket error — stop
-             accepting both ways. *)
-          ()
-    in
-    accept_loop ();
-    request_shutdown t;
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    Mutex.lock t.mutex;
-    let threads = t.connection_threads in
-    t.connection_threads <- [];
-    Mutex.unlock t.mutex;
-    List.iter Thread.join threads;
-    Engine.shutdown_handle t.handle;
-    Option.iter Journal.close t.journal
-  end
-
-(* --- Listening sockets ---------------------------------------------------- *)
-
-let listen_unix path =
-  if Sys.file_exists path then Unix.unlink path;
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.bind fd (Unix.ADDR_UNIX path)
-   with exn ->
-     Unix.close fd;
-     raise exn);
-  Unix.listen fd 64;
-  fd
-
-let listen_tcp ~host ~port =
-  let address =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> (
-      match Unix.gethostbyname host with
-      | { Unix.h_addr_list = [||]; _ } ->
-          failwith (Printf.sprintf "cannot resolve host %S" host)
-      | { Unix.h_addr_list; _ } -> h_addr_list.(0)
-      | exception Not_found ->
-          failwith (Printf.sprintf "cannot resolve host %S" host))
-  in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (Unix.ADDR_INET (address, port))
-   with exn ->
-     Unix.close fd;
-     raise exn);
-  Unix.listen fd 64;
-  fd
+  Frontend.run t.frontend (handlers t) listen_fd;
+  shutdown t

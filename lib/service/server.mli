@@ -2,8 +2,10 @@
 
     One server owns a long-lived {!Rip_engine.Engine.handle} (the worker
     pool), a digest-verified {!Solve_cache} in front of it, {!Metrics} and
-    a {!Faults} plan (disabled unless configured).  Connections are served by one thread each, speaking
-    {!Protocol} over a bounded {!Wire} reader.
+    a {!Faults} plan (disabled unless configured).  Connections go
+    through the shared {!Frontend} (one thread each, {!Protocol} over a
+    bounded {!Wire} reader); this module supplies what a SOLVE, STATS,
+    METRICS or HEALTH request is answered with.
 
     A SOLVE request walks a degradation ladder — every rung answers with
     exactly one well-formed typed frame:
@@ -113,8 +115,6 @@ val health : t -> Protocol.health
 (** The HEALTHY payload a client would receive now: shard id plus the
     live admission gauges. *)
 
-val stopping : t -> bool
-
 val cache_key : t -> net:Rip_net.Net.t -> budget:float -> string
 (** The cache key this server would use for that request — for tests
     and tools that need to poke the cache (see
@@ -125,17 +125,14 @@ val corrupt_cache_entry : t -> string -> bool
     lookup self-heals ({!Solve_cache.corrupt}). *)
 
 val handle_connection : t -> Unix.file_descr -> unit
-(** Serve one established connection (e.g. one end of a socketpair)
-    until the peer disconnects, a protocol error occurs, an oversized
-    frame arrives (answered TOOBIG), or a SHUTDOWN request arrives.
-    Closes [fd] before returning.  Never raises on peer-induced failures
-    (resets, early close). *)
+(** {!Frontend.handle_connection} with this server's answers, for one
+    established connection (e.g. one end of a socketpair); a TOOBIG
+    answer counts in [toobig]. *)
 
 val run : t -> Unix.file_descr -> unit
-(** Accept loop over a listening socket: one thread per connection.
-    Returns once shutdown is requested (SHUTDOWN frame, or
-    {!request_shutdown} from a signal handler) and every connection
-    thread has finished; the worker pool is then shut down too.  Closes the listening socket. *)
+(** {!Frontend.run} over a listening socket (see {!Frontend.listen_unix})
+    with this server's answers, then the worker pool is shut down and
+    the journal sealed. *)
 
 val request_shutdown : t -> unit
 (** Stop accepting connections and reject further solves; idempotent and
@@ -145,12 +142,3 @@ val shutdown : t -> unit
 (** {!request_shutdown} plus releasing the worker pool.
     Embedders that drive {!handle_connection} directly (no {!run} loop)
     must call this; after {!run} returns it is a no-op. *)
-
-(** {1 Listening-socket helpers} *)
-
-val listen_unix : string -> Unix.file_descr
-(** Bind and listen on a Unix-domain socket path, unlinking a stale
-    socket file first. *)
-
-val listen_tcp : host:string -> port:int -> Unix.file_descr
-(** Bind and listen on [host:port] with [SO_REUSEADDR]. *)

@@ -7,6 +7,7 @@
 module Protocol = Rip_service.Protocol
 module Server = Rip_service.Server
 module Client = Rip_service.Client
+module Frontend = Rip_service.Frontend
 module Faults = Rip_service.Faults
 module Wire = Rip_service.Wire
 module Loadgen = Rip_service.Loadgen
@@ -454,7 +455,7 @@ let temp_socket_path tag =
 let with_listening_server ~config ~tag f =
   let path = temp_socket_path tag in
   let server = Server.create ~config process in
-  let listen_fd = Server.listen_unix path in
+  let listen_fd = Frontend.listen_unix path in
   let run_thread = Thread.create (Server.run server) listen_fd in
   Fun.protect
     ~finally:(fun () ->

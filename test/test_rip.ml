@@ -18,6 +18,7 @@ let () =
          Test_engine.suite;
          Test_service.suite;
          Test_router.suite;
+         Test_frontend.suite;
          Test_resilience.suite;
          Test_workload.suite;
          Test_tree.suite;

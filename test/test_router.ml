@@ -9,6 +9,7 @@
 module Ring = Rip_router.Ring
 module Pricing = Rip_router.Pricing
 module Router = Rip_router.Router
+module Frontend = Rip_service.Frontend
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -280,7 +281,7 @@ let test_router_trace_parentage () =
         }
       process
   in
-  let server_listener = Server.listen_unix shard_sock in
+  let server_listener = Frontend.listen_unix shard_sock in
   let server_thread =
     Thread.create (fun () -> Server.run server server_listener) ()
   in
@@ -291,7 +292,7 @@ let test_router_trace_parentage () =
       ~shards:[ { Router.id = "s0"; socket = shard_sock; weight = 1 } ]
       process
   in
-  let router_listener = Router.listen_unix router_sock in
+  let router_listener = Frontend.listen_unix router_sock in
   let router_thread =
     Thread.create (fun () -> Router.run router router_listener) ()
   in
@@ -467,7 +468,7 @@ let with_tail_cluster ?(faults = fun _ -> None) ?(dead = []) ~config f =
                 }
               Helpers.process
           in
-          let listener = Server.listen_unix (sock id) in
+          let listener = Frontend.listen_unix (sock id) in
           Some (id, server, Thread.create (Server.run server) listener))
       tail_ids
   in
@@ -481,7 +482,7 @@ let with_tail_cluster ?(faults = fun _ -> None) ?(dead = []) ~config f =
       Helpers.process
   in
   let router_thread =
-    Thread.create (Router.run router) (Router.listen_unix (sock "router"))
+    Thread.create (Router.run router) (Frontend.listen_unix (sock "router"))
   in
   let client = Client.connect_unix (sock "router") in
   Fun.protect
