@@ -29,6 +29,7 @@ module Trace = Rip_obs.Trace
 module Trace_merge = Rip_obs.Trace_merge
 module Wide_event = Rip_obs.Wide_event
 module Obs = Rip_obs.Metrics
+module Json = Rip_obs.Json
 
 let process = Rip_tech.Process.default_180nm
 
@@ -324,25 +325,21 @@ type cluster_rung = {
   cl_cold : Loadgen.result;
   cl_warm : Loadgen.result;
   cl_hit_rates : (string * float) list;
-  cl_router : Loadgen.result option;
 }
 
 (* The cluster acceptance ladder: spawn real rip_serviced shard
-   processes, drive one workload through a client-side consistent-hash
-   ring (the same placement rip_routerd computes) at 1 and 4 shards,
-   then replay the warm pass through an in-process router to price the
-   front-end hop.  Every rung gives each shard the same --jobs budget,
-   so the ladder measures process-level scaling; on a box with fewer
-   cores than shards the cold factor is core-bound, which is why the
-   2.5x expectation is reported, not enforced. *)
+   processes and drive one workload through an in-process router at 1
+   and 4 shards, cold then warm, so every row includes the router hop
+   and placement is the router's own ring.  Every rung gives each shard
+   the same --jobs budget, so the ladder measures process-level scaling;
+   on a box with fewer cores than shards the cold factor is core-bound,
+   which is why the 2.5x expectation is reported, not enforced. *)
 let run_cluster scale =
   section "Cluster: sharded solve throughput (rip_serviced x N)";
   let module Client = Rip_service.Client in
   let module Protocol = Rip_service.Protocol in
   let module Supervisor = Rip_router.Supervisor in
-  let module Ring = Rip_router.Ring in
   let module Router = Rip_router.Router in
-  let module Net = Rip_net.Net in
   let exe =
     match Sys.getenv_opt "RIP_SERVICED" with
     | Some exe -> exe
@@ -368,15 +365,14 @@ let run_cluster scale =
     in
     let dir = Filename.get_temp_dir_name () in
     let tag = Unix.getpid () in
-    let solve_key frame =
-      match frame with
-      | Protocol.Solve { net; _ } -> Net.canonical_digest net
-      | _ -> ""
+    let ask socket frame =
+      let client = Client.connect_unix socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () -> Client.request client frame)
     in
-    (* Warm pass replayed through an in-process Router over the same
-       (already hot) shards: the delta against the direct warm pass is
-       the cost of the extra hop plus the pricing/ring decision.
-       Returns the loadgen result plus the router's own METRICS
+    (* One pass through a fresh in-process Router over the running
+       shards.  Returns the loadgen result plus the router's own METRICS
        exposition (hedge counters, forward latency). *)
     let router_pass ?(rconfig = Router.default_config) ?(wl = workload)
         children =
@@ -399,14 +395,19 @@ let run_cluster scale =
       let connect () = Client.connect_unix rpath in
       let r = Loadgen.run ~connect ~connections:4 wl in
       let mrender = Rip_router.Router_metrics.render (Router.metrics router) in
-      let closer = Client.connect_unix rpath in
-      (match Client.request closer Protocol.Shutdown with
+      (match ask rpath Protocol.Shutdown with
       | Ok Protocol.Bye -> ()
       | Ok _ | Error _ -> Router.request_shutdown router);
-      Client.close closer;
       Thread.join acceptor;
       (try Sys.remove rpath with Sys_error _ -> ());
       (r, mrender)
+    in
+    (* A shard's cumulative (hits, misses), from its own STATS. *)
+    let cache_counts c =
+      match ask (Supervisor.socket c) Protocol.Stats with
+      | Ok (Protocol.Stats_frame s) ->
+          (s.Protocol.cache_hits, s.Protocol.cache_misses)
+      | Ok _ | Error _ -> failwith ("no STATS from shard " ^ Supervisor.id c)
     in
     let run_rung n =
       let children =
@@ -428,50 +429,31 @@ let run_cluster scale =
               | Ok () -> ()
               | Error e -> failwith e)
             children;
-          let ids = Array.of_list (List.map Supervisor.id children) in
-          let ring =
-            Ring.create (Array.to_list (Array.map (fun id -> (id, 1)) ids))
-          in
-          let index_of id =
-            let rec find i =
-              if String.equal ids.(i) id then i else find (i + 1)
-            in
-            find 0
-          in
-          let connects =
-            Array.of_list
-              (List.map
-                 (fun c ->
-                   let s = Supervisor.socket c in
-                   fun () -> Client.connect_unix s)
-                 children)
-          in
-          let route ~index:_ frame =
-            match Ring.lookup ring (solve_key frame) with
-            | Some id -> index_of id
-            | None -> 0
-          in
           let pass label =
-            let r = (Loadgen.run_multi ~connects ~route workload) in
+            let r, _metrics = router_pass children in
             Printf.printf "%d shard(s), %s pass (%d requests):\n%s%!" n label
-              requests
-              (Loadgen.render r.Loadgen.merged);
+              requests (Loadgen.render r);
             r
           in
           let cold = pass "cold" in
+          let before = List.map cache_counts children in
           let warm = pass "warm" in
-          (* Shards whose partition was empty served no traffic and
-             have no hit rate to report. *)
+          (* Shards that answered nothing in the warm pass have no hit
+             rate to report. *)
           let hit_rates =
-            List.filteri
-              (fun e _ -> warm.Loadgen.by_endpoint.(e).Loadgen.sent > 0)
-              (Array.to_list
-                 (Array.mapi
-                    (fun e (r : Loadgen.result) ->
-                      ( ids.(e),
-                        float_of_int r.Loadgen.solved_cached
-                        /. float_of_int (Stdlib.max 1 r.Loadgen.sent) ))
-                    warm.Loadgen.by_endpoint))
+            List.concat
+              (List.map2
+                 (fun c (hits0, misses0) ->
+                   let hits1, misses1 = cache_counts c in
+                   let hits = hits1 - hits0 in
+                   let total = hits + misses1 - misses0 in
+                   if total = 0 then []
+                   else
+                     [
+                       ( Supervisor.id c,
+                         float_of_int hits /. float_of_int total );
+                     ])
+                 children before)
           in
           Printf.printf "warm cache hit rate: %s\n%!"
             (String.concat ", "
@@ -479,23 +461,11 @@ let run_cluster scale =
                   (fun (id, rate) ->
                     Printf.sprintf "%s %.1f%%" id (100.0 *. rate))
                   hit_rates));
-          let router =
-            if n = max_shards then begin
-              let r, _metrics = router_pass children in
-              Printf.printf
-                "via in-process router (%d shards, warm): %.1f req/s (direct \
-                 warm %.1f req/s)\n"
-                n r.Loadgen.throughput warm.Loadgen.merged.Loadgen.throughput;
-              Some r
-            end
-            else None
-          in
           {
             cl_shards = n;
-            cl_cold = cold.Loadgen.merged;
-            cl_warm = warm.Loadgen.merged;
+            cl_cold = cold;
+            cl_warm = warm;
             cl_hit_rates = hit_rates;
-            cl_router = router;
           })
     in
     let rungs =
@@ -538,15 +508,6 @@ let run_cluster scale =
        land next to BENCH_cluster.json: the merged Chrome trace, the
        merged METRICS histograms, and a spool reconciliation against
        the loadgen counts. *)
-    let fetch_exposition socket =
-      let client = Client.connect_unix socket in
-      Fun.protect
-        ~finally:(fun () -> Client.close client)
-        (fun () ->
-          match Client.request client Protocol.Metrics with
-          | Ok (Protocol.Metrics_frame body) -> Some body
-          | Ok _ | Error _ -> None)
-    in
     let run_traced () =
       let obs_dir = Filename.concat dir (Printf.sprintf "rip-bench-%d-obs" tag) in
       (try Unix.mkdir obs_dir 0o755
@@ -611,7 +572,10 @@ let run_cluster scale =
           let expositions =
             [ traced_metrics; hedge_metrics ]
             @ List.filter_map
-                (fun c -> fetch_exposition (Supervisor.socket c))
+                (fun c ->
+                  match ask (Supervisor.socket c) Protocol.Metrics with
+                  | Ok (Protocol.Metrics_frame body) -> Some body
+                  | Ok _ | Error _ -> None)
                 children
           in
           let merged_hists =
@@ -630,20 +594,23 @@ let run_cluster scale =
             |> List.sort (fun (a, _) (b, _) -> String.compare a b)
           in
           let hist_json =
-            Printf.sprintf "{\n%s\n}\n"
-              (String.concat ",\n"
-                 (List.map
-                    (fun (name, (s : Obs.Histogram.snapshot)) ->
-                      let q p = Obs.Histogram.quantile s p in
-                      Printf.sprintf
-                        "  %S: { \"count\": %d, \"sum\": %.6f, \"p50\": %.6g, \
-                         \"p95\": %.6g, \"p99\": %.6g }"
-                        name s.Obs.Histogram.count s.Obs.Histogram.sum
-                        (q 0.50) (q 0.95) (q 0.99))
-                    merged_hists))
+            Json.Obj
+              (List.map
+                 (fun (name, (s : Obs.Histogram.snapshot)) ->
+                   let q p = Json.Float (Obs.Histogram.quantile s p) in
+                   ( name,
+                     Json.Obj
+                       [
+                         ("count", Json.Int s.Obs.Histogram.count);
+                         ("sum", Json.Float s.Obs.Histogram.sum);
+                         ("p50", q 0.50);
+                         ("p95", q 0.95);
+                         ("p99", q 0.99);
+                       ] ))
+                 merged_hists)
           in
           let out = open_out "BENCH_cluster_metrics.json" in
-          output_string out hist_json;
+          output_string out (Json.to_string hist_json ^ "\n");
           close_out out;
           (* Graceful shutdown flushes every shard's trace and spool. *)
           List.iter Supervisor.terminate children;
@@ -672,37 +639,10 @@ let run_cluster scale =
           let linked, multi =
             List.fold_left
               (fun (linked, multi) (_, spans) ->
-                let is_forward (s : Trace_merge.trace_span) =
-                  String.length s.span_name > 8
-                  && String.sub s.span_name 0 8 = "forward:"
-                in
-                let forwards = List.filter is_forward spans in
-                let targets =
-                  List.sort_uniq String.compare
-                    (List.map
-                       (fun (s : Trace_merge.trace_span) -> s.span_name)
-                       forwards)
-                in
-                let this_linked =
-                  List.exists
-                    (fun (s : Trace_merge.trace_span) ->
-                      (not (is_forward s))
-                      && List.exists
-                           (fun (f : Trace_merge.trace_span) ->
-                             (not (String.equal f.span_process s.span_process))
-                             &&
-                             match
-                               ( List.assoc_opt "span_id" f.span_args,
-                                 List.assoc_opt "parent_span_id" s.span_args )
-                             with
-                             | Some fid, Some pid -> String.equal fid pid
-                             | _ -> false)
-                           forwards)
-                    spans
-                in
-                ( (linked + if this_linked then 1 else 0),
-                  multi + if this_linked && List.length targets >= 2 then 1
-                          else 0 ))
+                match Trace_merge.analyse spans with
+                | targets, true ->
+                    (linked + 1, if targets >= 2 then multi + 1 else multi)
+                | _, false -> (linked, multi))
               (0, 0) (Trace_merge.traces dumps)
           in
           (* Spool reconciliation: interesting events are kept at 100%,
@@ -759,71 +699,84 @@ let run_cluster scale =
           if overhead > 0.05 then
             Printf.printf
               "note: tracing overhead above the 5%% acceptance expectation\n";
-          Printf.sprintf
-            ",\n\
-            \  \"tracing\": { \"baseline_throughput\": %.2f, \
-             \"traced_throughput\": %.2f, \"overhead\": %.4f, \
-             \"linked_traces\": %d, \"hedged_traces\": %d, \
-             \"spool_events\": %d, \"spool_reconciled\": %b }"
-            baseline.Loadgen.throughput traced.Loadgen.throughput overhead
-            linked multi spool_total reconciled)
+          [
+            ( "tracing",
+              Json.Obj
+                [
+                  ( "baseline_throughput",
+                    Json.Float baseline.Loadgen.throughput );
+                  ("traced_throughput", Json.Float traced.Loadgen.throughput);
+                  ("overhead", Json.Float overhead);
+                  ("linked_traces", Json.Int linked);
+                  ("hedged_traces", Json.Int multi);
+                  ("spool_events", Json.Int spool_total);
+                  ("spool_reconciled", Json.Bool reconciled);
+                ] );
+          ])
     in
     let tracing_json =
-      if rungs = [] then ""
+      if rungs = [] then []
       else
         try run_traced ()
         with Failure e ->
           Printf.printf "tracing rung skipped: %s\n" e;
-          ""
+          []
+    in
+    let row ?hits ~shards ~pass (r : Loadgen.result) =
+      Json.Obj
+        ([
+           ("shards", Json.Int shards);
+           ("pass", Json.String pass);
+           ("requests", Json.Int r.Loadgen.sent);
+           ("fresh", Json.Int r.Loadgen.solved_fresh);
+           ("cached", Json.Int r.Loadgen.solved_cached);
+           ("degraded", Json.Int r.Loadgen.degraded);
+           ("wall_seconds", Json.Float r.Loadgen.wall_seconds);
+           ("throughput", Json.Float r.Loadgen.throughput);
+           ("p50_ms", Json.Float (r.Loadgen.p50 *. 1e3));
+           ("p95_ms", Json.Float (r.Loadgen.p95 *. 1e3));
+           ("p99_ms", Json.Float (r.Loadgen.p99 *. 1e3));
+         ]
+        @
+        match hits with
+        | None -> []
+        | Some hit_rates ->
+            [
+              ( "warm_hit_rates",
+                Json.List
+                  (List.map
+                     (fun (id, rate) ->
+                       Json.Obj
+                         [
+                           ("shard", Json.String id);
+                           ("hit_rate", Json.Float rate);
+                         ])
+                     hit_rates) );
+            ])
     in
     let json =
-      let row ?hits ~shards ~pass (r : Loadgen.result) =
-        Printf.sprintf
-          "    { \"shards\": %d, \"pass\": %S, \"requests\": %d, \"fresh\": \
-           %d, \"cached\": %d, \"degraded\": %d, \"wall_seconds\": %.4f, \
-           \"throughput\": %.2f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \
-           \"p99_ms\": %.3f%s }"
-          shards pass r.Loadgen.sent r.Loadgen.solved_fresh
-          r.Loadgen.solved_cached r.Loadgen.degraded r.Loadgen.wall_seconds
-          r.Loadgen.throughput (r.Loadgen.p50 *. 1e3) (r.Loadgen.p95 *. 1e3)
-          (r.Loadgen.p99 *. 1e3)
-          (match hits with
-          | None -> ""
-          | Some hit_rates ->
-              Printf.sprintf ", \"warm_hit_rates\": [ %s ]"
-                (String.concat ", "
-                   (List.map
-                      (fun (id, rate) ->
-                        Printf.sprintf "{ \"shard\": %S, \"hit_rate\": %.4f }"
-                          id rate)
-                      hit_rates)))
-      in
-      let rows =
-        List.concat_map
-          (fun rung ->
-            [
-              row ~shards:rung.cl_shards ~pass:"cold" rung.cl_cold;
-              row ~hits:rung.cl_hit_rates ~shards:rung.cl_shards ~pass:"warm"
-                rung.cl_warm;
-            ]
-            @
-            match rung.cl_router with
-            | Some r -> [ row ~shards:rung.cl_shards ~pass:"router-warm" r ]
-            | None -> [])
-          rungs
-      in
-      Printf.sprintf
-        "{\n  \"cores\": %d,\n  \"shard_jobs\": %d,\n  \"requests\": %d,\n\
-        \  \"cold_scaling\": %s,\n  \"runs\": [\n%s\n  ]%s\n}\n"
-        cores shard_jobs requests
-        (match scaling with
-        | Some f -> Printf.sprintf "%.3f" f
-        | None -> "null")
-        (String.concat ",\n" rows)
-        tracing_json
+      Json.Obj
+        ([
+           ("cores", Json.Int cores);
+           ("shard_jobs", Json.Int shard_jobs);
+           ("requests", Json.Int requests);
+           ( "cold_scaling",
+             match scaling with Some f -> Json.Float f | None -> Json.Null );
+           ( "runs",
+             Json.List
+               (List.concat_map
+                  (fun rung ->
+                    [
+                      row ~shards:rung.cl_shards ~pass:"cold" rung.cl_cold;
+                      row ~hits:rung.cl_hit_rates ~shards:rung.cl_shards
+                        ~pass:"warm" rung.cl_warm;
+                    ])
+                  rungs) );
+         ]
+        @ tracing_json)
     in
     let out = open_out "BENCH_cluster.json" in
-    output_string out json;
+    output_string out (Json.to_string json ^ "\n");
     close_out out;
     Printf.printf "wrote BENCH_cluster.json (%d rungs)\n" (List.length rungs)
   end

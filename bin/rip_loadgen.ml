@@ -3,7 +3,7 @@
      rip_loadgen --socket /tmp/rip.sock --requests 400 --connections 4
      rip_loadgen --port 7177 --passes 2 --distinct-nets 6
      rip_loadgen --deadline-ms 50 --retries 3 --attempt-timeout-ms 500
-     rip_loadgen --endpoints /tmp/a.sock --endpoints /tmp/b.sock --verify
+     rip_loadgen --socket /tmp/rip_router.sock --verify --passes 2
      rip_loadgen --socket /tmp/rip_router.sock --dump-metrics
 
    Replays a deterministic Netgen workload (a few distinct nets repeated
@@ -14,22 +14,17 @@
    workload against the now-warm cache — the cold-vs-warm throughput
    comparison.
 
-   With --endpoints (repeatable) the generator talks to several shards
-   directly, no router in the path: it asks each endpoint HEALTH for
-   its shard id, builds the same consistent-hash ring rip_routerd
-   would, and routes every net to its owning shard — so a
-   multi-endpoint run measures pure aggregate shard throughput while
-   keeping each shard's cache as hot as routed traffic does.  STATS
-   deltas are summed and METRICS histograms merged across endpoints, so
-   the consistency exit-code gate survives the fan-out. *)
+   The generator talks to one socket.  Pointed at rip_routerd it loads
+   the whole cluster: the router owns placement and answers STATS with
+   the shards' aggregate, so the same consistency gate covers every
+   shard.  --verify pins each (net, budget)'s first answer and fails
+   the run on any contradicting one, whichever shard served it. *)
 
 module Protocol = Rip_service.Protocol
 module Client = Rip_service.Client
 module Loadgen = Rip_service.Loadgen
 module Obs = Rip_obs.Metrics
 module Metrics = Rip_service.Metrics
-module Ring = Rip_router.Ring
-module Net = Rip_net.Net
 
 let process = Rip_tech.Process.default_180nm
 
@@ -54,80 +49,14 @@ let fetch_metrics connect =
     | Protocol.Metrics_frame body -> Ok body
     | _ -> Error "unexpected response to METRICS")
 
-let fetch_health connect =
-  fetch connect Protocol.Health ~expect:(function
-    | Protocol.Health_frame health -> Ok health
-    | _ -> Error "unexpected response to HEALTH")
-
-(* A bare counter sample from a Prometheus exposition ("name 5"), 0 when
-   the family is absent — a plain rip_serviced has no router families. *)
-let counter_sample name body =
-  let prefix = name ^ " " in
-  String.split_on_char '\n' body
-  |> List.fold_left
-       (fun acc line ->
-         if String.starts_with ~prefix line then
-           match
-             float_of_string_opt
-               (String.sub line (String.length prefix)
-                  (String.length line - String.length prefix))
-           with
-           | Some v -> acc + int_of_float v
-           | None -> acc
-         else acc)
-       0
-
-(* Hedged forwards fired by a router between two METRICS fetches, summed
-   across endpoints.  Each one duplicated a request on a second shard. *)
+(* Hedged forwards a router fired between two METRICS fetches (0 against
+   a plain rip_serviced, which has no router families).  Each one
+   duplicated a request on a second shard. *)
 let hedged_delta ~metrics_before ~metrics_after =
-  let sum bodies =
-    List.fold_left
-      (fun acc body -> acc + counter_sample "rip_router_hedges_total" body)
-      0 bodies
+  let hedges body =
+    Option.value ~default:0.0 (Obs.scalar body "rip_router_hedges_total")
   in
-  sum metrics_after - sum metrics_before
-
-(* Sum several endpoints' STATS frames into one cluster view: counters
-   and gauges add (delta-of-sums = sum-of-deltas, so the consistency
-   identities survive), percentiles take the worst shard, uptime the
-   oldest. *)
-let sum_stats (stats : Protocol.stats list) =
-  match stats with
-  | [] -> invalid_arg "sum_stats: empty"
-  | first :: rest ->
-      List.fold_left
-        (fun (a : Protocol.stats) (s : Protocol.stats) ->
-          {
-            Protocol.shard_id = "all";
-            uptime_seconds = Float.max a.uptime_seconds s.uptime_seconds;
-            requests = a.requests + s.requests;
-            solved = a.solved + s.solved;
-            errors = a.errors + s.errors;
-            rejected_busy = a.rejected_busy + s.rejected_busy;
-            timeouts = a.timeouts + s.timeouts;
-            degraded = a.degraded + s.degraded;
-            toobig = a.toobig + s.toobig;
-            cache_self_heals = a.cache_self_heals + s.cache_self_heals;
-            cache_hits = a.cache_hits + s.cache_hits;
-            cache_misses = a.cache_misses + s.cache_misses;
-            cache_evictions = a.cache_evictions + s.cache_evictions;
-            cache_replayed = a.cache_replayed + s.cache_replayed;
-            cache_size = a.cache_size + s.cache_size;
-            cache_capacity = a.cache_capacity + s.cache_capacity;
-            queue_wait_seconds = a.queue_wait_seconds +. s.queue_wait_seconds;
-            solve_cpu_seconds = a.solve_cpu_seconds +. s.solve_cpu_seconds;
-            journal_bytes = a.journal_bytes + s.journal_bytes;
-            journal_compactions = a.journal_compactions + s.journal_compactions;
-            in_flight = a.in_flight + s.in_flight;
-            queue_depth = a.queue_depth + s.queue_depth;
-            queue_wait_p50 = Float.max a.queue_wait_p50 s.queue_wait_p50;
-            queue_wait_p95 = Float.max a.queue_wait_p95 s.queue_wait_p95;
-            queue_wait_p99 = Float.max a.queue_wait_p99 s.queue_wait_p99;
-            solve_p50 = Float.max a.solve_p50 s.solve_p50;
-            solve_p95 = Float.max a.solve_p95 s.solve_p95;
-            solve_p99 = Float.max a.solve_p99 s.solve_p99;
-          })
-        first rest
+  int_of_float (hedges metrics_after -. hedges metrics_before)
 
 type totals = {
   sent : int;
@@ -275,30 +204,6 @@ let histogram_delta ~before ~after name =
       | exception Invalid_argument _ -> None)
   | _ -> None
 
-(* Per-endpoint histogram deltas, merged into one cluster histogram.
-   [None] as soon as any endpoint lacks the family — a partial merge
-   would silently under-count. *)
-let merged_histogram_delta ~before ~after name =
-  let deltas =
-    List.map2
-      (fun before after -> histogram_delta ~before ~after name)
-      before after
-  in
-  List.fold_left
-    (fun acc delta ->
-      match (acc, delta) with
-      | Some acc, Some delta -> (
-          match Obs.Histogram.merge acc delta with
-          | merged -> Some merged
-          | exception Invalid_argument _ -> None)
-      | None, Some delta -> Some delta
-      | _, None -> acc)
-    None
-    (match deltas with
-    | [] -> []
-    | _ when List.exists Option.is_none deltas -> []
-    | _ -> deltas)
-
 let print_histogram label (d : Obs.Histogram.snapshot) =
   let q p = Obs.Histogram.quantile d p *. 1e3 in
   Printf.printf
@@ -314,18 +219,16 @@ let print_histogram label (d : Obs.Histogram.snapshot) =
    server's Lower bucket-bound estimate.  The request-by-request
    pairing only exists when every request of the run was one fresh
    solve, so the check is reported but skipped when cache hits,
-   retries, degradation, timeouts or transport trouble blur it.
-
-   Across endpoints the same argument holds shard by shard (each
-   shard's histogram samples pair with the client latencies of the
-   requests routed to it) and therefore also for the merged histogram
-   against the pooled client percentiles. *)
+   retries, degradation, timeouts or transport trouble blur it.  The
+   histograms are one server's, so the check runs against a shard
+   socket; a router exposes no queue-wait or solve-cpu family and the
+   check reports them missing. *)
 let print_percentile_reconciliation ~metrics_before ~metrics_after
-    (t : totals) passes (runs : Loadgen.multi list) =
+    (t : totals) passes (runs : Loadgen.result list) =
   match
-    ( merged_histogram_delta ~before:metrics_before ~after:metrics_after
+    ( histogram_delta ~before:metrics_before ~after:metrics_after
         Metrics.queue_wait_metric,
-      merged_histogram_delta ~before:metrics_before ~after:metrics_after
+      histogram_delta ~before:metrics_before ~after:metrics_after
         Metrics.solve_cpu_metric )
   with
   | Some queue, Some solve -> (
@@ -337,8 +240,7 @@ let print_percentile_reconciliation ~metrics_before ~metrics_after
         && t.retried_timeout = 0 && t.retried_transport = 0
       in
       match runs with
-      | [ run ] when clean && passes = 1 ->
-          let client = run.Loadgen.merged in
+      | [ client ] when clean && passes = 1 ->
           let lower s p =
             Obs.Histogram.quantile ~estimate:Obs.Histogram.Lower s p
           in
@@ -372,236 +274,127 @@ let print_percentile_reconciliation ~metrics_before ~metrics_after
         "server histograms  : missing from METRICS; reconciliation skipped\n";
       true
 
-(* Build the same ring rip_routerd would: ask each endpoint HEALTH for
-   its shard id and hash every net's canonical digest over those ids,
-   so direct multi-endpoint traffic lands exactly where routed traffic
-   would and every shard's cache stays hot for its own key range. *)
-let build_route connects =
-  let ids =
-    Array.map
-      (fun connect ->
-        Result.map
-          (fun h -> h.Protocol.health_shard_id)
-          (fetch_health connect))
-      connects
-  in
-  let rec collect i acc =
-    if i < 0 then Ok acc
-    else
-      match ids.(i) with
-      | Error e -> Error e
-      | Ok id -> collect (i - 1) (id :: acc)
-  in
-  Result.bind (collect (Array.length ids - 1) []) (fun ids ->
-      match Ring.create (List.map (fun id -> (id, 1)) ids) with
-      | ring ->
-          let index_of id =
-            let rec find i = function
-              | [] -> 0
-              | x :: _ when String.equal x id -> i
-              | _ :: rest -> find (i + 1) rest
-            in
-            find 0 ids
-          in
-          Ok
-            ( ids,
-              fun ~index:_ frame ->
-                match frame with
-                | Protocol.Solve { net; _ } -> (
-                    match Ring.lookup ring (Net.canonical_digest net) with
-                    | Some id -> index_of id
-                    | None -> 0)
-                | _ -> 0 )
-      | exception Invalid_argument e -> Error e)
-
-let dump_metrics_mode connects labels =
-  let failures =
-    Array.to_list connects
-    |> List.mapi (fun i connect ->
-           if Array.length connects > 1 then
-             Printf.printf "=== %s ===\n" labels.(i);
-           match fetch_metrics connect with
-           | Ok body ->
-               print_string body;
-               false
-           | Error e ->
-               Printf.eprintf "rip_loadgen: METRICS from %s failed: %s\n"
-                 labels.(i) e;
-               true)
-  in
-  if List.exists Fun.id failures then 1 else 0
-
-let run_load socket_path port host endpoints requests connections
-    distinct_nets seed slack passes deadline_ms traced retries
-    attempt_timeout_ms backoff_ms skip_consistency verify dump_metrics =
+let run_load socket_path port host requests connections distinct_nets seed
+    slack passes deadline_ms traced retries attempt_timeout_ms backoff_ms
+    skip_consistency verify dump_metrics =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let connect () =
+    match port with
+    | Some port -> Client.connect_tcp ~host ~port ()
+    | None -> Client.connect_unix socket_path
+  in
   if retries < 1 then begin
     prerr_endline "rip_loadgen: --retries must be at least 1";
     2
   end
+  else if dump_metrics then
+    match fetch_metrics connect with
+    | Ok body ->
+        print_string body;
+        0
+    | Error e ->
+        Printf.eprintf "rip_loadgen: METRICS failed: %s\n" e;
+        1
   else begin
-    let connects, labels =
-      match endpoints with
-      | [] ->
-          let connect () =
-            match port with
-            | Some port -> Client.connect_tcp ~host ~port ()
-            | None -> Client.connect_unix socket_path
-          in
-          let label =
-            match port with
-            | Some port -> Printf.sprintf "%s:%d" host port
-            | None -> socket_path
-          in
-          ([| connect |], [| label |])
-      | endpoints ->
-          ( Array.of_list
-              (List.map
-                 (fun path () -> Client.connect_unix path)
-                 endpoints),
-            Array.of_list endpoints )
+    let policy =
+      {
+        Client.default_retry_policy with
+        attempts = retries;
+        backoff_seconds = backoff_ms /. 1000.0;
+        attempt_timeout =
+          Option.map (fun ms -> ms /. 1000.0) attempt_timeout_ms;
+      }
     in
-    if dump_metrics then dump_metrics_mode connects labels
-    else begin
-      let policy =
-        {
-          Client.default_retry_policy with
-          attempts = retries;
-          backoff_seconds = backoff_ms /. 1000.0;
-          attempt_timeout =
-            Option.map (fun ms -> ms /. 1000.0) attempt_timeout_ms;
-        }
-      in
-      let workload =
-        Loadgen.workload ~seed:(Int64.of_int seed) ~distinct_nets ~slack
-          ?deadline_ms ~traced ~requests process
-      in
-      let route =
-        if Array.length connects = 1 then Ok None
-        else Result.map (fun (_, f) -> Some f) (build_route connects)
-      in
-      let all_endpoints f =
-        let results = Array.map f connects in
-        let rec collect i acc =
-          if i < 0 then Ok acc
-          else
-            match results.(i) with
-            | Error e -> Error e
-            | Ok x -> collect (i - 1) (x :: acc)
-        in
-        collect (Array.length results - 1) []
-      in
-      match (route, all_endpoints fetch_stats, all_endpoints fetch_metrics)
-      with
-      | Error e, _, _ ->
-          Printf.eprintf "rip_loadgen: cannot build the shard ring: %s\n" e;
-          1
-      | _, Error e, _ | _, _, Error e ->
-          Printf.eprintf "rip_loadgen: cannot reach the daemon: %s\n" e;
-          1
-      | Ok route, Ok stats_before, Ok metrics_before ->
-          let runs =
-            List.init passes (fun pass ->
-                let label =
-                  if passes = 1 then "pass"
-                  else if pass = 0 then "pass 1 (cold)"
-                  else Printf.sprintf "pass %d (warm)" (pass + 1)
-                in
-                let run =
-                  Loadgen.run_multi ~connects ?route ~connections ~policy
-                    ~seed:(Int64.of_int (seed + pass))
-                    ~verify workload
-                in
-                Printf.printf "--- %s ---\n%s" label
-                  (Loadgen.render run.Loadgen.merged);
-                if Array.length connects > 1 then
-                  Array.iteri
-                    (fun e (r : Loadgen.result) ->
-                      Printf.printf
-                        "  %-24s: %d requests (fresh %d, cached %d, degraded \
-                         %d, transport %d), %.1f req/s\n"
-                        labels.(e) r.Loadgen.sent r.Loadgen.solved_fresh
-                        r.Loadgen.solved_cached r.Loadgen.degraded
-                        r.Loadgen.transport_failures r.Loadgen.throughput)
-                    run.Loadgen.by_endpoint;
-                run)
-          in
-          (match runs with
-          | cold :: (_ :: _ as rest) ->
-              let warm = List.nth rest (List.length rest - 1) in
-              let throughput (r : Loadgen.multi) =
-                r.Loadgen.merged.Loadgen.throughput
+    let workload =
+      Loadgen.workload ~seed:(Int64.of_int seed) ~distinct_nets ~slack
+        ?deadline_ms ~traced ~requests process
+    in
+    match (fetch_stats connect, fetch_metrics connect) with
+    | Error e, _ | _, Error e ->
+        Printf.eprintf "rip_loadgen: cannot reach the daemon: %s\n" e;
+        1
+    | Ok stats_before, Ok metrics_before ->
+        let runs =
+          List.init passes (fun pass ->
+              let label =
+                if passes = 1 then "pass"
+                else if pass = 0 then "pass 1 (cold)"
+                else Printf.sprintf "pass %d (warm)" (pass + 1)
               in
-              Printf.printf
-                "cold -> warm throughput: %.1f -> %.1f req/s (%.1fx)\n"
-                (throughput cold) (throughput warm)
-                (if throughput cold > 0.0 then
-                   throughput warm /. throughput cold
-                 else 0.0)
-          | _ -> ());
-          let totals =
-            List.fold_left
-              (fun t (run : Loadgen.multi) -> add_totals t run.Loadgen.merged)
-              zero_totals runs
-          in
-          let failures =
-            List.exists
-              (fun (run : Loadgen.multi) ->
-                run.Loadgen.merged.Loadgen.transport_failures > 0
-                || run.Loadgen.merged.Loadgen.errors > 0)
-              runs
-          in
-          (if verify then
-             Printf.printf "answers verified   : %s\n"
-               (if totals.verify_mismatches = 0 then
-                  "yes (every RESULT matched the bytes pinned for its net)"
-                else
-                  Printf.sprintf "NO (%d contradicting RESULT answers)"
-                    totals.verify_mismatches));
-          let metrics_after = all_endpoints fetch_metrics in
-          let consistent =
-            match all_endpoints fetch_stats with
-            | Error e ->
-                Printf.eprintf "rip_loadgen: cannot fetch closing STATS: %s\n"
-                  e;
-                false
-            | Ok stats_after ->
-                let hedged =
-                  match metrics_after with
-                  | Ok metrics_after ->
-                      hedged_delta ~metrics_before ~metrics_after
-                  | Error _ -> 0
-                in
-                let counters_ok =
-                  print_consistency ~before:(sum_stats stats_before)
-                    ~after:(sum_stats stats_after) ~hedged totals
-                in
-                print_server_now (sum_stats stats_after);
-                counters_ok
-          in
-          let percentiles_ok =
-            match metrics_after with
-            | Error e ->
-                Printf.eprintf
-                  "rip_loadgen: cannot fetch closing METRICS: %s\n" e;
-                false
-            | Ok metrics_after ->
-                print_percentile_reconciliation ~metrics_before ~metrics_after
-                  totals passes runs
-          in
-          let reconciled =
-            if skip_consistency then begin
-              Printf.printf
-                "exit gate          : --skip-consistency (transport/errors \
-                 only)\n";
-              true
-            end
-            else consistent && percentiles_ok
-          in
-          if failures || (not reconciled) || totals.verify_mismatches > 0
-          then 1
-          else 0
-    end
+              let run =
+                Loadgen.run ~connect ~connections ~policy
+                  ~seed:(Int64.of_int (seed + pass))
+                  ~verify workload
+              in
+              Printf.printf "--- %s ---\n%s" label (Loadgen.render run);
+              run)
+        in
+        (match runs with
+        | cold :: (_ :: _ as rest) ->
+            let warm = List.nth rest (List.length rest - 1) in
+            let throughput (r : Loadgen.result) = r.Loadgen.throughput in
+            Printf.printf
+              "cold -> warm throughput: %.1f -> %.1f req/s (%.1fx)\n"
+              (throughput cold) (throughput warm)
+              (if throughput cold > 0.0 then
+                 throughput warm /. throughput cold
+               else 0.0)
+        | _ -> ());
+        let totals = List.fold_left add_totals zero_totals runs in
+        let failures =
+          List.exists
+            (fun (run : Loadgen.result) ->
+              run.Loadgen.transport_failures > 0 || run.Loadgen.errors > 0)
+            runs
+        in
+        (if verify then
+           Printf.printf "answers verified   : %s\n"
+             (if totals.verify_mismatches = 0 then
+                "yes (every RESULT matched the bytes pinned for its net)"
+              else
+                Printf.sprintf "NO (%d contradicting RESULT answers)"
+                  totals.verify_mismatches));
+        let metrics_after = fetch_metrics connect in
+        let consistent =
+          match fetch_stats connect with
+          | Error e ->
+              Printf.eprintf "rip_loadgen: cannot fetch closing STATS: %s\n" e;
+              false
+          | Ok stats_after ->
+              let hedged =
+                match metrics_after with
+                | Ok metrics_after ->
+                    hedged_delta ~metrics_before ~metrics_after
+                | Error _ -> 0
+              in
+              let counters_ok =
+                print_consistency ~before:stats_before ~after:stats_after
+                  ~hedged totals
+              in
+              print_server_now stats_after;
+              counters_ok
+        in
+        let percentiles_ok =
+          match metrics_after with
+          | Error e ->
+              Printf.eprintf "rip_loadgen: cannot fetch closing METRICS: %s\n"
+                e;
+              false
+          | Ok metrics_after ->
+              print_percentile_reconciliation ~metrics_before ~metrics_after
+                totals passes runs
+        in
+        let reconciled =
+          if skip_consistency then begin
+            Printf.printf
+              "exit gate          : --skip-consistency (transport/errors \
+               only)\n";
+            true
+          end
+          else consistent && percentiles_ok
+        in
+        if failures || (not reconciled) || totals.verify_mismatches > 0 then 1
+        else 0
   end
 
 open Cmdliner
@@ -611,8 +404,8 @@ let socket_path =
     value
     & opt string "rip_serviced.sock"
     & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket of the daemon (ignored with --port or \
-              --endpoints).")
+        ~doc:"Unix-domain socket of the daemon or router (ignored with \
+              --port).")
 
 let port =
   Arg.(
@@ -625,16 +418,6 @@ let host =
     value & opt string "127.0.0.1"
     & info [ "host" ] ~docv:"HOST" ~doc:"Daemon host for --port.")
 
-let endpoints =
-  Arg.(
-    value & opt_all string []
-    & info [ "endpoints"; "e" ] ~docv:"SOCKET"
-        ~doc:"Talk to several shard daemons directly (repeatable, one Unix \
-              socket each).  Requests route by the same consistent-hash \
-              ring rip_routerd uses (shard ids fetched via HEALTH); STATS \
-              deltas are summed and METRICS histograms merged across the \
-              endpoints, keeping the consistency exit gate.")
-
 let requests =
   Arg.(
     value & opt int 200
@@ -644,8 +427,7 @@ let connections =
   Arg.(
     value & opt int 4
     & info [ "connections"; "c" ] ~docv:"C"
-        ~doc:"Concurrent closed-loop connections (per endpoint with \
-              --endpoints).")
+        ~doc:"Concurrent closed-loop connections.")
 
 let distinct_nets =
   Arg.(
@@ -728,14 +510,15 @@ let verify =
     & info [ "verify" ]
         ~doc:"Pin the first RESULT's solution bytes per (net, budget) and \
               fail if any later RESULT — cached, fresh, or from another \
-              shard — contradicts them.  DEGRADED answers are exempt.")
+              shard behind the router — contradicts them.  DEGRADED \
+              answers are exempt.")
 
 let dump_metrics =
   Arg.(
     value & flag
     & info [ "dump-metrics" ]
-        ~doc:"Fetch and print METRICS from the target (every endpoint with \
-              --endpoints), then exit without generating load.")
+        ~doc:"Fetch and print METRICS from the target, then exit without \
+              generating load.")
 
 let main =
   Cmd.v
@@ -743,7 +526,7 @@ let main =
        ~doc:"Closed-loop load generator and latency reporter for rip_serviced \
              and rip_routerd")
     Term.(
-      const run_load $ socket_path $ port $ host $ endpoints $ requests
+      const run_load $ socket_path $ port $ host $ requests
       $ connections $ distinct_nets $ seed $ slack $ passes $ deadline_ms
       $ traced $ retries $ attempt_timeout_ms $ backoff_ms
       $ skip_consistency $ verify $ dump_metrics)

@@ -144,42 +144,6 @@ let run_query files outcome shard process trace_id hedged failover spilled
 
 (* ---------- check ---------- *)
 
-let arg name span =
-  List.assoc_opt name span.Trace_merge.span_args
-
-let is_forward span =
-  String.equal span.Trace_merge.span_cat "router"
-  && String.length span.Trace_merge.span_name > 8
-  && String.sub span.Trace_merge.span_name 0 8 = "forward:"
-
-(* A trace "links" when some span recorded by another process parents
-   under a router forward span — the wire TRACE header demonstrably
-   carried the context across the hop.  Distinct forward targets (a
-   forward:s0 and a forward:s1 in one trace) are the signature of a
-   hedge or failover: a replayed workload re-forwards to the same
-   primary, but only tail tolerance tries a second shard. *)
-let analyse spans =
-  let forwards = List.filter is_forward spans in
-  let targets =
-    List.sort_uniq String.compare
-      (List.map (fun s -> s.Trace_merge.span_name) forwards)
-  in
-  let linked =
-    List.exists
-      (fun span ->
-        (not (is_forward span))
-        && List.exists
-             (fun fwd ->
-               (not (String.equal fwd.Trace_merge.span_process
-                       span.Trace_merge.span_process))
-               && match (arg "span_id" fwd, arg "parent_span_id" span) with
-                  | Some fid, Some pid -> String.equal fid pid
-                  | _ -> false)
-             forwards)
-      spans
-  in
-  (List.length targets, linked)
-
 let run_check files require_multi =
   if files = [] then begin
     prerr_endline "rip_trace: check needs at least one trace file";
@@ -204,7 +168,7 @@ let run_check files require_multi =
       let linked = ref 0 and multi_linked = ref 0 in
       List.iter
         (fun (_, spans) ->
-          let forwards, is_linked = analyse spans in
+          let forwards, is_linked = Trace_merge.analyse spans in
           if is_linked then begin
             incr linked;
             if forwards >= 2 then incr multi_linked

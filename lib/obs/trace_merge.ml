@@ -205,3 +205,30 @@ let traces dumps =
          match Hashtbl.find_opt table trace_id with
          | Some bucket -> (trace_id, List.rev !bucket)
          | None -> (trace_id, []))
+
+let is_forward span =
+  String.equal span.span_cat "router"
+  && String.starts_with ~prefix:"forward:" span.span_name
+  && String.length span.span_name > 8
+
+let analyse spans =
+  let forwards = List.filter is_forward spans in
+  let targets =
+    List.sort_uniq String.compare (List.map (fun s -> s.span_name) forwards)
+  in
+  let arg name span = List.assoc_opt name span.span_args in
+  let linked =
+    List.exists
+      (fun span ->
+        (not (is_forward span))
+        && List.exists
+             (fun fwd ->
+               (not (String.equal fwd.span_process span.span_process))
+               &&
+               match (arg "span_id" fwd, arg "parent_span_id" span) with
+               | Some fid, Some pid -> String.equal fid pid
+               | _ -> false)
+             forwards)
+      spans
+  in
+  (List.length targets, linked)

@@ -43,3 +43,13 @@ val traces : dump list -> (string * trace_span list) list
 (** Group spans across all dumps by their [trace_id] arg — the
     cross-process view of each distributed trace, in first-seen order.
     Spans without a [trace_id] arg are not included. *)
+
+val analyse : trace_span list -> int * bool
+(** [analyse spans] of one trace: the number of distinct router forward
+    targets (spans of category ["router"] named [forward:<shard>]) and
+    whether the trace links across processes — some span recorded by
+    another process parents under a router forward span, so the wire
+    TRACE header demonstrably carried the context across the hop.  Two
+    or more targets in a linked trace are the signature of a hedge or
+    failover: a replayed workload re-forwards to the same primary, but
+    only tail tolerance tries a second shard. *)

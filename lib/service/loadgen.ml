@@ -51,20 +51,6 @@ type result = {
   p99 : float;
 }
 
-(* Cross-endpoint answer verification: the first RESULT seen for a
-   given (net, budget) pins the solution bytes; every later RESULT for
-   the same key — cached or fresh, from whichever shard — must match
-   byte for byte.  The solver is deterministic, so a mismatch means a
-   shard returned a wrong or stale answer.  DEGRADED answers are
-   exempt: the fallback tier makes no bit-exactness promise. *)
-type verify_store = {
-  verify_mutex : Mutex.t;
-  pinned : (string, string) Hashtbl.t;  (* request key -> solution digest *)
-}
-
-let verify_key ~budget net =
-  Printf.sprintf "%s#%.17g" (Net.canonical_digest net) budget
-
 (* One worker: take the next undrained request, send it through its retry
    session, time the full (retries included) round trip, classify the
    final response; stop on workload exhaustion or a final transport
@@ -72,7 +58,8 @@ let verify_key ~budget net =
 type shared = {
   requests : Protocol.request array;
   mutex : Mutex.t;
-  verify : verify_store option;
+  pinned : (string, string) Hashtbl.t option;
+      (* request key -> solution digest, when verifying *)
   mutable cursor : int;
   mutable sent : int;
   mutable solved_fresh : int;
@@ -89,11 +76,11 @@ type shared = {
   mutable latencies : float list;
 }
 
-let make_shared ?verify requests =
+let make_shared ~verify requests =
   {
     requests;
     mutex = Mutex.create ();
-    verify;
+    pinned = (if verify then Some (Hashtbl.create 64) else None);
     cursor = 0;
     sent = 0;
     solved_fresh = 0;
@@ -124,38 +111,39 @@ let next_request shared =
   Mutex.unlock shared.mutex;
   frame
 
-(* Returns [true] when the answer contradicts a pinned one. *)
-let check_verified store frame (solution : Protocol.solution) =
-  match frame with
-  | Protocol.Solve { budget; net; _ } ->
-      let key = verify_key ~budget net in
-      let digest = Digest.string (Protocol.solution_body solution) in
-      Mutex.lock store.verify_mutex;
-      let mismatch =
-        match Hashtbl.find_opt store.pinned key with
-        | Some pinned -> not (String.equal pinned digest)
-        | None ->
-            Hashtbl.replace store.pinned key digest;
-            false
-      in
-      Mutex.unlock store.verify_mutex;
-      mismatch
-  | _ -> false
+(* Answer verification: the first RESULT seen for a given (net, budget)
+   pins the solution bytes; every later RESULT for the same key — cached
+   or fresh, from whichever shard answered — must match byte for byte.
+   The solver is deterministic, so a mismatch means a shard returned a
+   wrong or stale answer.  DEGRADED answers are exempt: the fallback
+   tier makes no bit-exactness promise.  Returns the (key, digest) pair
+   to check, computed outside the lock. *)
+let verify_pin shared frame (outcome : Client.outcome) =
+  match (shared.pinned, frame, outcome.response) with
+  | ( Some _,
+      Protocol.Solve { budget; net; _ },
+      Ok (Protocol.Result { solution; _ }) ) ->
+      Some
+        ( Printf.sprintf "%s#%.17g" (Net.canonical_digest net) budget,
+          Digest.string (Protocol.solution_body solution) )
+  | _ -> None
 
 let record shared frame latency (outcome : Client.outcome) =
-  let mismatch =
-    match (shared.verify, outcome.response) with
-    | Some store, Ok (Protocol.Result { solution; _ }) ->
-        check_verified store frame solution
-    | _ -> false
-  in
+  let pin = verify_pin shared frame outcome in
   Mutex.lock shared.mutex;
+  (match (shared.pinned, pin) with
+  | Some pinned, Some (key, digest) -> (
+      match Hashtbl.find_opt pinned key with
+      | Some first when not (String.equal first digest) ->
+          shared.verify_mismatches <- shared.verify_mismatches + 1
+      | Some _ -> ()
+      | None -> Hashtbl.replace pinned key digest)
+  | _ -> ());
   shared.latencies <- latency :: shared.latencies;
   shared.retried_transport <-
     shared.retried_transport + outcome.retried_transport;
   shared.retried_busy <- shared.retried_busy + outcome.retried_busy;
   shared.retried_timeout <- shared.retried_timeout + outcome.retried_timeout;
-  if mismatch then shared.verify_mismatches <- shared.verify_mismatches + 1;
   (match outcome.response with
   | Ok (Protocol.Result { served = Protocol.Fresh; _ }) ->
       shared.solved_fresh <- shared.solved_fresh + 1
@@ -189,10 +177,10 @@ let worker session shared () =
 (* The shared quantile convention ({!Stats.quantile_rank}) — the same
    one the server's histograms estimate against, so client and server
    percentiles are comparable at any sample count. *)
-let result_of ~wall_seconds ~latencies (shared : shared) =
-  let completed = List.length latencies in
+let result_of ~wall_seconds (shared : shared) =
+  let completed = List.length shared.latencies in
   let percentile p =
-    match latencies with [] -> 0.0 | l -> Stats.quantile p l
+    match shared.latencies with [] -> 0.0 | l -> Stats.quantile p l
   in
   {
     sent = shared.sent;
@@ -216,116 +204,24 @@ let result_of ~wall_seconds ~latencies (shared : shared) =
     p99 = percentile 0.99;
   }
 
-let merge_results ~wall_seconds ~all_latencies (shards : result array) =
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 shards in
-  let completed = List.length all_latencies in
-  let percentile p =
-    match all_latencies with [] -> 0.0 | l -> Stats.quantile p l
-  in
-  {
-    sent = sum (fun r -> r.sent);
-    solved_fresh = sum (fun r -> r.solved_fresh);
-    solved_cached = sum (fun r -> r.solved_cached);
-    degraded = sum (fun r -> r.degraded);
-    timeouts = sum (fun r -> r.timeouts);
-    errors = sum (fun r -> r.errors);
-    busy = sum (fun r -> r.busy);
-    transport_failures = sum (fun r -> r.transport_failures);
-    retried_transport = sum (fun r -> r.retried_transport);
-    retried_busy = sum (fun r -> r.retried_busy);
-    retried_timeout = sum (fun r -> r.retried_timeout);
-    verify_mismatches = sum (fun r -> r.verify_mismatches);
-    wall_seconds;
-    throughput =
-      (if wall_seconds > 0.0 then float_of_int completed /. wall_seconds
-       else 0.0);
-    p50 = percentile 0.5;
-    p95 = percentile 0.95;
-    p99 = percentile 0.99;
-  }
-
-type multi = { merged : result; by_endpoint : result array }
-
-(* Endpoints drain their partitions concurrently: endpoint [e]'s
-   workers only ever talk to [connects.(e)], so a shard's partition is
-   served entirely by its own connections — the client-side mirror of
-   the router's consistent-hash placement.  [merged] pools every
-   latency sample (the cluster-level percentiles) and takes the overall
-   wall clock, so its throughput is the aggregate the bench ladder
-   compares across shard counts. *)
-let run_multi ~connects ?route ?(connections = 4) ?policy ?(seed = 1L)
-    ?(verify = false) requests =
-  let endpoints = Array.length connects in
-  if endpoints = 0 then invalid_arg "Loadgen.run_multi: no endpoints";
-  let route =
-    match route with
-    | Some f -> f
-    | None -> fun ~index:_ _ -> 0
-  in
-  let partitions = Array.make endpoints [] in
-  Array.iteri
-    (fun index frame ->
-      let e = route ~index frame in
-      if e < 0 || e >= endpoints then
-        invalid_arg
-          (Printf.sprintf
-             "Loadgen.run_multi: route sent request %d to endpoint %d (have \
-              %d)"
-             index e endpoints);
-      partitions.(e) <- frame :: partitions.(e))
-    requests;
-  let verify_store =
-    if verify then
-      Some { verify_mutex = Mutex.create (); pinned = Hashtbl.create 64 }
-    else None
-  in
-  let shards =
-    Array.map
-      (fun part ->
-        make_shared ?verify:verify_store (Array.of_list (List.rev part)))
-      partitions
-  in
-  let started = Unix.gettimeofday () in
-  let threads =
-    List.concat
-      (List.init endpoints (fun e ->
-           let shared = shards.(e) in
-           let n =
-             Stdlib.max
-               (if Array.length shared.requests > 0 then 1 else 0)
-               (Stdlib.min connections (Array.length shared.requests))
-           in
-           List.init n (fun i ->
-               (* One session per worker, each with its own jitter
-                  stream. *)
-               let session =
-                 Client.session ?policy
-                   ~seed:
-                     (Int64.add seed
-                        (Int64.of_int ((e * connections) + i)))
-                   connects.(e)
-               in
-               Thread.create (worker session shared) ())))
-  in
-  List.iter Thread.join threads;
-  let wall_seconds = Unix.gettimeofday () -. started in
-  let by_endpoint =
-    Array.map
-      (fun shared ->
-        result_of ~wall_seconds ~latencies:shared.latencies shared)
-      shards
-  in
-  let all_latencies =
-    Array.fold_left (fun acc s -> List.rev_append s.latencies acc) [] shards
-  in
-  { merged = merge_results ~wall_seconds ~all_latencies by_endpoint; by_endpoint }
-
-let run ~connect ?(connections = 4) ?policy ?(seed = 1L) requests =
+let run ~connect ?(connections = 4) ?policy ?(seed = 1L) ?(verify = false)
+    requests =
+  let shared = make_shared ~verify requests in
   let connections =
     Stdlib.max 1 (Stdlib.min connections (Array.length requests))
   in
-  (run_multi ~connects:[| connect |] ~connections ?policy ~seed requests)
-    .merged
+  let started = Unix.gettimeofday () in
+  let threads =
+    List.init connections (fun i ->
+        (* One session per worker, each with its own jitter stream. *)
+        let session =
+          Client.session ?policy ~seed:(Int64.add seed (Int64.of_int i))
+            connect
+        in
+        Thread.create (worker session shared) ())
+  in
+  List.iter Thread.join threads;
+  result_of ~wall_seconds:(Unix.gettimeofday () -. started) shared
 
 let render (r : result) =
   Printf.sprintf

@@ -41,7 +41,7 @@ type result = {
   verify_mismatches : int;
       (** RESULT answers whose solution bytes contradicted the first
           answer pinned for the same (net, budget) — always 0 unless
-          {!run_multi} ran with [verify:true] *)
+          {!run} ran with [verify:true] *)
   wall_seconds : float;
   throughput : float;  (** responses per wall second *)
   p50 : float;  (** response-latency percentiles, seconds *)
@@ -54,6 +54,7 @@ val run :
   ?connections:int ->
   ?policy:Client.retry_policy ->
   ?seed:int64 ->
+  ?verify:bool ->
   Protocol.request array ->
   result
 (** Drain the workload through [connections] threads (default 4, capped
@@ -63,34 +64,11 @@ val run :
     thread measures per-request wall latency including retries;
     percentiles are over all completed requests.  A thread whose request
     fails even after retries stops (its remaining share is picked up by
-    the others). *)
-
-type multi = { merged : result; by_endpoint : result array }
-
-val run_multi :
-  connects:(unit -> Client.t) array ->
-  ?route:(index:int -> Protocol.request -> int) ->
-  ?connections:int ->
-  ?policy:Client.retry_policy ->
-  ?seed:int64 ->
-  ?verify:bool ->
-  Protocol.request array ->
-  multi
-(** Drain one workload across several endpoints concurrently.  [route]
-    assigns each request (by position and frame) to an endpoint index —
-    the client-side mirror of the router's consistent-hash placement;
-    the default sends everything to endpoint 0.  Endpoint [e]'s
-    partition is served only by sessions built from [connects.(e)],
-    [connections] workers each (capped at the partition size).
-    [merged] pools every latency sample and uses the overall wall
-    clock, so its throughput is the cluster aggregate; [by_endpoint]
-    keeps per-shard results for per-shard reconciliation.  With
-    [verify] (default false), the first RESULT for each (net, budget)
-    pins the solution bytes and any later contradicting RESULT — from
-    any endpoint — counts in [verify_mismatches]; DEGRADED answers are
-    exempt.
-    @raise Invalid_argument on zero endpoints or a [route] result out
-    of range. *)
+    the others).  Load for several shards goes through one router
+    endpoint, which owns placement.  With [verify] (default false), the
+    first RESULT for each (net, budget) pins the solution bytes and any
+    later contradicting RESULT counts in [verify_mismatches]; DEGRADED
+    answers are exempt. *)
 
 val render : result -> string
 (** A human-readable multi-line summary. *)

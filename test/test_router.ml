@@ -371,7 +371,10 @@ let test_router_trace_parentage () =
       Alcotest.(check string)
         "shard solve parents under the router's forward span"
         (span_arg "span_id" forward)
-        (span_arg "parent_span_id" solve)
+        (span_arg "parent_span_id" solve);
+      Alcotest.(check (pair int bool))
+        "linked across processes, one forward target" (1, true)
+        (Trace_merge.analyse spans)
   | traces ->
       Alcotest.failf "expected exactly 1 merged trace, got %d"
         (List.length traces)

@@ -7,6 +7,8 @@ module Trace = Rip_obs.Trace
 module Solve_cache = Rip_service.Solve_cache
 module Server = Rip_service.Server
 module Client = Rip_service.Client
+module Loadgen = Rip_service.Loadgen
+module Wire = Rip_service.Wire
 module Net = Rip_net.Net
 module Segment = Rip_net.Segment
 module Zone = Rip_net.Zone
@@ -718,6 +720,69 @@ let test_server_rejects_garbage () =
   Unix.close client_fd;
   Server.shutdown server
 
+(* --- Load generator answer verification --------------------------------- *)
+
+(* A peer that answers the same SOLVE twice with two different
+   solutions: the second RESULT contradicts the bytes the first pinned. *)
+let test_loadgen_verify_mismatch () =
+  let peer_fd, client_fd =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  let answer reader solution =
+    Wire.new_frame reader;
+    match Protocol.input_request (Wire.reader reader) with
+    | Ok (Some (Protocol.Solve _)) ->
+        Wire.send peer_fd
+          (Protocol.print_response
+             (Protocol.Result { served = Protocol.Fresh; solution }))
+    | Ok _ | Error _ -> ()
+  in
+  let peer =
+    Thread.create
+      (fun () ->
+        let reader = Wire.create peer_fd in
+        answer reader sample_solution;
+        answer reader { sample_solution with Protocol.delay = 3.5e-10 };
+        Unix.close peer_fd)
+      ()
+  in
+  let solve =
+    Protocol.Solve
+      { budget = 1e-9; deadline_ms = None; trace = None; net = sample_net () }
+  in
+  let r =
+    Loadgen.run
+      ~connect:(fun () -> Client.of_fd client_fd)
+      ~connections:1 ~verify:true [| solve; solve |]
+  in
+  Thread.join peer;
+  Alcotest.(check int) "both answered" 2 r.Loadgen.solved_fresh;
+  Alcotest.(check int) "one contradicting answer" 1 r.Loadgen.verify_mismatches
+
+(* A real server replaying a repeated workload answers every repeat
+   byte-identically, cached or fresh. *)
+let test_loadgen_verify_server () =
+  let server =
+    Server.create
+      ~config:{ Server.default_config with jobs = Some 1 }
+      process
+  in
+  let server_fd, client_fd =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  let worker = Thread.create (Server.handle_connection server) server_fd in
+  let workload = Loadgen.workload ~distinct_nets:2 ~requests:6 process in
+  let r =
+    Loadgen.run
+      ~connect:(fun () -> Client.of_fd client_fd)
+      ~connections:1 ~verify:true workload
+  in
+  Thread.join worker;
+  Server.shutdown server;
+  Alcotest.(check int) "fresh solves" 2 r.Loadgen.solved_fresh;
+  Alcotest.(check int) "cached repeats" 4 r.Loadgen.solved_cached;
+  Alcotest.(check int) "no contradicting answer" 0 r.Loadgen.verify_mismatches
+
 let suite =
   [
     ( "service.protocol",
@@ -758,5 +823,12 @@ let suite =
           `Quick test_server_garbage_trace_header;
         Alcotest.test_case "rejects garbage" `Quick
           test_server_rejects_garbage;
+      ] );
+    ( "service.loadgen",
+      [
+        Alcotest.test_case "verify counts a contradicting RESULT" `Quick
+          test_loadgen_verify_mismatch;
+        Alcotest.test_case "verify passes a server's repeats" `Quick
+          test_loadgen_verify_server;
       ] );
   ]
