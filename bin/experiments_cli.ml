@@ -120,7 +120,6 @@ let dp_backend =
     [
       ("reference", Rip_dp.Power_dp.Reference);
       ("fast", Rip_dp.Power_dp.Fast);
-      ("auto", Rip_dp.Power_dp.Auto);
     ]
   in
   Arg.(
@@ -129,8 +128,8 @@ let dp_backend =
     & info [ "dp-backend" ] ~docv:"BACKEND"
         ~doc:
           "Power-DP backend for the RIP cells and baselines: \
-           $(b,reference), $(b,fast) (bit-identical results) or \
-           $(b,auto). Defaults to the solver config's choice (auto).")
+           $(b,reference) or $(b,fast) (bit-identical results). Defaults \
+           to the solver config's choice (fast).")
 
 let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table 1")

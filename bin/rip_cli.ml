@@ -190,7 +190,6 @@ let dp_backend =
     [
       ("reference", Rip_dp.Power_dp.Reference);
       ("fast", Rip_dp.Power_dp.Fast);
-      ("auto", Rip_dp.Power_dp.Auto);
     ]
   in
   Arg.(
@@ -198,10 +197,10 @@ let dp_backend =
     & opt (some (enum backends)) None
     & info [ "dp-backend" ] ~docv:"BACKEND"
         ~doc:
-          "Power-DP backend: $(b,reference) (per-state Hashtbl labels), \
-           $(b,fast) (candidate-pruning, flat label arenas; bit-identical \
-           results) or $(b,auto) (fast above the instance-size cutover). \
-           Defaults to the solver config's choice (auto).")
+          "Power-DP backend: $(b,reference) (per-state Hashtbl labels) \
+           or $(b,fast) (candidate-pruning, flat label arenas; \
+           bit-identical results). Defaults to the solver config's \
+           choice (fast).")
 
 let solve_term =
   Term.(

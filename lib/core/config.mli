@@ -4,8 +4,7 @@ type dp_options = {
   backend : Rip_dp.Power_dp.backend;
       (** which DP backend every {!Rip_dp.Power_dp} pass (coarse, final,
           rescue, and the engine's baseline jobs) runs on; default
-          [Auto], which resolves per instance against
-          {!Rip_dp.Power_dp.auto_cutover} *)
+          [Fast] *)
   frontier_cap : int option;
       (** per-state label cap handed to every DP pass: bounds the
           pseudo-polynomial DP on tall nets with tight budgets, at worst

@@ -23,28 +23,11 @@ type probe_event =
       kept : int;
     }
 
-type backend = Reference | Fast | Auto
+type backend = Reference | Fast
 
 let backend_name = function
   | Reference -> "reference"
   | Fast -> "fast"
-  | Auto -> "auto"
-
-(* [Auto] cutover, in DP states (interior candidate sites x library
-   size).  Below it the reference backend's frontiers are tiny and the
-   fast backend's backward minF pass plus arena setup are pure
-   overhead; above it the pruning and the flat arenas win, and keep
-   winning by growing margins.  Measured on the suite's smallest net
-   (2000-rep micro, per-solve wall time): break-even sits at n*b = 12
-   (ratio 1.05), fast is 2.3-3.5x ahead by n*b = 24 and ~30x ahead on
-   the g=40u bench instance (92 x 10 states), while below n*b = 8 the
-   reference is 1.4-4x faster in absolute single-digit microseconds.
-   16 sits just above break-even, so [Auto] only ever picks
-   [Reference] for instances where the choice is immaterial. *)
-let auto_cutover = 16
-
-let auto_backend ~interior_sites ~library_size =
-  if interior_sites * library_size >= auto_cutover then Fast else Reference
 
 type request = {
   geometry : Rip_net.Geometry.t;
@@ -58,7 +41,7 @@ type request = {
   hooks : probe_event Hooks.t;
 }
 
-let request ?(backend = Auto) ?frontier_cap ?arena
+let request ?(backend = Fast) ?frontier_cap ?arena
     ?(hooks = Hooks.default) geometry repeater ~library ~candidates ~budget =
   { geometry; repeater; library; candidates; budget; backend; frontier_cap;
     arena; hooks }
@@ -264,15 +247,7 @@ let run (r : request) =
       invalid_arg "Power_dp.run: frontier_cap must be at least 2"
   | Some _ | None -> ());
   let chain = Chain.create r.geometry r.repeater ~candidates:r.candidates in
-  let backend =
-    match r.backend with
-    | (Reference | Fast) as b -> b
-    | Auto ->
-        auto_backend ~interior_sites:(Chain.interior_count chain)
-          ~library_size:(Repeater_library.size r.library)
-  in
-  match backend with
-  | Auto -> assert false
+  match r.backend with
   | Reference ->
       solve_reference ?frontier_cap:r.frontier_cap
         ~cancel:r.hooks.Hooks.cancel ~probe:r.hooks.Hooks.probe chain

@@ -50,23 +50,9 @@ type backend =
       (** {!Fast_dp}: Li/Shi-style candidate pruning over flat arenas;
           bit-identical solutions, order-of-magnitude faster on real
           instances *)
-  | Auto
-      (** picks per instance: [Fast] when
-          [interior sites * library size >= auto_cutover], [Reference]
-          for the tiny instances below it *)
 
 val backend_name : backend -> string
-(** ["reference"], ["fast"], ["auto"] — for reports and bench output. *)
-
-val auto_cutover : int
-(** The documented [Auto] threshold, in DP states (interior candidate
-    sites times library size).  Sits just above the measured break-even
-    (n*b = 12 on the suite's smallest net); [Auto] resolves to
-    [Reference] only where the backends are within single-digit
-    microseconds of each other. *)
-
-val auto_backend : interior_sites:int -> library_size:int -> backend
-(** The [Auto] decision rule; always returns [Reference] or [Fast]. *)
+(** ["reference"], ["fast"] — for reports and bench output. *)
 
 (** {1 Requests and the dispatch point} *)
 
@@ -104,7 +90,7 @@ val request :
   Rip_net.Geometry.t -> Rip_tech.Repeater_model.t ->
   library:Repeater_library.t -> candidates:float list -> budget:float ->
   request
-(** Constructor with the defaults of a plain solve: [Auto] backend, no
+(** Constructor with the defaults of a plain solve: [Fast] backend, no
     cap, no arena, {!Rip_numerics.Hooks.default}. *)
 
 val run : request -> result option

@@ -25,51 +25,3 @@ let pp ppf t =
   Fmt.pf ppf
     "%d tasks on %d workers: wall %.3fs, cpu %.3fs, utilization %.0f%%"
     t.tasks t.workers t.wall_seconds t.cpu_seconds (100.0 *. t.utilization)
-
-(* --- Registry feed ------------------------------------------------------- *)
-
-module Obs = Rip_obs.Metrics
-
-module Recorder = struct
-  type nonrec telemetry = t
-
-  type t = {
-    batches : Obs.Counter.t;
-    tasks : Obs.Counter.t;
-    wall : Obs.Histogram.t;
-    cpu : Obs.Histogram.t;
-    workers : Obs.Gauge.t;
-    utilization : Obs.Gauge.t;
-  }
-
-  let create registry =
-    {
-      batches =
-        Obs.counter registry ~name:"rip_engine_batches_total"
-          ~help:"Engine batch summaries recorded (a merged summary counts \
-                 once)";
-      tasks =
-        Obs.counter registry ~name:"rip_engine_tasks_total"
-          ~help:"Jobs executed across all engine batches";
-      wall =
-        Obs.histogram registry ~name:"rip_engine_batch_wall_seconds"
-          ~help:"Per-batch wall-clock time (submission to last completion)";
-      cpu =
-        Obs.histogram registry ~name:"rip_engine_batch_cpu_seconds"
-          ~help:"Per-batch summed thread-CPU time across jobs";
-      workers =
-        Obs.gauge registry ~name:"rip_engine_workers"
-          ~help:"Pool size of the most recent batch";
-      utilization =
-        Obs.gauge registry ~name:"rip_engine_utilization"
-          ~help:"cpu / (wall * workers) of the most recent batch";
-    }
-
-  let observe r (telemetry : telemetry) =
-    Obs.Counter.incr r.batches;
-    Obs.Counter.add r.tasks telemetry.tasks;
-    Obs.Histogram.observe r.wall telemetry.wall_seconds;
-    Obs.Histogram.observe r.cpu telemetry.cpu_seconds;
-    Obs.Gauge.set r.workers (float_of_int telemetry.workers);
-    Obs.Gauge.set r.utilization telemetry.utilization
-end

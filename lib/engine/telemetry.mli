@@ -25,24 +25,3 @@ val merge : t -> t -> t
     add, workers take the max, utilization is recomputed. *)
 
 val pp : t Fmt.t
-
-(** Feed batch summaries into a {!Rip_obs.Metrics} registry: batch and
-    task counters, wall/cpu histograms, and workers/utilization gauges
-    under the [rip_engine_*] names.  A recorder registers its
-    instruments once at {!Recorder.create}; {!Recorder.observe} per
-    batch is then a handful of atomic bumps. *)
-module Recorder : sig
-  type telemetry := t
-
-  type t
-
-  val create : Rip_obs.Metrics.t -> t
-  (** Register [rip_engine_batches_total], [rip_engine_tasks_total],
-      [rip_engine_batch_wall_seconds], [rip_engine_batch_cpu_seconds],
-      [rip_engine_workers] and [rip_engine_utilization] in [registry].
-      @raise Invalid_argument if any of those names is already taken. *)
-
-  val observe : t -> telemetry -> unit
-  (** Record one batch: counters and histograms accumulate, the gauges
-      track the most recent batch. *)
-end

@@ -126,17 +126,6 @@ module Histogram = struct
     Array.length a.upper_bounds = Array.length b.upper_bounds
     && Array.for_all2 Float.equal a.upper_bounds b.upper_bounds
 
-  let merge (a : snapshot) (b : snapshot) =
-    if not (same_bounds a b) then
-      invalid_arg "Histogram.merge: bucket bounds differ";
-    let counts = Array.mapi (fun i c -> c + b.counts.(i)) a.counts in
-    {
-      upper_bounds = Array.copy a.upper_bounds;
-      counts;
-      count = a.count + b.count;
-      sum = a.sum +. b.sum;
-    }
-
   let diff (later : snapshot) (earlier : snapshot) =
     if not (same_bounds later earlier) then
       invalid_arg "Histogram.diff: bucket bounds differ";

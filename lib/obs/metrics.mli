@@ -58,10 +58,6 @@ module Histogram : sig
 
   val snapshot : t -> snapshot
 
-  val merge : snapshot -> snapshot -> snapshot
-  (** Bucket-wise sum; counts and sums add.
-      @raise Invalid_argument when the bucket bounds differ. *)
-
   val diff : snapshot -> snapshot -> snapshot
   (** [diff later earlier]: the samples recorded between two scrapes of
       the same histogram.

@@ -3,7 +3,7 @@ module Cpu_clock = Rip_numerics.Cpu_clock
 
 type t = {
   registry : Obs.t;
-  started : float;  (* monotonic; uptime survives wall-clock steps *)
+  started : float;
   requests : Obs.Counter.t;
   solved : Obs.Counter.t;
   errors : Obs.Counter.t;
@@ -114,25 +114,6 @@ let create ?cache_stats ?journal_stats () =
         (fun s -> s.Journal.compactions));
   t
 
-let incr_requests t = Obs.Counter.incr t.requests
-let incr_solved t = Obs.Counter.incr t.solved
-let incr_errors t = Obs.Counter.incr t.errors
-let incr_busy t = Obs.Counter.incr t.rejected_busy
-let incr_timeouts t = Obs.Counter.incr t.timeouts
-let incr_degraded t = Obs.Counter.incr t.degraded
-let incr_toobig t = Obs.Counter.incr t.toobig
-
-let add_solve_times t ~queue_seconds ~cpu_seconds =
-  Obs.Histogram.observe t.queue_wait queue_seconds;
-  Obs.Histogram.observe t.solve_cpu cpu_seconds
-
-let incr_dp_columns t = Obs.Counter.incr t.dp_columns
-let add_dp_labels_pruned t n = Obs.Counter.add t.dp_labels_pruned n
-let incr_refine_iterations t = Obs.Counter.incr t.refine_iterations
-let incr_newton_iterations t = Obs.Counter.incr t.newton_iterations
-let set_in_flight t n = Obs.Gauge.set t.in_flight (float_of_int n)
-let add_queue_depth t delta = Obs.Gauge.add t.queue_depth (float_of_int delta)
-let registry t = t.registry
 let render t = Obs.render t.registry
 let uptime_seconds t = Cpu_clock.monotonic_seconds () -. t.started
 

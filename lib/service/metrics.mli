@@ -7,7 +7,41 @@
     histogram disagreeing with itself.  Uptime runs on the monotonic
     clock — a wall-clock step must not move it. *)
 
-type t
+module Obs = Rip_obs.Metrics
+
+type t = {
+  registry : Obs.t;
+  started : float;  (** monotonic; uptime survives wall-clock steps *)
+  requests : Obs.Counter.t;
+      (** SOLVE requests received (before they are classified) *)
+  solved : Obs.Counter.t;  (** SOLVEs answered RESULT (fresh or cached) *)
+  errors : Obs.Counter.t;  (** SOLVEs answered with a solver ERROR *)
+  rejected_busy : Obs.Counter.t;  (** SOLVEs answered BUSY (queue full) *)
+  timeouts : Obs.Counter.t;
+      (** SOLVEs answered TIMEOUT (deadline expired before any usable
+          result, including expiry at admission) *)
+  degraded : Obs.Counter.t;
+      (** SOLVEs answered with a DEGRADED analytic fallback (deadline,
+          overload or worker loss) *)
+  toobig : Obs.Counter.t;  (** request frames answered TOOBIG *)
+  in_flight : Obs.Gauge.t;
+      (** admission slots currently held (set under the admission lock) *)
+  queue_depth : Obs.Gauge.t;
+      (** solves queued or running in the worker pool *)
+  queue_wait : Obs.Histogram.t;  (** per fresh solve, wall seconds queued *)
+  solve_cpu : Obs.Histogram.t;
+      (** per fresh solve, thread-CPU seconds inside the solver *)
+  dp_columns : Obs.Counter.t;
+      (** DP state frontiers frozen ({!Rip_dp.Power_dp.probe_event}) *)
+  dp_labels_pruned : Obs.Counter.t;
+      (** labels dropped at those freezes ([collected - kept]) *)
+  refine_iterations : Obs.Counter.t;
+      (** REFINE move rounds ({!Rip_refine.Refine.probe_event}) *)
+  newton_iterations : Obs.Counter.t;
+      (** Newton steps in the KKT width solver *)
+}
+(** The instruments, registered once at {!create}; callers bump them
+    directly through {!Rip_obs.Metrics}. *)
 
 val create :
   ?cache_stats:(unit -> Solve_cache.stats) ->
@@ -20,61 +54,8 @@ val create :
     [journal_stats] exposes the [rip_journal_*] family for a journaled
     server. *)
 
-val incr_requests : t -> unit
-(** One SOLVE request received (before it is classified). *)
-
-val incr_solved : t -> unit
-(** One SOLVE answered with RESULT (fresh or cached). *)
-
-val incr_errors : t -> unit
-(** One SOLVE answered with a solver ERROR. *)
-
-val incr_busy : t -> unit
-(** One SOLVE rejected with BUSY (queue full). *)
-
-val incr_timeouts : t -> unit
-(** One SOLVE answered with TIMEOUT (deadline expired before any usable
-    result, including expiry at admission). *)
-
-val incr_degraded : t -> unit
-(** One SOLVE answered with a DEGRADED analytic fallback (deadline,
-    overload or worker loss). *)
-
-val incr_toobig : t -> unit
-(** One request frame rejected with TOOBIG (frame byte budget). *)
-
-val add_solve_times : t -> queue_seconds:float -> cpu_seconds:float -> unit
-(** Account one fresh solve into the queue-wait and solve-CPU
-    histograms (sums and percentiles both derive from them). *)
-
-(** {1 Solver-probe counters}
-
-    Fed by the server's [hooks.probe] ({!Rip_core.Rip.probe_event}); they aggregate what
-    the probes report per event.  All lock-free. *)
-
-val incr_dp_columns : t -> unit
-(** One DP state frontier frozen ({!Rip_dp.Power_dp.probe_event}). *)
-
-val add_dp_labels_pruned : t -> int -> unit
-(** Labels dropped at that freeze ([collected - kept]). *)
-
-val incr_refine_iterations : t -> unit
-(** One REFINE move round ({!Rip_refine.Refine.probe_event}). *)
-
-val incr_newton_iterations : t -> unit
-(** One Newton step in the KKT width solver. *)
-
-val set_in_flight : t -> int -> unit
-(** Admission slots currently held (call under the admission lock). *)
-
-val add_queue_depth : t -> int -> unit
-(** +1 when a solve enters the worker pool, -1 when it leaves. *)
-
-val registry : t -> Rip_obs.Metrics.t
-(** The underlying registry — the METRICS verb renders it. *)
-
 val render : t -> string
-(** [Rip_obs.Metrics.render (registry t)]: the Prometheus text body of a
+(** [Rip_obs.Metrics.render t.registry]: the Prometheus text body of a
     METRICS response. *)
 
 val uptime_seconds : t -> float

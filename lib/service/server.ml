@@ -1,5 +1,6 @@
 module Engine = Rip_engine.Engine
 module Cancel = Rip_engine.Cancel
+module Obs = Rip_obs.Metrics
 module Trace = Rip_obs.Trace
 module Wide_event = Rip_obs.Wide_event
 module Cpu_clock = Rip_numerics.Cpu_clock
@@ -214,7 +215,7 @@ let try_acquire_slot t =
   if admitted then t.in_flight <- t.in_flight + 1;
   let depth = t.in_flight in
   Mutex.unlock t.mutex;
-  if admitted then Metrics.set_in_flight t.metrics depth;
+  if admitted then Obs.Gauge.set t.metrics.in_flight (float_of_int depth);
   if admitted then Admitted depth else Rejected
 
 let release_slot t =
@@ -222,7 +223,7 @@ let release_slot t =
   t.in_flight <- t.in_flight - 1;
   let depth = t.in_flight in
   Mutex.unlock t.mutex;
-  Metrics.set_in_flight t.metrics depth
+  Obs.Gauge.set t.metrics.in_flight (float_of_int depth)
 
 (* --- Solutions ------------------------------------------------------------ *)
 
@@ -252,7 +253,7 @@ let solution_digest solution = Digest.string (Protocol.solution_body solution)
 (* --- The analytic fallback tier (see {!Fallback}) ------------------------- *)
 
 let degraded_response t ~budget ~net reason =
-  Metrics.incr_degraded t.metrics;
+  Obs.Counter.incr t.metrics.degraded;
   Fallback.degraded ~process:t.process ?solver:t.config.solver ~budget ~net
     reason
 
@@ -283,13 +284,13 @@ type solve_outcome =
    backend-independent. *)
 let solver_probe t ~pruned = function
   | Rip.Dp (Rip_dp.Power_dp.Column { collected; kept; _ }) ->
-      Metrics.incr_dp_columns t.metrics;
-      Metrics.add_dp_labels_pruned t.metrics (collected - kept);
+      Obs.Counter.incr t.metrics.dp_columns;
+      Obs.Counter.add t.metrics.dp_labels_pruned (collected - kept);
       ignore (Atomic.fetch_and_add pruned (collected - kept))
   | Rip.Refine (Rip_refine.Refine.Iteration _) ->
-      Metrics.incr_refine_iterations t.metrics
+      Obs.Counter.incr t.metrics.refine_iterations
   | Rip.Refine (Rip_refine.Refine.Newton _) ->
-      Metrics.incr_newton_iterations t.metrics
+      Obs.Counter.incr t.metrics.newton_iterations
 
 let run_full_solve t ~budget ~net ~key ~trace ~pruned token =
   let tracer = t.config.tracer in
@@ -313,9 +314,9 @@ let run_full_solve t ~budget ~net ~key ~trace ~pruned token =
         Trace.begin_span tr ~cat:"solver" ~args:(span_args full) full)
       tracer
   in
-  Metrics.add_queue_depth t.metrics 1;
+  Obs.Gauge.add t.metrics.queue_depth 1.0;
   Fun.protect
-    ~finally:(fun () -> Metrics.add_queue_depth t.metrics (-1))
+    ~finally:(fun () -> Obs.Gauge.add t.metrics.queue_depth (-1.0))
     (fun () ->
       let outcomes =
         Engine.map_on_handle t.handle
@@ -365,7 +366,8 @@ let serve_admitted t ~budget ~deadline_ms ~net ~key ~trace ~pruned ~queue_wait
     run_full_solve t ~budget ~net ~key ~trace ~pruned token
   in
   queue_wait := queue_seconds;
-  Metrics.add_solve_times t.metrics ~queue_seconds ~cpu_seconds;
+  Obs.Histogram.observe t.metrics.queue_wait queue_seconds;
+  Obs.Histogram.observe t.metrics.solve_cpu cpu_seconds;
   match outcome with
   | Solved report ->
       (* A solve that completed before its token's deadline was
@@ -383,10 +385,10 @@ let serve_admitted t ~budget ~deadline_ms ~net ~key ~trace ~pruned ~queue_wait
       | None -> ());
       if Faults.corrupt_cache t.faults then
         ignore (Solve_cache.corrupt t.cache key);
-      Metrics.incr_solved t.metrics;
+      Obs.Counter.incr t.metrics.solved;
       Protocol.Result { served = Fresh; solution }
   | Failed error ->
-      Metrics.incr_errors t.metrics;
+      Obs.Counter.incr t.metrics.errors;
       error_response error
   | Cancelled_mid_solve ->
       degraded_response t ~budget ~net Protocol.Deadline_exceeded
@@ -395,7 +397,7 @@ let serve_admitted t ~budget ~deadline_ms ~net ~key ~trace ~pruned ~queue_wait
 
 let serve_solve t ~budget ~deadline_ms ~trace ~net =
   let started = Cpu_clock.monotonic_seconds () in
-  Metrics.incr_requests t.metrics;
+  Obs.Counter.incr t.metrics.requests;
   let key = cache_key t ~net ~budget in
   let tracer = t.config.tracer in
   let scope = match tracer with Some tr -> Trace.scope tr | None -> "" in
@@ -422,18 +424,18 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
           Solve_cache.find_verified t.cache key ~digest_of:solution_digest)
     with
     | Some solution ->
-        Metrics.incr_solved t.metrics;
+        Obs.Counter.incr t.metrics.solved;
         Protocol.Result { served = Cached; solution }
     | None -> (
         match deadline_ms with
         | Some ms when ms <= 0.0 ->
             (* Expired at admission: answer immediately, dispatch nothing. *)
-            Metrics.incr_timeouts t.metrics;
+            Obs.Counter.incr t.metrics.timeouts;
             Protocol.Timeout
         | _ -> (
             match span "admission" (fun () -> try_acquire_slot t) with
             | Rejected ->
-                Metrics.incr_busy t.metrics;
+                Obs.Counter.incr t.metrics.rejected_busy;
                 Protocol.Busy
             | Admitted depth ->
                 Fun.protect
@@ -499,7 +501,7 @@ let handlers t =
     stats = (fun () -> stats t);
     metrics = (fun () -> Metrics.render t.metrics);
     health = (fun () -> health t);
-    on_toobig = (fun () -> Metrics.incr_toobig t.metrics);
+    on_toobig = (fun () -> Obs.Counter.incr t.metrics.toobig);
   }
 
 let handle_connection t fd =

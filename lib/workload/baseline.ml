@@ -31,7 +31,7 @@ type run = {
   runtime_seconds : float;
 }
 
-let solve ?(backend = Power_dp.Auto) t (process : Rip_tech.Process.t) geometry
+let solve ?(backend = Power_dp.Fast) t (process : Rip_tech.Process.t) geometry
     ~budget =
   let net = Geometry.net geometry in
   let candidates = Candidates.uniform net ~pitch:t.pitch in

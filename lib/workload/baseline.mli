@@ -28,4 +28,4 @@ val solve :
   ?backend:Rip_dp.Power_dp.backend ->
   t -> Rip_tech.Process.t -> Rip_net.Geometry.t -> budget:float -> run
 (** Run the baseline DP on one net and budget, timed.  [backend] selects
-    the {!Rip_dp.Power_dp} implementation (default [Auto]). *)
+    the {!Rip_dp.Power_dp} implementation (default [Fast]). *)

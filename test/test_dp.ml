@@ -19,7 +19,7 @@ let check_float = Alcotest.(check (float 1e-9))
 let repeater = Helpers.repeater
 
 (* Most tests go through the redesigned request/run entry point; [backend]
-   defaults to [Auto] exactly as production callers get it. *)
+   defaults to [Fast] exactly as production callers get it. *)
 let run_dp ?backend ?frontier_cap ?arena ?hooks geometry repeater ~library
     ~candidates ~budget =
   Power_dp.run
@@ -488,20 +488,6 @@ let test_arena_reuse () =
   Alcotest.(check int) "capacity stabilises after warmup" capacity_after_warmup
     (Rip_dp.Fast_dp.Arena.capacity arena)
 
-let test_auto_backend () =
-  Alcotest.(check string) "auto resolves small instances to the reference"
-    (Power_dp.backend_name Power_dp.Reference)
-    (Power_dp.backend_name
-       (Power_dp.auto_backend ~interior_sites:3 ~library_size:5));
-  Alcotest.(check string) "auto resolves large instances to fast"
-    (Power_dp.backend_name Power_dp.Fast)
-    (Power_dp.backend_name
-       (Power_dp.auto_backend ~interior_sites:20 ~library_size:10));
-  Alcotest.(check bool) "cutover boundary goes fast" true
-    (Power_dp.auto_backend ~interior_sites:Power_dp.auto_cutover
-       ~library_size:1
-    = Power_dp.Fast)
-
 let test_run_rejects_tiny_cap () =
   let net = zoned_net () in
   let geometry = Geometry.of_net net in
@@ -553,7 +539,6 @@ let suite =
       [
         qcheck prop_backend_equivalence;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
-        Alcotest.test_case "auto cutover" `Quick test_auto_backend;
         Alcotest.test_case "tiny frontier cap rejected" `Quick
           test_run_rejects_tiny_cap;
       ] );

@@ -114,29 +114,35 @@ let test_histogram_quantile_brackets () =
         (lo <= mid && mid <= hi))
     [ 0.0; 0.25; 0.5; 0.95; 0.99; 1.0 ]
 
+(* Two scrapes of one histogram, with a second batch of samples between
+   them: the later snapshot holds both batches, and their diff is
+   exactly the second batch as a histogram of its own records it. *)
 let test_merge_diff () =
   let r = Obs.create () in
   let a = Obs.histogram ~bounds r ~name:"a" ~help:"test" in
   let b = Obs.histogram ~bounds r ~name:"b" ~help:"test" in
+  let second = [ 50.0; 500.0; 5.0 ] in
   List.iter (Histogram.observe a) [ 0.5; 5.0 ];
-  List.iter (Histogram.observe b) [ 50.0; 500.0; 5.0 ];
-  let sa = Histogram.snapshot a and sb = Histogram.snapshot b in
-  let m = Histogram.merge sa sb in
-  Alcotest.(check int) "merge preserves counts" 5 m.Histogram.count;
-  Alcotest.(check (array int)) "merge buckets" [| 1; 2; 1; 1 |]
+  let sa = Histogram.snapshot a in
+  List.iter (Histogram.observe a) second;
+  List.iter (Histogram.observe b) second;
+  let m = Histogram.snapshot a and sb = Histogram.snapshot b in
+  Alcotest.(check int) "combined count" 5 m.Histogram.count;
+  Alcotest.(check (array int)) "combined buckets" [| 1; 2; 1; 1 |]
     m.Histogram.counts;
-  check_float "merge sum" (560.5) m.Histogram.sum;
+  check_float "combined sum" (560.5) m.Histogram.sum;
   let d = Histogram.diff m sa in
   Alcotest.(check int) "diff count" 3 d.Histogram.count;
   Alcotest.(check (array int)) "diff buckets" sb.Histogram.counts
     d.Histogram.counts;
+  check_float "diff sum" sb.Histogram.sum d.Histogram.sum;
   invalid "negative diff" (fun () -> ignore (Histogram.diff sa m));
   let r2 = Obs.create () in
   let other =
     Obs.histogram ~bounds:[| 2.0; 4.0 |] r2 ~name:"a" ~help:"test"
   in
   invalid "mismatched bounds" (fun () ->
-      ignore (Histogram.merge sa (Histogram.snapshot other)))
+      ignore (Histogram.diff m (Histogram.snapshot other)))
 
 (* --- Concurrency: hammer one registry from several domains --------------- *)
 

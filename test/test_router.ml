@@ -1,9 +1,10 @@
 (* The router subsystem: consistent-hash ring placement (balance,
    restart determinism, minimal remap on membership edits), the price
    controller's climb/decay dynamics, config validation, and — against
-   in-process shards — trace parentage plus the tail-tolerance path
-   (hedging, failover, abandoned stragglers).  Supervision and shedding
-   of real daemons are exercised by the bench cluster ladder and the CI
+   in-process shards — trace parentage, the tail-tolerance path
+   (hedging, failover, abandoned stragglers), wide-event and trace
+   reconciliation under forced hedges, and per-shard cache affinity.
+   Supervision and shedding of real daemons are exercised by the CI
    cluster smoke job. *)
 
 module Ring = Rip_router.Ring
@@ -444,11 +445,13 @@ let fault_plan spec =
 
 let cluster_seq = Atomic.make 0
 
-(* Run [f router client] against shards "a" and "b" (a shard listed in
-   [dead] gets no server: its socket path refuses every dial).  The
-   poller's failure detector is pushed out of the way, so routing sees
-   only the request path's own failover and hedging. *)
-let with_tail_cluster ?(faults = fun _ -> None) ?(dead = []) ~config f =
+(* Run [f router client servers] against shards "a" and "b" ([servers]
+   maps each live shard's id to its server; a shard listed in [dead]
+   gets no server: its socket path refuses every dial).  The poller's
+   failure detector is pushed out of the way, so routing sees only the
+   request path's own failover and hedging. *)
+let with_tail_cluster ?(faults = fun _ -> None) ?(tracers = fun _ -> None)
+    ?(dead = []) ~config f =
   let dir = Filename.get_temp_dir_name () in
   let tag =
     Printf.sprintf "rip-tail-%d-%d" (Unix.getpid ())
@@ -468,6 +471,7 @@ let with_tail_cluster ?(faults = fun _ -> None) ?(dead = []) ~config f =
                   jobs = Some 1;
                   shard_id = id;
                   faults = faults id;
+                  tracer = tracers id;
                 }
               Helpers.process
           in
@@ -504,7 +508,8 @@ let with_tail_cluster ?(faults = fun _ -> None) ?(dead = []) ~config f =
       List.iter
         (fun id -> try Sys.remove (sock id) with Sys_error _ -> ())
         ("router" :: tail_ids))
-    (fun () -> f router client)
+    (fun () ->
+      f router client (List.map (fun (id, server, _) -> (id, server)) servers))
 
 (* One SOLVE through the router: the answer must be a RESULT whose body
    is byte-identical to a direct solve.  Returns the round trip's
@@ -536,7 +541,7 @@ let test_tail_fast_primary () =
   let net = tail_net 0 in
   with_tail_cluster
     ~config:{ Router.default_config with hedge_delay_floor = 0.5 }
-    (fun router client ->
+    (fun router client _ ->
       let elapsed = solve_through client net in
       let m = Router.metrics router in
       Alcotest.(check int) "no hedge" 0 (Obs.Counter.value m.hedges);
@@ -555,7 +560,7 @@ let test_tail_slow_primary_hedged () =
       if String.equal id slow then Some (fault_plan "seed=5,delay:p=1:ms=500")
       else None)
     ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
-    (fun router client ->
+    (fun router client _ ->
       let elapsed = solve_through client net in
       let m = Router.metrics router in
       Alcotest.(check int) "one hedge" 1 (Obs.Counter.value m.hedges);
@@ -585,7 +590,7 @@ let test_tail_dead_primary_fails_over () =
   let dead = primary_of net in
   with_tail_cluster ~dead:[ dead ]
     ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
-    (fun router client ->
+    (fun router client _ ->
       ignore (solve_through client net : float);
       let m = Router.metrics router in
       Alcotest.(check int) "a failover is not a hedge" 0
@@ -593,20 +598,29 @@ let test_tail_dead_primary_fails_over () =
       Alcotest.(check int) "dead primary counted as a failover" 1
         (Obs.Counter.value (shard_inst router dead).failovers))
 
-let test_tail_zero_floor () =
+(* The zero-floor case: shard "a" answers after 200 ms, and the hedge
+   delay is zero, so every request for a net "a" owns is hedged onto "b"
+   at once. *)
+let zero_floor_nets () =
   let nets = nets_with_primary "a" 3 in
   Alcotest.(check int) "three nets owned by shard a" 3 (List.length nets);
-  with_tail_cluster
-    ~faults:(fun id ->
-      if String.equal id "a" then Some (fault_plan "seed=9,delay:p=1:ms=200")
-      else None)
-    ~config:
-      {
-        Router.default_config with
-        hedge_delay_floor = 0.0;
-        hedge_delay_factor = 1e-4;
-      }
-    (fun router client ->
+  nets
+
+let slow_a id =
+  if String.equal id "a" then Some (fault_plan "seed=9,delay:p=1:ms=200")
+  else None
+
+let zero_floor_config =
+  {
+    Router.default_config with
+    hedge_delay_floor = 0.0;
+    hedge_delay_factor = 1e-4;
+  }
+
+let test_tail_zero_floor () =
+  let nets = zero_floor_nets () in
+  with_tail_cluster ~faults:slow_a ~config:zero_floor_config
+    (fun router client _ ->
       List.iter
         (fun net ->
           let elapsed = solve_through client net in
@@ -620,6 +634,93 @@ let test_tail_zero_floor () =
         (Obs.Counter.value m.hedges);
       Alcotest.(check int) "every hedge won" 3
         (Obs.Counter.value m.hedge_wins))
+
+(* The zero-floor case again, observed by a router tracer and a keep-all
+   spool.  The spool holds exactly one event per request and marks
+   exactly the requests the router counted as hedged; the merged traces
+   link a shard's spans under a router forward span, in a trace that
+   forwarded to both shards. *)
+let test_tail_spool_reconciles () =
+  let module Trace = Rip_obs.Trace in
+  let module Trace_merge = Rip_obs.Trace_merge in
+  let module Wide_event = Rip_obs.Wide_event in
+  let nets = zero_floor_nets () in
+  let router_tracer = Trace.create ~scope:"router" ~pid:1 () in
+  let shard_tracers =
+    List.mapi
+      (fun i id -> (id, Trace.create ~scope:id ~pid:(i + 2) ()))
+      tail_ids
+  in
+  let spool_path = Filename.temp_file "rip-test-spool" ".jsonl" in
+  let spool = Wide_event.create ~sampler:Wide_event.keep_all spool_path in
+  let hedges_total =
+    with_tail_cluster ~faults:slow_a
+      ~tracers:(fun id -> List.assoc_opt id shard_tracers)
+      ~config:
+        {
+          zero_floor_config with
+          tracer = Some router_tracer;
+          spool = Some spool;
+        }
+      (fun router client _ ->
+        List.iter (fun net -> ignore (solve_through client net : float)) nets;
+        Obs.Counter.value (Router.metrics router).hedges)
+  in
+  Wide_event.close spool;
+  let events = Wide_event.load_file spool_path in
+  Sys.remove spool_path;
+  Alcotest.(check int) "every request hedged" (List.length nets) hedges_total;
+  Alcotest.(check int) "spool hedged events = hedges_total" hedges_total
+    (List.length (List.filter (fun (e : Wide_event.t) -> e.hedged) events));
+  Alcotest.(check int) "spool events = requests sent" (List.length nets)
+    (List.length events);
+  let dump tracer =
+    match Trace_merge.parse (Trace.to_chrome_json tracer) with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  let dumps = List.map dump (router_tracer :: List.map snd shard_tracers) in
+  Alcotest.(check bool) "a linked trace forwards to both shards" true
+    (List.exists
+       (fun (_, spans) ->
+         let targets, linked = Trace_merge.analyse spans in
+         linked && targets >= 2)
+       (Trace_merge.traces dumps))
+
+(* Cache affinity: with hedging off the ring sends every repeat of a net
+   to the shard that solved it first, so each shard misses once per net
+   it owns and hits on every repeat the router sent it. *)
+let test_cache_affinity () =
+  let nets = List.init 8 tail_net in
+  let owned id =
+    List.length (List.filter (fun net -> String.equal (primary_of net) id) nets)
+  in
+  List.iter
+    (fun id ->
+      if owned id = 0 then Alcotest.failf "shard %s owns none of the nets" id)
+    tail_ids;
+  with_tail_cluster ~config:{ Router.default_config with hedge = false }
+    (fun router client servers ->
+      let pass () =
+        List.iter (fun net -> ignore (solve_through client net : float)) nets
+      in
+      let forwarded id =
+        Obs.Counter.value (shard_inst router id).forwarded
+      in
+      pass ();
+      let first = List.map (fun id -> (id, forwarded id)) tail_ids in
+      pass ();
+      List.iter
+        (fun (id, server) ->
+          let stats = Server.stats server in
+          Alcotest.(check int)
+            (id ^ ": misses = distinct nets it owns")
+            (owned id) stats.Protocol.cache_misses;
+          Alcotest.(check int)
+            (id ^ ": hits = repeats the router sent it")
+            (forwarded id - List.assoc id first)
+            stats.Protocol.cache_hits)
+        servers)
 
 (* The pool's four steps on their own: a timed wait honours its bound
    and wakes on the answer, and an abandoned connection is closed, so
@@ -737,6 +838,10 @@ let suite =
         Alcotest.test_case "dead primary fails over" `Quick
           test_tail_dead_primary_fails_over;
         Alcotest.test_case "zero hedge floor" `Quick test_tail_zero_floor;
+        Alcotest.test_case "spool and traces reconcile with hedges" `Quick
+          test_tail_spool_reconciles;
+        Alcotest.test_case "repeats hit the owning shard's cache" `Quick
+          test_cache_affinity;
         Alcotest.test_case "pool send, wait, receive, abandon" `Quick
           test_pool_steps;
       ] );
