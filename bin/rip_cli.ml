@@ -5,15 +5,16 @@
      rip_cli solve a.net b.net c.net --jobs 8
      rip_cli tau-min NET_FILE
 
-   Several net files form one batch executed on the rip_engine domain
-   pool; results print in argument order whatever the completion order. *)
+   Several net files form one batch of (net, geometry, budget) problems
+   solved through Rip_engine.Engine.timed_map; results print in argument
+   order whatever the completion order, and a net that fails prints its
+   error without ending the batch. *)
 
 module Geometry = Rip_net.Geometry
 module Solution = Rip_elmore.Solution
 module Rip = Rip_core.Rip
 module Config = Rip_core.Config
 module Engine = Rip_engine.Engine
-module Job = Rip_engine.Job
 
 let process = Rip_tech.Process.default_180nm
 
@@ -67,9 +68,8 @@ let print_trace (report : Rip.report) =
       printf "rescue pass: width %.1f u\n" r.Rip_dp.Power_dp.total_width
   | None -> ()
 
-(* Only the DP options deviate from the defaults; None keeps Job.make's
-   default config so the engine path stays byte-identical when the flag
-   is absent. *)
+(* Only the DP options deviate from the defaults; None leaves Rip.solve
+   on its default config when the flag is absent. *)
 let config_of_backend = function
   | None -> None
   | Some backend ->
@@ -92,7 +92,7 @@ let solve_command paths budget_ps slack trace jobs dp_backend =
       let nets = List.filter_map Result.to_option loaded in
       (* Budgets are resolved before batching: the per-net tau_min anchor
          is part of stating the problem, not of solving it. *)
-      let jobs_array =
+      let problems =
         Array.of_list
           (List.map
              (fun net ->
@@ -102,33 +102,37 @@ let solve_command paths budget_ps slack trace jobs dp_backend =
                  | Some ps -> ps *. 1e-12
                  | None -> slack *. Rip.tau_min process geometry
                in
-               Job.make ~geometry ?config process net ~budget)
+               (net, geometry, budget))
              nets)
       in
-      let outcomes, telemetry = Engine.run_stats ?jobs jobs_array in
+      (* A stray exception becomes a typed error, so one bad net cannot
+         end the batch. *)
+      let solve (net, geometry, budget) =
+        try
+          Rip.solve ?config
+            { Rip.process; net; geometry = Some geometry; budget }
+        with exn -> Error (Rip.Internal (Printexc.to_string exn))
+      in
+      let outcomes, telemetry = Engine.timed_map ?jobs solve problems in
       let failures = ref 0 in
       Array.iteri
-        (fun i (outcome : Job.outcome) ->
-          let job = jobs_array.(i) in
-          let net = job.Job.net in
+        (fun i (result, _cpu_seconds) ->
+          let net, _, budget = problems.(i) in
           if i > 0 then print_newline ();
           Printf.printf "net %s: %.0f um, %d segments; budget %.2f ps\n"
             net.Rip_net.Net.name
             (Rip_net.Net.total_length net)
             (Rip_net.Net.segment_count net)
-            (job.Job.budget *. 1e12);
-          match outcome.Job.result with
+            (budget *. 1e12);
+          match result with
           | Error e ->
               incr failures;
               Fmt.epr "error: %a@." Rip.pp_error e
-          | Ok (Job.Dp_result _) ->
-              incr failures;
-              Fmt.epr "error: unexpected baseline result@."
-          | Ok (Job.Rip_report report) ->
+          | Ok report ->
               print_solution report;
               if trace then print_trace report)
         outcomes;
-      if Array.length jobs_array > 1 then
+      if Array.length problems > 1 then
         Printf.printf "\nbatch: %s\n"
           (Fmt.str "%a" Rip_engine.Telemetry.pp telemetry);
       if !failures > 0 then 1 else 0

@@ -54,89 +54,43 @@ let per_shard_sink ~shard_id ~default_name path =
     path
   end
 
+let refuse msg =
+  Printf.eprintf "rip_serviced: %s\n" msg;
+  2
+
 let serve socket_path port host shard_id jobs cache_capacity queue_depth
     high_water max_frame_bytes faults_spec trace_out wide_events
     wide_sample_ratio wide_latency_threshold_ms journal_dir =
-  if queue_depth < 1 then begin
-    prerr_endline "rip_serviced: --queue-depth must be at least 1";
-    2
-  end
-  else if high_water < 1 || high_water > queue_depth then begin
-    Printf.eprintf
-      "rip_serviced: --high-water %d must be between 1 and --queue-depth %d\n"
-      high_water queue_depth;
-    2
-  end
-  else if not (Rip_service.Protocol.valid_shard_id shard_id) then begin
-    Printf.eprintf
-      "rip_serviced: --shard-id %S must be a non-empty token over \
-       [A-Za-z0-9._-]\n"
-      shard_id;
-    2
-  end
-  else if cache_capacity < 0 then begin
-    prerr_endline "rip_serviced: --cache-capacity must not be negative";
-    2
-  end
-  else if max_frame_bytes < 1 then begin
-    prerr_endline "rip_serviced: --max-frame-bytes must be positive";
-    2
-  end
-  else begin
-    (* The journal lives in a per-shard subdirectory so several shards
-       can share one --journal-dir without interleaving their logs, and
-       a shard restarted with the same id finds exactly its own
-       segments. *)
-    let journal_dir =
-      Option.map (fun dir -> Filename.concat dir shard_id) journal_dir
-    in
-    let journal_error =
-      match journal_dir with
-      | None -> None
-      | Some dir -> (
-          match Rip_service.Journal.prepare_dir dir with
-          | Ok () -> None
-          | Error e -> Some e)
-    in
-    match (journal_error, resolve_faults faults_spec) with
-    | Some e, _ ->
-        Printf.eprintf "rip_serviced: --journal-dir: %s\n" e;
-        2
-    | None, Error e ->
-        Printf.eprintf "rip_serviced: %s\n" e;
-        2
-    | None, Ok faults ->
-        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-        (* One tracer for the daemon's lifetime; installed globally so
-           engine batch spans land in the same timeline as the service
-           spans.  Scoped by shard id and pid, so span ids and merged
-           timelines stay collision-free across shards.  Dumped once,
-           at shutdown. *)
-        let tracer =
-          Option.map
-            (fun _ ->
-              Trace.create ~scope:shard_id ~pid:(Unix.getpid ()) ())
-            trace_out
+  match resolve_faults faults_spec with
+  | Error e -> refuse e
+  | Ok faults -> (
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+      (* One tracer for the daemon's lifetime, scoped by shard id and pid
+         so span ids and merged timelines stay collision-free across
+         shards.  Dumped once, at shutdown. *)
+      let tracer =
+        Option.map
+          (fun _ -> Trace.create ~scope:shard_id ~pid:(Unix.getpid ()) ())
+          trace_out
+      in
+      let open_spool path =
+        let path =
+          per_shard_sink ~shard_id
+            ~default_name:(Printf.sprintf "wide-%s.jsonl")
+            path
         in
-        if Option.is_some tracer then Trace.set_global tracer;
-        let spool =
-          Option.map
-            (fun path ->
-              let path =
-                per_shard_sink ~shard_id
-                  ~default_name:(Printf.sprintf "wide-%s.jsonl")
-                  path
-              in
-              Wide_event.create
-                ~sampler:
-                  {
-                    Wide_event.latency_threshold =
-                      wide_latency_threshold_ms /. 1000.0;
-                    sample_ratio = wide_sample_ratio;
-                  }
-                path)
-            wide_events
-        in
+        Wide_event.create
+          ~sampler:
+            {
+              Wide_event.latency_threshold =
+                wide_latency_threshold_ms /. 1000.0;
+              sample_ratio = wide_sample_ratio;
+            }
+          path
+      in
+      match Option.map open_spool wide_events with
+      | exception (Invalid_argument msg | Sys_error msg) -> refuse msg
+      | spool -> (
         let config =
           {
             Server.default_config with
@@ -149,74 +103,85 @@ let serve socket_path port host shard_id jobs cache_capacity queue_depth
             faults;
             tracer;
             spool;
-            journal_dir;
+            (* The journal lives in a per-shard subdirectory so several
+               shards can share one --journal-dir without interleaving
+               their logs, and a shard restarted with the same id finds
+               exactly its own segments. *)
+            journal_dir =
+              Option.map (fun dir -> Filename.concat dir shard_id) journal_dir;
           }
         in
-        let server = Server.create ~config process in
-        (match Server.journal_recovery server with
-        | None -> ()
-        | Some r ->
-            Printf.printf
-              "rip_serviced[%s]: journal replayed %d records from %d \
-               segment(s) (%d CRC-rejected, %d torn bytes truncated, %s \
-               shutdown)\n\
-               %!"
-              shard_id (List.length r.Rip_service.Journal.entries)
-              r.Rip_service.Journal.segments
-              r.Rip_service.Journal.crc_rejected
-              r.Rip_service.Journal.torn_bytes
-              (if r.Rip_service.Journal.clean then "clean" else "unclean"));
-        (* Flush the journal right at the signal, not only at the end of
-           the clean-shutdown path: if the supervisor's grace window
-           expires while connection threads are still draining, the
-           SIGKILL then lands on an already-synced log. *)
-        let stop _ =
-          Server.journal_flush server;
-          Server.request_shutdown server
-        in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-        let listen_fd, endpoint =
-          match port with
-          | Some port ->
-              (Frontend.listen_tcp ~host ~port, Printf.sprintf "%s:%d" host port)
-          | None -> (Frontend.listen_unix socket_path, socket_path)
-        in
-        Printf.printf
-          "rip_serviced[%s]: listening on %s (jobs %s, cache %d entries, \
-           queue depth %d, high water %d%s)\n\
-           %!"
-          shard_id endpoint
-          (match jobs with Some j -> string_of_int j | None -> "auto")
-          cache_capacity queue_depth high_water
-          (if Option.is_some faults then ", FAULT INJECTION ON" else "");
-        Server.run server listen_fd;
-        (* Leave no stale socket file behind on a clean shutdown. *)
-        (if port = None && Sys.file_exists socket_path then
-           try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-        (match (tracer, trace_out) with
-        | Some tr, Some path ->
-            let path =
-              per_shard_sink ~shard_id
-                ~default_name:(Printf.sprintf "trace-%s.json")
-                path
+        (* Server.create validates the whole config (queue depth, high
+           water, shard id, frame bound, cache capacity, journal dir). *)
+        match Server.create ~config process with
+        | exception Invalid_argument msg ->
+            Option.iter Wide_event.close spool;
+            refuse msg
+        | server ->
+            (match Server.journal_recovery server with
+            | None -> ()
+            | Some r ->
+                Printf.printf
+                  "rip_serviced[%s]: journal replayed %d records from %d \
+                   segment(s) (%d CRC-rejected, %d torn bytes truncated, %s \
+                   shutdown)\n\
+                   %!"
+                  shard_id (List.length r.Rip_service.Journal.entries)
+                  r.Rip_service.Journal.segments
+                  r.Rip_service.Journal.crc_rejected
+                  r.Rip_service.Journal.torn_bytes
+                  (if r.Rip_service.Journal.clean then "clean" else "unclean"));
+            (* Flush the journal right at the signal, not only at the end of
+               the clean-shutdown path: if the supervisor's grace window
+               expires while connection threads are still draining, the
+               SIGKILL then lands on an already-synced log. *)
+            let stop _ =
+              Server.journal_flush server;
+              Server.request_shutdown server
             in
-            Trace.dump_to_file tr path;
-            Printf.printf "rip_serviced: wrote %d trace spans to %s\n%!"
-              (Trace.span_count tr) path
-        | _ -> ());
-        (match spool with
-        | Some spool ->
+            Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+            Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+            let listen_fd, endpoint =
+              match port with
+              | Some port ->
+                  ( Frontend.listen_tcp ~host ~port,
+                    Printf.sprintf "%s:%d" host port )
+              | None -> (Frontend.listen_unix socket_path, socket_path)
+            in
             Printf.printf
-              "rip_serviced: wide events: %d written, %d sampled out (%s)\n%!"
-              (Wide_event.written spool)
-              (Wide_event.sampled_out spool)
-              (Wide_event.path spool);
-            Wide_event.close spool
-        | None -> ());
-        Printf.printf "rip_serviced: shut down\n%!";
-        0
-  end
+              "rip_serviced[%s]: listening on %s (jobs %s, cache %d entries, \
+               queue depth %d, high water %d%s)\n\
+               %!"
+              shard_id endpoint
+              (match jobs with Some j -> string_of_int j | None -> "auto")
+              cache_capacity queue_depth high_water
+              (if Option.is_some faults then ", FAULT INJECTION ON" else "");
+            Server.run server listen_fd;
+            (* Leave no stale socket file behind on a clean shutdown. *)
+            (if port = None && Sys.file_exists socket_path then
+               try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+            (match (tracer, trace_out) with
+            | Some tr, Some path ->
+                let path =
+                  per_shard_sink ~shard_id
+                    ~default_name:(Printf.sprintf "trace-%s.json")
+                    path
+                in
+                Trace.dump_to_file tr path;
+                Printf.printf "rip_serviced: wrote %d trace spans to %s\n%!"
+                  (Trace.span_count tr) path
+            | _ -> ());
+            (match spool with
+            | Some spool ->
+                Printf.printf
+                  "rip_serviced: wide events: %d written, %d sampled out (%s)\n%!"
+                  (Wide_event.written spool)
+                  (Wide_event.sampled_out spool)
+                  (Wide_event.path spool);
+                Wide_event.close spool
+            | None -> ());
+            Printf.printf "rip_serviced: shut down\n%!";
+            0))
 
 open Cmdliner
 

@@ -2,11 +2,22 @@ module Cpu_clock = Rip_numerics.Cpu_clock
 
 let default_jobs = Pool.default_jobs
 
-(* Run one batch on an existing pool: submit every element as a task that
-   writes its slot, wait on a batch-local condvar until all slots are in,
-   then re-raise the earliest failure if any.  Slots make the reduction
-   order equal to the submission order by construction. *)
-let map_on_pool pool f input =
+(* A runner executes one task: [Inline] at once in the calling thread,
+   [Pooled] on whichever worker domain takes it off the queue. *)
+type runner = Inline | Pooled of Pool.t
+
+let runner_size = function Inline -> 1 | Pooled pool -> Pool.size pool
+
+let submit runner task =
+  match runner with Inline -> task () | Pooled pool -> Pool.submit pool task
+
+(* Run one batch: submit every element as a task that writes its slot, wait
+   on a batch-local condvar until all slots are in, then re-raise the
+   earliest failure if any.  Slots make the reduction order equal to the
+   submission order by construction.  On the inline runner every task has
+   finished by the time [submit] returns, so the count is already 0 when
+   the wait loop starts and the caller never blocks. *)
+let map_on runner f input =
   let n = Array.length input in
   if n = 0 then [||]
   else begin
@@ -17,7 +28,7 @@ let map_on_pool pool f input =
     let finished = Condition.create () in
     Array.iteri
       (fun i x ->
-        Pool.submit pool (fun () ->
+        submit runner (fun () ->
             (match f x with
             | result -> results.(i) <- Some result
             | exception exn ->
@@ -41,38 +52,6 @@ let map_on_pool pool f input =
       (function Some result -> result | None -> assert false)
       results
   end
-
-(* Inline path for one effective worker: same drain-everything semantics
-   as the pool (every element runs, then the earliest failure re-raises),
-   without paying domain startup/teardown for no parallelism. *)
-let map_inline f input =
-  let n = Array.length input in
-  let results = Array.make n None in
-  let failures = Array.make n None in
-  Array.iteri
-    (fun i x ->
-      match f x with
-      | result -> results.(i) <- Some result
-      | exception exn ->
-          failures.(i) <- Some (exn, Printexc.get_raw_backtrace ()))
-    input;
-  Array.iter
-    (function
-      | Some (exn, backtrace) -> Printexc.raise_with_backtrace exn backtrace
-      | None -> ())
-    failures;
-  Array.map
-    (function Some result -> result | None -> assert false)
-    results
-
-type runner = Inline | Pooled of Pool.t
-
-let runner_size = function Inline -> 1 | Pooled pool -> Pool.size pool
-
-let map_on runner f input =
-  match runner with
-  | Inline -> map_inline f input
-  | Pooled pool -> map_on_pool pool f input
 
 (* Per-element times come from the worker's own CPU clock
    (CLOCK_THREAD_CPUTIME_ID), so they stay comparable whatever the pool
@@ -128,11 +107,6 @@ let with_runner jobs f =
   if jobs <= 1 then f Inline
   else Pool.with_pool ~jobs (fun pool -> f (Pooled pool))
 
-let map ?jobs f input =
-  with_runner
-    (resolve_jobs ~cap:(Array.length input) jobs)
-    (fun runner -> map_on runner f input)
-
 let timed_map ?jobs f input =
   with_runner
     (resolve_jobs ~cap:(Array.length input) jobs)
@@ -142,7 +116,7 @@ let timed_map ?jobs f input =
 
 (* A handle keeps one runner alive across many batches: a service that
    solves requests as they arrive must not pay domain spawn/join per
-   request the way the one-shot entry points above do per batch. *)
+   request the way [timed_map] and [map_suite] do per batch. *)
 type handle = { runner : runner; mutable closed : bool }
 
 let create_handle ?jobs () =
@@ -150,19 +124,9 @@ let create_handle ?jobs () =
   let runner = if jobs <= 1 then Inline else Pooled (Pool.create ~jobs ()) in
   { runner; closed = false }
 
-let handle_jobs handle = runner_size handle.runner
-
-let check_open handle =
-  if handle.closed then
-    invalid_arg "Rip_engine.Engine: handle is shut down"
-
 let map_on_handle handle f input =
-  check_open handle;
+  if handle.closed then invalid_arg "Rip_engine.Engine: handle is shut down";
   map_on handle.runner f input
-
-let timed_map_on_handle handle f input =
-  check_open handle;
-  timed_map_on handle.runner f input
 
 let shutdown_handle handle =
   if not handle.closed then begin
@@ -171,19 +135,6 @@ let shutdown_handle handle =
     | Inline -> ()
     | Pooled pool -> Pool.shutdown pool
   end
-
-let with_handle ?jobs f =
-  let handle = create_handle ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown_handle handle) (fun () -> f handle)
-
-let run_stats ?jobs batch =
-  let timed, telemetry = timed_map ?jobs Job.execute batch in
-  ( Array.map
-      (fun (result, cpu_seconds) -> { Job.result; cpu_seconds })
-      timed,
-    telemetry )
-
-let run ?jobs batch = fst (run_stats ?jobs batch)
 
 let map_suite ?jobs ~prepare ~targets ~cell inputs =
   (* No cap here: the cell phase usually holds far more tasks than there

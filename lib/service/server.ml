@@ -118,6 +118,9 @@ let create ?(config = default_config) process =
          config.shard_id);
   if config.max_frame_bytes < 1 then
     invalid_arg "Server.create: max_frame_bytes must be positive";
+  (* The cache checks its capacity; build it before the journal opens so
+     a rejected config leaves no open segment behind. *)
+  let cache = Solve_cache.create ~capacity:config.cache_capacity in
   let faults =
     match config.faults with Some f -> f | None -> Faults.disabled ()
   in
@@ -129,7 +132,6 @@ let create ?(config = default_config) process =
         | Ok (journal, recovery) -> (Some journal, Some recovery)
         | Error message -> invalid_arg ("Server.create: " ^ message))
   in
-  let cache = Solve_cache.create ~capacity:config.cache_capacity in
   (match journal with
   | Some journal ->
       (* Eviction feedback first, so even replay-time evictions (a

@@ -92,10 +92,10 @@ val create : ?config:config -> Rip_tech.Process.t -> t
     @raise Invalid_argument on a non-positive [queue_depth] or
     [max_frame_bytes], an invalid [shard_id], [high_water] outside
     [1, queue_depth] — the message names the offending values
-    (e.g. ["high_water 80 must not exceed queue_depth 64"]) — or a
-    journal directory that cannot be created or written (callers
-    wanting a typed error should probe with {!Journal.prepare_dir}
-    first). *)
+    (e.g. ["high_water 80 must not exceed queue_depth 64"]) — a negative
+    [cache_capacity], or a journal directory that cannot be created or
+    written.  This is the one check of a config: [rip_serviced] reports
+    the message and exits 2. *)
 
 val stats : t -> Protocol.stats
 (** The STATS payload a client would receive now. *)

@@ -1,13 +1,15 @@
-(* Tests for Rip_engine: the domain pool, the generic parallel maps, and
-   the determinism contract of typed solve batches. *)
+(* Tests for Rip_engine: the domain pool, the one-shot and handle maps,
+   and the determinism contract of solve batches. *)
 
 module Geometry = Rip_net.Geometry
+module Solution = Rip_elmore.Solution
+module Candidates = Rip_dp.Candidates
+module Power_dp = Rip_dp.Power_dp
 module Repeater_library = Rip_dp.Repeater_library
 module Validate = Rip_core.Validate
 module Rip = Rip_core.Rip
 module Pool = Rip_engine.Pool
 module Telemetry = Rip_engine.Telemetry
-module Job = Rip_engine.Job
 module Engine = Rip_engine.Engine
 module Suite = Rip_workload.Suite
 
@@ -52,23 +54,26 @@ let test_pool_size_floor () =
   Pool.with_pool ~jobs:0 (fun pool ->
       Alcotest.(check int) "floored at one worker" 1 (Pool.size pool))
 
-(* --- Engine.map ----------------------------------------------------------- *)
+(* --- One-shot maps ------------------------------------------------------- *)
+
+let values results = Array.map fst results
 
 let test_map_preserves_order () =
   let input = Array.init 257 (fun i -> i) in
-  let doubled = Engine.map ~jobs:4 (fun i -> 2 * i) input in
+  let doubled, _ = Engine.timed_map ~jobs:4 (fun i -> 2 * i) input in
   Alcotest.(check (array int)) "order preserved"
     (Array.map (fun i -> 2 * i) input)
-    doubled
+    (values doubled)
 
 let test_map_empty () =
-  Alcotest.(check (array int)) "empty batch" [||]
-    (Engine.map ~jobs:4 (fun i -> i) [||])
+  let results, telemetry = Engine.timed_map ~jobs:4 (fun i -> i) [||] in
+  Alcotest.(check (array int)) "empty batch" [||] (values results);
+  Alcotest.(check int) "no tasks" 0 telemetry.Telemetry.tasks
 
 let test_map_propagates_first_failure () =
   let input = Array.init 16 (fun i -> i) in
   match
-    Engine.map ~jobs:4
+    Engine.timed_map ~jobs:4
       (fun i -> if i >= 3 then failwith (string_of_int i) else i)
       input
   with
@@ -81,7 +86,7 @@ let test_timed_map_telemetry () =
   let input = Array.init 20 (fun i -> i) in
   let results, telemetry = Engine.timed_map ~jobs:3 (fun i -> i + 1) input in
   Alcotest.(check (array int)) "values" (Array.map (fun i -> i + 1) input)
-    (Array.map fst results);
+    (values results);
   Array.iter
     (fun (_, seconds) ->
       Alcotest.(check bool) "per-element time non-negative" true (seconds >= 0.0))
@@ -114,7 +119,7 @@ let test_single_job_runs_inline () =
   Alcotest.(check bool) "ran in the calling domain" true
     (!ran_on = Some caller);
   match
-    Engine.map ~jobs:1
+    Engine.timed_map ~jobs:1
       (fun i -> if i >= 3 then failwith (string_of_int i) else i)
       (Array.init 16 (fun i -> i))
   with
@@ -139,63 +144,127 @@ let test_map_suite_groups_in_order () =
 
 (* --- Long-lived handles ---------------------------------------------------- *)
 
+(* Every handle test runs on the inline runner (jobs 1, what a shard
+   started with --shard-jobs 1 solves on) and on a real pool. *)
+let with_handle ~jobs f =
+  let handle = Engine.create_handle ~jobs () in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown_handle handle)
+    (fun () -> f handle)
+
 let test_handle_reuse_across_batches () =
-  Engine.with_handle ~jobs:3 (fun handle ->
-      Alcotest.(check int) "jobs resolved" 3 (Engine.handle_jobs handle);
-      (* Several batches on the same workers, no respawn between them. *)
-      for round = 1 to 3 do
-        let input = Array.init 41 (fun i -> (round * 100) + i) in
-        Alcotest.(check (array int))
-          (Printf.sprintf "round %d order preserved" round)
-          (Array.map (fun i -> i + 1) input)
-          (Engine.map_on_handle handle (fun i -> i + 1) input)
-      done;
-      let _, telemetry =
-        Engine.timed_map_on_handle handle (fun i -> i) (Array.init 7 Fun.id)
-      in
-      Alcotest.(check int) "telemetry reports the handle's workers" 3
-        telemetry.Telemetry.workers)
+  List.iter
+    (fun jobs ->
+      with_handle ~jobs (fun handle ->
+          (* Several batches on the same runner, no respawn between them. *)
+          for round = 1 to 3 do
+            let input = Array.init 41 (fun i -> (round * 100) + i) in
+            Alcotest.(check (array int))
+              (Printf.sprintf "jobs %d round %d order preserved" jobs round)
+              (Array.map (fun i -> i + 1) input)
+              (Engine.map_on_handle handle (fun i -> i + 1) input)
+          done;
+          let caller = Domain.self () in
+          let on_caller =
+            Engine.map_on_handle handle
+              (fun _ -> Domain.self () = caller)
+              (Array.init 7 Fun.id)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d runs inline iff one worker" jobs)
+            true
+            (Array.for_all (fun inline -> inline = (jobs = 1)) on_caller)))
+    [ 1; 3 ]
 
 let test_handle_concurrent_batches () =
   (* The serviced worker-pool contract: connection threads share one
      handle and submit batches concurrently. *)
-  Engine.with_handle ~jobs:2 (fun handle ->
-      let results = Array.make 4 [||] in
-      let threads =
-        Array.init 4 (fun t ->
-            Thread.create
-              (fun () ->
-                results.(t) <-
-                  Engine.map_on_handle handle
-                    (fun i -> (t * 1000) + (2 * i))
-                    (Array.init 50 Fun.id))
-              ())
-      in
-      Array.iter Thread.join threads;
-      Array.iteri
-        (fun t got ->
+  List.iter
+    (fun jobs ->
+      with_handle ~jobs (fun handle ->
+          let results = Array.make 4 [||] in
+          let threads =
+            Array.init 4 (fun t ->
+                Thread.create
+                  (fun () ->
+                    results.(t) <-
+                      Engine.map_on_handle handle
+                        (fun i -> (t * 1000) + (2 * i))
+                        (Array.init 50 Fun.id))
+                  ())
+          in
+          Array.iter Thread.join threads;
+          Array.iteri
+            (fun t got ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "jobs %d thread %d batch intact" jobs t)
+                (Array.init 50 (fun i -> (t * 1000) + (2 * i)))
+                got)
+            results))
+    [ 1; 2 ]
+
+let test_handle_reraises_first_failure () =
+  List.iter
+    (fun jobs ->
+      with_handle ~jobs (fun handle ->
+          let ran = Atomic.make 0 in
+          (match
+             Engine.map_on_handle handle
+               (fun i ->
+                 Atomic.incr ran;
+                 if i >= 3 then failwith (string_of_int i) else i)
+               (Array.init 16 Fun.id)
+           with
+          | _ -> Alcotest.fail "expected the exception to re-raise"
+          | exception Failure msg ->
+              Alcotest.(check string)
+                (Printf.sprintf "jobs %d first failing element" jobs)
+                "3" msg);
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d batch drained" jobs)
+            16 (Atomic.get ran);
+          (* A failed batch leaves the handle usable. *)
           Alcotest.(check (array int))
-            (Printf.sprintf "thread %d batch intact" t)
-            (Array.init 50 (fun i -> (t * 1000) + (2 * i)))
-            got)
-        results)
+            (Printf.sprintf "jobs %d next batch" jobs)
+            [| 1; 2; 3 |]
+            (Engine.map_on_handle handle succ [| 0; 1; 2 |])))
+    [ 1; 2 ]
 
 let test_handle_shutdown_semantics () =
-  let handle = Engine.create_handle ~jobs:2 () in
-  Engine.shutdown_handle handle;
-  Engine.shutdown_handle handle;
-  (* idempotent *)
-  match Engine.map_on_handle handle Fun.id [| 1 |] with
-  | _ -> Alcotest.fail "map on a shut-down handle should raise"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun jobs ->
+      let handle = Engine.create_handle ~jobs () in
+      Engine.shutdown_handle handle;
+      Engine.shutdown_handle handle;
+      (* idempotent *)
+      match Engine.map_on_handle handle Fun.id [| 1 |] with
+      | _ ->
+          Alcotest.failf "jobs %d: map on a shut-down handle should raise"
+            jobs
+      | exception Invalid_argument _ -> ())
+    [ 1; 2 ]
 
 (* --- Determinism of solve batches ----------------------------------------- *)
 
-let quick_suite_jobs () =
-  (* 6 nets x 3 budgets, RIP plus a coarse-library baseline on a subset —
-     a miniature of the paper's sweep. *)
+(* What a cell's answer is judged on: the inserted repeaters, total width
+   and delay, or the error.  Runtime and trace fields are never
+   deterministic and are left out. *)
+type answer = (Solution.t * float * float, string) result
+
+let answer_equal (a : answer) (b : answer) =
+  match (a, b) with
+  | Ok (s, w, d), Ok (s', w', d') -> Solution.equal s s' && w = w' && d = d'
+  | Error a, Error b -> String.equal a b
+  | (Ok _ | Error _), _ -> false
+
+let quick_suite_cells () =
+  (* 6 nets x 3 budgets, RIP plus a coarse fixed-library DP on uniform
+     sites — a miniature of the paper's sweep. *)
+  let library =
+    Repeater_library.range ~min_width:40.0 ~max_width:400.0 ~step:90.0
+  in
   let nets = Suite.nets ~count:6 () in
-  let jobs =
+  let cells =
     List.concat_map
       (fun net ->
         let geometry = Geometry.of_net net in
@@ -203,57 +272,57 @@ let quick_suite_jobs () =
         List.concat_map
           (fun slack ->
             let budget = slack *. tau_min in
-            let rip = Job.make ~geometry process net ~budget in
-            let dp =
-              Job.make ~geometry process net ~budget
-                ~algo:
-                  (Job.Baseline_dp
-                     {
-                       library =
-                         Repeater_library.range ~min_width:40.0
-                           ~max_width:400.0 ~step:90.0;
-                       pitch = 400.0;
-                     })
+            let rip () : answer =
+              match
+                Rip.solve
+                  { Rip.process; net; geometry = Some geometry; budget }
+              with
+              | Ok r -> Ok (r.Rip.solution, r.Rip.total_width, r.Rip.delay)
+              | Error e -> Error (Rip.error_to_string e)
+            in
+            let dp () : answer =
+              match
+                Power_dp.run
+                  (Power_dp.request geometry process.Rip_tech.Process.repeater
+                     ~library
+                     ~candidates:(Candidates.uniform net ~pitch:400.0)
+                     ~budget)
+              with
+              | Some r ->
+                  Ok
+                    ( r.Power_dp.solution,
+                      r.Power_dp.total_width,
+                      r.Power_dp.delay )
+              | None -> Error "infeasible"
             in
             [ rip; dp ])
           [ 1.05; 1.3; 1.8 ])
       nets
   in
-  Array.of_list jobs
+  Array.of_list cells
 
-let test_run_deterministic_across_pool_sizes () =
-  let jobs = quick_suite_jobs () in
-  let sequential = Engine.run ~jobs:1 jobs in
-  let parallel = Engine.run ~jobs:8 jobs in
+let test_solve_batch_deterministic_across_pool_sizes () =
+  let cells = quick_suite_cells () in
+  let run jobs = Engine.timed_map ~jobs (fun cell -> cell ()) cells in
+  let sequential, _ = run 1 in
+  let parallel, telemetry = run 8 in
+  Alcotest.(check int) "telemetry counts the batch" (Array.length cells)
+    telemetry.Telemetry.tasks;
   Alcotest.(check int) "same length" (Array.length sequential)
     (Array.length parallel);
   Array.iteri
-    (fun i a ->
+    (fun i (a, _) ->
       Alcotest.(check bool)
         (Printf.sprintf "outcome %d identical" i)
         true
-        (Job.outcome_equal a parallel.(i)))
-    sequential
-
-let test_run_stats_counts_jobs () =
-  let jobs = quick_suite_jobs () in
-  let outcomes, telemetry = Engine.run_stats ~jobs:2 jobs in
-  Alcotest.(check int) "one outcome per job" (Array.length jobs)
-    (Array.length outcomes);
-  Alcotest.(check int) "telemetry counts the batch" (Array.length jobs)
-    telemetry.Telemetry.tasks;
-  Array.iter
-    (fun o ->
-      Alcotest.(check bool) "cpu time measured" true (o.Job.cpu_seconds >= 0.0))
-    outcomes
-
-let test_job_execute_never_raises () =
-  (* An unsolvable budget comes back as a typed error, not an exception. *)
-  let net = List.hd (Suite.nets ~count:1 ()) in
-  match Job.execute (Job.make process net ~budget:1e-15) with
-  | Error (Rip.Infeasible_budget _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Rip.error_to_string e)
-  | Ok _ -> Alcotest.fail "expected infeasible"
+        (answer_equal a (fst parallel.(i))))
+    sequential;
+  (* Odd indices are the DP cells; at least one must have an answer to
+     compare. *)
+  Alcotest.(check bool) "some DP cell is feasible" true
+    (Array.to_list sequential
+    |> List.filteri (fun i _ -> i mod 2 = 1)
+    |> List.exists (fun (a, _) -> Result.is_ok a))
 
 (* --- Typed error round-trips ---------------------------------------------- *)
 
@@ -319,14 +388,12 @@ let suite =
           test_handle_reuse_across_batches;
         Alcotest.test_case "handle shared by threads" `Quick
           test_handle_concurrent_batches;
+        Alcotest.test_case "handle re-raises first failure" `Quick
+          test_handle_reraises_first_failure;
         Alcotest.test_case "handle shutdown semantics" `Quick
           test_handle_shutdown_semantics;
-        Alcotest.test_case "run jobs:1 = run jobs:8" `Slow
-          test_run_deterministic_across_pool_sizes;
-        Alcotest.test_case "run_stats counts the batch" `Slow
-          test_run_stats_counts_jobs;
-        Alcotest.test_case "execute never raises" `Quick
-          test_job_execute_never_raises;
+        Alcotest.test_case "solve batch jobs:1 = jobs:8" `Slow
+          test_solve_batch_deterministic_across_pool_sizes;
         qcheck prop_error_to_string_matches_pp;
       ] );
   ]

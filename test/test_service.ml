@@ -783,6 +783,35 @@ let test_loadgen_verify_server () =
   Alcotest.(check int) "cached repeats" 4 r.Loadgen.solved_cached;
   Alcotest.(check int) "no contradicting answer" 0 r.Loadgen.verify_mismatches
 
+(* Server.create is the only check of a config ([rip_serviced] relies on
+   it): every bad value is refused with Invalid_argument before a worker
+   is spawned or a journal opened. *)
+let test_server_rejects_bad_config () =
+  let file = Filename.temp_file "rip_service_config" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let d = Server.default_config in
+      List.iter
+        (fun (what, config) ->
+          match Server.create ~config process with
+          | server ->
+              Server.shutdown server;
+              Alcotest.failf "%s: accepted" what
+          | exception Invalid_argument _ -> ())
+        [
+          ("queue_depth 0", { d with queue_depth = 0; high_water = 1 });
+          ("high_water 0", { d with high_water = 0 });
+          ( "high_water over queue_depth",
+            { d with queue_depth = 4; high_water = 5 } );
+          ("empty shard_id", { d with shard_id = "" });
+          ("shard_id with a space", { d with shard_id = "s 1" });
+          ("max_frame_bytes 0", { d with max_frame_bytes = 0 });
+          ("negative cache_capacity", { d with cache_capacity = -1 });
+          ( "journal_dir through a file",
+            { d with journal_dir = Some (Filename.concat file "sub") } );
+        ])
+
 let suite =
   [
     ( "service.protocol",
@@ -823,6 +852,8 @@ let suite =
           `Quick test_server_garbage_trace_header;
         Alcotest.test_case "rejects garbage" `Quick
           test_server_rejects_garbage;
+        Alcotest.test_case "create rejects a bad config" `Quick
+          test_server_rejects_bad_config;
       ] );
     ( "service.loadgen",
       [
