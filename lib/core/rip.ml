@@ -67,6 +67,22 @@ let refined_space (config : Config.t) net (outcome : Refine.outcome) =
   in
   (library, candidates)
 
+(* The subsets the DP passes solve first (see [solve_prepared]).  A coarse
+   or fallback pass halves its candidates down to [halving_floor]; a final
+   or rescue pass keeps the [core_slots] slots either side of each window
+   center, filtered out of the full list so it is a true subset even
+   where [Candidates] merged two windows. *)
+let halving_floor = 8
+let core_slots = 2
+
+let every_other candidates = List.filteri (fun i _ -> i mod 2 = 1) candidates
+
+let window_core ~centers ~pitch candidates =
+  let reach = (float_of_int core_slots +. 0.5) *. pitch in
+  List.filter
+    (fun x -> List.exists (fun c -> Float.abs (x -. c) < reach) centers)
+    candidates
+
 let make_report process geometry ~runtime_seconds ~trace
     (dp : Power_dp.result) =
   let repeater = process.Process.repeater in
@@ -135,10 +151,44 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
      pass grew.  Arenas are single-owner; a solve is single-threaded, so
      this is safe. *)
   let arena = Fast_dp.Arena.create () in
-  let run_dp geometry repeater ~library ~candidates ~budget =
+  let run_dp ?width_bound ~library candidates =
     Power_dp.run
-      (Power_dp.request ~backend ?frontier_cap ~arena ~hooks:dp_hooks geometry
-         repeater ~library ~candidates ~budget)
+      (Power_dp.request ~backend ?frontier_cap ?width_bound ~arena
+         ~hooks:dp_hooks geometry repeater ~library ~candidates ~budget)
+  in
+  (* Every DP pass solves a subset of its candidates first.  The subset's
+     answer is a legal insertion over the full set too, so its width
+     bounds the full optimum, and the full pass under that bound drops
+     every label that cannot finish within it: same answer, far fewer
+     labels (DESIGN.md 3.2a).  [Reference] ignores bounds, so it skips
+     the subset passes. *)
+  let bounded = backend = Power_dp.Fast in
+  let subset_first ~library ~solve_subset candidates =
+    let full width_bound = run_dp ?width_bound ~library candidates in
+    match if bounded then solve_subset () else None with
+    | None -> full None
+    | Some sub -> (
+        match full (Some (Power_dp.width_units sub)) with
+        | Some _ as answer -> answer
+        (* Only a binding frontier cap can push the full pass's answer
+           above a subset's; rerun it as it would run alone. *)
+        | None -> full None)
+  in
+  let rec halving ~library candidates =
+    if List.compare_length_with candidates halving_floor < 0 then
+      run_dp ~library candidates
+    else
+      subset_first ~library candidates ~solve_subset:(fun () ->
+          halving ~library (every_other candidates))
+  in
+  let windowed ~library ~centers candidates =
+    let core =
+      window_core ~centers ~pitch:config.Config.refined_pitch candidates
+    in
+    if List.compare_lengths core candidates = 0 then run_dp ~library candidates
+    else
+      subset_first ~library candidates ~solve_subset:(fun () ->
+          run_dp ~library core)
   in
   let coarse_candidates =
     Candidates.uniform net ~pitch:config.Config.coarse_pitch
@@ -149,15 +199,11 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
      the fine-pitch final DP can still land under the budget. *)
   let coarse, used_fallback_library =
     in_phase "coarse_dp" @@ fun () ->
-    match
-      run_dp geometry repeater ~library:config.Config.coarse_library
-        ~candidates:coarse_candidates ~budget
-    with
+    match halving ~library:config.Config.coarse_library coarse_candidates with
     | Some r -> (Some r, false)
     | None -> (
         match
-          run_dp geometry repeater ~library:config.Config.fallback_library
-            ~candidates:coarse_candidates ~budget
+          halving ~library:config.Config.fallback_library coarse_candidates
         with
         | Some r -> (Some r, true)
         | None ->
@@ -207,7 +253,9 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
                     }
               | Some library ->
                   in_phase "final_dp" (fun () ->
-                      run_dp geometry repeater ~library ~candidates ~budget)
+                      windowed ~library
+                        ~centers:(Solution.positions outcome.Refine.solution)
+                        candidates)
             in
             (Some outcome, library, candidates, final)
       in
@@ -252,12 +300,11 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
               ~min_width:config.Config.min_width
               ~max_width:config.Config.max_width geometry repeater
           in
+          let centers =
+            Solution.positions fastest.Rip_refine.Min_delay_analytic.solution
+          in
           let candidates =
-            Candidates.around net
-              ~centers:
-                (Solution.positions
-                   fastest.Rip_refine.Min_delay_analytic.solution)
-              ~radius:config.Config.refined_radius
+            Candidates.around net ~centers ~radius:config.Config.refined_radius
               ~pitch:config.Config.refined_pitch
           in
           (* Same trick as line 3: a tiny library synthesised from the
@@ -275,7 +322,7 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
                   ~min_width:config.Config.min_width
                   ~max_width:config.Config.max_width widths
           in
-          run_dp geometry repeater ~library ~candidates ~budget
+          windowed ~library ~centers candidates
       in
       let trace =
         { coarse = Some coarse_result; used_fallback_library; refined;

@@ -15,7 +15,12 @@
     the configured fallback library before giving up; when the final DP is
     infeasible despite the refined space (rare rounding corner), the best
     earlier feasible solution is returned.  Every returned solution is
-    legal and meets the budget. *)
+    legal and meets the budget.
+
+    Under the [Fast] DP backend every DP pass first solves a subset of
+    its candidates and bounds the full pass by that answer's width; the
+    answers and every phase of the trace are those of the unbounded
+    passes [Reference] runs (DESIGN.md 3.2a). *)
 
 type phase_trace = {
   coarse : Rip_dp.Power_dp.result option;

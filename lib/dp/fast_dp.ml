@@ -16,6 +16,14 @@
      in from the min-delay end and stops at the first rejection, so
      pruned labels are never even touched.
 
+   - Given a width bound (any known answer's total width), the same
+     backward pass also computes [minW], the least width a completion
+     from each state must still add.  A label with [width + minW] over
+     the bound cannot lead to an answer within it, so the forward pass
+     drops it too.  Source frontiers are width-ascending and the walk
+     starts at their widest label, so the over-bound labels are the
+     first ones walked and are skipped before any bucket work.
+
    - Labels live in one preallocated struct-of-arrays arena (flat
      [float array]/[int array] columns) instead of per-label records and
      list cells; per-state bucket winners accumulate in a stamped
@@ -28,8 +36,10 @@
    backend, and the [minF] predicate only removes labels whose whole
    descendant tree provably never reaches the receiver frontier — so the
    receiver frontier, and with it the returned placements, are
-   bit-identical to the reference backend's (see DESIGN.md for the
-   argument, and its one caveat about a binding [frontier_cap]). *)
+   bit-identical to the reference backend's.  A width bound at or above
+   the optimum keeps every frontier a width-prefix of the unbounded one,
+   so the answer is unchanged there too (see DESIGN.md for both
+   arguments, and their one caveat about a binding [frontier_cap]). *)
 
 module Arena = struct
   (* One growable struct-of-arrays label store plus the bucket table of
@@ -58,6 +68,9 @@ module Arena = struct
     mutable start : int array;
     mutable len : int array;
     mutable minf : float array;
+    (* least quantised width any receiver-reaching completion from the
+       state must still add; [max_int] when none can *)
+    mutable minw : int array;
     (* least frontier delay per site (over all width states); infinity
        while the site has no labels.  A one-compare skip for sources
        that cannot contribute to the current column. *)
@@ -69,7 +82,7 @@ module Arena = struct
       delay = [||]; wu = [||]; pred = [||]; owner = [||]; used = 0;
       h_key = [||]; h_delay = [||]; h_pred = [||]; h_stamp = [||];
       h_live = 0; stamp = 0; keys = [||];
-      start = [||]; len = [||]; minf = [||]; dsite = [||];
+      start = [||]; len = [||]; minf = [||]; minw = [||]; dsite = [||];
     }
 
   let capacity t = Array.length t.delay
@@ -101,11 +114,13 @@ module Arena = struct
     if states > Array.length t.start then begin
       t.start <- Array.make states 0;
       t.len <- Array.make states 0;
-      t.minf <- Array.make states infinity
+      t.minf <- Array.make states infinity;
+      t.minw <- Array.make states max_int
     end
     else begin
       Array.fill t.len 0 states 0;
-      Array.fill t.minf 0 states infinity
+      Array.fill t.minf 0 states infinity;
+      Array.fill t.minw 0 states max_int
     end;
     if sites > Array.length t.dsite then t.dsite <- Array.make sites infinity
     else Array.fill t.dsite 0 sites infinity
@@ -194,8 +209,8 @@ let[@lint.hot] sort_keys keys n =
     gap := !gap / 3
   done
 
-let[@lint.hot] solve ?frontier_cap ?(cancel = ignore) ?on_column ?arena chain
-    ~library ~budget =
+let[@lint.hot] solve ?frontier_cap ?width_bound ?(cancel = ignore) ?on_column
+    ?arena chain ~library ~budget =
   (match frontier_cap with
   | Some cap when cap < 2 ->
       invalid_arg "Fast_dp.solve: frontier_cap must be at least 2"
@@ -244,23 +259,37 @@ let[@lint.hot] solve ?frontier_cap ?(cancel = ignore) ?on_column ?arena chain
   let n_states = n_sites * stride in
   Arena.reset arena ~states:n_states ~sites:n_sites;
   let minf = arena.Arena.minf in
+  let minw = arena.Arena.minw in
   let dsite = arena.Arena.dsite in
+  let bound = match width_bound with Some b -> b | None -> max_int in
   (* Relative slack absorbing the fold-order rounding gap between the
      backward (right-folded) and forward (left-folded) delay sums: the
      true gap is ~n*eps relative, so 1e-9 is astronomically conservative
      — and a too-large fuzz only weakens pruning, never correctness. *)
   let budget_fuzz = budget +. (1e-9 *. Float.abs budget) in
   (* --- Backward pass: minF(state) = least stage-delay sum to the
-     receiver over the transitions the forward DP can take. ------------ *)
+     receiver over the transitions the forward DP can take, and minW(state)
+     = least width a completion must still add, over the transitions with
+     [stage + minF(target) <= budget_fuzz] (no label can take any other:
+     label delays are non-negative). ------------------------------------ *)
   minf.((last * stride) + 0) <- 0.0;
+  minw.((last * stride) + 0) <- 0;
   for t = last downto 1 do
     let t_widths = widths_at t in
+    let t_interior = Chain.is_interior chain t in
     let rt = cum_r.(t) and ct = cum_c.(t) and pt = cum_p.(t) in
     for wj = 0 to Array.length t_widths - 1 do
       let mf_t = minf.((t * stride) + wj) in
-      (* A state that cannot reach the receiver contributes no finite
-         suffix; skipping it is exactly right, not an approximation. *)
-      if mf_t < infinity then begin
+      (* A state that cannot reach the receiver within the budget feeds
+         only relaxations the forward pass rejects (stages are positive),
+         so skipping it is exactly right, not an approximation.  Every
+         state that passes has a finite minW: its minF transition is one
+         the forward pass can take. *)
+      if mf_t <= budget_fuzz then begin
+        let mw_t =
+          minw.((t * stride) + wj)
+          + if t_interior then width_units t_widths.(wj) else 0
+        in
         let gate_c = co *. t_widths.(wj) in
         (* Predecessor window: scan right to left, stop once even the
            thickest driver's stage plus the suffix below this target
@@ -291,7 +320,9 @@ let[@lint.hot] solve ?frontier_cap ?(cancel = ignore) ?on_column ?arena chain
               in
               let idx = (ss * stride) + wi in
               if v < Array.unsafe_get minf idx then
-                Array.unsafe_set minf idx v
+                Array.unsafe_set minf idx v;
+              if v <= budget_fuzz && mw_t < Array.unsafe_get minw idx then
+                Array.unsafe_set minw idx mw_t
             done
           end;
           decr s
@@ -326,6 +357,13 @@ let[@lint.hot] solve ?frontier_cap ?(cancel = ignore) ?on_column ?arena chain
       let to_width = site_widths.(wj) in
       let added = if interior then width_units to_width else 0 in
       let mf_here = minf.((site * stride) + wj) in
+      (* Width cap: a label here that is wider than [wcap] needs more
+         than the bound to reach the receiver; negative when even the
+         narrowest completion does.  A state with no completion at all
+         ([max_int]) has minF over the budget, so the window break below
+         skips it whatever its cap. *)
+      let mw_here = minw.((site * stride) + wj) in
+      let wcap = if mw_here > bound then -1 else bound - mw_here in
       let gate_c = co *. to_width in
       (* Label columns are only replaced by [ensure_labels], which runs
          at column freeze — never during this column's source scan — so
@@ -337,7 +375,7 @@ let[@lint.hot] solve ?frontier_cap ?(cancel = ignore) ?on_column ?arena chain
       Arena.begin_column arena;
       let stamp = arena.Arena.stamp in
       let src = ref (site - 1) in
-      let scanning = ref true in
+      let scanning = ref (wcap >= 0) in
       (* Source window with the same minF-tightened break as the backward
          pass: every label admitted here must satisfy
          [delay + stage + mf_here <= budget_fuzz] with delay >= 0 and
@@ -387,6 +425,14 @@ let[@lint.hot] solve ?frontier_cap ?(cancel = ignore) ?on_column ?arena chain
                  the table capacity. *)
               let fstart = Array.unsafe_get starts idx in
               let j = ref (fstart + flen - 1) in
+              (* The width cap drops whole buckets (one width, one
+                 state), so the bucket contents and tie order of every
+                 width it keeps are untouched. *)
+              while
+                !j >= fstart && Array.unsafe_get lab_w !j + added > wcap
+              do
+                decr j
+              done;
               let walking = ref true in
               while !walking && !j >= fstart do
                 let d = Array.unsafe_get lab_d !j +. stage in

@@ -18,9 +18,12 @@
     (first admission wins equal delays) is preserved.  A per-site least
     frontier delay ([dsite]) additionally skips whole source states
     whose best label cannot reach the budget through the widest
-    repeater.  Returned placements are bit-identical to the reference
-    backend's whenever no [frontier_cap] binds (DESIGN.md, "Pluggable DP
-    backends").
+    repeater.  An optional width bound adds a second backward table,
+    [minW] (the least width a completion from each state must still add),
+    and drops every label whose width plus [minW] exceeds the bound.
+    Returned placements are bit-identical to the reference backend's
+    whenever no [frontier_cap] binds and any width bound is at least the
+    optimum (DESIGN.md, "Pluggable DP backends").
 
     This module is deliberately free of {!Power_dp} types so the two
     backends sit side by side; callers go through {!Power_dp.run}, which
@@ -30,7 +33,7 @@ module Arena : sig
   type t
   (** A reusable label store: struct-of-arrays columns for the labels of
       one solve, the stamped width-bucket hash table, and the per-state
-      index/minF tables.  Not thread-safe — an arena belongs to one
+      index/minF/minW tables.  Not thread-safe — an arena belongs to one
       solve at a time; reusing it across sequential solves reaches zero
       steady-state allocation once the high-water mark is hit. *)
 
@@ -48,8 +51,13 @@ type stats = {
   labels : int;  (** labels surviving pruning, summed over states *)
 }
 
+val width_units : float -> int
+(** A width quantised to the DP's label units (milli-u); a label's width
+    is the sum of its repeaters' units. *)
+
 val solve :
   ?frontier_cap:int ->
+  ?width_bound:int ->
   ?cancel:(unit -> unit) ->
   ?on_column:
     (site:int -> width_index:int -> collected:int -> kept:int -> unit) ->
@@ -66,6 +74,13 @@ val solve :
     (labelled arguments, so an absent listener costs one branch and a
     present one allocates nothing); [collected] counts width buckets
     before the Pareto prune, [kept] the stored frontier size.  [cancel]
-    is polled once per candidate column.  [arena] supplies a reusable
-    label store; omitted, a private one is allocated.
+    is polled once per candidate column.
+
+    [width_bound] is a total width in {!width_units}, typically the
+    answer of the same DP over a subset of the candidates.  Labels that
+    cannot reach the receiver within it are dropped.  At or above the
+    optimum the result is unchanged; below it the result is [None].
+
+    [arena] supplies a reusable label store; omitted, a private one is
+    allocated.
     @raise Invalid_argument when [frontier_cap < 2]. *)

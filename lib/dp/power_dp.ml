@@ -37,14 +37,15 @@ type request = {
   budget : float;
   backend : backend;
   frontier_cap : int option;
+  width_bound : int option;
   arena : Fast_dp.Arena.t option;
   hooks : probe_event Hooks.t;
 }
 
-let request ?(backend = Fast) ?frontier_cap ?arena
+let request ?(backend = Fast) ?frontier_cap ?width_bound ?arena
     ?(hooks = Hooks.default) geometry repeater ~library ~candidates ~budget =
   { geometry; repeater; library; candidates; budget; backend; frontier_cap;
-    arena; hooks }
+    width_bound; arena; hooks }
 
 type label = {
   delay : float;
@@ -54,8 +55,10 @@ type label = {
   pred_label : int;  (* index into the predecessor state's frontier *)
 }
 
-let units_per_u = 1000.0
-let width_units w = int_of_float (Float.round (w *. units_per_u))
+let width_units (r : result) =
+  List.fold_left
+    (fun acc w -> acc + Fast_dp.width_units w)
+    0 (Solution.widths r.solution)
 
 (* Bound a frontier to [cap] labels by sampling it evenly along the width
    axis.  The frontier is width-ascending with strictly decreasing delay,
@@ -137,7 +140,7 @@ let solve_reference ?frontier_cap ~cancel ~probe chain ~library ~budget =
     let site_widths = widths_at site in
     let added_units =
       if Chain.is_interior chain site then
-        Array.map width_units site_widths
+        Array.map Fast_dp.width_units site_widths
       else Array.map (fun _ -> 0) site_widths
     in
     for wj = 0 to Array.length site_widths - 1 do
@@ -262,7 +265,7 @@ let run (r : request) =
                 f (Column { site; width_index; collected; kept }))
       in
       match
-        Fast_dp.solve ?frontier_cap:r.frontier_cap
+        Fast_dp.solve ?frontier_cap:r.frontier_cap ?width_bound:r.width_bound
           ~cancel:r.hooks.Hooks.cancel ?on_column ?arena:r.arena chain
           ~library:r.library ~budget:r.budget
       with

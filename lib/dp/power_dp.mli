@@ -73,6 +73,13 @@ type request = {
           backends may sample different survivors and cease to be
           bit-identical — callers needing cross-backend identity under
           all inputs pass [None] (see DESIGN.md). *)
+  width_bound : int option;
+      (** an upper bound on the answer's total width in the DP's label
+          units ({!width_units}), typically another request's answer on a
+          subset of these candidates.  [Fast] drops every label that
+          cannot finish within it: at or above the optimum the answer is
+          unchanged, below it the result is [None].  [Reference] ignores
+          it and stays the unbounded oracle. *)
   arena : Fast_dp.Arena.t option;
       (** reusable label store for the [Fast] backend (ignored by
           [Reference]); omitted, the solve allocates a private one *)
@@ -85,13 +92,20 @@ type request = {
 val request :
   ?backend:backend ->
   ?frontier_cap:int ->
+  ?width_bound:int ->
   ?arena:Fast_dp.Arena.t ->
   ?hooks:probe_event Rip_numerics.Hooks.t ->
   Rip_net.Geometry.t -> Rip_tech.Repeater_model.t ->
   library:Repeater_library.t -> candidates:float list -> budget:float ->
   request
 (** Constructor with the defaults of a plain solve: [Fast] backend, no
-    cap, no arena, {!Rip_numerics.Hooks.default}. *)
+    cap, no width bound, no arena, {!Rip_numerics.Hooks.default}. *)
+
+val width_units : result -> int
+(** The result's total width in the DP's quantised label units: the sum
+    of {!Fast_dp.width_units} over its repeaters, exactly the receiver
+    label's width.  Pass it as [width_bound] to a request over a superset
+    of the candidates. *)
 
 val run : request -> result option
 (** The solve.  [None] when no repeater assignment over the given sites

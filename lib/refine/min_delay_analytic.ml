@@ -12,14 +12,20 @@ type result = {
 let min_gap = 1.0
 
 (* Evenly spread n positions, pushed out of forbidden zones (to the nearer
-   edge) and re-ordered with a minimum gap.  None when they cannot fit. *)
+   edge, or to the other one when the nearer edge lies within [min_gap] of
+   a pin — a zone may start at the driver or end at the receiver) and
+   re-ordered with a minimum gap.  None when they cannot fit. *)
 let initial_positions net length n =
   let zones = net.Net.zones in
+  let interior x = x > min_gap && x < length -. min_gap in
   let snap x =
     match List.find_opt (fun z -> Zone.contains z x) zones with
     | None -> x
     | Some z ->
-        if x -. z.Zone.z_start <= z.Zone.z_end -. x then z.Zone.z_start
+        let near_start = x -. z.Zone.z_start <= z.Zone.z_end -. x in
+        if (near_start && interior z.Zone.z_start)
+           || not (interior z.Zone.z_end)
+        then z.Zone.z_start
         else z.Zone.z_end
   in
   let raw =

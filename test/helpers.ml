@@ -106,6 +106,16 @@ let brute_wire_elmore net ~a ~b =
   let cap_to_b x = Geometry.capacitance_between geometry x b in
   integrate net ~a ~b (fun g x -> unit_r g x *. cap_to_b x)
 
+(* Bit-for-bit equality of two power-DP results. *)
+let identical_results (a : Rip_dp.Power_dp.result)
+    (b : Rip_dp.Power_dp.result) =
+  let module Solution = Rip_elmore.Solution in
+  let eq = List.for_all2 Float.equal in
+  eq (Solution.positions a.solution) (Solution.positions b.solution)
+  && eq (Solution.widths a.solution) (Solution.widths b.solution)
+  && Float.equal a.delay b.delay
+  && Float.equal a.total_width b.total_width
+
 (* Substring test for error-message assertions. *)
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in

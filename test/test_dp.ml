@@ -20,18 +20,11 @@ let repeater = Helpers.repeater
 
 (* Most tests go through the redesigned request/run entry point; [backend]
    defaults to [Fast] exactly as production callers get it. *)
-let run_dp ?backend ?frontier_cap ?arena ?hooks geometry repeater ~library
-    ~candidates ~budget =
+let run_dp ?backend ?frontier_cap ?width_bound ?arena ?hooks geometry
+    repeater ~library ~candidates ~budget =
   Power_dp.run
-    (Power_dp.request ?backend ?frontier_cap ?arena ?hooks geometry repeater
-       ~library ~candidates ~budget)
-
-let identical_results (a : Power_dp.result) (b : Power_dp.result) =
-  let eq = List.for_all2 Float.equal in
-  eq (Solution.positions a.solution) (Solution.positions b.solution)
-  && eq (Solution.widths a.solution) (Solution.widths b.solution)
-  && Float.equal a.delay b.delay
-  && Float.equal a.total_width b.total_width
+    (Power_dp.request ?backend ?frontier_cap ?width_bound ?arena ?hooks
+       geometry repeater ~library ~candidates ~budget)
 
 (* --- Repeater_library ------------------------------------------------------ *)
 
@@ -434,11 +427,68 @@ let prop_backend_equivalence =
           match (reference, fast) with
           | None, None -> true
           | Some a, Some b ->
-              identical_results a b
+              Helpers.identical_results a b
               && a.Power_dp.stats.Power_dp.sites
                  = b.Power_dp.stats.Power_dp.sites
           | Some _, None | None, Some _ -> false)
         [ bare *. slack /. 1.5; bare *. slack; bare *. slack *. 2.0 ])
+
+(* The width bound: any bound at or above the optimum's label units leaves
+   the fast backend's answer bit-identical, and one unit below it leaves
+   no answer.  The instances are bigger than the exhaustive ones (8-30
+   sites, up to 6 widths) so frontiers have labels for the bound to cut;
+   ties at the bound are the common case, since the receiver's optimum
+   label sits exactly on it. *)
+let bound_instance_arb =
+  let gen =
+    QCheck.Gen.(
+      let* net = Helpers.net_gen () in
+      let* site_count = int_range 8 30 in
+      let length = Net.total_length net in
+      let sites =
+        Candidates.uniform net ~pitch:(length /. float_of_int site_count)
+      in
+      let* widths = list_size (int_range 2 6) (float_range 10.0 200.0) in
+      let* slack = float_range 0.9 2.5 in
+      let* extra = int_range 1 5000 in
+      return (net, sites, widths, slack, extra))
+  in
+  QCheck.make
+    ~print:(fun (net, sites, widths, slack, extra) ->
+      Fmt.str "%a sites=%d widths=%a slack=%g extra=%d" Rip_net.Net.pp net
+        (List.length sites)
+        Fmt.(Dump.list float)
+        widths slack extra)
+    gen
+
+let prop_width_bound_exact =
+  QCheck.Test.make
+    ~name:"a width bound at or above the optimum changes nothing" ~count:80
+    bound_instance_arb
+    (fun (net, sites, widths, slack, extra) ->
+      let geometry = Geometry.of_net net in
+      let library = Repeater_library.create widths in
+      let bare = Delay.total repeater geometry Solution.empty in
+      let bounded width_bound budget =
+        run_dp ~width_bound geometry repeater ~library ~candidates:sites
+          ~budget
+      in
+      List.for_all
+        (fun budget ->
+          match
+            run_dp geometry repeater ~library ~candidates:sites ~budget
+          with
+          | None -> bounded max_int budget = None
+          | Some optimum -> (
+              let units = Power_dp.width_units optimum in
+              let same = function
+                | Some r -> Helpers.identical_results optimum r
+                | None -> false
+              in
+              same (bounded units budget)
+              && same (bounded (units + extra) budget)
+              && bounded (units - 1) budget = None))
+        [ bare *. slack /. 2.0; bare *. slack /. 1.5; bare *. slack ])
 
 (* One arena reused across many fast solves must behave exactly like a
    fresh arena per solve, and its capacity must stop growing once it has
@@ -475,7 +525,7 @@ let test_arena_reuse () =
       | Some a, Some b ->
           Alcotest.(check bool)
             "shared arena result equals fresh arena result" true
-            (identical_results a b)
+            (Helpers.identical_results a b)
       | Some _, None | None, Some _ ->
           Alcotest.fail "shared/fresh arena feasibility mismatch")
     shared fresh;
@@ -538,6 +588,7 @@ let suite =
     ( "dp.backends",
       [
         qcheck prop_backend_equivalence;
+        qcheck prop_width_bound_exact;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
         Alcotest.test_case "tiny frontier cap rejected" `Quick
           test_run_rejects_tiny_cap;

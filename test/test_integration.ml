@@ -13,6 +13,11 @@ module Validate = Rip_core.Validate
 module Rip = Rip_core.Rip
 module Baseline = Rip_workload.Baseline
 module Suite = Rip_workload.Suite
+module Config = Rip_core.Config
+module Power_dp = Rip_dp.Power_dp
+module Netgen = Rip_workload.Netgen
+
+let qcheck = QCheck_alcotest.to_alcotest
 
 let process = Helpers.process
 let repeater = Helpers.repeater
@@ -191,6 +196,116 @@ let test_stage_delay_additivity_across_pipeline () =
         (Helpers.close ~rel:1e-12 r.Rip.delay
            (Delay.total repeater geometry r.Rip.solution))
 
+(* A zone that starts at the driver pin: the analytic min-delay seed used
+   to snap onto the zone's start, position 0, and crash the width solver,
+   so [tau_min] raised, and so did every solve that reached the
+   infeasible-budget hint or the rescue pass. *)
+let zone_at_driver () =
+  Net.create ~name:"zone_at_driver"
+    ~segments:
+      [
+        Segment.of_layer Rip_tech.Layer.metal4 ~length:2000.0;
+        Segment.of_layer Rip_tech.Layer.metal5 ~length:2500.0;
+        Segment.of_layer Rip_tech.Layer.metal4 ~length:1800.0;
+      ]
+    ~zones:[ Zone.create ~z_start:0.0 ~z_end:3000.0 ]
+    ~driver_width:20.0 ~receiver_width:40.0 ()
+
+let test_zone_at_driver_pin () =
+  let net = zone_at_driver () in
+  let geometry = Geometry.of_net net in
+  let tau_min = Rip.tau_min process geometry in
+  Alcotest.(check bool) "tau_min finite" true
+    (Float.is_finite tau_min && tau_min > 0.0);
+  (match Rip.solve (Rip.problem ~geometry process net ~budget:100e-12) with
+  | Error (Rip.Infeasible_budget { tau_min_hint = Some hint; _ }) ->
+      Alcotest.(check (float 0.0)) "hint is tau_min" tau_min hint
+  | Error e -> Alcotest.failf "wrong error: %s" (Rip.error_to_string e)
+  | Ok _ -> Alcotest.fail "100 ps cannot be feasible");
+  List.iter
+    (fun slack ->
+      let budget = slack *. tau_min in
+      match Rip.solve (Rip.problem ~geometry process net ~budget) with
+      | Ok r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "legal at x%.2f" slack)
+            true
+            (Validate.is_valid process net ~budget r.Rip.solution)
+      | Error e ->
+          Alcotest.failf "x%.2f failed: %s" slack (Rip.error_to_string e))
+    [ 1.05; 1.3; 2.0 ]
+
+(* [Fast] runs every DP pass subset first and bounds the full pass by the
+   subset's width; [Reference] ignores bounds and runs each pass once,
+   unbounded.  The two pipelines must agree bit for bit: the answer and
+   every phase of the trace.  Section-6 nets, shortened to 2-4 segments so
+   the reference DP stays quick, with the zone moved anywhere along the
+   net, touching either pin included, at 1.02-3.0 x tau_min. *)
+let bounded_pipeline_arb =
+  let config = { Netgen.default with min_segments = 2; max_segments = 4 } in
+  let gen =
+    QCheck.Gen.(
+      let* index = int_range 1 10_000 in
+      let* pin = int_range 0 2 in
+      let* place = float_range 0.0 1.0 in
+      let* slack = float_range 1.02 3.0 in
+      let base =
+        Netgen.generate ~config (Rip_numerics.Prng.create 19L) ~index
+      in
+      let length = Net.total_length base in
+      let zone_length =
+        match base.Net.zones with
+        | z :: _ -> z.Zone.z_end -. z.Zone.z_start
+        | [] -> 0.25 *. length
+      in
+      let z_start =
+        match pin with
+        | 0 -> 0.0
+        | 1 -> length -. zone_length
+        | _ -> place *. (length -. zone_length)
+      in
+      let net =
+        Net.create ~name:base.Net.name
+          ~segments:(Array.to_list base.Net.segments)
+          ~zones:
+            [ Zone.create ~z_start ~z_end:(z_start +. zone_length) ]
+          ~driver_width:base.Net.driver_width
+          ~receiver_width:base.Net.receiver_width ()
+      in
+      return (net, slack))
+  in
+  QCheck.make
+    ~print:(fun (net, slack) -> Fmt.str "%a x%g" Net.pp net slack)
+    gen
+
+let same_pass = Option.equal Helpers.identical_results
+
+let same_answer a b =
+  match (a, b) with
+  | Ok (a : Rip.report), Ok (b : Rip.report) ->
+      Solution.equal a.Rip.solution b.Rip.solution
+      && Float.equal a.Rip.total_width b.Rip.total_width
+      && Float.equal a.Rip.delay b.Rip.delay
+      && a.Rip.trace.Rip.used_fallback_library
+         = b.Rip.trace.Rip.used_fallback_library
+      && same_pass a.Rip.trace.Rip.coarse b.Rip.trace.Rip.coarse
+      && same_pass a.Rip.trace.Rip.final b.Rip.trace.Rip.final
+      && same_pass a.Rip.trace.Rip.rescue b.Rip.trace.Rip.rescue
+  | Error a, Error b -> Rip.error_to_string a = Rip.error_to_string b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_bounded_passes_match_reference ~frontier_cap name =
+  QCheck.Test.make ~name ~count:25 bounded_pipeline_arb (fun (net, slack) ->
+      let geometry = Geometry.of_net net in
+      let budget = slack *. Rip.tau_min process geometry in
+      let solve backend =
+        let config =
+          { Config.default with dp = { Config.backend; frontier_cap } }
+        in
+        Rip.solve ~config (Rip.problem ~geometry process net ~budget)
+      in
+      same_answer (solve Power_dp.Fast) (solve Power_dp.Reference))
+
 let suite =
   [
     ( "integration",
@@ -209,5 +324,14 @@ let suite =
           test_rip_runtime_beats_fine_baseline;
         Alcotest.test_case "reported delay re-evaluates" `Slow
           test_stage_delay_additivity_across_pipeline;
+        Alcotest.test_case "zone at the driver pin" `Quick
+          test_zone_at_driver_pin;
+        qcheck
+          (prop_bounded_passes_match_reference ~frontier_cap:None
+             "bounded passes match reference, uncapped");
+        qcheck
+          (prop_bounded_passes_match_reference
+             ~frontier_cap:Config.default.Config.dp.Config.frontier_cap
+             "bounded passes match reference, default cap");
       ] );
   ]
