@@ -63,9 +63,13 @@ let print_trace (report : Rip.report) =
   | Some f ->
       printf "line 4 (final DP): width %.1f u\n" f.Rip_dp.Power_dp.total_width
   | None -> printf "line 4 (final DP): infeasible\n");
-  match trace.Rip.rescue with
+  (match trace.Rip.rescue with
   | Some r ->
       printf "rescue pass: width %.1f u\n" r.Rip_dp.Power_dp.total_width
+  | None -> ());
+  match trace.Rip.anchor with
+  | Some a ->
+      printf "anchor pass: width %.1f u\n" a.Rip_dp.Power_dp.total_width
   | None -> ()
 
 (* Only the DP options deviate from the defaults; None leaves Rip.solve

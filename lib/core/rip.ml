@@ -19,6 +19,7 @@ type phase_trace = {
   refined_candidates : float list;
   final : Power_dp.result option;
   rescue : Power_dp.result option;
+  anchor : Power_dp.result option;
 }
 
 type report = {
@@ -33,17 +34,18 @@ type report = {
 (* The anchor takes the better of the analytical continuous minimum and a
    fine-grid DP minimum: the analytic descent can miss globally (greedy),
    the DP is grid-limited; their min is a tight yet reachable target. *)
-let tau_min (process : Process.t) geometry =
+let gridded_min_delay (process : Process.t) geometry =
   let net = Geometry.net geometry in
-  let candidates = Candidates.uniform net ~pitch:Config.tau_min_pitch in
-  let gridded =
-    Min_delay.tau_min geometry process.Process.repeater
-      ~library:Config.tau_min_library ~candidates
-  in
-  let analytic =
-    Rip_refine.Min_delay_analytic.tau_min geometry process.Process.repeater
-  in
-  Float.min gridded analytic
+  Min_delay.solve geometry process.Process.repeater
+    ~library:Config.tau_min_library
+    ~candidates:(Candidates.uniform net ~pitch:Config.tau_min_pitch)
+
+let tau_min_of (process : Process.t) geometry (gridded : Min_delay.result) =
+  Float.min gridded.Min_delay.delay
+    (Rip_refine.Min_delay_analytic.tau_min geometry process.Process.repeater)
+
+let tau_min process geometry =
+  tau_min_of process geometry (gridded_min_delay process geometry)
 
 (* Line 3: library B from the refined continuous widths, location set S
    around the refined positions. *)
@@ -151,9 +153,9 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
      pass grew.  Arenas are single-owner; a solve is single-threaded, so
      this is safe. *)
   let arena = Fast_dp.Arena.create () in
-  let run_dp ?width_bound ~library candidates =
+  let run_dp ?width_bound ?price ~library candidates =
     Power_dp.run
-      (Power_dp.request ~backend ?frontier_cap ?width_bound ~arena
+      (Power_dp.request ~backend ?frontier_cap ?width_bound ?price ~arena
          ~hooks:dp_hooks geometry repeater ~library ~candidates ~budget)
   in
   (* Every DP pass solves a subset of its candidates first.  The subset's
@@ -161,10 +163,11 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
      bounds the full optimum, and the full pass under that bound drops
      every label that cannot finish within it: same answer, far fewer
      labels (DESIGN.md 3.2a).  [Reference] ignores bounds, so it skips
-     the subset passes. *)
+     the subset passes.  A [price] applies to the bounded full pass only
+     (an unbounded pass ignores it). *)
   let bounded = backend = Power_dp.Fast in
-  let subset_first ~library ~solve_subset candidates =
-    let full width_bound = run_dp ?width_bound ~library candidates in
+  let subset_first ?price ~library ~solve_subset candidates =
+    let full width_bound = run_dp ?width_bound ?price ~library candidates in
     match if bounded then solve_subset () else None with
     | None -> full None
     | Some sub -> (
@@ -181,13 +184,13 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
       subset_first ~library candidates ~solve_subset:(fun () ->
           halving ~library (every_other candidates))
   in
-  let windowed ~library ~centers candidates =
+  let windowed ?price ~library ~centers candidates =
     let core =
       window_core ~centers ~pitch:config.Config.refined_pitch candidates
     in
     if List.compare_lengths core candidates = 0 then run_dp ~library candidates
     else
-      subset_first ~library candidates ~solve_subset:(fun () ->
+      subset_first ?price ~library candidates ~solve_subset:(fun () ->
           run_dp ~library core)
   in
   let coarse_candidates =
@@ -252,8 +255,15 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
                         { Power_dp.sites = 2; transitions = 0; labels = 0 };
                     }
               | Some library ->
+                  (* REFINE's multiplier prices delay in the final pass:
+                     it is in u/s, labels are in milli-u (DESIGN.md
+                     3.2a, "The price"). *)
+                  let price =
+                    let p = Fast_dp.units_per_u *. outcome.Refine.lambda in
+                    if Float.is_finite p && p > 0.0 then Some p else None
+                  in
                   in_phase "final_dp" (fun () ->
-                      windowed ~library
+                      windowed ?price ~library
                         ~centers:(Solution.positions outcome.Refine.solution)
                         candidates)
             in
@@ -324,48 +334,82 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
           in
           windowed ~library ~centers candidates
       in
-      let trace =
-        { coarse = Some coarse_result; used_fallback_library; refined;
-          refined_library; refined_candidates; final; rescue }
-      in
-      (* Keep the best budget-meeting result among line 4, line 1 and the
-         rescue pass.  A min-delay seed that itself misses the budget is
-         never returned. *)
-      let candidates_for_best =
-        List.filter_map
-          (fun r -> r)
-          [
-            final;
-            (if coarse_feasible then Some coarse_result else None);
-            rescue;
-          ]
-      in
-      let feasible =
-        List.filter
-          (fun (r : Power_dp.result) ->
-            r.Power_dp.delay <= budget +. tolerance)
-          candidates_for_best
-      in
-      let best =
+      (* Keep the narrowest budget-meeting result among line 4, line 1
+         and the rescue pass.  A min-delay seed that itself misses the
+         budget is never returned. *)
+      let narrowest results =
         List.fold_left
           (fun acc (r : Power_dp.result) ->
             match acc with
-            | None -> Some r
-            | Some b ->
-                if r.Power_dp.total_width < b.Power_dp.total_width then Some r
-                else acc)
-          None feasible
+            | Some (b : Power_dp.result)
+              when b.Power_dp.total_width <= r.Power_dp.total_width ->
+                acc
+            | Some _ | None ->
+                if r.Power_dp.delay <= budget +. tolerance then Some r else acc)
+          None results
       in
-      let runtime_seconds =
-        Rip_numerics.Cpu_clock.thread_seconds () -. started
+      let best =
+        narrowest
+          (List.filter_map Fun.id
+             [
+               final;
+               (if coarse_feasible then Some coarse_result else None);
+               rescue;
+             ])
       in
-      (match best with
-      | None ->
-          Error
-            (Infeasible_budget
-               { budget; tau_min_hint = Some (tau_min process geometry) })
-      | Some best ->
-          Ok (make_report process geometry ~runtime_seconds ~trace best))
+      let answer ~anchor result =
+        let trace =
+          { coarse = Some coarse_result; used_fallback_library; refined;
+            refined_library; refined_candidates; final; rescue; anchor }
+        in
+        let runtime_seconds =
+          Rip_numerics.Cpu_clock.thread_seconds () -. started
+        in
+        Ok (make_report process geometry ~runtime_seconds ~trace result)
+      in
+      match best with
+      | Some best -> answer ~anchor:None best
+      | None -> (
+          (* Last resort: the anchor's own insertion.  A budget the gridded
+             min-delay insertion behind [tau_min] meets is reachable, so
+             when every pass above missed it, answer with that insertion
+             or a DP around it over its own widths, whichever is
+             narrower. *)
+          let gridded = gridded_min_delay process geometry in
+          let solution = gridded.Min_delay.solution in
+          let seed =
+            {
+              Power_dp.solution;
+              total_width = Solution.total_width solution;
+              delay = Delay.total repeater geometry solution;
+              stats = { Power_dp.sites = 0; transitions = 0; labels = 0 };
+            }
+          in
+          let around widths =
+            let centers = Solution.positions solution in
+            windowed
+              ~library:(Repeater_library.create widths)
+              ~centers
+              (Candidates.around net ~centers
+                 ~radius:config.Config.refined_radius
+                 ~pitch:config.Config.refined_pitch)
+          in
+          let anchor =
+            if seed.Power_dp.delay > budget +. tolerance then None
+            else
+              match Solution.widths solution with
+              | [] -> Some seed
+              | widths -> narrowest (seed :: Option.to_list (around widths))
+          in
+          match anchor with
+          | Some result -> answer ~anchor result
+          | None ->
+              Error
+                (Infeasible_budget
+                   {
+                     budget;
+                     tau_min_hint = Some (tau_min_of process geometry gridded);
+                   }))
 
 let solve ?config ?hooks { process; net; geometry; budget } =
   match Validate.check_problem ?geometry net ~budget with

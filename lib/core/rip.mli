@@ -14,13 +14,17 @@
     lack the right sizes for very tight budgets), line 1 is retried with
     the configured fallback library before giving up; when the final DP is
     infeasible despite the refined space (rare rounding corner), the best
-    earlier feasible solution is returned.  Every returned solution is
-    legal and meets the budget.
+    earlier feasible solution is returned; and when no pass meets the
+    budget, the gridded min-delay insertion behind {!tau_min} (or a DP
+    around it, if narrower) is.  Every returned solution is legal and
+    meets the budget, and a budget that insertion meets is always
+    answered.
 
     Under the [Fast] DP backend every DP pass first solves a subset of
-    its candidates and bounds the full pass by that answer's width; the
-    answers and every phase of the trace are those of the unbounded
-    passes [Reference] runs (DESIGN.md 3.2a). *)
+    its candidates and bounds the full pass by that answer's width, and
+    the final pass's bounded run also prices delay at REFINE's
+    multiplier; the answers and every phase of the trace are those of
+    the unbounded passes [Reference] runs (DESIGN.md 3.2a). *)
 
 type phase_trace = {
   coarse : Rip_dp.Power_dp.result option;
@@ -35,6 +39,11 @@ type phase_trace = {
           a DP over fine-pitch candidates around the analytical min-delay
           locations ({!Rip_refine.Min_delay_analytic}) with the full
           reference library.  [None] unless it was needed. *)
+  anchor : Rip_dp.Power_dp.result option;
+      (** last resort when no pass above met the budget: the gridded
+          min-delay insertion behind {!tau_min}, or a DP around its
+          positions over its own widths if that is narrower.  [None]
+          unless it ran and that insertion meets the budget. *)
 }
 
 type report = {

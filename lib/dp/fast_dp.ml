@@ -2,7 +2,7 @@
 
    Same state space and transition semantics as [Power_dp]'s reference
    backend (Lillis/Cheng/Lin labels bucketed by quantised total width),
-   with two changes that remove the pseudo-polynomial inner-loop cost:
+   with these changes, which remove the pseudo-polynomial inner-loop cost:
 
    - A backward pass first computes, for every (site, width) state, the
      minimum stage-delay sum [minF] from that state to the receiver over
@@ -24,6 +24,12 @@
      starts at their widest label, so the over-bound labels are the
      first ones walked and are skipped before any bucket work.
 
+   - Given a price too (a Lagrangian multiplier on delay), the backward
+     pass also computes [hl], the least [width + price * delay] a
+     completion must still add, and the forward pass skips every label
+     whose cheapest priced completion cannot finish within both the
+     bound and the budget.
+
    - Labels live in one preallocated struct-of-arrays arena (flat
      [float array]/[int array] columns) instead of per-label records and
      list cells; per-state bucket winners accumulate in a stamped
@@ -38,8 +44,10 @@
    receiver frontier, and with it the returned placements, are
    bit-identical to the reference backend's.  A width bound at or above
    the optimum keeps every frontier a width-prefix of the unbounded one,
-   so the answer is unchanged there too (see DESIGN.md for both
-   arguments, and their one caveat about a binding [frontier_cap]). *)
+   so the answer is unchanged there too, and a price only drops labels
+   that cannot finish within the bound, which never decide the answer
+   (see DESIGN.md for the three arguments, and their one caveat about a
+   binding [frontier_cap]). *)
 
 module Arena = struct
   (* One growable struct-of-arrays label store plus the bucket table of
@@ -71,6 +79,9 @@ module Arena = struct
     (* least quantised width any receiver-reaching completion from the
        state must still add; [max_int] when none can *)
     mutable minw : int array;
+    (* least [width still added + price * delay still added] over the
+       same completions as [minw]; infinity when none can (or unpriced) *)
+    mutable hl : float array;
     (* least frontier delay per site (over all width states); infinity
        while the site has no labels.  A one-compare skip for sources
        that cannot contribute to the current column. *)
@@ -82,7 +93,8 @@ module Arena = struct
       delay = [||]; wu = [||]; pred = [||]; owner = [||]; used = 0;
       h_key = [||]; h_delay = [||]; h_pred = [||]; h_stamp = [||];
       h_live = 0; stamp = 0; keys = [||];
-      start = [||]; len = [||]; minf = [||]; minw = [||]; dsite = [||];
+      start = [||]; len = [||]; minf = [||]; minw = [||]; hl = [||];
+      dsite = [||];
     }
 
   let capacity t = Array.length t.delay
@@ -115,12 +127,14 @@ module Arena = struct
       t.start <- Array.make states 0;
       t.len <- Array.make states 0;
       t.minf <- Array.make states infinity;
-      t.minw <- Array.make states max_int
+      t.minw <- Array.make states max_int;
+      t.hl <- Array.make states infinity
     end
     else begin
       Array.fill t.len 0 states 0;
       Array.fill t.minf 0 states infinity;
-      Array.fill t.minw 0 states max_int
+      Array.fill t.minw 0 states max_int;
+      Array.fill t.hl 0 states infinity
     end;
     if sites > Array.length t.dsite then t.dsite <- Array.make sites infinity
     else Array.fill t.dsite 0 sites infinity
@@ -209,11 +223,15 @@ let[@lint.hot] sort_keys keys n =
     gap := !gap / 3
   done
 
-let[@lint.hot] solve ?frontier_cap ?width_bound ?(cancel = ignore) ?on_column
-    ?arena chain ~library ~budget =
+let[@lint.hot] solve ?frontier_cap ?width_bound ?price ?(cancel = ignore)
+    ?on_column ?arena chain ~library ~budget =
   (match frontier_cap with
   | Some cap when cap < 2 ->
       invalid_arg "Fast_dp.solve: frontier_cap must be at least 2"
+  | Some _ | None -> ());
+  (match price with
+  | Some p when not (Float.is_finite p && p > 0.0) ->
+      invalid_arg "Fast_dp.solve: price must be finite and positive"
   | Some _ | None -> ());
   let arena = match arena with Some a -> a | None -> Arena.create () in
   let n_sites = Chain.site_count chain in
@@ -262,6 +280,14 @@ let[@lint.hot] solve ?frontier_cap ?width_bound ?(cancel = ignore) ?on_column
   let minw = arena.Arena.minw in
   let dsite = arena.Arena.dsite in
   let bound = match width_bound with Some b -> b | None -> max_int in
+  (* The price is a Lagrangian multiplier on delay, in label units per
+     second; it only sharpens a width bound, so without one it is unused. *)
+  let hl = arena.Arena.hl in
+  let priced, price =
+    match (width_bound, price) with
+    | Some _, Some p -> (true, p)
+    | (Some _ | None), _ -> (false, 0.0)
+  in
   (* Relative slack absorbing the fold-order rounding gap between the
      backward (right-folded) and forward (left-folded) delay sums: the
      true gap is ~n*eps relative, so 1e-9 is astronomically conservative
@@ -271,9 +297,12 @@ let[@lint.hot] solve ?frontier_cap ?width_bound ?(cancel = ignore) ?on_column
      receiver over the transitions the forward DP can take, and minW(state)
      = least width a completion must still add, over the transitions with
      [stage + minF(target) <= budget_fuzz] (no label can take any other:
-     label delays are non-negative). ------------------------------------ *)
+     label delays are non-negative).  When priced, hl(state) = least
+     [width still added + price * delay still added] over the same
+     completions. ------------------------------------------------------- *)
   minf.((last * stride) + 0) <- 0.0;
   minw.((last * stride) + 0) <- 0;
+  hl.((last * stride) + 0) <- 0.0;
   for t = last downto 1 do
     let t_widths = widths_at t in
     let t_interior = Chain.is_interior chain t in
@@ -286,10 +315,9 @@ let[@lint.hot] solve ?frontier_cap ?width_bound ?(cancel = ignore) ?on_column
          state that passes has a finite minW: its minF transition is one
          the forward pass can take. *)
       if mf_t <= budget_fuzz then begin
-        let mw_t =
-          minw.((t * stride) + wj)
-          + if t_interior then width_units t_widths.(wj) else 0
-        in
+        let added_t = if t_interior then width_units t_widths.(wj) else 0 in
+        let mw_t = minw.((t * stride) + wj) + added_t in
+        let hl_t = hl.((t * stride) + wj) +. float_of_int added_t in
         let gate_c = co *. t_widths.(wj) in
         (* Predecessor window: scan right to left, stop once even the
            thickest driver's stage plus the suffix below this target
@@ -314,15 +342,22 @@ let[@lint.hot] solve ?frontier_cap ?width_bound ?(cancel = ignore) ?on_column
             let s_invs = invs_at ss in
             (* unsafe: [idx] < states by construction, [wi] < length *)
             for wi = 0 to Array.length s_invs - 1 do
-              let v =
-                ((k_intr +. (Array.unsafe_get s_invs wi *. q)) +. t2)
-                +. elm +. mf_t
+              let stage =
+                ((k_intr +. (Array.unsafe_get s_invs wi *. q)) +. t2) +. elm
               in
+              let v = stage +. mf_t in
               let idx = (ss * stride) + wi in
               if v < Array.unsafe_get minf idx then
                 Array.unsafe_set minf idx v;
-              if v <= budget_fuzz && mw_t < Array.unsafe_get minw idx then
-                Array.unsafe_set minw idx mw_t
+              if v <= budget_fuzz then begin
+                if mw_t < Array.unsafe_get minw idx then
+                  Array.unsafe_set minw idx mw_t;
+                if priced then begin
+                  let h = hl_t +. (price *. stage) in
+                  if h < Array.unsafe_get hl idx then
+                    Array.unsafe_set hl idx h
+                end
+              end
             done
           end;
           decr s
@@ -364,6 +399,16 @@ let[@lint.hot] solve ?frontier_cap ?width_bound ?(cancel = ignore) ?on_column
          skips it whatever its cap. *)
       let mw_here = minw.((site * stride) + wj) in
       let wcap = if mw_here > bound then -1 else bound - mw_here in
+      (* Price limit: a label with [wu + price * d] above it has no
+         completion within both the bound and the budget, since every
+         completion adds at least [hl - price * (budget - d)] width.  The
+         relative slack plays the role of [budget_fuzz]. *)
+      let plim =
+        if priced then
+          let top = float_of_int bound +. (price *. budget) in
+          top +. (1e-9 *. Float.abs top) -. hl.((site * stride) + wj)
+        else infinity
+      in
       let gate_c = co *. to_width in
       (* Label columns are only replaced by [ensure_labels], which runs
          at column freeze — never during this column's source scan — so
@@ -438,35 +483,40 @@ let[@lint.hot] solve ?frontier_cap ?width_bound ?(cancel = ignore) ?on_column
                 let d = Array.unsafe_get lab_d !j +. stage in
                 if d <= budget && d +. mf_here <= budget_fuzz then begin
                   let wu = Array.unsafe_get lab_w !j + added in
-                  if 2 * (arena.Arena.h_live + 1)
-                     > Array.length arena.Arena.h_key
-                  then Arena.grow_table arena;
-                  let hk = arena.Arena.h_key
-                  and hd = arena.Arena.h_delay
-                  and hp = arena.Arena.h_pred
-                  and hs = arena.Arena.h_stamp in
-                  let mask = Array.length hk - 1 in
-                  let i = ref (Arena.hash_wu wu land mask) in
-                  while
-                    Array.unsafe_get hs !i = stamp
-                    && Array.unsafe_get hk !i <> wu
-                  do
-                    i := (!i + 1) land mask
-                  done;
-                  let i = !i in
-                  if Array.unsafe_get hs i = stamp then begin
-                    if d < Array.unsafe_get hd i then begin
-                      Array.unsafe_set hd i d;
-                      Array.unsafe_set hp i !j
+                  (* The priced test skips rather than stops: [wu + price
+                     * d] is not monotone along a frontier. *)
+                  if (not priced) || float_of_int wu +. (price *. d) <= plim
+                  then begin
+                    if 2 * (arena.Arena.h_live + 1)
+                       > Array.length arena.Arena.h_key
+                    then Arena.grow_table arena;
+                    let hk = arena.Arena.h_key
+                    and hd = arena.Arena.h_delay
+                    and hp = arena.Arena.h_pred
+                    and hs = arena.Arena.h_stamp in
+                    let mask = Array.length hk - 1 in
+                    let i = ref (Arena.hash_wu wu land mask) in
+                    while
+                      Array.unsafe_get hs !i = stamp
+                      && Array.unsafe_get hk !i <> wu
+                    do
+                      i := (!i + 1) land mask
+                    done;
+                    let i = !i in
+                    if Array.unsafe_get hs i = stamp then begin
+                      if d < Array.unsafe_get hd i then begin
+                        Array.unsafe_set hd i d;
+                        Array.unsafe_set hp i !j
+                      end
                     end
-                  end
-                  else begin
-                    Array.unsafe_set hs i stamp;
-                    Array.unsafe_set hk i wu;
-                    Array.unsafe_set hd i d;
-                    Array.unsafe_set hp i !j;
-                    arena.Arena.keys.(arena.Arena.h_live) <- wu;
-                    arena.Arena.h_live <- arena.Arena.h_live + 1
+                    else begin
+                      Array.unsafe_set hs i stamp;
+                      Array.unsafe_set hk i wu;
+                      Array.unsafe_set hd i d;
+                      Array.unsafe_set hp i !j;
+                      arena.Arena.keys.(arena.Arena.h_live) <- wu;
+                      arena.Arena.h_live <- arena.Arena.h_live + 1
+                    end
                   end;
                   decr j
                 end

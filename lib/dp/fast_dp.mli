@@ -20,7 +20,9 @@
     whose best label cannot reach the budget through the widest
     repeater.  An optional width bound adds a second backward table,
     [minW] (the least width a completion from each state must still add),
-    and drops every label whose width plus [minW] exceeds the bound.
+    and drops every label whose width plus [minW] exceeds the bound; an
+    optional price on delay adds a third, [hl], and drops every label
+    whose cheapest priced completion cannot finish within the bound.
     Returned placements are bit-identical to the reference backend's
     whenever no [frontier_cap] binds and any width bound is at least the
     optimum (DESIGN.md, "Pluggable DP backends").
@@ -51,6 +53,9 @@ type stats = {
   labels : int;  (** labels surviving pruning, summed over states *)
 }
 
+val units_per_u : float
+(** Label units per u of width (1000: labels count milli-u). *)
+
 val width_units : float -> int
 (** A width quantised to the DP's label units (milli-u); a label's width
     is the sum of its repeaters' units. *)
@@ -58,6 +63,7 @@ val width_units : float -> int
 val solve :
   ?frontier_cap:int ->
   ?width_bound:int ->
+  ?price:float ->
   ?cancel:(unit -> unit) ->
   ?on_column:
     (site:int -> width_index:int -> collected:int -> kept:int -> unit) ->
@@ -81,6 +87,16 @@ val solve :
     cannot reach the receiver within it are dropped.  At or above the
     optimum the result is unchanged; below it the result is [None].
 
+    [price] sharpens a [width_bound] (and is ignored without one): a
+    Lagrangian multiplier on delay, in label units per second, typically
+    REFINE's multiplier.  The backward pass then also tabulates each
+    state's least [width still added + price * delay still added], and
+    the forward pass drops every label whose cheapest priced completion
+    cannot finish within both the bound and the budget.  Any positive
+    price leaves the result exactly as the unpriced bounded pass returns
+    it, unless a [frontier_cap] binds (DESIGN.md 3.2a, "The price").
+
     [arena] supplies a reusable label store; omitted, a private one is
     allocated.
-    @raise Invalid_argument when [frontier_cap < 2]. *)
+    @raise Invalid_argument when [frontier_cap < 2] or [price] is not
+    finite and positive. *)

@@ -38,14 +38,15 @@ type request = {
   backend : backend;
   frontier_cap : int option;
   width_bound : int option;
+  price : float option;
   arena : Fast_dp.Arena.t option;
   hooks : probe_event Hooks.t;
 }
 
-let request ?(backend = Fast) ?frontier_cap ?width_bound ?arena
+let request ?(backend = Fast) ?frontier_cap ?width_bound ?price ?arena
     ?(hooks = Hooks.default) geometry repeater ~library ~candidates ~budget =
   { geometry; repeater; library; candidates; budget; backend; frontier_cap;
-    width_bound; arena; hooks }
+    width_bound; price; arena; hooks }
 
 type label = {
   delay : float;
@@ -266,8 +267,8 @@ let run (r : request) =
       in
       match
         Fast_dp.solve ?frontier_cap:r.frontier_cap ?width_bound:r.width_bound
-          ~cancel:r.hooks.Hooks.cancel ?on_column ?arena:r.arena chain
-          ~library:r.library ~budget:r.budget
+          ?price:r.price ~cancel:r.hooks.Hooks.cancel ?on_column ?arena:r.arena
+          chain ~library:r.library ~budget:r.budget
       with
       | None -> None
       | Some (placements, fstats) ->

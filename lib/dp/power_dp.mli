@@ -80,6 +80,12 @@ type request = {
           cannot finish within it: at or above the optimum the answer is
           unchanged, below it the result is [None].  [Reference] ignores
           it and stays the unbounded oracle. *)
+  price : float option;
+      (** a Lagrangian multiplier on delay in label units per second,
+          finite and positive, that sharpens [width_bound] (see
+          {!Fast_dp.solve}); ignored without one.  Any such price leaves
+          [Fast]'s answer unchanged when no [frontier_cap] binds.
+          [Reference] ignores it. *)
   arena : Fast_dp.Arena.t option;
       (** reusable label store for the [Fast] backend (ignored by
           [Reference]); omitted, the solve allocates a private one *)
@@ -93,13 +99,15 @@ val request :
   ?backend:backend ->
   ?frontier_cap:int ->
   ?width_bound:int ->
+  ?price:float ->
   ?arena:Fast_dp.Arena.t ->
   ?hooks:probe_event Rip_numerics.Hooks.t ->
   Rip_net.Geometry.t -> Rip_tech.Repeater_model.t ->
   library:Repeater_library.t -> candidates:float list -> budget:float ->
   request
 (** Constructor with the defaults of a plain solve: [Fast] backend, no
-    cap, no width bound, no arena, {!Rip_numerics.Hooks.default}. *)
+    cap, no width bound, no price, no arena,
+    {!Rip_numerics.Hooks.default}. *)
 
 val width_units : result -> int
 (** The result's total width in the DP's quantised label units: the sum
@@ -112,4 +120,5 @@ val run : request -> result option
     and library meets the budget.  The returned solution's delay is
     recomputed through {!Rip_elmore.Delay.total} and always satisfies
     [delay <= budget].
-    @raise Invalid_argument when [frontier_cap < 2]. *)
+    @raise Invalid_argument when [frontier_cap < 2], or under [Fast]
+    when [price] is not finite and positive. *)

@@ -35,6 +35,8 @@ type t = {
   breaker_skip : bool;  (** an open breaker excluded the primary shard *)
   dp_backend : string;
   labels_pruned : int;
+      (** DP labels dropped at frontier freezes ([collected - kept]); the
+          labels the fast DP skips before collection are not counted *)
   queue_wait : float;  (** seconds *)
   latency : float;  (** seconds, request wall time at the emitter *)
   deadline_slack : float;

@@ -61,7 +61,9 @@ let create ?cache_stats ?journal_stats () =
         counter "rip_dp_columns_total" "DP state frontiers frozen";
       dp_labels_pruned =
         counter "rip_dp_labels_pruned_total"
-          "DP labels dropped at frontier freezing (Pareto prune + cap)";
+          "DP labels dropped at frontier freezing (collected - kept: \
+           Pareto prune + cap); labels the minF, width-bound or price \
+           tests skip are never collected, so they are not counted";
       refine_iterations =
         counter "rip_refine_iterations_total" "REFINE move rounds";
       newton_iterations =

@@ -34,7 +34,10 @@ type t = {
   dp_columns : Obs.Counter.t;
       (** DP state frontiers frozen ({!Rip_dp.Power_dp.probe_event}) *)
   dp_labels_pruned : Obs.Counter.t;
-      (** labels dropped at those freezes ([collected - kept]) *)
+      (** labels dropped at those freezes ([collected - kept]).  Labels
+          the fast DP skips before collection (the minF, width-bound and
+          price tests) are not counted: the counter falls when pruning
+          moves earlier, not because less is pruned. *)
   refine_iterations : Obs.Counter.t;
       (** REFINE move rounds ({!Rip_refine.Refine.probe_event}) *)
   newton_iterations : Obs.Counter.t;

@@ -20,10 +20,10 @@ let repeater = Helpers.repeater
 
 (* Most tests go through the redesigned request/run entry point; [backend]
    defaults to [Fast] exactly as production callers get it. *)
-let run_dp ?backend ?frontier_cap ?width_bound ?arena ?hooks geometry
+let run_dp ?backend ?frontier_cap ?width_bound ?price ?arena ?hooks geometry
     repeater ~library ~candidates ~budget =
   Power_dp.run
-    (Power_dp.request ?backend ?frontier_cap ?width_bound ?arena ?hooks
+    (Power_dp.request ?backend ?frontier_cap ?width_bound ?price ?arena ?hooks
        geometry repeater ~library ~candidates ~budget)
 
 (* --- Repeater_library ------------------------------------------------------ *)
@@ -490,6 +490,146 @@ let prop_width_bound_exact =
               && bounded (units - 1) budget = None))
         [ bare *. slack /. 2.0; bare *. slack /. 1.5; bare *. slack ])
 
+(* The price: a Lagrangian multiplier on delay that sharpens a width
+   bound.  With the bound at or above the optimum, any positive price
+   gives the unpriced answer bit for bit, and one unit below it still
+   gives none.  The prices are REFINE's multiplier at the optimum (as
+   [Rip] passes it, in label units per second), that times 1e-3 and 1e3,
+   and 1 unit/s, which leaves the price nearly nothing to prune.  Without
+   a bound a price is ignored. *)
+let prop_price_exact =
+  QCheck.Test.make
+    ~name:"a price leaves a bounded pass's answer unchanged" ~count:60
+    bound_instance_arb
+    (fun (net, sites, widths, slack, extra) ->
+      let geometry = Geometry.of_net net in
+      let library = Repeater_library.create widths in
+      let bare = Delay.total repeater geometry Solution.empty in
+      let priced ?width_bound price budget =
+        run_dp ?width_bound ~price geometry repeater ~library
+          ~candidates:sites ~budget
+      in
+      List.for_all
+        (fun budget ->
+          match
+            run_dp geometry repeater ~library ~candidates:sites ~budget
+          with
+          | None ->
+              priced ~width_bound:max_int 1.0 budget = None
+              && priced 1.0 budget = None
+          | Some optimum ->
+              let units = Power_dp.width_units optimum in
+              let refine_like =
+                match
+                  Rip_refine.Refine.run geometry repeater ~budget
+                    ~initial:optimum.Power_dp.solution
+                with
+                | Some o
+                  when Float.is_finite o.Rip_refine.Refine.lambda
+                       && o.Rip_refine.Refine.lambda > 0.0 ->
+                    Rip_dp.Fast_dp.units_per_u *. o.Rip_refine.Refine.lambda
+                | Some _ | None -> float_of_int (units + 1) /. budget
+              in
+              let same = function
+                | Some r -> Helpers.identical_results optimum r
+                | None -> false
+              in
+              List.for_all
+                (fun price ->
+                  same (priced ~width_bound:units price budget)
+                  && same (priced ~width_bound:(units + extra) price budget)
+                  && priced ~width_bound:(units - 1) price budget = None
+                  && same (priced price budget))
+                [ refine_like; 1e-3 *. refine_like; 1e3 *. refine_like; 1.0 ])
+        [ bare *. slack /. 2.0; bare *. slack /. 1.5; bare *. slack ])
+
+(* The price's strength: every label's priced completion is bounded
+   below by the Lagrangian dual value L* = min over all chains of
+   [width units + price * delay], computed here by a plain shortest-path
+   DP.  So a bound under [L* - price * budget] leaves a priced pass no
+   label anywhere, not even at the first site, although the width bound
+   alone keeps many.  A weaker completion table or a weaker forward test
+   keeps some. *)
+let lagrangian_dual geometry ~library ~candidates ~price =
+  let chain = Chain.create geometry repeater ~candidates in
+  let last = Chain.site_count chain - 1 in
+  let widths_at site =
+    if site = 0 then [| chain.Chain.driver_width |]
+    else if site = last then [| chain.Chain.receiver_width |]
+    else Array.of_list (Repeater_library.widths library)
+  in
+  let cost = Array.init (last + 1) (fun site ->
+      Array.make (Array.length (widths_at site)) infinity) in
+  cost.(0).(0) <- 0.0;
+  for t = 1 to last do
+    Array.iteri
+      (fun wj to_width ->
+        let own =
+          if Chain.is_interior chain t then
+            float_of_int (Rip_dp.Fast_dp.width_units to_width)
+          else 0.0
+        in
+        for s = 0 to t - 1 do
+          Array.iteri
+            (fun wi from_width ->
+              let stage =
+                Chain.stage_delay chain ~from_site:s ~from_width ~to_site:t
+                  ~to_width
+              in
+              let c = cost.(s).(wi) +. own +. (price *. stage) in
+              if c < cost.(t).(wj) then cost.(t).(wj) <- c)
+            (widths_at s)
+        done)
+      (widths_at t)
+  done;
+  cost.(last).(0)
+
+let prop_price_reaches_dual_bound =
+  QCheck.Test.make
+    ~name:"under the Lagrangian bound a priced pass keeps no label" ~count:60
+    bound_instance_arb
+    (fun (net, sites, widths, slack, _) ->
+      let geometry = Geometry.of_net net in
+      let library = Repeater_library.create widths in
+      let bare = Delay.total repeater geometry Solution.empty in
+      List.for_all
+        (fun budget ->
+          match
+            run_dp geometry repeater ~library ~candidates:sites ~budget
+          with
+          | None -> true
+          | Some optimum ->
+              let units = Power_dp.width_units optimum in
+              let kept width_bound price =
+                let total = ref 0 in
+                let probe (Power_dp.Column { kept; _ }) =
+                  total := !total + kept
+                in
+                ignore
+                  (run_dp ~width_bound ?price
+                     ~hooks:(Rip_numerics.Hooks.make ~probe ())
+                     geometry repeater ~library ~candidates:sites ~budget);
+                !total
+              in
+              List.for_all
+                (fun price ->
+                  let dual =
+                    lagrangian_dual geometry ~library ~candidates:sites ~price
+                    -. (price *. budget)
+                  in
+                  (* A margin of a unit plus a relative 1e-6 covers both
+                     passes' rounding and the pass's 1e-9 slack. *)
+                  let bound =
+                    int_of_float
+                      (Float.floor (dual -. (1e-6 *. Float.abs dual)))
+                    - 1
+                  in
+                  bound < 0 || bound >= units
+                  || kept bound (Some price) = 0)
+                (let lambda = float_of_int (units + 1) /. budget in
+                 [ lambda; 10.0 *. lambda ]))
+        [ bare *. slack /. 2.0; bare *. slack /. 1.5; bare *. slack ])
+
 (* One arena reused across many fast solves must behave exactly like a
    fresh arena per solve, and its capacity must stop growing once it has
    seen the biggest instance. *)
@@ -548,6 +688,21 @@ let test_run_rejects_tiny_cap () =
         (run_dp ~frontier_cap:1 geometry repeater ~library ~candidates
            ~budget:1e-9))
 
+let test_run_rejects_bad_price () =
+  let net = zoned_net () in
+  let geometry = Geometry.of_net net in
+  let library = Repeater_library.uniform ~min_width:10.0 ~step:10.0 ~count:5 in
+  let candidates = Candidates.uniform net ~pitch:200.0 in
+  List.iter
+    (fun price ->
+      invalid
+        (Printf.sprintf "price of %g" price)
+        (fun () ->
+          ignore
+            (run_dp ~width_bound:1000 ~price geometry repeater ~library
+               ~candidates ~budget:1e-9)))
+    [ 0.0; -1.0; Float.nan; Float.infinity ]
+
 let suite =
   [
     ( "dp.repeater_library",
@@ -589,9 +744,13 @@ let suite =
       [
         qcheck prop_backend_equivalence;
         qcheck prop_width_bound_exact;
+        qcheck prop_price_exact;
+        qcheck prop_price_reaches_dual_bound;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
         Alcotest.test_case "tiny frontier cap rejected" `Quick
           test_run_rejects_tiny_cap;
+        Alcotest.test_case "bad price rejected" `Quick
+          test_run_rejects_bad_price;
       ] );
     ( "dp.min_delay",
       [

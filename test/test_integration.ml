@@ -9,6 +9,7 @@ module Geometry = Rip_net.Geometry
 module Net_io = Rip_net.Net_io
 module Solution = Rip_elmore.Solution
 module Delay = Rip_elmore.Delay
+module Rc_ladder = Rip_elmore.Rc_ladder
 module Validate = Rip_core.Validate
 module Rip = Rip_core.Rip
 module Baseline = Rip_workload.Baseline
@@ -16,6 +17,8 @@ module Suite = Rip_workload.Suite
 module Config = Rip_core.Config
 module Power_dp = Rip_dp.Power_dp
 module Netgen = Rip_workload.Netgen
+module Min_delay = Rip_dp.Min_delay
+module Candidates = Rip_dp.Candidates
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -306,6 +309,151 @@ let prop_bounded_passes_match_reference ~frontier_cap name =
       in
       same_answer (solve Power_dp.Fast) (solve Power_dp.Reference))
 
+(* The total delay of an insertion recomputed stage by stage on a
+   discretised RC ladder: an oracle independent of the closed forms that
+   produced the answer. *)
+let ladder_delay (net : Net.t) geometry solution =
+  let pins =
+    ((0.0, net.Net.driver_width)
+    :: List.map
+         (fun (r : Solution.repeater) -> (r.position, r.width))
+         (Solution.repeaters solution))
+    @ [ (Net.total_length net, net.Net.receiver_width) ]
+  in
+  let rec sum acc = function
+    | (a, wa) :: ((b, wb) :: _ as rest) ->
+        sum
+          (acc
+          +. Rc_ladder.stage_delay_discretised repeater geometry ~driver_pos:a
+               ~driver_width:wa ~load_pos:b ~load_width:wb ~lumps_per_um:1.0)
+          rest
+    | [ _ ] | [] -> acc
+  in
+  sum 0.0 pins
+
+let legal_and_meets net geometry ~budget (r : Rip.report) =
+  Validate.is_valid process net ~budget r.Rip.solution
+  && ladder_delay net geometry r.Rip.solution <= budget *. (1.0 +. 1e-4)
+
+(* The insertion behind [Rip.tau_min]'s gridded half. *)
+let gridded_min_delay net geometry =
+  (Min_delay.solve geometry repeater ~library:Config.tau_min_library
+     ~candidates:(Candidates.uniform net ~pitch:Config.tau_min_pitch))
+    .Min_delay.solution
+
+(* Two perfbench-recipe nets whose gridded min-delay insertion meets the
+   budget while every RIP pass misses it: coarse, REFINE, final and
+   rescue all came back infeasible, so the solve answered
+   [Infeasible_budget].  The anchor pass answers them. *)
+let anchor_nets =
+  [
+    ( "net n5_27\ndriver 20\nreceiver 40\n\
+       segment 2043.3839619195232 0.06 0.48 metal4\n\
+       segment 1849.936651726313 0.06 0.48 metal4\n\
+       segment 2100.273949350301 0.05 0.52 metal5\n\
+       segment 2235.507966999741 0.05 0.52 metal5\n\
+       segment 2358.0988984429778 0.05 0.52 metal5\n\
+       zone 1273.9990728852 5393.372115261061\n",
+      1373.4402e-12 );
+    ( "net n8_03\ndriver 20\nreceiver 40\n\
+       segment 2328.023300526707 0.06 0.48 metal4\n\
+       segment 1355.4406603741704 0.05 0.52 metal5\n\
+       segment 2358.9664576797695 0.06 0.48 metal4\n\
+       segment 1107.0707203525374 0.06 0.48 metal4\n\
+       segment 1657.4000879432651 0.06 0.48 metal4\n\
+       segment 1756.8868171285767 0.05 0.52 metal5\n\
+       segment 1445.7116487048727 0.06 0.48 metal4\n\
+       segment 1272.1402141113228 0.05 0.52 metal5\n\
+       zone 1319.650466122908 5884.142885090335\n",
+      1675.707e-12 );
+  ]
+
+let test_anchor_answers () =
+  List.iter
+    (fun (text, budget) ->
+      let net =
+        match Net_io.parse_string text with
+        | Ok net -> net
+        | Error e -> Alcotest.failf "parse: %s" e
+      in
+      let geometry = Geometry.of_net net in
+      let name = net.Net.name in
+      Alcotest.(check bool)
+        (name ^ ": the gridded insertion meets the budget")
+        true
+        (Delay.total repeater geometry (gridded_min_delay net geometry)
+        <= budget);
+      match Rip.solve (Rip.problem ~geometry process net ~budget) with
+      | Ok r ->
+          Alcotest.(check bool)
+            (name ^ ": legal and meets the budget on the RC ladder")
+            true
+            (legal_and_meets net geometry ~budget r);
+          Alcotest.(check bool)
+            (name ^ ": the anchor pass answered")
+            true
+            (Option.is_some r.Rip.trace.Rip.anchor)
+      | Error e -> Alcotest.failf "%s: %s" name (Rip.error_to_string e))
+    anchor_nets
+
+(* The contract behind [tau_min]: whenever the gridded min-delay
+   insertion meets the budget, RIP answers, legally and within the
+   budget.  Section-6 Netgen nets with the zone anywhere, a third of them
+   starting within 250 um of the driver and a third ending within 250 um
+   of the receiver.  Budgets sit 0-20 % above the gridded insertion's
+   own delay, half of them within 1 %, where the passes above the anchor
+   miss most often (about 7 % of such cases before the anchor pass, 0.3 %
+   over the whole 0-20 %).  Neither
+   [tau_min] nor the solve may raise, and every answer, anchored or not,
+   must check out. *)
+let anchor_gate_arb =
+  let gen =
+    QCheck.Gen.(
+      let* index = int_range 1 10_000 in
+      let* pin = int_range 0 2 in
+      let* place = float_range 0.0 1.0 in
+      let* slack = oneof [ float_range 1.0 1.01; float_range 1.0 1.2 ] in
+      let base = Netgen.generate (Rip_numerics.Prng.create 23L) ~index in
+      let length = Net.total_length base in
+      let zone_length =
+        match base.Net.zones with
+        | z :: _ -> z.Zone.z_end -. z.Zone.z_start
+        | [] -> 0.25 *. length
+      in
+      let z_start =
+        match pin with
+        | 0 -> place *. 250.0
+        | 1 -> length -. zone_length -. (place *. 250.0)
+        | _ -> place *. (length -. zone_length)
+      in
+      let net =
+        Net.create ~name:base.Net.name
+          ~segments:(Array.to_list base.Net.segments)
+          ~zones:[ Zone.create ~z_start ~z_end:(z_start +. zone_length) ]
+          ~driver_width:base.Net.driver_width
+          ~receiver_width:base.Net.receiver_width ()
+      in
+      return (net, slack))
+  in
+  QCheck.make
+    ~print:(fun (net, slack) -> Fmt.str "%a x%g" Net.pp net slack)
+    gen
+
+let prop_anchor_gate =
+  QCheck.Test.make ~name:"answers wherever the gridded insertion meets"
+    ~count:100 anchor_gate_arb (fun (net, slack) ->
+      let geometry = Geometry.of_net net in
+      let tau_min = Rip.tau_min process geometry in
+      let gridded =
+        Delay.total repeater geometry (gridded_min_delay net geometry)
+      in
+      let budget = slack *. gridded in
+      Float.is_finite tau_min
+      &&
+      match Rip.solve (Rip.problem ~geometry process net ~budget) with
+      | Ok r -> legal_and_meets net geometry ~budget r
+      | Error _ -> false)
+
 let suite =
   [
     ( "integration",
@@ -326,6 +474,9 @@ let suite =
           test_stage_delay_additivity_across_pipeline;
         Alcotest.test_case "zone at the driver pin" `Quick
           test_zone_at_driver_pin;
+        Alcotest.test_case "anchor answers where every pass missed" `Quick
+          test_anchor_answers;
+        qcheck prop_anchor_gate;
         qcheck
           (prop_bounded_passes_match_reference ~frontier_cap:None
              "bounded passes match reference, uncapped");
