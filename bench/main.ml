@@ -193,7 +193,18 @@ let run_tree scale =
     Rip_workload.Tree_experiments.run ~trees ~targets_per_tree:6 process
   in
   Printf.printf "(took %.1fs)\n\n" (Unix.gettimeofday () -. started);
-  print_string (Rip_workload.Tree_experiments.render rows)
+  print_string (Rip_workload.Tree_experiments.render rows);
+  (* The tree hybrid answers every target (the anchor makes each one
+     reachable): a violation fails the run, as a fingerprint mismatch
+     does. *)
+  List.iter
+    (fun (r : Rip_workload.Tree_experiments.row) ->
+      if r.hybrid_violations > 0 then begin
+        Printf.eprintf "TREE VIOLATION: %s missed %d target(s)\n"
+          r.tree_name r.hybrid_violations;
+        exit 1
+      end)
+    rows
 
 (* --- Microbenchmarks (Bechamel) ---------------------------------------- *)
 

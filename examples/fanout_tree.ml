@@ -39,7 +39,7 @@ let () =
     tree.Tree.name (Tree.total_wire_length tree) (Tree.sink_count tree)
     (tau_min *. 1e12) (budget *. 1e12);
   match Tree_hybrid.solve process tree ~budget with
-  | Error e -> Printf.printf "infeasible: %s\n" e
+  | Error e -> print_endline (Rip_core.Rip.error_to_string e)
   | Ok r ->
       Printf.printf "%d repeaters, total width %.0fu (%.1f ms)\n"
         (Tree_solution.count r.Tree_hybrid.solution)
@@ -51,14 +51,12 @@ let () =
             rep.Tree_solution.edge rep.Tree_solution.offset
             rep.Tree_solution.width)
         (Tree_solution.repeaters r.Tree_hybrid.solution);
-      (match r.Tree_hybrid.coarse with
-      | Some c ->
-          Printf.printf "coarse DP alone would need %.0fu (%.1f%% more)\n"
-            c.Rip_tree.Tree_dp.total_width
-            (100.0
-            *. (c.Rip_tree.Tree_dp.total_width -. r.Tree_hybrid.total_width)
-            /. r.Tree_hybrid.total_width)
-      | None -> ());
+      let c = r.Tree_hybrid.trace.Rip_core.Pipeline.coarse in
+      Printf.printf "coarse DP alone would need %.0fu (%.1f%% more)\n"
+        c.Rip_tree.Tree_dp.total_width
+        (100.0
+        *. (c.Rip_tree.Tree_dp.total_width -. r.Tree_hybrid.total_width)
+        /. r.Tree_hybrid.total_width);
       let delays =
         Tree_delay.sink_delays process.Rip_tech.Process.repeater tree
           r.Tree_hybrid.solution

@@ -1,0 +1,225 @@
+module Repeater_library = Rip_dp.Repeater_library
+
+module type SUBSTRATE = sig
+  type t
+  type sites
+  type solution
+  type dp
+  type continuous
+
+  val uniform : t -> pitch:float -> sites
+  val around : t -> centers:solution -> radius:int -> pitch:float -> sites
+  val halve : t -> sites -> sites option
+  val window_core :
+    t -> centers:solution -> pitch:float -> sites -> sites option
+
+  val power_dp :
+    t -> ?width_bound:dp -> ?price:float -> library:Repeater_library.t ->
+    budget:float -> sites -> dp option
+
+  val min_delay : t -> library:Repeater_library.t -> sites -> solution * float
+  val continuous : t -> budget:float -> seed:solution -> continuous option
+  val placed : continuous -> solution
+  val price : continuous -> float option
+  val fastest : t -> solution
+  val tau_min : t -> gridded:float -> float
+  val solution : dp -> solution
+  val width : dp -> float
+  val delay : dp -> float
+  val widths : solution -> float list
+  val seed : t -> ?delay:float -> solution -> dp
+  val bare : t -> dp
+end
+
+type ('dp, 'continuous, 'sites) trace = {
+  coarse : 'dp;
+  used_fallback_library : bool;
+  refined : 'continuous option;
+  refined_library : Repeater_library.t option;
+  refined_sites : 'sites option;
+  final : 'dp option;
+  rescue : 'dp option;
+  anchor : 'dp option;
+}
+
+let rounded_library (config : Config.t) widths =
+  Repeater_library.round_to_grid ~granularity:config.Config.refined_granularity
+    ~min_width:config.Config.min_width ~max_width:config.Config.max_width
+    widths
+
+module Make (S : SUBSTRATE) = struct
+  let run ~(config : Config.t) ~hooks t ~budget =
+    let in_phase name f = Hooks.in_phase hooks name f in
+    let around centers =
+      S.around t ~centers ~radius:config.Config.refined_radius
+        ~pitch:config.Config.refined_pitch
+    in
+    let run_dp ?width_bound ?price ~library sites =
+      S.power_dp t ?width_bound ?price ~library ~budget sites
+    in
+    (* A pass with a subset solves it first.  The subset's answer is a
+       legal insertion over the full set too, so its width bounds the full
+       optimum, and the full pass under that bound drops every label that
+       cannot finish within it: same answer, far fewer labels (DESIGN.md
+       3.2a).  A [price] applies to the bounded full pass only. *)
+    let subset_first ?price ~library ~solve_subset sites =
+      let full width_bound = run_dp ?width_bound ?price ~library sites in
+      match solve_subset () with
+      | None -> full None
+      | Some sub -> (
+          match full (Some sub) with
+          | Some _ as answer -> answer
+          (* Only a binding frontier cap can push the full pass's answer
+             above a subset's; rerun it as it would run alone. *)
+          | None -> full None)
+    in
+    let rec halving ~library sites =
+      match S.halve t sites with
+      | None -> run_dp ~library sites
+      | Some half ->
+          subset_first ~library sites ~solve_subset:(fun () ->
+              halving ~library half)
+    in
+    let windowed ?price ~library ~centers sites =
+      match
+        S.window_core t ~centers ~pitch:config.Config.refined_pitch sites
+      with
+      | None -> run_dp ~library sites
+      | Some core ->
+          subset_first ?price ~library sites ~solve_subset:(fun () ->
+              run_dp ~library core)
+    in
+    let coarse_sites = S.uniform t ~pitch:config.Config.coarse_pitch in
+    (* Line 1, with a fallback library for budgets the coarse grid misses.
+       For budgets below what any coarse-pitch DP can reach, seed the
+       continuous step with the min-delay insertion instead: it and the
+       fine-pitch final DP can still land under the budget. *)
+    let coarse, used_fallback_library =
+      in_phase "coarse_dp" @@ fun () ->
+      match halving ~library:config.Config.coarse_library coarse_sites with
+      | Some r -> (r, false)
+      | None -> (
+          match
+            halving ~library:config.Config.fallback_library coarse_sites
+          with
+          | Some r -> (r, true)
+          | None ->
+              let solution, delay =
+                S.min_delay t ~library:config.Config.fallback_library
+                  coarse_sites
+              in
+              (S.seed t ~delay solution, true))
+    in
+    (* Lines 2-4, optionally iterated (config.refine_passes): each round
+       seeds the continuous step with the previous round's answer. *)
+    let run_round seed =
+      match in_phase "refine" (fun () -> S.continuous t ~budget ~seed) with
+      | None -> (None, None, None, None)
+      | Some outcome ->
+          let placed = S.placed outcome in
+          let library =
+            match S.widths placed with
+            | [] -> None
+            | widths -> Some (rounded_library config widths)
+          in
+          let sites = around placed in
+          let final =
+            match library with
+            | None -> Some (S.bare t)
+            | Some library ->
+                in_phase "final_dp" (fun () ->
+                    windowed ?price:(S.price outcome) ~library ~centers:placed
+                      sites)
+          in
+          (Some outcome, library, Some sites, final)
+    in
+    let refined, refined_library, refined_sites, first_final =
+      run_round (S.solution coarse)
+    in
+    let final =
+      let passes = Stdlib.max 1 config.Config.refine_passes in
+      let rec iterate best k =
+        if k >= passes then best
+        else
+          match best with
+          | None -> best
+          | Some previous -> (
+              match run_round (S.solution previous) with
+              | _, _, _, Some next when S.width next < S.width previous ->
+                  iterate (Some next) (k + 1)
+              | _, _, _, (Some _ | None) -> best)
+      in
+      iterate first_final 1
+    in
+    let tolerance = 1e-6 *. Float.abs budget in
+    let misses r = S.delay r > budget +. tolerance in
+    let coarse_feasible = not (misses coarse) in
+    (* Last resort for budgets every grid missed: a DP around the fastest
+       insertion, over a tiny library rounded from its widths (the full
+       reference library would reintroduce the pseudo-polynomial blow-up
+       the hybrid scheme exists to avoid). *)
+    let rescue =
+      let need =
+        (not coarse_feasible) && Option.fold ~none:true ~some:misses final
+      in
+      if not need then None
+      else
+        in_phase "rescue_dp" @@ fun () ->
+        let fastest = S.fastest t in
+        let library =
+          match S.widths fastest with
+          | [] -> config.Config.fallback_library
+          | widths -> rounded_library config widths
+        in
+        windowed ~library ~centers:fastest (around fastest)
+    in
+    (* The narrowest budget-meeting result; a min-delay seed that itself
+       misses the budget is never returned. *)
+    let narrowest results =
+      List.fold_left
+        (fun acc r ->
+          match acc with
+          | Some b when S.width b <= S.width r -> acc
+          | Some _ | None -> if misses r then acc else Some r)
+        None results
+    in
+    let best =
+      narrowest
+        (List.filter_map Fun.id
+           [ final; (if coarse_feasible then Some coarse else None); rescue ])
+    in
+    let answer ~anchor result =
+      Ok
+        ( { coarse; used_fallback_library; refined; refined_library;
+            refined_sites; final; rescue; anchor },
+          result )
+    in
+    match best with
+    | Some best -> answer ~anchor:None best
+    | None -> (
+        (* Last resort: the anchor's own insertion.  A budget the gridded
+           min-delay insertion behind [tau_min] meets is reachable, so when
+           every pass above missed it, answer with that insertion or a DP
+           around it over its own widths, whichever is narrower. *)
+        let solution, gridded =
+          S.min_delay t ~library:Config.tau_min_library
+            (S.uniform t ~pitch:Config.tau_min_pitch)
+        in
+        let seed = S.seed t solution in
+        let anchor =
+          if misses seed then None
+          else
+            match S.widths solution with
+            | [] -> Some seed
+            | widths ->
+                narrowest
+                  (seed
+                  :: Option.to_list
+                       (windowed
+                          ~library:(Repeater_library.create widths)
+                          ~centers:solution (around solution)))
+        in
+        match anchor with
+        | Some result -> answer ~anchor result
+        | None -> Error (S.tau_min t ~gridded))
+end

@@ -1,0 +1,121 @@
+(** The pass orchestration of the hybrid scheme, written once over a
+    substrate: the two-pin chain ({!Rip}) and the routed tree
+    ([Rip_tree.Tree_hybrid]) run the same passes.
+
+    {ol
+    {- coarse: the power DP over [config.coarse_library] at uniform
+       [config.coarse_pitch] sites, retried with [config.fallback_library];
+       when both miss, the min-delay DP's insertion over the same sites
+       seeds the next pass instead (RIP line 1);}
+    {- [config.refine_passes] rounds, each seeded with the previous
+       round's answer: the continuous step, then a final DP over a library
+       rounded from the continuous widths and the sites around the
+       continuous placements (lines 2-4);}
+    {- rescue, when neither the coarse pass nor the final DP met the
+       budget: a DP around the substrate's fastest insertion over a
+       library rounded from its widths;}
+    {- the narrowest budget-meeting answer among final, coarse and rescue;
+       when none meets, the anchor: the min-delay DP's insertion over
+       {!Config.tau_min_library} at {!Config.tau_min_pitch}, or a DP around
+       it over its own widths, whichever is narrower, if it meets.}}
+
+    A substrate whose power DP takes a width bound names subsets of its
+    candidates ([halve], [window_core]): such a pass solves the subset
+    first and bounds the full pass by that answer's width, with the same
+    answer (DESIGN.md 3.2a).  A substrate without one returns [None]
+    there and every pass runs once. *)
+
+module type SUBSTRATE = sig
+  type t
+  (** One solve's problem: the wire, the process and whatever the
+      substrate's own steps share. *)
+
+  type sites
+  type solution
+
+  type dp
+  (** A pass's answer: an insertion with its width and delay. *)
+
+  type continuous
+  (** The continuous step's outcome. *)
+
+  val uniform : t -> pitch:float -> sites
+  (** Sites at multiples of [pitch], zones excluded. *)
+
+  val around : t -> centers:solution -> radius:int -> pitch:float -> sites
+  (** Sites within [radius] slots of [pitch] of each repeater of
+      [centers], zones excluded. *)
+
+  val halve : t -> sites -> sites option
+  (** The subset a coarse pass solves first, if any. *)
+
+  val window_core :
+    t -> centers:solution -> pitch:float -> sites -> sites option
+  (** The subset a pass over sites {!around} [centers] solves first, if
+      any. *)
+
+  val power_dp :
+    t -> ?width_bound:dp -> ?price:float ->
+    library:Rip_dp.Repeater_library.t -> budget:float -> sites -> dp option
+  (** The least-width insertion over [sites] meeting [budget].
+      [width_bound] is an answer over a subset of [sites] and [price] a
+      multiplier on delay from the continuous step: both may prune, never
+      change the answer. *)
+
+  val min_delay :
+    t -> library:Rip_dp.Repeater_library.t -> sites -> solution * float
+  (** The min-delay DP's insertion and the delay it reports. *)
+
+  val continuous : t -> budget:float -> seed:solution -> continuous option
+  (** The analytical step from [seed]'s placements; [None] when it cannot
+      meet [budget]. *)
+
+  val placed : continuous -> solution
+  (** Its insertion: the widths make the final library, the positions
+      the centers of the final sites. *)
+
+  val price : continuous -> float option
+  (** The multiplier the final pass prices delay at, if any. *)
+
+  val fastest : t -> solution
+  (** The insertion the rescue pass searches around. *)
+
+  val tau_min : t -> gridded:float -> float
+  (** The minimum delay an infeasible answer reports, given the anchor's
+      gridded min-delay. *)
+
+  val solution : dp -> solution
+  val width : dp -> float
+  val delay : dp -> float
+  val widths : solution -> float list
+
+  val seed : t -> ?delay:float -> solution -> dp
+  (** An answer no DP pass produced, at [delay] or else its evaluated
+      delay. *)
+
+  val bare : t -> dp
+  (** The bare wire, when the continuous step drops every repeater. *)
+end
+
+type ('dp, 'continuous, 'sites) trace = {
+  coarse : 'dp;
+      (** line 1, or the min-delay seed when both libraries missed *)
+  used_fallback_library : bool;
+  refined : 'continuous option;  (** the first round's continuous step *)
+  refined_library : Rip_dp.Repeater_library.t option;
+      (** the first round's final library *)
+  refined_sites : 'sites option;  (** the first round's final sites *)
+  final : 'dp option;  (** the last improving round's final DP *)
+  rescue : 'dp option;  (** [None] unless it ran and found an answer *)
+  anchor : 'dp option;  (** [None] unless it ran and its insertion meets *)
+}
+
+module Make (S : SUBSTRATE) : sig
+  val run :
+    config:Config.t -> hooks:'event Hooks.t -> S.t -> budget:float ->
+    ((S.dp, S.continuous, S.sites) trace * S.dp, float) result
+  (** The narrowest pass answer meeting [budget] (to 1 ppm) with the
+      trace of every pass, or else the minimum delay
+      ({!SUBSTRATE.tau_min}).  [hooks.phase] brackets the ["coarse_dp"],
+      ["refine"], ["final_dp"] and ["rescue_dp"] phases. *)
+end

@@ -1,5 +1,5 @@
 (** Algorithm RIP (Figure 6 of the paper): the hybrid repeater insertion
-    scheme.
+    scheme on two-pin nets.
 
     {ol
     {- run the power DP with a coarse library and coarse uniform candidate
@@ -10,14 +10,12 @@
        plus/minus a few fine-pitch slots);}
     {- rerun the power DP on the refined space.}}
 
-    When the coarse DP finds no solution (the coarse library may simply
-    lack the right sizes for very tight budgets), line 1 is retried with
-    the configured fallback library before giving up; when the final DP is
-    infeasible despite the refined space (rare rounding corner), the best
-    earlier feasible solution is returned; and when no pass meets the
-    budget, the gridded min-delay insertion behind {!tau_min} (or a DP
-    around it, if narrower) is.  Every returned solution is legal and
-    meets the budget, and a budget that insertion meets is always
+    The passes and their fallbacks (fallback library, min-delay seed,
+    rescue, anchor) are {!Pipeline}'s, run here over the chain: the power
+    DP is {!Rip_dp.Power_dp}, the continuous step is REFINE and the
+    rescue searches around {!Rip_refine.Min_delay_analytic}'s insertion.
+    Every returned solution is legal and meets the budget, and a budget
+    the gridded min-delay insertion behind {!tau_min} meets is always
     answered.
 
     Under the [Fast] DP backend every DP pass first solves a subset of

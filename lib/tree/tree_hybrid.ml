@@ -1,102 +1,101 @@
-module Repeater_library = Rip_dp.Repeater_library
+module Config = Rip_core.Config
+module Pipeline = Rip_core.Pipeline
 module Process = Rip_tech.Process
 
-type config = {
-  coarse_library : Repeater_library.t;
-  coarse_pitch : float;
-  refined_granularity : float;
-  refined_radius : int;
-  refined_pitch : float;
-  min_width : float;
-  max_width : float;
-}
-
-let default_config =
-  {
-    coarse_library =
-      Repeater_library.uniform ~min_width:80.0 ~step:80.0 ~count:5;
-    coarse_pitch = 200.0;
-    refined_granularity = 10.0;
-    refined_radius = 10;
-    refined_pitch = 50.0;
-    min_width = 10.0;
-    max_width = 400.0;
-  }
+type trace = (Tree_dp.result, Tree_solution.t, float list array) Pipeline.trace
 
 type report = {
   solution : Tree_solution.t;
   total_width : float;
   max_delay : float;
   runtime_seconds : float;
-  coarse : Tree_dp.result option;
-  sizing : Tree_sizing.result option;
-  final : Tree_dp.result option;
+  trace : trace;
 }
 
-let fallback_library =
-  Repeater_library.range ~min_width:10.0 ~max_width:400.0 ~step:10.0
-
 let tau_min (process : Process.t) tree =
-  let sites = Tree_dp.uniform_sites tree ~pitch:100.0 in
   Tree_min_delay.tau_min process.Process.repeater tree
-    ~library:(Repeater_library.range ~min_width:10.0 ~max_width:400.0
-                ~step:20.0)
-    ~sites
+    ~library:Config.tau_min_library
+    ~sites:(Tree_dp.uniform_sites tree ~pitch:Config.tau_min_pitch)
 
-let solve ?(config = default_config) (process : Process.t) tree ~budget =
+(* The tree substrate of the hybrid pipeline.  [Tree_dp] takes no width
+   bound, so no pass has a subset; the continuous step is [Tree_sizing] at
+   the seed's placements, which neither moves repeaters nor yields a
+   price. *)
+module Tree_substrate = struct
+  type t = {
+    config : Config.t;
+    repeater : Rip_tech.Repeater_model.t;
+    tree : Tree.t;
+  }
+  type sites = float list array
+  type solution = Tree_solution.t
+  type dp = Tree_dp.result
+  type continuous = Tree_solution.t
+
+  let uniform t ~pitch = Tree_dp.uniform_sites t.tree ~pitch
+  let around t ~centers ~radius ~pitch =
+    Tree_dp.around_sites t.tree ~centers ~radius ~pitch
+
+  let halve _ _ = None
+  let window_core _ ~centers:_ ~pitch:_ _ = None
+
+  let power_dp t ?width_bound:_ ?price:_ ~library ~budget sites =
+    Tree_dp.solve t.repeater t.tree ~library ~sites ~budget
+
+  let min_delay t ~library sites =
+    let r = Tree_min_delay.solve t.repeater t.tree ~library ~sites in
+    (r.Tree_min_delay.solution, r.Tree_min_delay.delay)
+
+  let continuous t ~budget ~seed =
+    Option.map
+      (fun (sized : Tree_sizing.result) ->
+        Tree_solution.with_widths seed sized.Tree_sizing.widths)
+      (Tree_sizing.solve t.repeater t.tree ~placements:seed ~budget)
+
+  let placed sized = sized
+  let price _ = None
+
+  (* The tree has no analytical min-delay solver: the rescue searches
+     around the min-delay DP's insertion over the coarse sites. *)
+  let fastest t =
+    fst
+      (min_delay t ~library:t.config.Config.fallback_library
+         (uniform t ~pitch:t.config.Config.coarse_pitch))
+
+  let tau_min _ ~gridded = gridded
+  let solution (r : dp) = r.Tree_dp.solution
+  let width (r : dp) = r.Tree_dp.total_width
+  let delay (r : dp) = r.Tree_dp.max_delay
+  let widths = Tree_solution.widths
+
+  let seed t ?delay solution =
+    {
+      Tree_dp.solution;
+      total_width = Tree_solution.total_width solution;
+      max_delay =
+        (match delay with
+        | Some d -> d
+        | None -> Tree_delay.max_delay t.repeater t.tree solution);
+      stats = { Tree_dp.sites = 0; labels = 0 };
+    }
+
+  let bare t = seed t Tree_solution.empty
+end
+
+module Tree_pipeline = Pipeline.Make (Tree_substrate)
+
+let solve ?(config = Config.default) ?(hooks = Rip_core.Hooks.default)
+    (process : Process.t) tree ~budget =
   let started = Rip_numerics.Cpu_clock.thread_seconds () in
-  let repeater = process.Process.repeater in
-  let coarse_sites = Tree_dp.uniform_sites tree ~pitch:config.coarse_pitch in
-  (* Stage 1: coarse DP (fallback library when the 80u grid cannot meet a
-     tight budget). *)
-  let coarse =
-    match
-      Tree_dp.solve repeater tree ~library:config.coarse_library
-        ~sites:coarse_sites ~budget
-    with
-    | Some r -> Some r
-    | None ->
-        Tree_dp.solve repeater tree ~library:fallback_library
-          ~sites:coarse_sites ~budget
+  let substrate =
+    { Tree_substrate.config; repeater = process.Process.repeater; tree }
   in
-  match coarse with
-  | None ->
+  match Tree_pipeline.run ~config ~hooks substrate ~budget with
+  | Error tau_min ->
       Error
-        (Printf.sprintf "infeasible: no tree insertion meets %.4g ps"
-           (budget *. 1e12))
-  | Some coarse_result ->
-      (* Stage 2: continuous sizing at the coarse locations. *)
-      let sizing =
-        Tree_sizing.solve repeater tree
-          ~placements:coarse_result.Tree_dp.solution ~budget
-      in
-      (* Stage 3: refined library and location set; stage 4: final DP. *)
-      let final =
-        match sizing with
-        | None -> None
-        | Some sized ->
-            if Array.length sized.Tree_sizing.widths = 0 then None
-            else
-              let library =
-                Repeater_library.round_to_grid
-                  ~granularity:config.refined_granularity
-                  ~min_width:config.min_width ~max_width:config.max_width
-                  (Array.to_list sized.Tree_sizing.widths)
-              in
-              let sites =
-                Tree_dp.around_sites tree
-                  ~centers:coarse_result.Tree_dp.solution
-                  ~radius:config.refined_radius ~pitch:config.refined_pitch
-              in
-              Tree_dp.solve repeater tree ~library ~sites ~budget
-      in
-      let best =
-        match final with
-        | Some f
-          when f.Tree_dp.total_width <= coarse_result.Tree_dp.total_width ->
-            f
-        | Some _ | None -> coarse_result
-      in
+        (Rip_core.Rip.Infeasible_budget
+           { budget; tau_min_hint = Some tau_min })
+  | Ok (trace, best) ->
       Ok
         {
           solution = best.Tree_dp.solution;
@@ -104,7 +103,5 @@ let solve ?(config = default_config) (process : Process.t) tree ~budget =
           max_delay = best.Tree_dp.max_delay;
           runtime_seconds =
             Rip_numerics.Cpu_clock.thread_seconds () -. started;
-          coarse = Some coarse_result;
-          sizing;
-          final;
+          trace;
         }

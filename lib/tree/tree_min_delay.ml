@@ -4,6 +4,12 @@ module Repeater_library = Rip_dp.Repeater_library
 type label = {
   cap : float;
   req : float;  (* required time relative to a zero deadline at sinks *)
+  placements : (int * float * float) list;  (* (edge, offset, width) *)
+}
+
+type result = {
+  solution : Tree_solution.t;
+  delay : float;
 }
 
 (* 2-d Pareto: keep the (cap ascending, req ascending) front. *)
@@ -26,7 +32,7 @@ let prune labels =
     arr;
   List.rev !kept
 
-let tau_min repeater tree ~library ~sites =
+let solve repeater tree ~library ~sites =
   let co = repeater.Repeater_model.co in
   let intrinsic = Repeater_model.intrinsic_delay repeater in
   let lib = Repeater_library.to_array library in
@@ -35,17 +41,19 @@ let tau_min repeater tree ~library ~sites =
     else
       let wire_c = length *. node.Tree.capacitance_per_um in
       let wire_r = length *. node.Tree.resistance_per_um in
-      { cap = l.cap +. wire_c;
+      { l with
+        cap = l.cap +. wire_c;
         req = l.req -. (wire_r *. ((0.5 *. wire_c) +. l.cap)) }
   in
-  let buffer_options l =
+  let buffer_options edge offset l =
     Array.to_list
       (Array.map
          (fun w ->
            { cap = co *. w;
              req =
                l.req -. intrinsic
-               -. (Repeater_model.output_resistance repeater w *. l.cap) })
+               -. (Repeater_model.output_resistance repeater w *. l.cap);
+             placements = (edge, offset, w) :: l.placements })
          lib)
   in
   let merge_two a b =
@@ -53,7 +61,8 @@ let tau_min repeater tree ~library ~sites =
       (fun la ->
         List.map
           (fun lb ->
-            { cap = la.cap +. lb.cap; req = Float.min la.req lb.req })
+            { cap = la.cap +. lb.cap; req = Float.min la.req lb.req;
+              placements = la.placements @ lb.placements })
           b)
       a
   in
@@ -62,7 +71,7 @@ let tau_min repeater tree ~library ~sites =
     let base =
       if node.Tree.children = [] then
         let sink = List.find (fun s -> s.Tree.node = v) tree.Tree.sinks in
-        [ { cap = co *. sink.Tree.load_width; req = 0.0 } ]
+        [ { cap = co *. sink.Tree.load_width; req = 0.0; placements = [] } ]
       else
         match node.Tree.children with
         | [] -> assert false
@@ -77,7 +86,8 @@ let tau_min repeater tree ~library ~sites =
           let carried =
             List.map (wire_extend node (boundary -. offset)) labels
           in
-          (prune (carried @ List.concat_map buffer_options carried), offset))
+          (prune (carried @ List.concat_map (buffer_options v offset) carried),
+           offset))
         (base, node.Tree.length)
         (List.rev sites.(v))
     in
@@ -94,9 +104,13 @@ let tau_min repeater tree ~library ~sites =
   let driver_r =
     Repeater_model.output_resistance repeater tree.Tree.driver_width
   in
+  let slack l = l.req -. intrinsic -. (driver_r *. l.cap) in
   let best =
     List.fold_left
-      (fun acc l -> Float.max acc (l.req -. intrinsic -. (driver_r *. l.cap)))
-      Float.neg_infinity at_root
+      (fun acc l -> if slack l > slack acc then l else acc)
+      (List.hd at_root) (List.tl at_root)
   in
-  -.best
+  { solution = Tree_solution.create best.placements; delay = -.slack best }
+
+let tau_min repeater tree ~library ~sites =
+  (solve repeater tree ~library ~sites).delay

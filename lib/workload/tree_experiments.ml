@@ -1,6 +1,7 @@
 module Tree = Rip_tree.Tree
 module Tree_dp = Rip_tree.Tree_dp
 module Tree_hybrid = Rip_tree.Tree_hybrid
+module Tree_delay = Rip_tree.Tree_delay
 module Repeater_library = Rip_dp.Repeater_library
 module Stats = Rip_numerics.Stats
 
@@ -41,9 +42,13 @@ let run ?trees ?(targets_per_tree = 6) (process : Rip_tech.Process.t) =
           | Ok r ->
               hybrid_w := r.Tree_hybrid.total_width :: !hybrid_w;
               hybrid_t := r.Tree_hybrid.runtime_seconds :: !hybrid_t;
-              (match r.Tree_hybrid.coarse with
-              | Some c -> coarse_w := c.Tree_dp.total_width :: !coarse_w
-              | None -> ())
+              (* A coarse-only DP answers where the coarse pass met the
+                 budget, not where it fell back to the min-delay seed. *)
+              let c = r.Tree_hybrid.trace.Rip_core.Pipeline.coarse in
+              if
+                Tree_delay.meets_budget repeater tree c.Tree_dp.solution
+                  ~budget
+              then coarse_w := c.Tree_dp.total_width :: !coarse_w
           | Error _ -> incr violations);
           let t0 = Rip_numerics.Cpu_clock.thread_seconds () in
           (match

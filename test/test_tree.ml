@@ -18,6 +18,7 @@ module Tree_dp = Rip_tree.Tree_dp
 module Tree_min_delay = Rip_tree.Tree_min_delay
 module Tree_sizing = Rip_tree.Tree_sizing
 module Tree_hybrid = Rip_tree.Tree_hybrid
+module Rip = Rip_core.Rip
 
 let qcheck = QCheck_alcotest.to_alcotest
 let invalid name f = Alcotest.match_raises name (function Invalid_argument _ -> true | _ -> false) f
@@ -198,11 +199,15 @@ let prop_chain_min_delay_equivalence =
       let chain =
         Min_delay.tau_min geometry repeater ~library ~candidates
       in
-      let tree_value =
-        Tree_min_delay.tau_min repeater tree ~library
+      let tree_result =
+        Tree_min_delay.solve repeater tree ~library
           ~sites:(sites_of_chain_candidates net candidates)
       in
-      Helpers.close ~rel:1e-9 chain tree_value)
+      let tree_value = tree_result.Tree_min_delay.delay in
+      Helpers.close ~rel:1e-9 chain tree_value
+      && Helpers.close ~rel:1e-9 tree_value
+           (Tree_delay.max_delay repeater tree
+              tree_result.Tree_min_delay.solution))
 
 let prop_chain_sizing_equivalence =
   QCheck.Test.make
@@ -431,6 +436,9 @@ let prop_tree_sizing_valid =
           && r.Tree_sizing.total_width
              <= Array.fold_left ( +. ) 0.0 fastest +. 1e-6)
 
+let coarse (r : Tree_hybrid.report) =
+  r.Tree_hybrid.trace.Rip_core.Pipeline.coarse
+
 let test_tree_hybrid_end_to_end () =
   let tree = three_sink_tree () in
   let tau_min = Tree_hybrid.tau_min process tree in
@@ -438,35 +446,104 @@ let test_tree_hybrid_end_to_end () =
     (fun slack ->
       let budget = slack *. tau_min in
       match Tree_hybrid.solve process tree ~budget with
-      | Error e -> Alcotest.failf "x%.2f: %s" slack e
+      | Error e -> Alcotest.failf "x%.2f: %s" slack (Rip.error_to_string e)
       | Ok r ->
           Alcotest.(check bool) "legal" true
             (Tree_solution.legal tree r.Tree_hybrid.solution);
           Alcotest.(check bool) "meets budget" true
             (Tree_delay.meets_budget repeater tree r.Tree_hybrid.solution
                ~budget);
-          (match r.Tree_hybrid.coarse with
-          | Some c ->
-              Alcotest.(check bool) "never worse than coarse" true
-                (r.Tree_hybrid.total_width
-                <= c.Tree_dp.total_width +. 1e-9)
-          | None -> Alcotest.fail "coarse trace missing"))
+          Alcotest.(check bool) "never worse than coarse" true
+            (r.Tree_hybrid.total_width
+            <= (coarse r).Tree_dp.total_width +. 1e-9))
     [ 1.1; 1.3; 1.6; 2.0 ]
 
 let test_tree_hybrid_beats_coarse_dp () =
   let tree = three_sink_tree () in
   let budget = 1.3 *. Tree_hybrid.tau_min process tree in
   match Tree_hybrid.solve process tree ~budget with
-  | Error e -> Alcotest.failf "hybrid failed: %s" e
-  | Ok r -> (
-      match r.Tree_hybrid.coarse with
-      | Some coarse ->
-          Alcotest.(check bool)
-            (Printf.sprintf "hybrid %.0fu < coarse %.0fu"
-               r.Tree_hybrid.total_width coarse.Tree_dp.total_width)
-            true
-            (r.Tree_hybrid.total_width < coarse.Tree_dp.total_width)
-      | None -> Alcotest.fail "no coarse trace")
+  | Error e -> Alcotest.failf "hybrid failed: %s" (Rip.error_to_string e)
+  | Ok r ->
+      let coarse = coarse r in
+      Alcotest.(check bool)
+        (Printf.sprintf "hybrid %.0fu < coarse %.0fu"
+           r.Tree_hybrid.total_width coarse.Tree_dp.total_width)
+        true
+        (r.Tree_hybrid.total_width < coarse.Tree_dp.total_width)
+
+(* tree05 of the tree suite at its tightest target: the coarse and the
+   fallback DPs both miss at the 200 um pitch.  Before the tree ran the
+   shared pipeline it had no min-delay seed, rescue or anchor pass, and
+   answered "infeasible: no tree insertion meets 781.2 ps". *)
+let test_tree05_tightest_target () =
+  let tree =
+    List.find
+      (fun (t : Tree.t) -> String.equal t.Tree.name "tree05")
+      (Rip_workload.Tree_gen.suite ())
+  in
+  let budget = 1.10 *. Tree_hybrid.tau_min process tree in
+  match Tree_hybrid.solve process tree ~budget with
+  | Error e -> Alcotest.failf "tree05 x1.10: %s" (Rip.error_to_string e)
+  | Ok r ->
+      Alcotest.(check bool) "legal" true
+        (Tree_solution.legal tree r.Tree_hybrid.solution);
+      Alcotest.(check bool) "meets budget" true
+        (Tree_delay.meets_budget repeater tree r.Tree_hybrid.solution ~budget)
+
+(* The tree form of the chain's anchor gate: whenever the min-delay
+   insertion on the 100 um grid meets the budget, the tree hybrid answers,
+   legally and within the budget, and never wider than a coarse pass that
+   met the budget.  2-3-sink trees, most edges zoned; budgets 0-20 %
+   above that insertion's own delay, half of them within 1 %.  Five
+   cases: a budget within 1 % costs the tree's fallback and rescue DPs
+   1-4 s, as [Tree_dp] has no width bound to prune with. *)
+let tree_gate_arb =
+  let config =
+    { Rip_workload.Tree_gen.default with
+      Rip_workload.Tree_gen.min_sinks = 2; max_sinks = 3;
+      zone_probability = 0.7 }
+  in
+  let gen =
+    QCheck.Gen.(
+      let* index = int_range 1 10_000 in
+      let* slack = oneof [ float_range 1.0 1.01; float_range 1.0 1.2 ] in
+      return
+        ( Rip_workload.Tree_gen.generate ~config
+            (Rip_numerics.Prng.create 29L) ~index,
+          slack ))
+  in
+  QCheck.make
+    ~print:(fun (tree, slack) -> Fmt.str "%a x%g" Tree.pp tree slack)
+    gen
+
+let prop_tree_anchor_gate =
+  QCheck.Test.make
+    ~name:"answers wherever the tree min-delay insertion meets" ~count:5
+    tree_gate_arb (fun (tree, slack) ->
+      let fastest =
+        Tree_min_delay.solve repeater tree
+          ~library:
+            (Repeater_library.range ~min_width:10.0 ~max_width:400.0
+               ~step:20.0)
+          ~sites:(Tree_dp.uniform_sites tree ~pitch:100.0)
+      in
+      let budget =
+        slack
+        *. Tree_delay.max_delay repeater tree
+             fastest.Tree_min_delay.solution
+      in
+      match Tree_hybrid.solve process tree ~budget with
+      | Error _ -> false
+      | Ok r ->
+          let coarse = coarse r in
+          Tree_solution.legal tree r.Tree_hybrid.solution
+          && Tree_delay.meets_budget repeater tree r.Tree_hybrid.solution
+               ~budget
+          && ((not
+                 (Tree_delay.meets_budget repeater tree
+                    coarse.Tree_dp.solution ~budget))
+             || r.Tree_hybrid.total_width
+                <= coarse.Tree_dp.total_width +. 1e-9))
 
 let suite =
   [
@@ -500,6 +577,9 @@ let suite =
           test_tree_hybrid_end_to_end;
         Alcotest.test_case "hybrid beats coarse" `Slow
           test_tree_hybrid_beats_coarse_dp;
+        Alcotest.test_case "tree05 at its tightest target" `Quick
+          test_tree05_tightest_target;
+        qcheck prop_tree_anchor_gate;
         qcheck prop_tree_dp_reported_delay_consistent;
         qcheck prop_tree_sizing_valid;
       ] );
