@@ -148,10 +148,6 @@ let run_ablation scale =
         { base_config with
           refine = { base_config.Config.refine with
                      Rip_refine.Refine.max_iterations = 0 } } );
-      ( "newton width solver",
-        { base_config with
-          refine = { base_config.Config.refine with
-                     Rip_refine.Refine.backend = Rip_refine.Width_solver.Newton } } );
       ( "refined radius 2",
         { base_config with Config.refined_radius = 2 } );
       ( "refined radius 20",

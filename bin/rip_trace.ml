@@ -74,11 +74,6 @@ let count_by key events =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1 |> max 0))
-
 let run_query files outcome shard process trace_id hedged failover spilled
     breaker_skip min_latency_ms print_lines =
   if files = [] then begin
@@ -130,13 +125,16 @@ let run_query files outcome shard process trace_id hedged failover spilled
       let lat =
         List.map (fun (e : Wide_event.t) -> e.latency) hits |> Array.of_list
       in
-      Array.sort compare lat;
+      Array.sort Float.compare lat;
+      (* The shared quantile convention, as in rip_loadgen and the
+         server's histograms. *)
+      let percentile q = Rip_numerics.Stats.quantile_sorted lat q in
       if Array.length lat > 0 then
         Printf.printf
           "latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms, max %.3f ms\n"
-          (1000.0 *. percentile lat 0.50)
-          (1000.0 *. percentile lat 0.95)
-          (1000.0 *. percentile lat 0.99)
+          (1000.0 *. percentile 0.50)
+          (1000.0 *. percentile 0.95)
+          (1000.0 *. percentile 0.99)
           (1000.0 *. lat.(Array.length lat - 1))
     end;
     0

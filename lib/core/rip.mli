@@ -97,9 +97,7 @@ type probe_event =
   | Dp of Rip_dp.Power_dp.probe_event
       (** from every DP pass: coarse, final and rescue — whichever
           backend ran it *)
-  | Refine of Rip_refine.Refine.probe_event
-      (** from REFINE rounds (and, via [Refine.Newton], the KKT Newton
-          iterations when that backend is configured) *)
+  | Refine of Rip_refine.Refine.probe_event  (** from REFINE rounds *)
 (** Everything the pipeline can report through [hooks.probe]. *)
 
 val solve :

@@ -10,7 +10,6 @@ let create ~z_start ~z_end =
 
 let length z = z.z_end -. z.z_start
 let contains z x = x > z.z_start && x < z.z_end
-let overlaps a b = a.z_start < b.z_end && b.z_start < a.z_end
 
 let normalize zones =
   let sorted =

@@ -17,9 +17,6 @@ val contains : t -> float -> bool
 (** [contains z x] is true when [x] lies strictly inside the open interval
     [(z_start, z_end)]. *)
 
-val overlaps : t -> t -> bool
-(** True when the two open intervals intersect. *)
-
 val normalize : t list -> t list
 (** Sort by start and merge overlapping/touching zones.
     The result is sorted and pairwise disjoint. *)

@@ -1,7 +1,7 @@
 (** The uniform solver-hook bundle: cooperative cancellation, a typed
     probe, and a phase-span hook, threaded through every solver entry
-    point ({!Rip_dp.Power_dp.run}, [Refine.run], {!Newton.solve_system},
-    [Rip.solve]) instead of per-function piles of optional arguments.
+    point ({!Rip_dp.Power_dp.run}, [Refine.run], [Rip.solve]) instead of
+    per-function piles of optional arguments.
 
     All three hooks share one contract: a hook that does nothing leaves
     the solve bit-identical to one without it.  [cancel] may raise to

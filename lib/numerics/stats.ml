@@ -36,10 +36,5 @@ let quantile q xs =
   let arr = Array.of_list (List.sort Float.compare xs) in
   quantile_sorted arr q
 
-let percentile p xs =
-  (match xs with [] -> invalid_arg "Stats.percentile: empty list" | _ -> ());
-  if p < 0.0 || p > 1.0 then invalid_arg "Stats.percentile: p outside [0,1]";
-  quantile p xs
-
 let ratio_percent base v =
   if base = 0.0 then 0.0 else 100.0 *. (base -. v) /. base

@@ -31,11 +31,6 @@ val quantile : float -> float list -> float
 (** [quantile q xs]: sorts [xs] and applies {!quantile_sorted}.
     @raise Invalid_argument on the empty list or [q] outside [0,1]. *)
 
-val percentile : float -> float list -> float
-(** [percentile p xs] for [p] in [0,1], by linear interpolation between
-    order statistics; an alias of {!quantile}.  @raise Invalid_argument
-    on the empty list or [p] outside [0,1]. *)
-
 val ratio_percent : float -> float -> float
 (** [ratio_percent base v] is the saving [(base - v) / base] in percent;
     0 when [base = 0]. *)

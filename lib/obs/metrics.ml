@@ -257,14 +257,6 @@ let entries t =
 
 let registered_names t = List.map (fun e -> e.name) (entries t)
 
-let find_histogram t name =
-  List.find_map
-    (fun e ->
-      match e.instrument with
-      | I_histogram h when e.name = name -> Some h
-      | _ -> None)
-    (entries t)
-
 (* --- Prometheus text exposition ------------------------------------------- *)
 
 let float_str v =

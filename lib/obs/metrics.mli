@@ -91,8 +91,6 @@ val histogram :
   ?bounds:float array -> t -> name:string -> help:string -> Histogram.t
 (** Default bounds: {!Histogram.default_latency_bounds}. *)
 
-val find_histogram : t -> string -> Histogram.t option
-
 val render : t -> string
 (** Prometheus text exposition: [# HELP]/[# TYPE] then samples, metrics
     in registration order, histogram buckets as cumulative

@@ -11,17 +11,14 @@ type config = {
   patience : int;
   hop_zones : bool;
   max_hop : float;
-  backend : Width_solver.backend;
 }
 
 let default_config =
   { move_step = 50.0; epsilon = 1e-4; max_iterations = 256; min_gap = 1.0;
-    patience = 4; hop_zones = false; max_hop = 800.0;
-    backend = Width_solver.Gauss_seidel }
+    patience = 4; hop_zones = false; max_hop = 800.0 }
 
 type probe_event =
   | Iteration of { iteration : int; moved : int; total_width : float }
-  | Newton of Rip_numerics.Newton.probe_event
 
 type outcome = {
   solution : Solution.t;
@@ -107,14 +104,7 @@ let run ?(config = default_config) ?(hooks = Hooks.default) geometry repeater
   let length = Geometry.total_length geometry in
   let positions = Array.of_list (Solution.positions initial) in
   let probe = hooks.Hooks.probe in
-  (* Newton events flow through the same bundle, re-tagged; when [probe]
-     is absent the contramapped probe is also [None], so the width solver
-     allocates nothing. *)
-  let newton_hooks = Hooks.contramap (fun e -> Newton e) hooks in
-  let solve () =
-    Width_solver.solve ~backend:config.backend ~hooks:newton_hooks geometry
-      repeater ~positions ~budget
-  in
+  let solve () = Width_solver.solve geometry repeater ~positions ~budget in
   match solve () with
   | None -> None
   | Some first ->

@@ -29,21 +29,17 @@ type config = {
           lands inside a forbidden zone, hop to the zone's far edge when
           that stays within [max_hop] of the current position *)
   max_hop : float;  (** um; only used when [hop_zones] *)
-  backend : Width_solver.backend;
 }
 
 val default_config : config
 (** 50 um step, eps_0 = 1e-4, 256 iterations max, 1 um gap, patience 4,
-    Gauss-Seidel. *)
+    no zone hopping. *)
 
 type probe_event =
   | Iteration of { iteration : int; moved : int; total_width : float }
       (** One move-round finished: repeaters moved this round and the
           total width after the round's re-solve (unchanged when the
           round was reverted). *)
-  | Newton of Rip_numerics.Newton.probe_event
-      (** Forwarded from the width solver's KKT Newton backend (only
-          emitted when [config.backend = Newton]). *)
 
 type outcome = {
   solution : Rip_elmore.Solution.t;  (** best solution seen (continuous widths) *)
@@ -68,8 +64,7 @@ val run :
     [hooks.cancel] is polled once per iteration of the move loop; returning
     unit leaves the run bit-identical to one without the hook, raising
     aborts it with that exception (see {!Rip_engine.Cancel}).
-    [hooks.probe] receives one [Iteration] event per move round (plus
-    [Newton] events forwarded from the width solver when that backend is
-    selected).  Both are bit-identity-preserving observers; with
+    [hooks.probe] receives one [Iteration] event per move round.  Both
+    are bit-identity-preserving observers; with
     {!Rip_numerics.Hooks.default} nothing is observed and nothing is
     allocated. *)

@@ -2,9 +2,6 @@ module Geometry = Rip_net.Geometry
 module Net = Rip_net.Net
 module Repeater_model = Rip_tech.Repeater_model
 module Bracket = Rip_numerics.Bracket
-module Newton_solver = Rip_numerics.Newton
-
-type backend = Gauss_seidel | Newton
 
 type result = {
   widths : float array;
@@ -74,14 +71,6 @@ let delay_of st widths =
       +. st.wire_d.(i)
   done;
   !total
-
-(* d tau_total / d w_i for interior repeater i (1-based in the math). *)
-let delay_gradient st widths i =
-  let wi = widths.(i - 1) in
-  let w_next = endpoint_width st widths (i + 1) in
-  let w_prev = endpoint_width st widths (i - 1) in
-  (st.co *. (st.wire_r.(i - 1) +. (st.rs /. w_prev)))
-  -. (st.rs *. (st.wire_c.(i) +. (st.co *. w_next)) /. (wi *. wi))
 
 (* One Gauss-Seidel sweep of the Eq. (8) closed form at fixed 1/lambda,
    projecting each width into [w_lo, w_hi].  Returns the largest relative
@@ -164,81 +153,11 @@ let solve_gauss_seidel st ~budget =
           }
   end
 
-(* Full KKT Newton: unknowns z = (w_1..w_n, lambda); residuals are Eq. (8)
-   for each i and Eq. (5).  Seeded from a loose Gauss-Seidel solve. *)
-let solve_newton ?hooks st ~budget =
-  match solve_gauss_seidel st ~budget with
-  | None -> None
-  | Some seed ->
-      let n = st.n in
-      let unpack z = (Array.sub z 0 n, z.(n)) in
-      let residual z =
-        let widths, lambda = unpack z in
-        let r = Array.make (n + 1) 0.0 in
-        for i = 1 to n do
-          r.(i - 1) <- 1.0 +. (lambda *. delay_gradient st widths i)
-        done;
-        r.(n) <- delay_of st widths -. budget;
-        r
-      in
-      let jacobian z =
-        let widths, lambda = unpack z in
-        let j = Array.make_matrix (n + 1) (n + 1) 0.0 in
-        for i = 1 to n do
-          let row = j.(i - 1) in
-          let wi = widths.(i - 1) in
-          let w_next = endpoint_width st widths (i + 1) in
-          (* d/dw_i of Eq. (8) residual *)
-          row.(i - 1) <-
-            lambda *. 2.0 *. st.rs
-            *. (st.wire_c.(i) +. (st.co *. w_next))
-            /. (wi *. wi *. wi);
-          (* d/dw_{i-1}: only when the upstream gate is a repeater *)
-          if i - 1 >= 1 then begin
-            let wp = widths.(i - 2) in
-            row.(i - 2) <- lambda *. st.co *. (-.st.rs /. (wp *. wp))
-          end;
-          (* d/dw_{i+1} *)
-          if i + 1 <= n then
-            row.(i) <- lambda *. (-.st.rs *. st.co) /. (wi *. wi);
-          row.(n) <- delay_gradient st widths i
-        done;
-        for i = 1 to n do
-          j.(n).(i - 1) <- delay_gradient st widths i
-        done;
-        j.(n).(n) <- 0.0;
-        j
-      in
-      let init = Array.append seed.widths [| seed.lambda |] in
-      let lower_bounds = Array.make (n + 1) 1e-6 in
-      let outcome =
-        Newton_solver.solve_system ~residual ~jacobian ~init ~tol:1e-9
-          ~lower_bounds ?hooks ()
-      in
-      (match outcome.Newton_solver.status with
-      | Newton_solver.Converged _ ->
-          let widths, lambda = unpack outcome.Newton_solver.solution in
-          Some
-            {
-              widths;
-              lambda;
-              total_width = Array.fold_left ( +. ) 0.0 widths;
-              delay = delay_of st widths;
-              evaluations = seed.evaluations;
-            }
-      | Newton_solver.Max_iterations | Newton_solver.Diverged ->
-          (* Fall back to the (already valid) Gauss-Seidel answer. *)
-          Some seed)
-
-let solve ?(backend = Gauss_seidel) ?hooks geometry repeater ~positions
-    ~budget =
+let solve geometry repeater ~positions ~budget =
   let st = build_stages geometry repeater ~positions in
   if st.n = 0 then
     if delay_of st [||] <= budget then
       Some { widths = [||]; lambda = 0.0; total_width = 0.0;
              delay = delay_of st [||]; evaluations = 0 }
     else None
-  else
-    match backend with
-    | Gauss_seidel -> solve_gauss_seidel st ~budget
-    | Newton -> solve_newton ?hooks st ~budget
+  else solve_gauss_seidel st ~budget

@@ -8,16 +8,12 @@
       [1 + lambda (Co (R_{i-1} + Rs/w_{i-1}) - Rs (C_i + Co w_{i+1}) / w_i^2) = 0]
     - active delay constraint (Eq. (5)): [tau_total(w) = tau_t]
 
-    Two backends: [Gauss_seidel] exploits that for fixed [lambda] Eq. (8)
-    yields the closed form
+    For fixed [lambda], Eq. (8) yields the closed form
     [w_i = sqrt (Rs (C_i + Co w_{i+1}) / (1/lambda + Co (R_{i-1} + Rs/w_{i-1})))]
-    whose sweeps converge geometrically, while [tau_total(w(lambda))] is
-    strictly decreasing in [lambda], so the outer constraint is solved by
-    monotone bracketing.  [Newton] runs a damped Newton–Raphson on the full
-    (n+1)-dimensional KKT system (the method the paper names), seeded by a
-    loose Gauss–Seidel pass.  Both agree to solver tolerance. *)
-
-type backend = Gauss_seidel | Newton
+    whose Gauss–Seidel sweeps converge geometrically, while
+    [tau_total(w(lambda))] is strictly decreasing in [lambda], so the outer
+    constraint is solved by monotone bracketing.  This fixed point solves
+    the same system as the root-finder the paper names (DESIGN §3.3). *)
 
 type result = {
   widths : float array;  (** optimal continuous widths, length n *)
@@ -47,14 +43,10 @@ val min_delay_sizing_bounded :
     fastest *manufacturable* sizing, used by the analytical tau_min. *)
 
 val solve :
-  ?backend:backend ->
-  ?hooks:Rip_numerics.Newton.probe_event Rip_numerics.Hooks.t ->
   Rip_net.Geometry.t -> Rip_tech.Repeater_model.t ->
   positions:float array -> budget:float -> result option
 (** [None] when even {!min_delay_sizing} misses the budget (the positions
     are infeasible).  With empty [positions] the answer is [Some] with no
     widths when the bare wire meets the budget, [None] otherwise.
-    [hooks] is forwarded to {!Rip_numerics.Newton.solve_system} and only
-    ever consulted by the [Newton] backend; absent, it costs nothing.
     @raise Invalid_argument when positions are not strictly increasing or
     lie outside (0, L). *)

@@ -221,7 +221,6 @@ let create ?(config = default_config) ~shards process =
   }
 
 let metrics t = t.metrics
-let shard_count t = Array.length t.shards
 
 let stopping t = Frontend.stopping t.frontend
 let request_shutdown t = Frontend.request_shutdown t.frontend

@@ -102,7 +102,6 @@ val request_shutdown : t -> unit
 
 val stopping : t -> bool
 val metrics : t -> Router_metrics.t
-val shard_count : t -> int
 
 val aggregate_stats : t -> Rip_service.Protocol.stats
 (** The cluster as one server: counters sum live shards, their

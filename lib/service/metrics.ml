@@ -18,7 +18,6 @@ type t = {
   dp_columns : Obs.Counter.t;
   dp_labels_pruned : Obs.Counter.t;
   refine_iterations : Obs.Counter.t;
-  newton_iterations : Obs.Counter.t;
 }
 
 let queue_wait_metric = "rip_queue_wait_seconds"
@@ -66,9 +65,6 @@ let create ?cache_stats ?journal_stats () =
            tests skip are never collected, so they are not counted";
       refine_iterations =
         counter "rip_refine_iterations_total" "REFINE move rounds";
-      newton_iterations =
-        counter "rip_newton_iterations_total"
-          "Newton steps in the KKT width solver";
     }
   in
   (match cache_stats with

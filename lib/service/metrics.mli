@@ -40,8 +40,6 @@ type t = {
           moves earlier, not because less is pruned. *)
   refine_iterations : Obs.Counter.t;
       (** REFINE move rounds ({!Rip_refine.Refine.probe_event}) *)
-  newton_iterations : Obs.Counter.t;
-      (** Newton steps in the KKT width solver *)
 }
 (** The instruments, registered once at {!create}; callers bump them
     directly through {!Rip_obs.Metrics}. *)

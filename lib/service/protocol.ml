@@ -240,11 +240,6 @@ let strip_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
-let reader_of_channel ic () =
-  match input_line ic with
-  | line -> Some (strip_cr line)
-  | exception End_of_file -> None
-
 let reader_of_lines lines =
   let remaining = ref lines in
   fun () ->

@@ -216,9 +216,6 @@ type reader = unit -> string option
 (** Yields the next line (without its terminator) or [None] at end of
     stream. *)
 
-val reader_of_channel : in_channel -> reader
-(** Lines via [input_line], stripping one trailing [\r]. *)
-
 val reader_of_lines : string list -> reader
 (** An in-memory reader, for tests. *)
 

@@ -291,8 +291,6 @@ let solver_probe t ~pruned = function
       ignore (Atomic.fetch_and_add pruned (collected - kept))
   | Rip.Refine (Rip_refine.Refine.Iteration _) ->
       Obs.Counter.incr t.metrics.refine_iterations
-  | Rip.Refine (Rip_refine.Refine.Newton _) ->
-      Obs.Counter.incr t.metrics.newton_iterations
 
 let run_full_solve t ~budget ~net ~key ~trace ~pruned token =
   let tracer = t.config.tracer in

@@ -1,78 +1,11 @@
 (* Unit and property tests for Rip_numerics. *)
 
-module Matrix = Rip_numerics.Matrix
 module Bracket = Rip_numerics.Bracket
-module Newton = Rip_numerics.Newton
 module Stats = Rip_numerics.Stats
 module Prng = Rip_numerics.Prng
 
 let check_float = Alcotest.(check (float 1e-9))
 let qcheck = QCheck_alcotest.to_alcotest
-
-(* --- Matrix ----------------------------------------------------------- *)
-
-let test_solve_identity () =
-  let a = [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |] in
-  let x = Matrix.solve a [| 3.0; -4.0 |] in
-  check_float "x0" 3.0 x.(0);
-  check_float "x1" (-4.0) x.(1)
-
-let test_solve_known_2x2 () =
-  (* 2x + y = 5; x - y = 1  ->  x = 2, y = 1 *)
-  let a = [| [| 2.0; 1.0 |]; [| 1.0; -1.0 |] |] in
-  let x = Matrix.solve a [| 5.0; 1.0 |] in
-  check_float "x" 2.0 x.(0);
-  check_float "y" 1.0 x.(1)
-
-let test_solve_needs_pivoting () =
-  (* Zero leading pivot forces a row swap. *)
-  let a = [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let x = Matrix.solve a [| 7.0; 9.0 |] in
-  check_float "x" 9.0 x.(0);
-  check_float "y" 7.0 x.(1)
-
-let test_solve_singular () =
-  let a = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  Alcotest.check_raises "singular" Matrix.Singular (fun () ->
-      ignore (Matrix.solve a [| 1.0; 2.0 |]))
-
-let test_solve_dimension_mismatch () =
-  let a = [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |] in
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Matrix.solve: dimension mismatch") (fun () ->
-      ignore (Matrix.solve a [| 1.0 |]))
-
-let test_solve_preserves_inputs () =
-  let a = [| [| 2.0; 1.0 |]; [| 1.0; -1.0 |] |] in
-  let b = [| 5.0; 1.0 |] in
-  ignore (Matrix.solve a b);
-  check_float "a00 intact" 2.0 a.(0).(0);
-  check_float "b0 intact" 5.0 b.(0)
-
-let test_mat_vec () =
-  let a = [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let y = Matrix.mat_vec a [| 1.0; 1.0 |] in
-  check_float "y0" 3.0 y.(0);
-  check_float "y1" 7.0 y.(1)
-
-let prop_solve_residual =
-  QCheck.Test.make ~name:"random diagonally dominant systems solve" ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 8) (list (float_range (-5.0) 5.0)))
-    (fun rows ->
-      let n = List.length rows in
-      QCheck.assume (n > 0);
-      let a =
-        Array.init n (fun i ->
-            let row = List.nth rows i in
-            Array.init n (fun j ->
-                let v =
-                  match List.nth_opt row j with Some v -> v | None -> 0.3
-                in
-                if i = j then v +. 20.0 else v))
-      in
-      let b = Array.init n (fun i -> float_of_int (i + 1)) in
-      let x = Matrix.solve a b in
-      Matrix.residual_norm a x b < 1e-8)
 
 (* --- Bracket ----------------------------------------------------------- *)
 
@@ -131,64 +64,6 @@ let prop_bisect_monotone_cubic =
       | Bracket.Root r -> Float.abs (f r) < 1e-6 *. (1.0 +. Float.abs b)
       | Bracket.No_sign_change _ -> false)
 
-(* --- Newton ------------------------------------------------------------ *)
-
-let test_newton_scalar_sqrt () =
-  match
-    Newton.solve_scalar
-      ~f:(fun x -> (x *. x) -. 2.0)
-      ~df:(fun x -> 2.0 *. x)
-      ~init:1.0 ()
-  with
-  | Some r -> Alcotest.(check (float 1e-9)) "sqrt2" (sqrt 2.0) r
-  | None -> Alcotest.fail "newton diverged"
-
-let test_newton_scalar_divergence () =
-  (* Zero derivative at the start kills the iteration. *)
-  match
-    Newton.solve_scalar ~f:(fun x -> (x *. x) +. 1.0) ~df:(fun _ -> 0.0)
-      ~init:0.0 ()
-  with
-  | None -> ()
-  | Some _ -> Alcotest.fail "expected divergence"
-
-let test_newton_system () =
-  (* x^2 + y^2 = 4 and x = y -> x = y = sqrt 2. *)
-  let residual z =
-    [| (z.(0) *. z.(0)) +. (z.(1) *. z.(1)) -. 4.0; z.(0) -. z.(1) |]
-  in
-  let jacobian z =
-    [| [| 2.0 *. z.(0); 2.0 *. z.(1) |]; [| 1.0; -1.0 |] |]
-  in
-  let r = Newton.solve_system ~residual ~jacobian ~init:[| 1.0; 2.0 |] () in
-  (match r.Newton.status with
-  | Newton.Converged _ -> ()
-  | _ -> Alcotest.fail "should converge");
-  Alcotest.(check (float 1e-6)) "x" (sqrt 2.0) r.Newton.solution.(0);
-  Alcotest.(check (float 1e-6)) "y" (sqrt 2.0) r.Newton.solution.(1)
-
-let test_newton_lower_bounds () =
-  (* The positive root is enforced by the bound even though the seed is
-     nearer the negative one. *)
-  let residual z = [| (z.(0) *. z.(0)) -. 4.0 |] in
-  let jacobian z = [| [| 2.0 *. z.(0) |] |] in
-  let r =
-    Newton.solve_system ~residual ~jacobian ~init:[| 0.5 |]
-      ~lower_bounds:[| 0.0 |] ()
-  in
-  (match r.Newton.status with
-  | Newton.Converged _ ->
-      Alcotest.(check (float 1e-6)) "positive root" 2.0 r.Newton.solution.(0)
-  | _ -> Alcotest.fail "should converge")
-
-let test_newton_singular_jacobian () =
-  let residual z = [| z.(0) +. 1.0 |] in
-  let jacobian _ = [| [| 0.0 |] |] in
-  let r = Newton.solve_system ~residual ~jacobian ~init:[| 0.0 |] () in
-  match r.Newton.status with
-  | Newton.Diverged -> ()
-  | _ -> Alcotest.fail "expected divergence on singular jacobian"
-
 (* --- Stats -------------------------------------------------------------- *)
 
 let test_stats_basics () =
@@ -201,17 +76,17 @@ let test_stats_basics () =
 
 let test_percentile () =
   let xs = [ 4.0; 1.0; 3.0; 2.0 ] in
-  check_float "p0" 1.0 (Stats.percentile 0.0 xs);
-  check_float "p100" 4.0 (Stats.percentile 1.0 xs);
-  check_float "median" 2.5 (Stats.percentile 0.5 xs)
+  check_float "p0" 1.0 (Stats.quantile 0.0 xs);
+  check_float "p100" 4.0 (Stats.quantile 1.0 xs);
+  check_float "median" 2.5 (Stats.quantile 0.5 xs)
 
 let test_percentile_errors () =
   Alcotest.check_raises "empty"
-    (Invalid_argument "Stats.percentile: empty list") (fun () ->
-      ignore (Stats.percentile 0.5 []));
+    (Invalid_argument "Stats.quantile: empty list") (fun () ->
+      ignore (Stats.quantile 0.5 []));
   Alcotest.check_raises "range"
-    (Invalid_argument "Stats.percentile: p outside [0,1]") (fun () ->
-      ignore (Stats.percentile 1.5 [ 1.0 ]))
+    (Invalid_argument "Stats.quantile_rank: q outside [0,1]") (fun () ->
+      ignore (Stats.quantile 1.5 [ 1.0 ]))
 
 let test_ratio_percent () =
   check_float "half" 50.0 (Stats.ratio_percent 100.0 50.0);
@@ -233,7 +108,7 @@ let prop_percentile_monotone =
         (float_range 0.0 1.0) (float_range 0.0 1.0))
     (fun (xs, p1, p2) ->
       let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
-      Stats.percentile lo xs <= Stats.percentile hi xs +. 1e-12)
+      Stats.quantile lo xs <= Stats.quantile hi xs +. 1e-12)
 
 (* --- Prng --------------------------------------------------------------- *)
 
@@ -315,19 +190,6 @@ let test_cpu_clock_ignores_sleep () =
 
 let suite =
   [
-    ( "numerics.matrix",
-      [
-        Alcotest.test_case "identity" `Quick test_solve_identity;
-        Alcotest.test_case "known 2x2" `Quick test_solve_known_2x2;
-        Alcotest.test_case "pivoting" `Quick test_solve_needs_pivoting;
-        Alcotest.test_case "singular" `Quick test_solve_singular;
-        Alcotest.test_case "dimension mismatch" `Quick
-          test_solve_dimension_mismatch;
-        Alcotest.test_case "inputs preserved" `Quick
-          test_solve_preserves_inputs;
-        Alcotest.test_case "mat_vec" `Quick test_mat_vec;
-        qcheck prop_solve_residual;
-      ] );
     ( "numerics.bracket",
       [
         Alcotest.test_case "linear" `Quick test_bisect_linear;
@@ -338,16 +200,6 @@ let suite =
         Alcotest.test_case "expand failure" `Quick test_expand_bracket_failure;
         Alcotest.test_case "find_root" `Quick test_find_root;
         qcheck prop_bisect_monotone_cubic;
-      ] );
-    ( "numerics.newton",
-      [
-        Alcotest.test_case "scalar sqrt" `Quick test_newton_scalar_sqrt;
-        Alcotest.test_case "scalar divergence" `Quick
-          test_newton_scalar_divergence;
-        Alcotest.test_case "2d system" `Quick test_newton_system;
-        Alcotest.test_case "lower bounds" `Quick test_newton_lower_bounds;
-        Alcotest.test_case "singular jacobian" `Quick
-          test_newton_singular_jacobian;
       ] );
     ( "numerics.stats",
       [

@@ -583,7 +583,7 @@ let probe_request () =
 
 let test_solver_probes () =
   let dp_events = ref 0 and pruned = ref 0 in
-  let refine_iterations = ref 0 and newton_events = ref 0 in
+  let refine_iterations = ref 0 in
   let phases = ref [] in
   let probe = function
     | Rip.Dp (Rip_dp.Power_dp.Column { collected; kept; _ }) ->
@@ -592,7 +592,6 @@ let test_solver_probes () =
         pruned := !pruned + (collected - kept)
     | Rip.Refine (Rip_refine.Refine.Iteration { iteration; _ }) ->
         refine_iterations := max !refine_iterations iteration
-    | Rip.Refine (Rip_refine.Refine.Newton _) -> incr newton_events
   in
   let phase name =
     phases := name :: !phases;

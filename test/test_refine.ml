@@ -40,9 +40,16 @@ let positioned_net_arb =
         positions)
     positioned_net_gen
 
+(* Eq. (2) through the Elmore evaluator, independently of the width
+   solver's own stage tables: the oracle for Eqs. (5) and (8). *)
+let elmore_delay geometry positions widths =
+  Delay.total repeater geometry
+    (Solution.create
+       (List.combine (Array.to_list positions) (Array.to_list widths)))
+
 let budget_for geometry positions slack =
   let sizing = Width_solver.min_delay_sizing geometry repeater ~positions in
-  slack *. Width_solver.tau_total geometry repeater ~positions ~widths:sizing
+  slack *. elmore_delay geometry positions sizing
 
 (* --- Width solver ------------------------------------------------------- *)
 
@@ -57,8 +64,7 @@ let prop_width_solver_hits_budget =
       | Some r ->
           Helpers.close ~rel:1e-6 budget r.Width_solver.delay
           && Helpers.close ~rel:1e-6 budget
-               (Width_solver.tau_total geometry repeater ~positions
-                  ~widths:r.Width_solver.widths))
+               (elmore_delay geometry positions r.Width_solver.widths))
 
 let prop_width_solver_stationary =
   (* Eq. (8) via central finite differences: at the optimum,
@@ -78,7 +84,7 @@ let prop_width_solver_stationary =
             let perturbed sign =
               let w = Array.copy r.Width_solver.widths in
               w.(i) <- w.(i) +. (sign *. h);
-              Width_solver.tau_total geometry repeater ~positions ~widths:w
+              elmore_delay geometry positions w
             in
             let gradient = (perturbed 1.0 -. perturbed (-1.0)) /. (2.0 *. h) in
             let residual = 1.0 +. (r.Width_solver.lambda *. gradient) in
@@ -109,23 +115,6 @@ let prop_width_solver_infeasible =
       let bound = budget_for geometry positions 1.0 in
       Width_solver.solve geometry repeater ~positions ~budget:(0.95 *. bound)
       = None)
-
-let prop_newton_agrees_with_gauss_seidel =
-  QCheck.Test.make ~name:"Newton and Gauss-Seidel backends agree" ~count:40
-    positioned_net_arb
-    (fun (net, positions) ->
-      let geometry = Geometry.of_net net in
-      let budget = budget_for geometry positions 1.4 in
-      match
-        ( Width_solver.solve ~backend:Width_solver.Gauss_seidel geometry
-            repeater ~positions ~budget,
-          Width_solver.solve ~backend:Width_solver.Newton geometry repeater
-            ~positions ~budget )
-      with
-      | Some gs, Some newton ->
-          Helpers.close ~rel:1e-4 gs.Width_solver.total_width
-            newton.Width_solver.total_width
-      | _, _ -> false)
 
 let test_width_solver_empty_positions () =
   let net =
@@ -180,11 +169,7 @@ let prop_tau_total_matches_delay =
       let via_solver =
         Width_solver.tau_total geometry repeater ~positions ~widths
       in
-      let solution =
-        Solution.create
-          (List.combine (Array.to_list positions) (Array.to_list widths))
-      in
-      Helpers.close ~rel:1e-9 via_solver (Delay.total repeater geometry solution))
+      Helpers.close ~rel:1e-9 via_solver (elmore_delay geometry positions widths))
 
 (* --- Movement ------------------------------------------------------------- *)
 
@@ -490,7 +475,6 @@ let suite =
         qcheck prop_width_solver_stationary;
         qcheck prop_width_solver_monotone_in_budget;
         qcheck prop_width_solver_infeasible;
-        qcheck prop_newton_agrees_with_gauss_seidel;
         qcheck prop_bounded_sizing_in_bounds;
         qcheck prop_tau_total_matches_delay;
       ] );
