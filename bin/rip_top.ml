@@ -6,9 +6,12 @@
 
    Polls METRICS on every endpoint each refresh and renders one screen:
    router endpoints contribute a per-shard table (price, breaker state,
-   up, forwarded/failover/spill counters) plus hedge and forward-latency
-   lines; shard endpoints contribute a per-shard row (requests, cache
-   hit rate, queue depth, solve p50/p95/p99, journal bytes).  --once
+   up, forwarded/failover/spill counters; "spills" counts the requests
+   the shard took as a key's second choice, because the owner was priced
+   past spill_price or had more forwards outstanding) plus hedge and
+   forward-latency lines; shard endpoints contribute a per-shard row
+   (requests, cache hit rate, queue depth, solve p50/p95/p99, journal
+   bytes).  --once
    prints a single frame without clearing the screen — the mode CI and
    scripts use. *)
 

@@ -251,7 +251,12 @@ let query_cmd =
     Arg.(value & flag & info [ "failover" ] ~doc:"Failover events only.")
   in
   let spilled =
-    Arg.(value & flag & info [ "spilled" ] ~doc:"Price-spilled events only.")
+    Arg.(
+      value & flag
+      & info [ "spilled" ]
+          ~doc:
+            "Events served by the key's second choice because its owner was \
+             priced past spill_price or had more forwards outstanding.")
   in
   let breaker_skip =
     Arg.(

@@ -17,10 +17,11 @@
    spike would keep spilling traffic off a now-empty machine.
 
    The router turns prices into decisions: a key's primary shard serves
-   it while its price is below [spill_price]; above that the request
-   goes to its second-choice shard when that one is cheaper; when even
-   the chosen shard's price has climbed past [shed_price] the router
-   answers DEGRADED locally rather than queue behind a saturated
+   it while its price is below [spill_price] (unless the second choice
+   has fewer forwards outstanding, see router.mli); above that the
+   request goes to its second-choice shard when that one is cheaper;
+   when even the chosen shard's price has climbed past [shed_price] the
+   router answers DEGRADED locally rather than queue behind a saturated
    cluster.  Those two thresholds live in the router's config — this
    module only maintains the per-shard price. *)
 

@@ -28,7 +28,7 @@ type config = {
   pricing : Pricing.config;
   solver : Rip_core.Config.t option;  (* for the local fallback tier *)
   max_frame_bytes : int;
-  hedge : bool;  (* hedge slow forwards onto the spill target *)
+  hedge : bool;  (* hedge slow forwards onto the failover candidate *)
   hedge_delay_floor : float;  (* seconds; hedge delay never below this *)
   hedge_delay_factor : float;  (* hedge delay = factor * forward p99 *)
   breaker_threshold : int;  (* consecutive transport failures to open *)
@@ -143,6 +143,7 @@ type shard = {
   mutable high_water : int;  (* the shard's --high-water (HEALTH) *)
   mutable breaker : breaker_state;
   mutable breaker_failures : int;  (* consecutive transport failures *)
+  mutable outstanding : int;  (* forwards sent, not yet received/abandoned *)
 }
 
 type t = {
@@ -205,6 +206,7 @@ let create ?(config = default_config) ~shards process =
              high_water = 48;
              breaker = Breaker_closed;
              breaker_failures = 0;
+             outstanding = 0;
            })
          shards)
   in
@@ -470,7 +472,17 @@ let route t key =
           let p_primary = Pricing.price primary.pricing in
           let target, failover, spilled =
             if p_primary < t.config.spill_price then
-              (primary, secondary_up, false)
+              (* Two choices: a busier owner loses the request to an
+                 idler second choice; a tie keeps the owner's cache.  A
+                 second choice priced past spill_price is not taken, so
+                 the shed check below cannot shed a request the owner
+                 would have served. *)
+              match secondary_up with
+              | Some s
+                when s.outstanding < primary.outstanding
+                     && Pricing.price s.pricing < t.config.spill_price ->
+                  (s, Some primary, true)
+              | _ -> (primary, secondary_up, false)
             else
               match secondary_up with
               | Some s when Pricing.price s.pricing < p_primary ->
@@ -489,13 +501,22 @@ let route t key =
 
 (* One forward attempt, split so a hedge can bound its wait on it: the
    [forward:<id>] span and the round-trip clock start at [send_forward]
-   and stop at [receive_forward] or [abandon_forward]. *)
+   and stop at [receive_forward] or [abandon_forward].  So does the
+   shard's outstanding count that [route] compares: every sent forward
+   ends in exactly one of the two, which settles it. *)
 type sent = {
   shard : shard;
   pending : Client.Pool.pending;
   sent_at : float;
   end_span : unit -> unit;
 }
+
+let track_outstanding t shard delta =
+  Mutex.lock t.mutex;
+  shard.outstanding <- shard.outstanding + delta;
+  (* Set under the lock, so the gauge cannot end on a stale value. *)
+  Obs.Gauge.set shard.inst.outstanding (float_of_int shard.outstanding);
+  Mutex.unlock t.mutex
 
 let send_forward ?(args = []) t shard frame =
   let sent_at = Cpu_clock.monotonic_seconds () in
@@ -504,7 +525,9 @@ let send_forward ?(args = []) t shard frame =
       ("forward:" ^ shard.spec.id)
   in
   match Client.Pool.send shard.pool frame with
-  | Ok pending -> Ok { shard; pending; sent_at; end_span }
+  | Ok pending ->
+      track_outstanding t shard 1;
+      Ok { shard; pending; sent_at; end_span }
   | Error _ as e ->
       end_span ();
       note_forward_error t shard;
@@ -514,6 +537,7 @@ let send_forward ?(args = []) t shard frame =
 let receive_forward t s =
   let result = Client.Pool.receive s.pending in
   s.end_span ();
+  track_outstanding t s.shard (-1);
   (match result with
   | Ok _ ->
       note_forward_ok t s.shard;
@@ -533,6 +557,7 @@ let receive_forward t s =
 let abandon_forward t s =
   Client.Pool.abandon s.pending;
   s.end_span ();
+  track_outstanding t s.shard (-1);
   Obs.Histogram.observe t.metrics.forward_seconds
     (Cpu_clock.monotonic_seconds () -. s.sent_at)
 
@@ -545,10 +570,10 @@ let forward ?args t shard frame =
    hedge delay — derived from the p99 of recent forward round-trips,
    floored so a cold histogram cannot hedge everything.  Only a primary
    still silent by then is hedged: the same request goes to the
-   failover candidate (the spill target, whose cache the key would land
-   on anyway), all on the connection's own thread.  A primary that has
-   answered by the time the hedge returns still wins; one that has not
-   is abandoned (see [abandon_forward]). *)
+   failover candidate (the key's other ring choice, whose cache the key
+   may land on anyway), all on the connection's own thread.  A primary
+   that has answered by the time the hedge returns still wins; one that
+   has not is abandoned (see [abandon_forward]). *)
 
 (* Per-request involvement flags for the wide event. *)
 type request_obs = {

@@ -6,13 +6,22 @@
     Requests route by consistent-hashing the net's canonical digest
     ({!Rip_net.Net.canonical_digest}) over a weighted {!Ring}, keeping
     each shard's solve cache hot for its own key range.  Admission is
-    price-based: a poller feeds each shard's STATS deltas to a
-    {!Pricing} controller, and the request path forwards to the primary
-    while its price is below [spill_price], spills to the key's second
-    choice when that one is cheaper, and answers DEGRADED (overload)
-    from the router's own analytic fallback tier once every candidate
-    has priced past [shed_price].  With a single shard, the shard's
-    static high-water mark remains the shed floor.
+    price- and load-based: a poller feeds each shard's STATS deltas to
+    a {!Pricing} controller.  While the key's owner is priced below
+    [spill_price], the request path forwards to it unless the key's
+    second choice, itself priced below [spill_price], has strictly
+    fewer forwards outstanding (sent and not yet received or abandoned,
+    exported as [rip_router_shard_<id>_outstanding]): the less busy of
+    two choices, with ties kept by the owner, so an idle cluster keeps
+    strict cache affinity and a key lives in at most two shards'
+    caches.  An owner
+    priced past [spill_price] spills to the second choice when that
+    one is cheaper.  Either way the request counts in the second
+    choice's [spills] and the owner becomes its failover and hedge
+    target.  Once every candidate has priced past [shed_price] the
+    router answers DEGRADED (overload) from its own analytic fallback
+    tier.  With a single shard, the shard's static high-water mark
+    remains the shed floor.
 
     The poller doubles as the failure detector: a shard missing
     [down_after] polls stops receiving traffic, after [remove_after]

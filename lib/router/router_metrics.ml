@@ -18,8 +18,11 @@ let sanitize id =
 type shard_instruments = {
   forwarded : Obs.Counter.t;  (* requests relayed to this shard *)
   failovers : Obs.Counter.t;  (* transport failures that triggered a retry elsewhere *)
-  spills : Obs.Counter.t;  (* requests priced off this primary to its second choice *)
+  spills : Obs.Counter.t;
+      (* requests this shard took as the key's second choice: the owner
+         was priced past spill_price or had more forwards outstanding *)
   price : Obs.Gauge.t;
+  outstanding : Obs.Gauge.t;  (* forwards sent here, not yet settled *)
   up : Obs.Gauge.t;  (* 1 while the shard answers its polls *)
   breaker_state : Obs.Gauge.t;  (* 0 closed, 1 open, 2 half-open *)
   breaker_opens : Obs.Counter.t;  (* closed/half-open -> open transitions *)
@@ -70,7 +73,7 @@ let create ~shard_ids () =
   let hedges =
     counter "rip_router_hedges_total"
       "forwards whose p99-derived hedge delay expired, issuing the request \
-       to the spill target as well"
+       to the failover candidate as well"
   in
   let hedge_wins =
     counter "rip_router_hedge_wins_total"
@@ -106,8 +109,12 @@ let create ~shard_ids () =
                 "transport failures that sent the request elsewhere";
             spills =
               p "spills_total"
-                "requests priced off this primary to its second choice";
+                "requests taken as the key's second choice (owner priced past \
+                 spill_price or with more forwards outstanding)";
             price = g "price" "current admission price";
+            outstanding =
+              g "outstanding"
+                "forwards sent and not yet received or abandoned";
             up = g "up" "1 while the shard answers polls";
             breaker_state =
               g "breaker_state"

@@ -11,7 +11,11 @@ type shard_instruments = {
   forwarded : Obs.Counter.t;
   failovers : Obs.Counter.t;
   spills : Obs.Counter.t;
+      (** requests this shard took as the key's second choice: the owner
+          was priced past [spill_price] or had more forwards outstanding *)
   price : Obs.Gauge.t;
+  outstanding : Obs.Gauge.t;
+      (** forwards sent to this shard, not yet received or abandoned *)
   up : Obs.Gauge.t;
   breaker_state : Obs.Gauge.t;  (** 0 closed, 1 open, 2 half-open *)
   breaker_opens : Obs.Counter.t;

@@ -8,6 +8,26 @@ module Geometry = Rip_net.Geometry
 let process = Rip_tech.Process.default_180nm
 let repeater = process.Rip_tech.Process.repeater
 
+(* The total delay of an insertion, given as ordered (position, width)
+   repeaters, recomputed stage by stage on a discretised RC ladder: an
+   oracle independent of the closed forms that produced the answer. *)
+let ladder_delay (net : Net.t) geometry repeaters =
+  let pins =
+    ((0.0, net.Net.driver_width) :: repeaters)
+    @ [ (Net.total_length net, net.Net.receiver_width) ]
+  in
+  let rec sum acc = function
+    | (a, wa) :: ((b, wb) :: _ as rest) ->
+        sum
+          (acc
+          +. Rip_elmore.Rc_ladder.stage_delay_discretised repeater geometry
+               ~driver_pos:a ~driver_width:wa ~load_pos:b ~load_width:wb
+               ~lumps_per_um:1.0)
+          rest
+    | [ _ ] | [] -> acc
+  in
+  sum 0.0 pins
+
 (* --- Random nets -------------------------------------------------------- *)
 
 let segment_gen =

@@ -9,7 +9,6 @@ module Geometry = Rip_net.Geometry
 module Net_io = Rip_net.Net_io
 module Solution = Rip_elmore.Solution
 module Delay = Rip_elmore.Delay
-module Rc_ladder = Rip_elmore.Rc_ladder
 module Validate = Rip_core.Validate
 module Rip = Rip_core.Rip
 module Baseline = Rip_workload.Baseline
@@ -309,27 +308,11 @@ let prop_bounded_passes_match_reference ~frontier_cap name =
       in
       same_answer (solve Power_dp.Fast) (solve Power_dp.Reference))
 
-(* The total delay of an insertion recomputed stage by stage on a
-   discretised RC ladder: an oracle independent of the closed forms that
-   produced the answer. *)
-let ladder_delay (net : Net.t) geometry solution =
-  let pins =
-    ((0.0, net.Net.driver_width)
-    :: List.map
-         (fun (r : Solution.repeater) -> (r.position, r.width))
-         (Solution.repeaters solution))
-    @ [ (Net.total_length net, net.Net.receiver_width) ]
-  in
-  let rec sum acc = function
-    | (a, wa) :: ((b, wb) :: _ as rest) ->
-        sum
-          (acc
-          +. Rc_ladder.stage_delay_discretised repeater geometry ~driver_pos:a
-               ~driver_width:wa ~load_pos:b ~load_width:wb ~lumps_per_um:1.0)
-          rest
-    | [ _ ] | [] -> acc
-  in
-  sum 0.0 pins
+let ladder_delay net geometry solution =
+  Helpers.ladder_delay net geometry
+    (List.map
+       (fun (r : Solution.repeater) -> (r.position, r.width))
+       (Solution.repeaters solution))
 
 let legal_and_meets net geometry ~budget (r : Rip.report) =
   Validate.is_valid process net ~budget r.Rip.solution

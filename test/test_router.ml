@@ -445,12 +445,13 @@ let fault_plan spec =
 
 let cluster_seq = Atomic.make 0
 
-(* Run [f router client servers] against shards "a" and "b" ([servers]
-   maps each live shard's id to its server; a shard listed in [dead]
-   gets no server: its socket path refuses every dial).  The poller's
-   failure detector is pushed out of the way, so routing sees only the
-   request path's own failover and hedging. *)
-let with_tail_cluster ?(faults = fun _ -> None) ?(tracers = fun _ -> None)
+(* Run [f ~connect router client servers] against shards "a" and "b"
+   ([servers] maps each live shard's id to its server; a shard listed in
+   [dead] gets no server: its socket path refuses every dial; [connect]
+   opens a further connection to the router).  The poller's failure
+   detector is pushed out of the way, so routing sees only the request
+   path's own failover and hedging. *)
+let with_tail_router ?(faults = fun _ -> None) ?(tracers = fun _ -> None)
     ?(dead = []) ~config f =
   let dir = Filename.get_temp_dir_name () in
   let tag =
@@ -491,7 +492,8 @@ let with_tail_cluster ?(faults = fun _ -> None) ?(tracers = fun _ -> None)
   let router_thread =
     Thread.create (Router.run router) (Frontend.listen_unix (sock "router"))
   in
-  let client = Client.connect_unix (sock "router") in
+  let connect () = Client.connect_unix (sock "router") in
+  let client = connect () in
   Fun.protect
     ~finally:(fun () ->
       Client.close client;
@@ -509,27 +511,39 @@ let with_tail_cluster ?(faults = fun _ -> None) ?(tracers = fun _ -> None)
         (fun id -> try Sys.remove (sock id) with Sys_error _ -> ())
         ("router" :: tail_ids))
     (fun () ->
-      f router client (List.map (fun (id, server, _) -> (id, server)) servers))
+      f ~connect router client
+        (List.map (fun (id, server, _) -> (id, server)) servers))
+
+let with_tail_cluster ?faults ?tracers ?dead ~config f =
+  with_tail_router ?faults ?tracers ?dead ~config (fun ~connect:_ -> f)
+
+(* One SOLVE through the router, which must answer a RESULT. *)
+let request_solution client net =
+  match
+    Client.request client
+      (Protocol.Solve
+         { budget = tail_budget net; deadline_ms = None; trace = None; net })
+  with
+  | Ok (Protocol.Result { solution; _ }) -> solution
+  | Ok other ->
+      Alcotest.failf "SOLVE answered %S" (Protocol.print_response other)
+  | Error e -> Alcotest.failf "SOLVE failed: %s" e
+
+let check_direct net solution =
+  Alcotest.(check string)
+    "answer matches a direct Rip.solve"
+    (direct_body net ~budget:(tail_budget net))
+    (Protocol.solution_body solution)
 
 (* One SOLVE through the router: the answer must be a RESULT whose body
    is byte-identical to a direct solve.  Returns the round trip's
    seconds. *)
 let solve_through client net =
-  let budget = tail_budget net in
   let sent = Cpu_clock.monotonic_seconds () in
-  match
-    Client.request client
-      (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
-  with
-  | Ok (Protocol.Result { solution; _ }) ->
-      let elapsed = Cpu_clock.monotonic_seconds () -. sent in
-      Alcotest.(check string)
-        "answer matches a direct Rip.solve" (direct_body net ~budget)
-        (Protocol.solution_body solution);
-      elapsed
-  | Ok other ->
-      Alcotest.failf "SOLVE answered %S" (Protocol.print_response other)
-  | Error e -> Alcotest.failf "SOLVE failed: %s" e
+  let solution = request_solution client net in
+  let elapsed = Cpu_clock.monotonic_seconds () -. sent in
+  check_direct net solution;
+  elapsed
 
 let shard_inst router id =
   Rip_router.Router_metrics.shard (Router.metrics router) id
@@ -722,6 +736,138 @@ let test_cache_affinity () =
             stats.Protocol.cache_hits)
         servers)
 
+(* --- Load-aware routing ---------------------------------------------------- *)
+
+let outstanding router id = Obs.Gauge.value (shard_inst router id).outstanding
+
+(* Every forward the router sent has been received or abandoned.  A
+   leaked count would move the shard's keys to their second choice for
+   good. *)
+let check_settled what router =
+  List.iter
+    (fun id ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: shard %s has no forward outstanding" what id)
+        0.0 (outstanding router id))
+    tail_ids
+
+(* Each way a sent forward can end settles its shard's count: a plain
+   answer, a primary abandoned for a winning hedge, a failover off a dead
+   primary, and zero-delay hedges. *)
+let test_tail_forwards_settle () =
+  let net = tail_net 0 in
+  let owner = primary_of net in
+  let hedge_wins router =
+    Obs.Counter.value (Router.metrics router).hedge_wins
+  in
+  with_tail_cluster
+    ~config:{ Router.default_config with hedge_delay_floor = 0.5 }
+    (fun router client _ ->
+      ignore (solve_through client net : float);
+      check_settled "plain forward" router);
+  with_tail_cluster
+    ~faults:(fun id ->
+      if String.equal id owner then Some (fault_plan "seed=5,delay:p=1:ms=500")
+      else None)
+    ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
+    (fun router client _ ->
+      ignore (solve_through client net : float);
+      Alcotest.(check int) "the hedge won" 1 (hedge_wins router);
+      check_settled "primary abandoned" router);
+  with_tail_cluster ~dead:[ owner ]
+    ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
+    (fun router client _ ->
+      ignore (solve_through client net : float);
+      Alcotest.(check int) "the dead primary failed over" 1
+        (Obs.Counter.value (shard_inst router owner).failovers);
+      check_settled "failover" router);
+  let nets = zero_floor_nets () in
+  with_tail_cluster ~faults:slow_a ~config:zero_floor_config
+    (fun router client _ ->
+      List.iter (fun net -> ignore (solve_through client net : float)) nets;
+      Alcotest.(check int) "every hedge won" (List.length nets)
+        (hedge_wins router);
+      check_settled "zero-floor hedges" router)
+
+let wait_until what ready =
+  let give_up = Cpu_clock.monotonic_seconds () +. 10.0 in
+  let rec loop () =
+    if not (ready ()) then
+      if Cpu_clock.monotonic_seconds () > give_up then
+        Alcotest.failf "timed out waiting until %s" what
+      else begin
+        Thread.delay 0.001;
+        loop ()
+      end
+  in
+  loop ()
+
+(* The less busy of two choices: while the owner "a" sits on one slow
+   solve, a second net it owns goes to the idle "b" — counted as b's
+   spill, solved fresh there and answered exactly as a direct solve.
+   Once both shards are idle the tie keeps the owner. *)
+let test_busy_owner_spills () =
+  let held, net =
+    match nets_with_primary "a" 2 with
+    | [ held; net ] -> (held, net)
+    | _ -> Alcotest.fail "two nets owned by shard a"
+  in
+  with_tail_router
+    ~faults:(fun id ->
+      if String.equal id "a" then Some (fault_plan "seed=3,delay:p=1:ms=300")
+      else None)
+    ~config:{ Router.default_config with hedge = false }
+    (fun ~connect router client servers ->
+      let spills id = Obs.Counter.value (shard_inst router id).spills in
+      let forwarded id = Obs.Counter.value (shard_inst router id).forwarded in
+      let misses id =
+        (Server.stats (List.assoc id servers)).Protocol.cache_misses
+      in
+      let held_result = ref None in
+      let holder =
+        Thread.create
+          (fun () ->
+            held_result :=
+              Some
+                (try Ok (solve_through client held : float)
+                 with e -> Error (Printexc.to_string e)))
+          ()
+      in
+      wait_until "a has one forward outstanding" (fun () ->
+          outstanding router "a" = 1.0);
+      let b_misses = misses "b" in
+      let second = connect () in
+      let solution =
+        Fun.protect
+          ~finally:(fun () -> Client.close second)
+          (fun () -> request_solution second net)
+      in
+      Alcotest.(check int) "b took the request as a spill" 1 (spills "b");
+      Alcotest.(check int) "b solved it fresh" (b_misses + 1) (misses "b");
+      Alcotest.(check int) "a spilled nothing" 0 (spills "a");
+      check_direct net solution;
+      let budget = tail_budget net in
+      let delay =
+        Helpers.ladder_delay net
+          (Rip_net.Geometry.of_net net)
+          solution.Protocol.repeaters
+      in
+      if delay > budget *. (1.0 +. 1e-4) then
+        Alcotest.failf "RC-ladder delay %.4g s exceeds the budget %.4g s" delay
+          budget;
+      Thread.join holder;
+      (match !held_result with
+      | Some (Ok _) -> ()
+      | Some (Error e) -> Alcotest.failf "the held request failed: %s" e
+      | None -> Alcotest.fail "the held request never finished");
+      check_settled "both idle" router;
+      let a_forwarded = forwarded "a" and b_forwarded = forwarded "b" in
+      ignore (solve_through client net : float);
+      Alcotest.(check int) "the idle owner served the repeat"
+        (a_forwarded + 1) (forwarded "a");
+      Alcotest.(check int) "b served nothing more" b_forwarded (forwarded "b");
+      Alcotest.(check int) "a tie is not a spill" 1 (spills "b"))
+
 (* The pool's four steps on their own: a timed wait honours its bound
    and wakes on the answer, and an abandoned connection is closed, so
    the next checkout re-dials. *)
@@ -842,6 +988,10 @@ let suite =
           test_tail_spool_reconciles;
         Alcotest.test_case "repeats hit the owning shard's cache" `Quick
           test_cache_affinity;
+        Alcotest.test_case "every sent forward is settled" `Quick
+          test_tail_forwards_settle;
+        Alcotest.test_case "a busy owner loses the request to an idle shard"
+          `Quick test_busy_owner_spills;
         Alcotest.test_case "pool send, wait, receive, abandon" `Quick
           test_pool_steps;
       ] );
