@@ -49,9 +49,10 @@ let print_trace (report : Rip.report) =
   | Some o ->
       printf
         "line 2 (REFINE): width %.1f u after %d iterations, %d moves, \
-         lambda %.3g\n"
+         lambda %.3g, %d width evaluations\n"
         o.Rip_refine.Refine.total_width o.Rip_refine.Refine.iterations
         o.Rip_refine.Refine.moves o.Rip_refine.Refine.lambda
+        o.Rip_refine.Refine.evaluations
   | None -> printf "line 2 (REFINE): skipped\n");
   (match trace.Rip.refined_library with
   | Some b ->

@@ -20,6 +20,8 @@ module type SUBSTRATE = sig
   val min_delay : t -> library:Repeater_library.t -> sites -> solution * float
   val continuous : t -> budget:float -> seed:solution -> continuous option
   val placed : continuous -> solution
+  val rounded_up :
+    t -> continuous -> library:Repeater_library.t -> dp option
   val price : continuous -> float option
   val fastest : t -> solution
   val tau_min : t -> gridded:float -> float
@@ -37,6 +39,7 @@ type ('dp, 'continuous, 'sites) trace = {
   refined : 'continuous option;
   refined_library : Repeater_library.t option;
   refined_sites : 'sites option;
+  core_bound : 'dp option;
   final : 'dp option;
   rescue : 'dp option;
   anchor : 'dp option;
@@ -57,37 +60,35 @@ module Make (S : SUBSTRATE) = struct
     let run_dp ?width_bound ?price ~library sites =
       S.power_dp t ?width_bound ?price ~library ~budget sites
     in
-    (* A pass with a subset solves it first.  The subset's answer is a
-       legal insertion over the full set too, so its width bounds the full
-       optimum, and the full pass under that bound drops every label that
-       cannot finish within it: same answer, far fewer labels (DESIGN.md
-       3.2a).  A [price] applies to the bounded full pass only. *)
-    let subset_first ?price ~library ~solve_subset sites =
-      let full width_bound = run_dp ?width_bound ?price ~library sites in
-      match solve_subset () with
-      | None -> full None
-      | Some sub -> (
-          match full (Some sub) with
-          | Some _ as answer -> answer
-          (* Only a binding frontier cap can push the full pass's answer
-             above a subset's; rerun it as it would run alone. *)
-          | None -> full None)
+    (* A pass under a width bound drops every label that cannot finish
+       within it: the optimum when the bound is at or above it, else no
+       answer, and then the pass reruns unbounded.  So any bound leaves
+       the answer as the unbounded pass finds it (DESIGN.md 3.2a); a
+       [price] sharpens the bound and is ignored without one. *)
+    let bounded ?price ~library ~bound sites =
+      let pass width_bound = run_dp ?width_bound ?price ~library sites in
+      match bound with
+      | None -> pass None
+      | Some _ -> (
+          match pass bound with Some _ as answer -> answer | None -> pass None)
     in
+    (* A pass with a subset solves it first: the subset's answer is a
+       legal insertion over the full set too, so its width bounds the full
+       optimum. *)
     let rec halving ~library sites =
       match S.halve t sites with
       | None -> run_dp ~library sites
       | Some half ->
-          subset_first ~library sites ~solve_subset:(fun () ->
-              halving ~library half)
+          bounded ~library sites ~bound:(halving ~library half)
     in
-    let windowed ?price ~library ~centers sites =
+    let windowed ?price ?seed ~library ~centers sites =
       match
         S.window_core t ~centers ~pitch:config.Config.refined_pitch sites
       with
       | None -> run_dp ~library sites
       | Some core ->
-          subset_first ?price ~library sites ~solve_subset:(fun () ->
-              run_dp ~library core)
+          bounded ?price ~library sites
+            ~bound:(bounded ?price ~library core ~bound:seed)
     in
     let coarse_sites = S.uniform t ~pitch:config.Config.coarse_pitch in
     (* Line 1, with a fallback library for budgets the coarse grid misses.
@@ -114,7 +115,7 @@ module Make (S : SUBSTRATE) = struct
        seeds the continuous step with the previous round's answer. *)
     let run_round seed =
       match in_phase "refine" (fun () -> S.continuous t ~budget ~seed) with
-      | None -> (None, None, None, None)
+      | None -> (None, None, None, None, None)
       | Some outcome ->
           let placed = S.placed outcome in
           let library =
@@ -122,18 +123,28 @@ module Make (S : SUBSTRATE) = struct
             | [] -> None
             | widths -> Some (rounded_library config widths)
           in
+          (* The continuous insertion with its widths rounded up to the
+             final library: when it meets the budget it is a legal answer
+             over the core sites (they hold its positions), so its width
+             bounds the core pass. *)
+          let core_bound =
+            Option.bind library (fun library ->
+                match S.rounded_up t outcome ~library with
+                | Some r when S.delay r <= budget -> Some r
+                | Some _ | None -> None)
+          in
           let sites = around placed in
           let final =
             match library with
             | None -> Some (S.bare t)
             | Some library ->
                 in_phase "final_dp" (fun () ->
-                    windowed ?price:(S.price outcome) ~library ~centers:placed
-                      sites)
+                    windowed ?price:(S.price outcome) ?seed:core_bound
+                      ~library ~centers:placed sites)
           in
-          (Some outcome, library, Some sites, final)
+          (Some outcome, library, Some sites, core_bound, final)
     in
-    let refined, refined_library, refined_sites, first_final =
+    let refined, refined_library, refined_sites, core_bound, first_final =
       run_round (S.solution coarse)
     in
     let final =
@@ -145,9 +156,9 @@ module Make (S : SUBSTRATE) = struct
           | None -> best
           | Some previous -> (
               match run_round (S.solution previous) with
-              | _, _, _, Some next when S.width next < S.width previous ->
+              | _, _, _, _, Some next when S.width next < S.width previous ->
                   iterate (Some next) (k + 1)
-              | _, _, _, (Some _ | None) -> best)
+              | _, _, _, _, (Some _ | None) -> best)
       in
       iterate first_final 1
     in
@@ -191,7 +202,7 @@ module Make (S : SUBSTRATE) = struct
     let answer ~anchor result =
       Ok
         ( { coarse; used_fallback_library; refined; refined_library;
-            refined_sites; final; rescue; anchor },
+            refined_sites; core_bound; final; rescue; anchor },
           result )
     in
     match best with

@@ -22,8 +22,12 @@
     A substrate whose power DP takes a width bound names subsets of its
     candidates ([halve], [window_core]): such a pass solves the subset
     first and bounds the full pass by that answer's width, with the same
-    answer (DESIGN.md 3.2a).  A substrate without one returns [None]
-    there and every pass runs once. *)
+    answer (DESIGN.md 3.2a).  A final pass's core subset is itself
+    bounded by the continuous insertion rounded up to the final library
+    ({!SUBSTRATE.rounded_up}), when that meets the budget, and priced at
+    the continuous step's multiplier.  A bounded pass without an answer
+    reruns unbounded, so no bound changes an answer.  A substrate without
+    subsets returns [None] there and every pass runs once. *)
 
 module type SUBSTRATE = sig
   type t
@@ -74,6 +78,13 @@ module type SUBSTRATE = sig
   (** Its insertion: the widths make the final library, the positions
       the centers of the final sites. *)
 
+  val rounded_up :
+    t -> continuous -> library:Rip_dp.Repeater_library.t -> dp option
+  (** {!placed} with each width rounded up to the next width of
+      [library], with its evaluated delay; [None] when some width has no
+      library width at or above it, or when the substrate has no
+      {!window_core} for the answer to bound. *)
+
   val price : continuous -> float option
   (** The multiplier the final pass prices delay at, if any. *)
 
@@ -105,6 +116,9 @@ type ('dp, 'continuous, 'sites) trace = {
   refined_library : Rip_dp.Repeater_library.t option;
       (** the first round's final library *)
   refined_sites : 'sites option;  (** the first round's final sites *)
+  core_bound : 'dp option;
+      (** the first round's {!SUBSTRATE.rounded_up} insertion, when it
+          met the budget and so bounded that round's core pass *)
   final : 'dp option;  (** the last improving round's final DP *)
   rescue : 'dp option;  (** [None] unless it ran and found an answer *)
   anchor : 'dp option;  (** [None] unless it ran and its insertion meets *)

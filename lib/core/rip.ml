@@ -17,6 +17,7 @@ type phase_trace = {
   refined : Refine.outcome option;
   refined_library : Repeater_library.t option;
   refined_candidates : float list;
+  core_bound : Power_dp.result option;
   final : Power_dp.result option;
   rescue : Power_dp.result option;
   anchor : Power_dp.result option;
@@ -64,6 +65,11 @@ module Chain = struct
     dp_hooks : Power_dp.probe_event Hooks.t;
     refine_hooks : Refine.probe_event Hooks.t;
   }
+
+  let create ?(config = Config.default) ?(dp_hooks = Hooks.default)
+      ?(refine_hooks = Hooks.default) (process : Process.t) geometry =
+    { config; geometry; repeater = process.Process.repeater;
+      arena = Fast_dp.Arena.create (); dp_hooks; refine_hooks }
 
   type sites = float list
   type solution = Solution.t
@@ -149,6 +155,17 @@ module Chain = struct
 
   let seed t ?delay solution = result t ?delay ~sites:0 solution
   let bare t = result t ~sites:2 Solution.empty
+
+  let rounded_up t (outcome : continuous) ~library =
+    let rec round acc = function
+      | [] -> Some (Solution.create (List.rev acc))
+      | (r : Solution.repeater) :: rest -> (
+          match Repeater_library.round_up library r.width with
+          | Some w -> round ((r.position, w) :: acc) rest
+          | None -> None)
+    in
+    if not (bounded t) then None
+    else Option.map (seed t) (round [] (Solution.repeaters (placed outcome)))
 end
 
 module Chain_pipeline = Pipeline.Make (Chain)
@@ -196,14 +213,10 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
      contramapped probes are [None] too, so the sub-solvers stay on their
      allocation-free paths. *)
   let chain =
-    {
-      Chain.config;
-      geometry;
-      repeater = process.Process.repeater;
-      arena = Fast_dp.Arena.create ();
-      dp_hooks = Hooks.contramap (fun e -> Dp e) hooks;
-      refine_hooks = Hooks.contramap (fun e -> Refine e) hooks;
-    }
+    Chain.create ~config
+      ~dp_hooks:(Hooks.contramap (fun e -> Dp e) hooks)
+      ~refine_hooks:(Hooks.contramap (fun e -> Refine e) hooks)
+      process geometry
   in
   match Chain_pipeline.run ~config ~hooks chain ~budget with
   | Error tau_min ->
@@ -217,6 +230,7 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
           refined_library = t.Pipeline.refined_library;
           refined_candidates =
             Option.value t.Pipeline.refined_sites ~default:[];
+          core_bound = t.Pipeline.core_bound;
           final = t.Pipeline.final;
           rescue = t.Pipeline.rescue;
           anchor = t.Pipeline.anchor;

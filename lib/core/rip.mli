@@ -19,10 +19,13 @@
     answered.
 
     Under the [Fast] DP backend every DP pass first solves a subset of
-    its candidates and bounds the full pass by that answer's width, and
-    the final pass's bounded run also prices delay at REFINE's
-    multiplier; the answers and every phase of the trace are those of
-    the unbounded passes [Reference] runs (DESIGN.md 3.2a). *)
+    its candidates and bounds the full pass by that answer's width.  The
+    final pass's core subset is itself bounded by REFINE's insertion
+    rounded up to library B ({!phase_trace.core_bound}), and the final
+    pass's bounded runs price delay at REFINE's multiplier.  A bounded
+    run without an answer reruns unbounded, so the answers and every
+    phase of the trace are those of the unbounded passes [Reference]
+    runs (DESIGN.md 3.2a). *)
 
 type phase_trace = {
   coarse : Rip_dp.Power_dp.result option;
@@ -31,6 +34,11 @@ type phase_trace = {
   refined : Rip_refine.Refine.outcome option;  (** line 2 result *)
   refined_library : Rip_dp.Repeater_library.t option;  (** line 3 library B *)
   refined_candidates : float list;  (** line 3 location set S *)
+  core_bound : Rip_dp.Power_dp.result option;
+      (** REFINE's insertion with each width rounded up to library B,
+          when it meets the budget: its width bounded the line-4 pass's
+          core subset.  [None] under [Reference], which has no subset
+          passes. *)
   final : Rip_dp.Power_dp.result option;  (** line 4 result *)
   rescue : Rip_dp.Power_dp.result option;
       (** last-resort pass for budgets so tight that every DP grid missed:
@@ -127,6 +135,24 @@ val solve :
     ({!Config.dp_options}); every DP pass of one solve shares a single
     label arena, so batch callers amortise allocation by reusing warmed
     capacity across the coarse, final and rescue passes. *)
+
+(** {1 The chain substrate} *)
+
+module Chain : sig
+  include
+    Pipeline.SUBSTRATE
+      with type sites = float list
+       and type solution = Rip_elmore.Solution.t
+       and type dp = Rip_dp.Power_dp.result
+       and type continuous = Rip_refine.Refine.outcome
+
+  val create :
+    ?config:Config.t -> ?dp_hooks:Rip_dp.Power_dp.probe_event Hooks.t ->
+    ?refine_hooks:Rip_refine.Refine.probe_event Hooks.t ->
+    Rip_tech.Process.t -> Rip_net.Geometry.t -> t
+  (** One solve's substrate: {!solve} runs {!Pipeline.Make} over it.
+      Exposed so a caller can run the passes over a variant of it. *)
+end
 
 val tau_min : Rip_tech.Process.t -> Rip_net.Geometry.t -> float
 (** The timing-target anchor, "the minimum delay of the net": the better

@@ -47,6 +47,8 @@ let round_to_grid ~granularity ~min_width ~max_width widths =
   | [] -> invalid_arg "Repeater_library.round_to_grid: no positive widths"
   | candidates -> create candidates
 
+let round_up t w = Array.find_opt (fun x -> x >= w) t
+
 let widths t = Array.to_list t
 let to_array t = t
 let size = Array.length

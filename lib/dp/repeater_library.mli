@@ -29,6 +29,10 @@ val round_to_grid :
     immediate grid neighbours of each snapped width (within the clamp) are
     included as well. *)
 
+val round_up : t -> float -> float option
+(** The narrowest width of the library at or above the given one, if
+    any. *)
+
 val widths : t -> float list
 val to_array : t -> float array
 val size : t -> int

@@ -19,11 +19,21 @@ val bisect :
   f:(float -> float) -> lo:float -> hi:float -> tol:float -> max_iter:int ->
   float
 (** [bisect ~f ~lo ~hi ~tol ~max_iter] finds a root of [f] inside a bracket
-    with opposite-sign endpoints, by bisection combined with a secant
-    (regula-falsi) step when it stays inside the bracket.  [tol] bounds the
-    final bracket width relative to the magnitude of the endpoints.
+    with opposite-sign endpoints by Illinois regula falsi: false-position
+    steps, with the value at an end kept twice in a row halved so both
+    ends converge (plain regula falsi stalls one end on convex or concave
+    [f]).  Every step stays inside the bracket; a step rounding puts on an
+    end becomes the midpoint.  [tol] bounds the final bracket width
+    relative to the magnitude of the endpoints; [max_iter] bounds the
+    steps, after which the bracket's midpoint is returned.
     @raise Invalid_argument when the endpoints do not straddle zero. *)
+
+val find_root_within :
+  max_expansions:int -> f:(float -> float) -> lo:float -> hi:float ->
+  tol:float -> outcome
+(** {!expand_bracket} the guess, then {!bisect} it (at most 200 steps);
+    each bracket end is evaluated once. *)
 
 val find_root :
   f:(float -> float) -> lo:float -> hi:float -> tol:float -> outcome
-(** Convenience: expand the initial guess bracket then bisect. *)
+(** [find_root_within ~max_expansions:60]. *)

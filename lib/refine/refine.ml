@@ -18,7 +18,12 @@ let default_config =
     patience = 4; hop_zones = false; max_hop = 800.0 }
 
 type probe_event =
-  | Iteration of { iteration : int; moved : int; total_width : float }
+  | Iteration of {
+      iteration : int;
+      moved : int;
+      total_width : float;
+      evaluations : int;
+    }
 
 type outcome = {
   solution : Solution.t;
@@ -29,6 +34,7 @@ type outcome = {
   total_width : float;
   delay : float;
   converged : bool;
+  evaluations : int;
 }
 
 let solution_of positions widths =
@@ -96,6 +102,8 @@ type state = {
   mutable iterations : int;
   mutable best_solution : Solution.t;
   mutable best : Width_solver.result;
+  mutable evaluations : int;
+  mutable reported : int;  (* [evaluations] at the last probe event *)
 }
 
 let run ?(config = default_config) ?(hooks = Hooks.default) geometry repeater
@@ -104,7 +112,9 @@ let run ?(config = default_config) ?(hooks = Hooks.default) geometry repeater
   let length = Geometry.total_length geometry in
   let positions = Array.of_list (Solution.positions initial) in
   let probe = hooks.Hooks.probe in
-  let solve () = Width_solver.solve geometry repeater ~positions ~budget in
+  let solve ?warm () =
+    Width_solver.solve ?warm geometry repeater ~positions ~budget
+  in
   match solve () with
   | None -> None
   | Some first ->
@@ -112,7 +122,8 @@ let run ?(config = default_config) ?(hooks = Hooks.default) geometry repeater
         { current = first; step = config.move_step; quiet = 0; moves = 0;
           iterations = 0;
           best_solution = solution_of positions first.Width_solver.widths;
-          best = first }
+          best = first; evaluations = first.Width_solver.evaluations;
+          reported = 0 }
       in
       let min_step = config.move_step /. 10.0 in
       let finished = ref (Array.length positions = 0) in
@@ -143,12 +154,14 @@ let run ?(config = default_config) ?(hooks = Hooks.default) geometry repeater
           end
           else begin
             st.moves <- st.moves + moved;
-            match solve () with
+            match solve ~warm:st.current () with
             | None ->
                 (* The move round broke feasibility: revert and stop. *)
                 Array.blit saved 0 positions 0 (Array.length saved);
                 finished := true
             | Some next ->
+                st.evaluations <-
+                  st.evaluations + next.Width_solver.evaluations;
                 let gain =
                   (st.current.Width_solver.total_width
                   -. next.Width_solver.total_width)
@@ -193,7 +206,9 @@ let run ?(config = default_config) ?(hooks = Hooks.default) geometry repeater
                      iteration = st.iterations;
                      moved;
                      total_width = st.current.Width_solver.total_width;
-                   })
+                     evaluations = st.evaluations - st.reported;
+                   });
+              st.reported <- st.evaluations
         end
       done;
       Some
@@ -206,4 +221,5 @@ let run ?(config = default_config) ?(hooks = Hooks.default) geometry repeater
           total_width = st.best.Width_solver.total_width;
           delay = st.best.Width_solver.delay;
           converged = !converged;
+          evaluations = st.evaluations;
         }

@@ -36,10 +36,17 @@ val default_config : config
     no zone hopping. *)
 
 type probe_event =
-  | Iteration of { iteration : int; moved : int; total_width : float }
-      (** One move-round finished: repeaters moved this round and the
-          total width after the round's re-solve (unchanged when the
-          round was reverted). *)
+  | Iteration of {
+      iteration : int;
+      moved : int;
+      total_width : float;
+      evaluations : int;
+    }
+      (** One move-round finished: repeaters moved this round, the total
+          width after the round's re-solve (unchanged when the round was
+          reverted) and the width-solver evaluations since the previous
+          event (the first event also carries the initial solve's), so
+          the events' evaluations add up to the outcome's. *)
 
 type outcome = {
   solution : Rip_elmore.Solution.t;  (** best solution seen (continuous widths) *)
@@ -50,6 +57,10 @@ type outcome = {
   total_width : float;  (** width of the returned solution *)
   delay : float;  (** its delay; equals the budget to solver tolerance *)
   converged : bool;  (** stopped on epsilon rather than iteration cap *)
+  evaluations : int;
+      (** root-finder evaluations ({!Width_solver.result.evaluations})
+          summed over the run's width solves; a re-solve that finds the
+          moved positions infeasible returns no count and is left out *)
 }
 
 val run :
@@ -59,7 +70,9 @@ val run :
   budget:float -> initial:Rip_elmore.Solution.t -> outcome option
 (** [None] when even the fastest continuous sizing at the initial locations
     misses the budget.  The initial solution's widths are ignored (Line 1
-    recomputes them); its locations seed the iteration.
+    recomputes them); its locations seed the iteration.  Each re-solve
+    after a move round is warm-started from the current solve
+    ({!Width_solver.solve}'s [warm]).
 
     [hooks.cancel] is polled once per iteration of the move loop; returning
     unit leaves the run bit-identical to one without the hook, raising

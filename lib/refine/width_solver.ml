@@ -119,45 +119,71 @@ let tau_total geometry repeater ~positions ~widths =
     invalid_arg "Width_solver.tau_total: width/position count mismatch";
   delay_of st widths
 
-let solve_gauss_seidel st ~budget =
-  let evaluations = ref 0 in
+let finish st widths inv_lambda evaluations =
+  ignore (converge_widths st widths inv_lambda);
+  {
+    widths;
+    lambda = (if inv_lambda = 0.0 then Float.infinity else 1.0 /. inv_lambda);
+    total_width = Array.fold_left ( +. ) 0.0 widths;
+    delay = delay_of st widths;
+    evaluations;
+  }
+
+(* tau(w(lambda)) is decreasing in lambda, i.e. increasing in inv_lambda;
+   [root] finds inv_lambda with tau = budget, each inner solve warm-started
+   from the previous one's widths.  The evaluations count from [spent]. *)
+let root st widths ~budget ~spent ~max_expansions ~lo ~hi =
+  let evaluations = ref spent in
+  let f inv_lambda =
+    incr evaluations;
+    ignore (converge_widths st widths inv_lambda);
+    delay_of st widths -. budget
+  in
+  match
+    Bracket.find_root_within ~max_expansions ~f ~lo ~hi ~tol:1e-13
+  with
+  | Bracket.No_sign_change _ -> Error !evaluations
+  | Bracket.Root inv_lambda -> Ok (finish st widths inv_lambda !evaluations)
+
+let solve_cold st ~budget ~spent =
   let widths = min_delay_sizing_stages st in
   let fastest = delay_of st widths in
   if fastest > budget then None
-  else begin
-    (* tau(w(lambda)) is decreasing in lambda, i.e. increasing in
-       inv_lambda; find inv_lambda with tau = budget.  Warm-start each
-       inner solve from the previous widths. *)
-    let f inv_lambda =
-      incr evaluations;
-      ignore (converge_widths st widths inv_lambda);
-      delay_of st widths -. budget
-    in
+  else
     (* Scale guess: inv_lambda has units of d tau/d w. *)
     let scale =
       Float.max 1e-30 (Float.abs (fastest /. Float.max 1.0 (float_of_int st.n) /. 100.0))
     in
-    match
-      Bracket.find_root ~f ~lo:(1e-6 *. scale) ~hi:(1e3 *. scale) ~tol:1e-13
-    with
-    | Bracket.No_sign_change _ -> None
-    | Bracket.Root inv_lambda ->
-        ignore (converge_widths st widths inv_lambda);
-        Some
-          {
-            widths;
-            lambda = (if inv_lambda = 0.0 then Float.infinity else 1.0 /. inv_lambda);
-            total_width = Array.fold_left ( +. ) 0.0 widths;
-            delay = delay_of st widths;
-            evaluations = !evaluations;
-          }
-  end
+    Result.to_option
+      (root st widths ~budget ~spent ~max_expansions:60 ~lo:(1e-6 *. scale)
+         ~hi:(1e3 *. scale))
 
-let solve geometry repeater ~positions ~budget =
+(* A re-solve after a small move: bracket the previous multiplier tightly
+   and start the sweeps from the previous widths.  A bracket that never
+   straddles the budget falls back to the cold solve, so positions the
+   cold solve finds infeasible are answered [None] as before. *)
+let solve_warm st ~budget (warm : result) =
+  let inv_lambda = 1.0 /. warm.lambda in
+  if
+    Array.length warm.widths <> st.n
+    || not (Float.is_finite inv_lambda && inv_lambda > 0.0)
+  then solve_cold st ~budget ~spent:0
+  else
+    match
+      root st (Array.copy warm.widths) ~budget ~spent:0 ~max_expansions:3
+        ~lo:(0.8 *. inv_lambda) ~hi:(1.25 *. inv_lambda)
+    with
+    | Ok r -> Some r
+    | Error spent -> solve_cold st ~budget ~spent
+
+let solve ?warm geometry repeater ~positions ~budget =
   let st = build_stages geometry repeater ~positions in
   if st.n = 0 then
     if delay_of st [||] <= budget then
       Some { widths = [||]; lambda = 0.0; total_width = 0.0;
              delay = delay_of st [||]; evaluations = 0 }
     else None
-  else solve_gauss_seidel st ~budget
+  else
+    match warm with
+    | None -> solve_cold st ~budget ~spent:0
+    | Some warm -> solve_warm st ~budget warm

@@ -12,15 +12,19 @@
     [w_i = sqrt (Rs (C_i + Co w_{i+1}) / (1/lambda + Co (R_{i-1} + Rs/w_{i-1})))]
     whose Gauss–Seidel sweeps converge geometrically, while
     [tau_total(w(lambda))] is strictly decreasing in [lambda], so the outer
-    constraint is solved by monotone bracketing.  This fixed point solves
-    the same system as the root-finder the paper names (DESIGN §3.3). *)
+    constraint is solved by monotone bracketing ({!Rip_numerics.Bracket}'s
+    Illinois regula falsi).  This fixed point solves the same system as
+    the root-finder the paper names (DESIGN §3.3). *)
 
 type result = {
   widths : float array;  (** optimal continuous widths, length n *)
   lambda : float;  (** Lagrange multiplier, > 0 *)
   total_width : float;  (** sum of [widths] *)
   delay : float;  (** [tau_total] at the solution; equals the budget *)
-  evaluations : int;  (** inner-solve invocations (diagnostics) *)
+  evaluations : int;
+      (** root-finder evaluations of [tau_total(w(lambda))], each one a
+          Gauss–Seidel solve at fixed [lambda]; a warm solve's count
+          includes a failed warm bracket's *)
 }
 
 val tau_total :
@@ -43,10 +47,19 @@ val min_delay_sizing_bounded :
     fastest *manufacturable* sizing, used by the analytical tau_min. *)
 
 val solve :
-  Rip_net.Geometry.t -> Rip_tech.Repeater_model.t ->
+  ?warm:result -> Rip_net.Geometry.t -> Rip_tech.Repeater_model.t ->
   positions:float array -> budget:float -> result option
 (** [None] when even {!min_delay_sizing} misses the budget (the positions
     are infeasible).  With empty [positions] the answer is [Some] with no
     widths when the bare wire meets the budget, [None] otherwise.
+
+    [warm] is a solve at nearby positions with as many repeaters, such as
+    the previous REFINE round's: the multiplier is bracketed within
+    [0.8 .. 1.25] of its [1/lambda] (widened fourfold at most three
+    times) and the sweeps start from its widths.  When that bracket never
+    straddles the budget the solve runs cold, as without [warm].  Either
+    way the answer agrees with the cold solve's to the root finder's
+    tolerance (widths and [lambda] within 1e-9 relative), and is [None]
+    exactly when the cold solve is.
     @raise Invalid_argument when positions are not strictly increasing or
     lie outside (0, L). *)

@@ -18,6 +18,7 @@ type t = {
   dp_columns : Obs.Counter.t;
   dp_labels_pruned : Obs.Counter.t;
   refine_iterations : Obs.Counter.t;
+  refine_width_evaluations : Obs.Counter.t;
 }
 
 let queue_wait_metric = "rip_queue_wait_seconds"
@@ -65,6 +66,10 @@ let create ?cache_stats ?journal_stats () =
            tests skip are never collected, so they are not counted";
       refine_iterations =
         counter "rip_refine_iterations_total" "REFINE move rounds";
+      refine_width_evaluations =
+        counter "rip_refine_width_evaluations_total"
+          "REFINE width-solver evaluations (Gauss-Seidel solves at a fixed \
+           multiplier) over all its width solves";
     }
   in
   (match cache_stats with

@@ -40,6 +40,9 @@ type t = {
           moves earlier, not because less is pruned. *)
   refine_iterations : Obs.Counter.t;
       (** REFINE move rounds ({!Rip_refine.Refine.probe_event}) *)
+  refine_width_evaluations : Obs.Counter.t;
+      (** REFINE's width-solver evaluations, the [evaluations] of its
+          probe events *)
 }
 (** The instruments, registered once at {!create}; callers bump them
     directly through {!Rip_obs.Metrics}. *)

@@ -289,8 +289,9 @@ let solver_probe t ~pruned = function
       Obs.Counter.incr t.metrics.dp_columns;
       Obs.Counter.add t.metrics.dp_labels_pruned (collected - kept);
       ignore (Atomic.fetch_and_add pruned (collected - kept))
-  | Rip.Refine (Rip_refine.Refine.Iteration _) ->
-      Obs.Counter.incr t.metrics.refine_iterations
+  | Rip.Refine (Rip_refine.Refine.Iteration { evaluations; _ }) ->
+      Obs.Counter.incr t.metrics.refine_iterations;
+      Obs.Counter.add t.metrics.refine_width_evaluations evaluations
 
 let run_full_solve t ~budget ~net ~key ~trace ~pruned token =
   let tracer = t.config.tracer in

@@ -53,6 +53,7 @@ module Tree_substrate = struct
       (Tree_sizing.solve t.repeater t.tree ~placements:seed ~budget)
 
   let placed sized = sized
+  let rounded_up _ _ ~library:_ = None
   let price _ = None
 
   (* The tree has no analytical min-delay solver: the rescue searches

@@ -296,6 +296,31 @@ let same_answer a b =
   | Error a, Error b -> Rip.error_to_string a = Rip.error_to_string b
   | Ok _, Error _ | Error _, Ok _ -> false
 
+(* The seed bound of the final pass's core subset is REFINE's insertion
+   with each width rounded up to the refined library, and it meets the
+   budget.  Reference runs no subset passes, so it has none. *)
+let core_bound_sound ~budget (r : Rip.report) =
+  match (r.Rip.trace.Rip.core_bound, r.Rip.trace.Rip.refined,
+         r.Rip.trace.Rip.refined_library) with
+  | None, _, _ -> true
+  | Some bound, Some refined, Some library ->
+      let placed = Solution.repeaters refined.Rip_refine.Refine.solution in
+      let rounded = Solution.repeaters bound.Power_dp.solution in
+      List.compare_lengths placed rounded = 0
+      && List.for_all2
+           (fun (p : Solution.repeater) (q : Solution.repeater) ->
+             Float.equal p.position q.position
+             && Rip_dp.Repeater_library.mem library q.width
+             && q.width >= p.width
+             && q.width -. p.width
+                < 2.0 *. Config.default.Config.refined_granularity)
+           placed rounded
+      && bound.Power_dp.delay <= budget
+  | Some _, _, _ -> false
+
+(* How many [Fast] solves of the qchecks below had a seed bound. *)
+let seeded = ref 0
+
 let prop_bounded_passes_match_reference ~frontier_cap name =
   QCheck.Test.make ~name ~count:25 bounded_pipeline_arb (fun (net, slack) ->
       let geometry = Geometry.of_net net in
@@ -306,7 +331,105 @@ let prop_bounded_passes_match_reference ~frontier_cap name =
         in
         Rip.solve ~config (Rip.problem ~geometry process net ~budget)
       in
-      same_answer (solve Power_dp.Fast) (solve Power_dp.Reference))
+      let fast = solve Power_dp.Fast and reference = solve Power_dp.Reference in
+      (match fast with
+      | Ok r when Option.is_some r.Rip.trace.Rip.core_bound -> incr seeded
+      | Ok _ | Error _ -> ());
+      same_answer fast reference
+      && Result.fold ~ok:(core_bound_sound ~budget) ~error:(Fun.const true)
+           fast
+      && Result.fold ~ok:(fun r -> r.Rip.trace.Rip.core_bound = None)
+           ~error:(Fun.const true) reference)
+
+(* The qcheck, then a check that the seeded core pass ran in some of its
+   cases, so the qcheck compares it against [Reference]. *)
+let bounded_passes_case ~frontier_cap name =
+  let name, speed, run =
+    qcheck (prop_bounded_passes_match_reference ~frontier_cap name)
+  in
+  ( name,
+    speed,
+    fun () ->
+      seeded := 0;
+      run ();
+      Alcotest.(check bool) "the seeded core pass ran" true (!seeded > 0) )
+
+(* A seed bound one unit (1e-3 u) below the core optimum: the bounded
+   core pass finds nothing and reruns unbounded, and the full pass is
+   bounded by that rerun's answer.  The answer and the final pass,
+   its work counts included, are bit-identical to the real seed's. *)
+let test_seed_below_core_optimum () =
+  let net = macro_net () in
+  let geometry = Geometry.of_net net in
+  let budget = 1.2 *. Rip.tau_min process geometry in
+  let config = Config.default in
+  let bounded_misses = ref 0 in
+  let module Low_seed = struct
+    include Rip.Chain
+
+    let rounded_up t outcome ~library =
+      let centers = placed outcome in
+      let sites =
+        around t ~centers ~radius:config.Config.refined_radius
+          ~pitch:config.Config.refined_pitch
+      in
+      match
+        window_core t ~centers ~pitch:config.Config.refined_pitch sites
+      with
+      | None -> Alcotest.fail "the final pass has a core subset"
+      | Some core -> (
+          match power_dp t ~library ~budget core with
+          | None -> Alcotest.fail "the core subset has an answer"
+          | Some optimum -> (
+              match Solution.repeaters optimum.Power_dp.solution with
+              | [] -> Alcotest.fail "the core optimum has a repeater"
+              | first :: rest ->
+                  let lowered =
+                    Solution.create
+                      ((first.position, first.width -. 1e-3)
+                      :: List.map
+                           (fun (r : Solution.repeater) ->
+                             (r.position, r.width))
+                           rest)
+                  in
+                  Some
+                    { optimum with
+                      Power_dp.solution = lowered;
+                      total_width = optimum.Power_dp.total_width -. 1e-3 }))
+
+    let power_dp t ?width_bound ?price ~library ~budget sites =
+      let answer = power_dp t ?width_bound ?price ~library ~budget sites in
+      (match (width_bound, answer) with
+      | Some _, None -> incr bounded_misses
+      | Some _, Some _ | None, _ -> ());
+      answer
+  end in
+  let module Low_pipeline = Rip_core.Pipeline.Make (Low_seed) in
+  let expected =
+    match Rip.solve ~config (Rip.problem ~geometry process net ~budget) with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Rip.error_to_string e)
+  in
+  Alcotest.(check bool) "the real seed bounds the core pass" true
+    (Option.is_some expected.Rip.trace.Rip.core_bound);
+  match
+    Low_pipeline.run ~config ~hooks:Rip_core.Hooks.default
+      (Rip.Chain.create ~config process geometry)
+      ~budget
+  with
+  | Error _ -> Alcotest.fail "the low seed lost the answer"
+  | Ok (trace, best) ->
+      Alcotest.(check int) "only the seeded core pass found nothing" 1
+        !bounded_misses;
+      Alcotest.(check bool) "same answer" true
+        (Solution.equal best.Power_dp.solution expected.Rip.solution
+        && Float.equal best.Power_dp.total_width expected.Rip.total_width);
+      match (trace.Rip_core.Pipeline.final, expected.Rip.trace.Rip.final) with
+      | Some low, Some real ->
+          Alcotest.(check bool) "same final pass" true
+            (Helpers.identical_results low real
+            && low.Power_dp.stats = real.Power_dp.stats)
+      | _ -> Alcotest.fail "both runs have a final pass"
 
 let ladder_delay net geometry solution =
   Helpers.ladder_delay net geometry
@@ -460,12 +583,12 @@ let suite =
         Alcotest.test_case "anchor answers where every pass missed" `Quick
           test_anchor_answers;
         qcheck prop_anchor_gate;
-        qcheck
-          (prop_bounded_passes_match_reference ~frontier_cap:None
-             "bounded passes match reference, uncapped");
-        qcheck
-          (prop_bounded_passes_match_reference
-             ~frontier_cap:Config.default.Config.dp.Config.frontier_cap
-             "bounded passes match reference, default cap");
+        bounded_passes_case ~frontier_cap:None
+          "bounded passes match reference, uncapped";
+        bounded_passes_case
+          ~frontier_cap:Config.default.Config.dp.Config.frontier_cap
+          "bounded passes match reference, default cap";
+        Alcotest.test_case "a seed bound below the core optimum" `Quick
+          test_seed_below_core_optimum;
       ] );
   ]

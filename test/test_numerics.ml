@@ -64,6 +64,31 @@ let prop_bisect_monotone_cubic =
       | Bracket.Root r -> Float.abs (f r) < 1e-6 *. (1.0 +. Float.abs b)
       | Bracket.No_sign_change _ -> false)
 
+(* Plain regula falsi on a convex or concave function keeps one bracket
+   end for good, so the bracket shrinks from one side only; bisection
+   takes about 40 evaluations to 1e-12 here.  The root must still be
+   found to [tol] within a ceiling of evaluations that only a method
+   moving both ends meets (the ceiling holds for every c on a fine grid
+   of the range; bisection needs at least 36 anywhere on it). *)
+let prop_bisect_no_stagnation =
+  QCheck.Test.make ~name:"bisect converges where regula falsi stagnates"
+    ~count:200
+    QCheck.(pair bool (float_range 0.5 4.0))
+    (fun (quintic, exponent) ->
+      let c = 10.0 ** exponent in
+      let g, root =
+        if quintic then ((fun x -> (x ** 5.0) -. c), c ** 0.2)
+        else ((fun x -> exp x -. c), log c)
+      in
+      let evaluations = ref 0 in
+      let f x =
+        incr evaluations;
+        g x
+      in
+      let tol = 1e-12 in
+      let r = Bracket.bisect ~f ~lo:0.0 ~hi:(root +. 1.0) ~tol ~max_iter:200 in
+      Float.abs (r -. root) <= (tol *. root) +. 1e-15 && !evaluations <= 35)
+
 (* --- Stats -------------------------------------------------------------- *)
 
 let test_stats_basics () =
@@ -200,6 +225,7 @@ let suite =
         Alcotest.test_case "expand failure" `Quick test_expand_bracket_failure;
         Alcotest.test_case "find_root" `Quick test_find_root;
         qcheck prop_bisect_monotone_cubic;
+        qcheck prop_bisect_no_stagnation;
       ] );
     ( "numerics.stats",
       [

@@ -583,15 +583,17 @@ let probe_request () =
 
 let test_solver_probes () =
   let dp_events = ref 0 and pruned = ref 0 in
-  let refine_iterations = ref 0 in
+  let refine_iterations = ref 0 and evaluations = ref 0 in
   let phases = ref [] in
   let probe = function
     | Rip.Dp (Rip_dp.Power_dp.Column { collected; kept; _ }) ->
         incr dp_events;
         Alcotest.(check bool) "kept <= collected" true (kept <= collected);
         pruned := !pruned + (collected - kept)
-    | Rip.Refine (Rip_refine.Refine.Iteration { iteration; _ }) ->
-        refine_iterations := max !refine_iterations iteration
+    | Rip.Refine (Rip_refine.Refine.Iteration { iteration; evaluations = e; _ })
+      ->
+        refine_iterations := max !refine_iterations iteration;
+        evaluations := !evaluations + e
   in
   let phase name =
     phases := name :: !phases;
@@ -607,7 +609,14 @@ let test_solver_probes () =
   | Ok a, Ok b ->
       Alcotest.(check bool)
         "probe does not change the solution" true
-        (Rip_elmore.Solution.equal a.Rip.solution b.Rip.solution)
+        (Rip_elmore.Solution.equal a.Rip.solution b.Rip.solution);
+      (match a.Rip.trace.Rip.refined with
+      | Some o ->
+          Alcotest.(check int) "events carry every width evaluation"
+            o.Rip_refine.Refine.evaluations !evaluations;
+          Alcotest.(check bool) "REFINE evaluated widths" true
+            (!evaluations > 0)
+      | None -> Alcotest.fail "REFINE ran")
   | _ -> Alcotest.fail "solve failed");
   Alcotest.(check bool) "dp columns observed" true (!dp_events > 0);
   Alcotest.(check bool) "labels pruned observed" true (!pruned >= 0);

@@ -116,6 +116,47 @@ let prop_width_solver_infeasible =
       Width_solver.solve geometry repeater ~positions ~budget:(0.95 *. bound)
       = None)
 
+(* A warm-started solve after a small move (every repeater shifted by up
+   to 40 um) answers as a cold solve at the moved positions does.  The warm source is solved at the original
+   positions, at the same budget half the time and otherwise at one up
+   to 3x away, so the warm bracket sometimes misses and the cold
+   fallback runs; budgets start at the sizing bound, so some moves are
+   infeasible. *)
+let prop_warm_matches_cold =
+  QCheck.Test.make ~name:"warm-started width solve matches a cold solve"
+    ~count:100
+    QCheck.(
+      quad positioned_net_arb (float_range 1.0 1.6) (float_range (-40.0) 40.0)
+        (option (float_range 0.5 3.0)))
+    (fun ((net, positions), slack, shift, rescale) ->
+      let geometry = Geometry.of_net net in
+      let budget = budget_for geometry positions slack in
+      let source_budget = budget *. Option.value rescale ~default:1.0 in
+      let n = Array.length positions in
+      let length = Net.total_length net in
+      let shift =
+        Float.max (1.0 -. positions.(0))
+          (Float.min (length -. 1.0 -. positions.(n - 1)) shift)
+      in
+      let moved = Array.map (fun x -> x +. shift) positions in
+      let close a b = Helpers.close ~rel:1e-9 a b in
+      match
+        Width_solver.solve geometry repeater ~positions ~budget:source_budget
+      with
+      | None -> QCheck.assume_fail ()
+      | Some warm -> (
+          match
+            ( Width_solver.solve ~warm geometry repeater ~positions:moved
+                ~budget,
+              Width_solver.solve geometry repeater ~positions:moved ~budget )
+          with
+          | None, None -> true
+          | Some w, Some c ->
+              close w.Width_solver.lambda c.Width_solver.lambda
+              && Array.for_all2 close w.Width_solver.widths
+                   c.Width_solver.widths
+          | Some _, None | None, Some _ -> false))
+
 let test_width_solver_empty_positions () =
   let net =
     Net.uniform Rip_tech.Layer.metal4 ~length:2000.0 ~segment_count:2
@@ -475,6 +516,7 @@ let suite =
         qcheck prop_width_solver_stationary;
         qcheck prop_width_solver_monotone_in_budget;
         qcheck prop_width_solver_infeasible;
+        qcheck prop_warm_matches_cold;
         qcheck prop_bounded_sizing_in_bounds;
         qcheck prop_tau_total_matches_delay;
       ] );

@@ -508,6 +508,19 @@ let test_server_end_to_end () =
         (Helpers.contains body "rip_requests_total 3");
       Alcotest.(check bool) "histogram type line" true
         (Helpers.contains body "# TYPE rip_solve_cpu_seconds histogram");
+      (* The infeasible solve never reaches a width solve, so the counter
+         holds the fresh solve's REFINE evaluations. *)
+      let evaluations =
+        match Rip.solve (Rip.problem process net ~budget) with
+        | Ok { Rip.trace = { Rip.refined = Some o; _ }; _ } ->
+            o.Rip_refine.Refine.evaluations
+        | Ok _ | Error _ -> Alcotest.fail "in-process solve ran REFINE"
+      in
+      Alcotest.(check bool) "REFINE's width evaluations counted" true
+        (evaluations > 0
+        && Helpers.contains body
+             (Printf.sprintf "rip_refine_width_evaluations_total %d\n"
+                evaluations));
       let histograms = Rip_obs.Metrics.parse_histograms body in
       let solve =
         List.assoc Rip_service.Metrics.solve_cpu_metric histograms

@@ -162,8 +162,8 @@ let fake_rip ~width : Rip.report =
     runtime_seconds = 0.0;
     trace =
       { Rip.coarse = None; used_fallback_library = false; refined = None;
-        refined_library = None; refined_candidates = []; final = None;
-        rescue = None; anchor = None };
+        refined_library = None; refined_candidates = []; core_bound = None;
+        final = None; rescue = None; anchor = None };
   }
 
 let fake_baseline ~width : Power_dp.result =
