@@ -6,8 +6,10 @@
 
    Owns the listening socket, spawns and supervises N rip_serviced
    shard processes on Unix sockets (or attaches to externally-managed
-   ones with --attach), routes SOLVE requests by consistent-hashing the
-   net's canonical digest, and admits them by per-shard price (see
+   ones with --attach) and routes SOLVE requests by consistent-hashing
+   the net's canonical digest, sending a key to its second-choice shard
+   when that one has fewer forwards outstanding; the shards' own BUSY
+   and DEGRADED (overload) answers are the only admission (see
    DESIGN.md §6d).  Speaks the same line protocol as rip_serviced, so
    every existing client — rip_loadgen included — works unchanged
    against a cluster. *)
@@ -15,7 +17,6 @@
 module Router = Rip_router.Router
 module Frontend = Rip_service.Frontend
 module Supervisor = Rip_router.Supervisor
-module Pricing = Rip_router.Pricing
 module Trace = Rip_obs.Trace
 module Wide_event = Rip_obs.Wide_event
 
@@ -70,7 +71,7 @@ let rec parse_attach_all = function
           Result.map (fun pairs -> pair :: pairs) (parse_attach_all rest))
 
 let serve socket_path port host shards shard_dir shard_jobs shard_args attach
-    pool_size poll_interval spill_price shed_price restart_backoff no_hedge
+    pool_size poll_interval restart_backoff no_hedge
     hedge_floor_ms breaker_threshold trace_out wide_events wide_sample_ratio
     wide_latency_threshold_ms =
   match parse_attach_all attach with
@@ -160,8 +161,6 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
               Router.default_config with
               pool_size;
               poll_interval;
-              spill_price;
-              shed_price;
               hedge = not no_hedge;
               hedge_delay_floor = hedge_floor_ms /. 1000.0;
               breaker_threshold;
@@ -199,12 +198,12 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
           in
           Printf.printf
             "rip_routerd: listening on %s (%d shards: %s; pool %d, poll \
-             %.2fs, spill at %.2f, shed at %.2f, %s, breaker at %d)\n\
+             %.2fs, %s, breaker at %d)\n\
              %!"
             endpoint (List.length specs)
             (String.concat ", "
                (List.map (fun (s : Router.shard_spec) -> s.id) specs))
-            pool_size poll_interval spill_price shed_price
+            pool_size poll_interval
             (if no_hedge then "hedging off"
              else
                Printf.sprintf "hedge floor %.0f ms" hedge_floor_ms)
@@ -305,23 +304,9 @@ let poll_interval =
   Arg.(
     value & opt float Rip_router.Router.default_config.poll_interval
     & info [ "poll-interval" ] ~docv:"SECONDS"
-        ~doc:"Pricing / liveness tick: how often shards' STATS feed the \
-              price controllers.")
-
-let spill_price =
-  Arg.(
-    value & opt float Rip_router.Router.default_config.spill_price
-    & info [ "spill-price" ] ~docv:"PRICE"
-        ~doc:"A primary shard priced at or above this may lose the request \
-              to the key's second-choice shard when that one is cheaper.")
-
-let shed_price =
-  Arg.(
-    value & opt float Rip_router.Router.default_config.shed_price
-    & info [ "shed-price" ] ~docv:"PRICE"
-        ~doc:"Once every candidate shard is priced at or above this the \
-              router answers DEGRADED (overload) from its own fallback \
-              tier instead of forwarding.")
+        ~doc:"Liveness tick: how often every shard is polled for STATS.  \
+              A shard missing consecutive polls stops receiving traffic, \
+              and one answering again is re-admitted.")
 
 let restart_backoff =
   Arg.(
@@ -401,11 +386,12 @@ let main =
   Cmd.v
     (Cmd.info "rip_routerd" ~version:"1.0.0"
        ~doc:"Sharded solve-cluster front end: consistent-hash routing over \
-             supervised rip_serviced shards with price-based admission")
+             supervised rip_serviced shards, two-choice load spilling and \
+             shard-side admission")
     Term.(
       const serve $ socket_path $ port $ host $ shards $ shard_dir
       $ shard_jobs $ shard_args $ attach $ pool_size $ poll_interval
-      $ spill_price $ shed_price $ restart_backoff $ no_hedge
+      $ restart_backoff $ no_hedge
       $ hedge_floor_ms $ breaker_threshold $ trace_out $ wide_events
       $ wide_sample_ratio $ wide_latency_threshold_ms)
 

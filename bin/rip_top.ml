@@ -5,15 +5,13 @@
      rip_top --socket r.sock --once
 
    Polls METRICS on every endpoint each refresh and renders one screen:
-   router endpoints contribute a per-shard table (price, breaker state,
-   up, forwarded/failover/spill counters; "spills" counts the requests
-   the shard took as a key's second choice, because the owner was priced
-   past spill_price or had more forwards outstanding) plus hedge and
-   forward-latency lines; shard endpoints contribute a per-shard row
-   (requests, cache hit rate, queue depth, solve p50/p95/p99, journal
-   bytes).  --once
-   prints a single frame without clearing the screen — the mode CI and
-   scripts use. *)
+   router endpoints contribute a per-shard table (up, breaker state,
+   forwarded/failover/spill counters; "spills" counts the requests the
+   shard took as a key's second choice, because the owner had more
+   forwards outstanding) plus hedge and forward-latency lines; shard
+   endpoints contribute a per-shard row (requests, cache hit rate, queue
+   depth, solve p50/p95/p99, journal bytes).  --once prints a single
+   frame without clearing the screen — the mode CI and scripts use. *)
 
 module Client = Rip_service.Client
 module Protocol = Rip_service.Protocol
@@ -54,9 +52,10 @@ let breaker_name = function
   | _ -> "?"
 
 (* Shard ids of a router exposition, recovered from the
-   [rip_router_shard_<id>_price] gauge names. *)
+   [rip_router_shard_<id>_up] gauge names, which every shard has from
+   the router's start. *)
 let router_shard_ids body =
-  let prefix = "rip_router_shard_" and suffix = "_price" in
+  let prefix = "rip_router_shard_" and suffix = "_up" in
   List.filter_map
     (fun (name, _) ->
       let lp = String.length prefix and ls = String.length suffix in
@@ -79,8 +78,7 @@ let render_router buf label body =
        (s "rip_router_in_flight"));
   Buffer.add_string buf
     (Printf.sprintf
-       "  shed %.0f  degraded %.0f  rebalances %.0f  hedges %.0f (wins %.0f)\n"
-       (s "rip_router_shed_total")
+       "  degraded %.0f  rebalances %.0f  hedges %.0f (wins %.0f)\n"
        (s "rip_router_degraded_total")
        (s "rip_router_rebalances_total")
        (s "rip_router_hedges_total")
@@ -95,17 +93,16 @@ let render_router buf label body =
   let shards = router_shard_ids body in
   if shards <> [] then begin
     Buffer.add_string buf
-      (Printf.sprintf "  %-8s %-4s %-10s %8s %10s %10s %8s %8s\n" "shard" "up"
-         "breaker" "price" "forwarded" "failovers" "spills" "trips");
+      (Printf.sprintf "  %-8s %-4s %-10s %10s %10s %8s %8s\n" "shard" "up"
+         "breaker" "forwarded" "failovers" "spills" "trips");
     List.iter
       (fun id ->
         let m name = s (Printf.sprintf "rip_router_shard_%s_%s" id name) in
         Buffer.add_string buf
-          (Printf.sprintf "  %-8s %-4s %-10s %8.2f %10.0f %10.0f %8.0f %8.0f\n"
-             id
+          (Printf.sprintf "  %-8s %-4s %-10s %10.0f %10.0f %8.0f %8.0f\n" id
              (if m "up" = 1.0 then "yes" else "NO")
              (breaker_name (m "breaker_state"))
-             (m "price") (m "forwarded_total") (m "failovers_total")
+             (m "forwarded_total") (m "failovers_total")
              (m "spills_total") (m "breaker_opens_total")))
       shards
   end
@@ -259,7 +256,7 @@ let count =
 let main =
   Cmd.v
     (Cmd.info "rip_top" ~version:"1.0.0"
-       ~doc:"Live per-shard dashboard over METRICS: prices, breaker states, \
+       ~doc:"Live per-shard dashboard over METRICS: breaker states, \
              cache hit rates, latency percentiles, hedge wins")
     Term.(
       const run $ socket_path $ port $ host $ endpoints $ interval $ once

@@ -13,6 +13,7 @@
 
 module Trace_merge = Rip_obs.Trace_merge
 module Wide_event = Rip_obs.Wide_event
+module Protocol = Rip_service.Protocol
 
 (* ---------- merge ---------- *)
 
@@ -221,10 +222,16 @@ let query_cmd =
   let outcome =
     Arg.(
       value
-      & opt (some string) None
+      & opt
+          (some
+             (enum
+                (List.map (fun o -> (o, o)) Protocol.outcomes)))
+          None
       & info [ "outcome" ] ~docv:"O"
-          ~doc:"Keep only events with this outcome (fresh, cached, degraded, \
-                timeout, busy, toobig, error, shed).")
+          ~doc:
+            ("Keep only events with this outcome; $(docv) must be "
+            ^ doc_alts Protocol.outcomes
+            ^ "."))
   in
   let shard =
     Arg.(
@@ -255,8 +262,8 @@ let query_cmd =
       value & flag
       & info [ "spilled" ]
           ~doc:
-            "Events served by the key's second choice because its owner was \
-             priced past spill_price or had more forwards outstanding.")
+            "Events served by the key's second choice because its owner had \
+             more forwards outstanding.")
   in
   let breaker_skip =
     Arg.(

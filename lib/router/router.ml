@@ -19,13 +19,10 @@ type shard_spec = { id : string; socket : string; weight : int }
 type config = {
   pool_size : int;  (* connections kept per shard *)
   request_timeout : float;  (* per-forward socket timeout, seconds *)
-  poll_interval : float;  (* pricing / liveness tick, seconds *)
+  poll_interval : float;  (* liveness tick, seconds *)
   vnodes_per_weight : int;
-  spill_price : float;  (* primary above this may spill *)
-  shed_price : float;  (* every candidate above this sheds *)
   down_after : int;  (* missed polls before a shard is down *)
   remove_after : int;  (* further misses before ring removal *)
-  pricing : Pricing.config;
   solver : Rip_core.Config.t option;  (* for the local fallback tier *)
   max_frame_bytes : int;
   hedge : bool;  (* hedge slow forwards onto the failover candidate *)
@@ -42,11 +39,8 @@ let default_config =
     request_timeout = 60.0;
     poll_interval = 0.25;
     vnodes_per_weight = Ring.default_vnodes_per_weight;
-    spill_price = 4.0;
-    shed_price = 16.0;
     down_after = 2;
     remove_after = 8;
-    pricing = Pricing.default_config;
     solver = None;
     max_frame_bytes = Wire.default_max_frame_bytes;
     hedge = true;
@@ -129,7 +123,6 @@ type breaker_state = Breaker_closed | Breaker_open | Breaker_half_open
 type shard = {
   spec : shard_spec;
   pool : Client.Pool.t;
-  pricing : Pricing.t;
   inst : Router_metrics.shard_instruments;
   baseline : baseline;
   (* The remaining fields are guarded by the router mutex. *)
@@ -138,7 +131,7 @@ type shard = {
   mutable down_polls : int;
   mutable in_ring : bool;
   mutable last_stats : Protocol.stats option;
-  mutable last_poll_at : float;  (* monotonic; 0 before the first poll *)
+  mutable polled : bool;  (* has answered a poll *)
   mutable queue_bound : int;  (* the shard's --queue-depth (HEALTH) *)
   mutable high_water : int;  (* the shard's --high-water (HEALTH) *)
   mutable breaker : breaker_state;
@@ -167,8 +160,6 @@ let create ?(config = default_config) ~shards process =
     invalid_arg "Router.create: poll_interval must be positive";
   if config.down_after < 1 || config.remove_after < 1 then
     invalid_arg "Router.create: down_after and remove_after must be >= 1";
-  if not (config.spill_price > 0.0 && config.shed_price >= config.spill_price)
-  then invalid_arg "Router.create: need 0 < spill_price <= shed_price";
   if config.hedge_delay_floor < 0.0 || config.hedge_delay_factor <= 0.0 then
     invalid_arg
       "Router.create: hedge_delay_floor must be >= 0 and hedge_delay_factor \
@@ -193,7 +184,6 @@ let create ?(config = default_config) ~shards process =
                Client.Pool.create ~timeout:config.request_timeout
                  ~size:config.pool_size (fun () ->
                    Client.connect_unix socket);
-             pricing = Pricing.create ~config:config.pricing ();
              inst = Router_metrics.shard metrics spec.id;
              baseline = zero_baseline ();
              up = true;
@@ -201,7 +191,7 @@ let create ?(config = default_config) ~shards process =
              down_polls = 0;
              in_ring = true;
              last_stats = None;
-             last_poll_at = 0.0;
+             polled = false;
              queue_bound = 64;
              high_water = 48;
              breaker = Breaker_closed;
@@ -227,7 +217,7 @@ let metrics t = t.metrics
 let stopping t = Frontend.stopping t.frontend
 let request_shutdown t = Frontend.request_shutdown t.frontend
 
-(* --- Poller: pricing + failure detection ---------------------------------- *)
+(* --- Poller: failure detection ---------------------------------------------- *)
 
 let refresh_bounds t shard =
   match Client.Pool.request shard.pool Protocol.Health with
@@ -295,7 +285,7 @@ let note_forward_error t shard =
     Obs.Counter.incr shard.inst.breaker_opens
   end
 
-let on_stats t shard now (stats : Protocol.stats) =
+let on_stats t shard (stats : Protocol.stats) =
   let was_down =
     Mutex.lock t.mutex;
     let d = not shard.up in
@@ -322,45 +312,18 @@ let on_stats t shard now (stats : Protocol.stats) =
   in
   (* Restart detection: counters went backwards (or uptime did) — fold
      the dead incarnation's final snapshot into the baseline so the
-     aggregate stays monotone, and delta from zero. *)
+     aggregate stays monotone. *)
   (match shard.last_stats with
   | Some prev
     when stats.Protocol.uptime_seconds < prev.Protocol.uptime_seconds
          || stats.Protocol.requests < prev.Protocol.requests ->
-      fold_into_baseline shard.baseline prev;
-      shard.last_stats <- None
+      fold_into_baseline shard.baseline prev
   | _ -> ());
-  let observation =
-    let prev_solved, prev_degraded, prev_timeouts, prev_busy =
-      match shard.last_stats with
-      | Some p ->
-          ( p.Protocol.solved,
-            p.Protocol.degraded,
-            p.Protocol.timeouts,
-            p.Protocol.rejected_busy )
-      | None -> (0, 0, 0, 0)
-    in
-    let seconds =
-      if shard.last_poll_at > 0.0 then now -. shard.last_poll_at
-      else t.config.poll_interval
-    in
-    {
-      Pricing.seconds;
-      completed = stats.Protocol.solved - prev_solved;
-      degraded = stats.Protocol.degraded - prev_degraded;
-      timeouts = stats.Protocol.timeouts - prev_timeouts;
-      busy = stats.Protocol.rejected_busy - prev_busy;
-      in_flight = stats.Protocol.in_flight;
-      queue_depth = shard.queue_bound;
-    }
-  in
   shard.last_stats <- Some stats;
-  shard.last_poll_at <- now;
-  let price = Pricing.observe shard.pricing observation in
+  shard.polled <- true;
   Mutex.unlock t.mutex;
   if half_opened then
-    Obs.Gauge.set shard.inst.breaker_state (breaker_gauge Breaker_half_open);
-  Obs.Gauge.set shard.inst.price price
+    Obs.Gauge.set shard.inst.breaker_state (breaker_gauge Breaker_half_open)
 
 let on_poll_failure t shard =
   Mutex.lock t.mutex;
@@ -389,9 +352,8 @@ let on_poll_failure t shard =
   if removed then Obs.Counter.incr t.metrics.rebalances
 
 let poll_shard t shard =
-  let now = Cpu_clock.monotonic_seconds () in
   match Client.Pool.request shard.pool Protocol.Stats with
-  | Ok (Protocol.Stats_frame stats) -> on_stats t shard now stats
+  | Ok (Protocol.Stats_frame stats) -> on_stats t shard stats
   | Ok _ | Error _ -> on_poll_failure t shard
 
 let rec poll_loop t =
@@ -400,7 +362,7 @@ let rec poll_loop t =
       (fun shard ->
         let never_polled =
           Mutex.lock t.mutex;
-          let b = shard.last_poll_at <= 0.0 && shard.up in
+          let b = (not shard.polled) && shard.up in
           Mutex.unlock t.mutex;
           b
         in
@@ -413,9 +375,8 @@ let rec poll_loop t =
 
 (* --- Local degraded answers ------------------------------------------------ *)
 
-let degraded_response t ~budget ~net ~shed reason =
+let degraded_response t ~budget ~net reason =
   Obs.Counter.incr t.metrics.local_degraded;
-  if shed then Obs.Counter.incr t.metrics.shed;
   Fallback.degraded ~process:t.process ?solver:t.config.solver ~budget ~net
     reason
 
@@ -433,18 +394,7 @@ type routing =
       spilled : bool;
       breaker_skip : bool;  (* the key's primary was skipped breaker-open *)
     }
-  | Shed
   | No_candidate
-
-(* The shard's original static mark keeps its role as the pricing
-   floor: with a single shard there is no spill target and a young
-   price controller would shed too eagerly, so shedding additionally
-   requires the shard's last-reported in-flight count to have reached
-   its high-water mark. *)
-let floor_reached shard =
-  match shard.last_stats with
-  | Some s -> s.Protocol.in_flight >= shard.high_water
-  | None -> false
 
 let route t key =
   Mutex.lock t.mutex;
@@ -469,32 +419,25 @@ let route t key =
                 }
           | None -> No_candidate
         else
-          let p_primary = Pricing.price primary.pricing in
-          let target, failover, spilled =
-            if p_primary < t.config.spill_price then
-              (* Two choices: a busier owner loses the request to an
-                 idler second choice; a tie keeps the owner's cache.  A
-                 second choice priced past spill_price is not taken, so
-                 the shed check below cannot shed a request the owner
-                 would have served. *)
-              match secondary_up with
-              | Some s
-                when s.outstanding < primary.outstanding
-                     && Pricing.price s.pricing < t.config.spill_price ->
-                  (s, Some primary, true)
-              | _ -> (primary, secondary_up, false)
-            else
-              match secondary_up with
-              | Some s when Pricing.price s.pricing < p_primary ->
-                  (s, Some primary, true)
-              | _ -> (primary, secondary_up, false)
-          in
-          let price = Pricing.price target.pricing in
-          if price >= t.config.shed_price then
-            if Array.length t.shards = 1 && not (floor_reached target) then
-              Forward { target; failover; spilled; breaker_skip = false }
-            else Shed
-          else Forward { target; failover; spilled; breaker_skip = false })
+          (* Two choices: a busier owner loses the request to an idler
+             second choice; a tie keeps the owner's cache. *)
+          match secondary_up with
+          | Some s when s.outstanding < primary.outstanding ->
+              Forward
+                {
+                  target = s;
+                  failover = Some primary;
+                  spilled = true;
+                  breaker_skip = false;
+                }
+          | _ ->
+              Forward
+                {
+                  target = primary;
+                  failover = secondary_up;
+                  spilled = false;
+                  breaker_skip = false;
+                })
   in
   Mutex.unlock t.mutex;
   decision
@@ -691,8 +634,7 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
         match route t key with
         | No_candidate ->
             (* Every shard is gone; the router still answers. *)
-            degraded_response t ~budget ~net ~shed:false Protocol.Worker_lost
-        | Shed -> degraded_response t ~budget ~net ~shed:true Protocol.Overload
+            degraded_response t ~budget ~net Protocol.Worker_lost
         | Forward { target; failover; spilled; breaker_skip } -> (
             obs.o_shard <- target.spec.id;
             spilled_flag := spilled;
@@ -727,8 +669,7 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
             | Ok response -> response
             | Error _ ->
                 (* Every candidate was tried (the hedge tries both). *)
-                degraded_response t ~budget ~net ~shed:false
-                  Protocol.Worker_lost))
+                degraded_response t ~budget ~net Protocol.Worker_lost))
   in
   (* Exactly one wide event per request through the router, always kept
      by the tail sampler when anything interesting happened (degraded,
@@ -818,8 +759,8 @@ let aggregate_stats t =
   {
     Protocol.shard_id = "router";
     uptime_seconds = Router_metrics.uptime_seconds t.metrics;
-    (* Requests the router shed never reached a shard; adding the
-       locally-degraded count on both sides keeps the accounting
+    (* Requests the router answered itself never reached a shard; adding
+       the locally-degraded count on both sides keeps the accounting
        identity requests = solved + errors + busy + timeouts + degraded
        across the aggregate. *)
     requests = sum_i (fun s -> s.Protocol.requests) + base (fun b -> b.b_requests) + local_degraded;

@@ -5,31 +5,28 @@
 
     Requests route by consistent-hashing the net's canonical digest
     ({!Rip_net.Net.canonical_digest}) over a weighted {!Ring}, keeping
-    each shard's solve cache hot for its own key range.  Admission is
-    price- and load-based: a poller feeds each shard's STATS deltas to
-    a {!Pricing} controller.  While the key's owner is priced below
-    [spill_price], the request path forwards to it unless the key's
-    second choice, itself priced below [spill_price], has strictly
-    fewer forwards outstanding (sent and not yet received or abandoned,
-    exported as [rip_router_shard_<id>_outstanding]): the less busy of
-    two choices, with ties kept by the owner, so an idle cluster keeps
-    strict cache affinity and a key lives in at most two shards'
-    caches.  An owner
-    priced past [spill_price] spills to the second choice when that
-    one is cheaper.  Either way the request counts in the second
-    choice's [spills] and the owner becomes its failover and hedge
-    target.  Once every candidate has priced past [shed_price] the
-    router answers DEGRADED (overload) from its own analytic fallback
-    tier.  With a single shard, the shard's static high-water mark
-    remains the shed floor.
+    each shard's solve cache hot for its own key range.  The request
+    path forwards to the key's owner unless the key's second choice
+    has strictly fewer forwards outstanding (sent and not yet received
+    or abandoned, exported as [rip_router_shard_<id>_outstanding]): the
+    less busy of two choices, with ties kept by the owner, so an idle
+    cluster keeps strict cache affinity and a key lives in at most two
+    shards' caches.  A request taken by the second choice counts in its
+    [spills], and the owner becomes its failover and hedge target.
+
+    Admission is the shards' own: a shard answers BUSY once its queue
+    is full and DEGRADED (overload) from its analytic fallback tier
+    above its high-water mark, and the router relays either answer
+    unchanged.
 
     The poller doubles as the failure detector: a shard missing
     [down_after] polls stops receiving traffic, after [remove_after]
     more its arcs fall to the survivors (a counted rebalance), and a
     recovery re-adds it — both transitions remap only that shard's
     keys.  A transport failure on the request path fails over
-    immediately; with no candidate left the router answers DEGRADED
-    (worker lost).  The router never drops a request.
+    immediately; with no candidate left, or when every forward tried
+    lost its transport, the router answers DEGRADED (worker lost) from
+    its own fallback tier.  The router never drops a request.
 
     Two tail-tolerance mechanisms sit on the request path itself:
 
@@ -57,13 +54,10 @@ type shard_spec = { id : string; socket : string; weight : int }
 type config = {
   pool_size : int;  (** connections kept per shard *)
   request_timeout : float;  (** per-forward socket timeout, seconds *)
-  poll_interval : float;  (** pricing / liveness tick, seconds *)
+  poll_interval : float;  (** liveness tick, seconds *)
   vnodes_per_weight : int;
-  spill_price : float;  (** primary at/above this may spill *)
-  shed_price : float;  (** every candidate at/above this sheds *)
   down_after : int;  (** missed polls before a shard is down *)
   remove_after : int;  (** further misses before ring removal *)
-  pricing : Pricing.config;
   solver : Rip_core.Config.t option;  (** for the local fallback tier *)
   max_frame_bytes : int;
   hedge : bool;  (** hedge slow forwards onto the failover candidate *)
@@ -96,9 +90,9 @@ type t
 val create : ?config:config -> shards:shard_spec list -> Rip_tech.Process.t -> t
 (** @raise Invalid_argument on an empty shard list, a duplicate or
     invalid shard id, or a nonsensical config
-    (thresholds must satisfy [0 < spill_price <= shed_price],
-    [hedge_delay_floor >= 0], [hedge_delay_factor > 0],
-    [breaker_threshold >= 1]). *)
+    ([pool_size >= 1], [poll_interval > 0], [down_after >= 1],
+    [remove_after >= 1], [hedge_delay_floor >= 0],
+    [hedge_delay_factor > 0], [breaker_threshold >= 1]). *)
 
 val run : t -> Unix.file_descr -> unit
 (** Starts the poller, runs {!Rip_service.Frontend.run} over the

@@ -19,9 +19,8 @@ type shard_instruments = {
   forwarded : Obs.Counter.t;  (* requests relayed to this shard *)
   failovers : Obs.Counter.t;  (* transport failures that triggered a retry elsewhere *)
   spills : Obs.Counter.t;
-      (* requests this shard took as the key's second choice: the owner
-         was priced past spill_price or had more forwards outstanding *)
-  price : Obs.Gauge.t;
+      (* requests this shard took as the key's second choice because
+         the owner had more forwards outstanding *)
   outstanding : Obs.Gauge.t;  (* forwards sent here, not yet settled *)
   up : Obs.Gauge.t;  (* 1 while the shard answers its polls *)
   breaker_state : Obs.Gauge.t;  (* 0 closed, 1 open, 2 half-open *)
@@ -32,7 +31,6 @@ type t = {
   registry : Obs.t;
   started : float;
   requests : Obs.Counter.t;
-  shed : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
   toobig : Obs.Counter.t;
   rebalances : Obs.Counter.t;
@@ -51,15 +49,10 @@ let create ~shard_ids () =
     ~help:"Seconds since router start (monotonic clock)" (fun () ->
       Cpu_clock.monotonic_seconds () -. started);
   let requests = counter "rip_router_requests_total" "SOLVE requests received" in
-  let shed =
-    counter "rip_router_shed_total"
-      "SOLVE requests answered DEGRADED locally because every priced shard \
-       was above the shed threshold"
-  in
   let local_degraded =
     counter "rip_router_degraded_total"
-      "SOLVE requests answered DEGRADED by the router itself (price shed + \
-       shard loss)"
+      "SOLVE requests answered DEGRADED by the router itself (no candidate \
+       shard left, or every forward lost its transport)"
   in
   let toobig =
     counter "rip_router_toobig_total"
@@ -109,9 +102,8 @@ let create ~shard_ids () =
                 "transport failures that sent the request elsewhere";
             spills =
               p "spills_total"
-                "requests taken as the key's second choice (owner priced past \
-                 spill_price or with more forwards outstanding)";
-            price = g "price" "current admission price";
+                "requests taken as the key's second choice (owner with more \
+                 forwards outstanding)";
             outstanding =
               g "outstanding"
                 "forwards sent and not yet received or abandoned";
@@ -130,7 +122,6 @@ let create ~shard_ids () =
     registry;
     started;
     requests;
-    shed;
     local_degraded;
     toobig;
     rebalances;

@@ -11,9 +11,8 @@ type shard_instruments = {
   forwarded : Obs.Counter.t;
   failovers : Obs.Counter.t;
   spills : Obs.Counter.t;
-      (** requests this shard took as the key's second choice: the owner
-          was priced past [spill_price] or had more forwards outstanding *)
-  price : Obs.Gauge.t;
+      (** requests this shard took as the key's second choice because
+          the owner had more forwards outstanding *)
   outstanding : Obs.Gauge.t;
       (** forwards sent to this shard, not yet received or abandoned *)
   up : Obs.Gauge.t;
@@ -25,7 +24,6 @@ type t = {
   registry : Obs.t;
   started : float;
   requests : Obs.Counter.t;
-  shed : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
   toobig : Obs.Counter.t;  (** oversized frames the router answered *)
   rebalances : Obs.Counter.t;

@@ -4,8 +4,8 @@ module Zone = Rip_net.Zone
 module Solution = Rip_elmore.Solution
 
 (* The analytic fallback tier, shared by the shard server (overload,
-   deadline, worker loss) and the router (price-shed requests, shards
-   lost mid-forward).  When the full solve is skipped or abandoned, the
+   deadline, worker loss) and the router (no candidate shard left,
+   shards lost mid-forward).  When the full solve is skipped or abandoned, the
    reply still carries a usable insertion: the analytical minimum-delay
    solution, budget-improved by a short REFINE run when it has slack,
    with widths rounded to the coarse library and positions re-legalised
@@ -56,41 +56,48 @@ let degraded ~process ?solver ~budget ~net reason =
   let solver_config = Option.value solver ~default:Rip_core.Config.default in
   let geometry = Rip_net.Geometry.of_net net in
   let length = Rip_net.Geometry.total_length geometry in
-  let continuous =
-    let analytic =
-      Rip_refine.Min_delay_analytic.solve
-        ~min_width:solver_config.Rip_core.Config.min_width
-        ~max_width:solver_config.Rip_core.Config.max_width geometry repeater
-    in
-    if analytic.Rip_refine.Min_delay_analytic.delay > budget then
-      analytic.Rip_refine.Min_delay_analytic.solution
-    else
-      (* Slack available: spend a short REFINE run trading it for width.
-         Capped iterations keep the fallback fast even on long nets. *)
-      let refine_config =
-        { solver_config.Rip_core.Config.refine with max_iterations = 16 }
-      in
-      match
-        Rip_refine.Refine.run ~config:refine_config geometry repeater ~budget
-          ~initial:analytic.Rip_refine.Min_delay_analytic.solution
-      with
-      | Some outcome -> outcome.Rip_refine.Refine.solution
-      | None -> analytic.Rip_refine.Min_delay_analytic.solution
+  let analytic =
+    (Rip_refine.Min_delay_analytic.solve
+       ~min_width:solver_config.Rip_core.Config.min_width
+       ~max_width:solver_config.Rip_core.Config.max_width geometry repeater)
+      .Rip_refine.Min_delay_analytic.solution
   in
   let library =
     Rip_dp.Repeater_library.to_array
       solver_config.Rip_core.Config.coarse_library
   in
-  let rounded =
-    List.map
-      (fun (r : Solution.repeater) ->
-        (r.position, nearest_library_width library r.width))
-      (Solution.repeaters continuous)
-  in
-  let solution =
+  let discretise continuous =
+    let rounded =
+      List.map
+        (fun (r : Solution.repeater) ->
+          (r.position, nearest_library_width library r.width))
+        (Solution.repeaters continuous)
+    in
     match Solution.create (legalise_positions net length rounded) with
     | s -> s
     | exception Invalid_argument _ -> Solution.empty
+  in
+  let delay_of = Rip_elmore.Delay.total repeater geometry in
+  let fastest = discretise analytic in
+  let solution =
+    if delay_of fastest > budget then fastest
+    else
+      (* Slack available: spend a short REFINE run trading it for width.
+         Capped iterations keep the fallback fast even on long nets.
+         REFINE spends the slack on continuous widths, so rounding them
+         can push the delay past the budget; the rounded min-delay
+         insertion, which met it, is then the answer. *)
+      let refine_config =
+        { solver_config.Rip_core.Config.refine with max_iterations = 16 }
+      in
+      match
+        Rip_refine.Refine.run ~config:refine_config geometry repeater ~budget
+          ~initial:analytic
+      with
+      | Some outcome ->
+          let refined = discretise outcome.Rip_refine.Refine.solution in
+          if delay_of refined > budget then fastest else refined
+      | None -> fastest
   in
   let total_width = Solution.total_width solution in
   Protocol.Degraded
@@ -103,7 +110,7 @@ let degraded ~process ?solver ~budget ~net reason =
               (fun (r : Solution.repeater) -> (r.position, r.width))
               (Solution.repeaters solution);
           total_width;
-          delay = Rip_elmore.Delay.total repeater geometry solution;
+          delay = delay_of solution;
           power_watts =
             Rip_tech.Power_model.repeater_power power ~repeater ~total_width;
         };

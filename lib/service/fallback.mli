@@ -1,7 +1,7 @@
 (** The DP-free analytic fallback tier behind every [DEGRADED] answer.
 
     Shared by the shard server (overload, deadline, worker loss — see
-    {!Server}) and the router (price-based load shedding, shards lost
+    {!Server}) and the router (no candidate shard left, shards lost
     mid-forward): {!Rip_refine.Min_delay_analytic} plus a short REFINE
     pass when the budget has slack, widths rounded to the coarse
     library, positions re-legalised against forbidden zones.  Total and
@@ -19,4 +19,6 @@ val degraded :
     for [net] under [budget].  [solver] supplies the width range, REFINE
     configuration and coarse library ([None] means
     {!Rip_core.Config.default}).  The solution is always legal (zones,
-    width range) but its delay may exceed the budget. *)
+    width range).  It meets the budget whenever the rounded min-delay
+    insertion does; otherwise it is that insertion, and its delay
+    exceeds the budget. *)

@@ -123,6 +123,8 @@ let outcome_of_response = function
   | Busy -> ("busy", "")
   | _ -> ("error", "")
 
+let outcomes = [ "fresh"; "cached"; "degraded"; "timeout"; "busy"; "error" ]
+
 (* A shard id travels on single-line frames (HEALTHY, STATS body), so it
    must be one whitespace-free token.  Enforced here once, for servers
    and routers alike. *)

@@ -240,6 +240,9 @@ val outcome_of_response : response -> string * string
     ["degraded"] with its reason's wire name, ["error"] for anything
     else. *)
 
+val outcomes : string list
+(** Every outcome {!outcome_of_response} can yield. *)
+
 val one_line : string -> string
 (** Newlines collapsed to ["; "] — error messages must fit one frame
     line. *)

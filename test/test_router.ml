@@ -1,14 +1,14 @@
 (* The router subsystem: consistent-hash ring placement (balance,
-   restart determinism, minimal remap on membership edits), the price
-   controller's climb/decay dynamics, config validation, and — against
-   in-process shards — trace parentage, the tail-tolerance path
-   (hedging, failover, abandoned stragglers), wide-event and trace
-   reconciliation under forced hedges, and per-shard cache affinity.
-   Supervision and shedding of real daemons are exercised by the CI
-   cluster smoke job. *)
+   restart determinism, minimal remap on membership edits), config
+   validation, and — against in-process shards — trace parentage, the
+   tail-tolerance path (hedging, failover, abandoned stragglers),
+   wide-event and trace reconciliation under forced hedges, per-shard
+   cache affinity, two-choice spilling, and a shard's own overload
+   answer relayed through the router.  Real daemons (spawned shards,
+   one killed mid-run and restarted on its journal) are exercised by
+   the CI cluster smoke job. *)
 
 module Ring = Rip_router.Ring
-module Pricing = Rip_router.Pricing
 module Router = Rip_router.Router
 module Frontend = Rip_service.Frontend
 
@@ -143,73 +143,7 @@ let prop_ring_add_restores =
           | _ -> false)
         (List.init 500 Fun.id))
 
-(* --- Pricing ------------------------------------------------------------- *)
-
-let tick ?(seconds = 1.0) ?(completed = 0) ?(degraded = 0) ?(timeouts = 0)
-    ?(busy = 0) ?(in_flight = 0) ?(queue_depth = 64) () =
-  {
-    Pricing.seconds;
-    completed;
-    degraded;
-    timeouts;
-    busy;
-    in_flight;
-    queue_depth;
-  }
-
-let test_pricing_climbs_under_pain () =
-  let p = Pricing.create () in
-  let congested =
-    tick ~completed:40 ~degraded:10 ~busy:20 ~in_flight:60 ()
-  in
-  let initial = Pricing.price p in
-  let floor = (Pricing.config p).Pricing.floor in
-  let ceiling = (Pricing.config p).Pricing.ceiling in
-  for _ = 1 to 12 do
-    let price = Pricing.observe p congested in
-    Alcotest.(check bool) "price stays within bounds" true
-      (price >= floor && price <= ceiling)
-  done;
-  Alcotest.(check bool) "price rose under sustained congestion" true
-    (Pricing.price p > initial)
-
-let test_pricing_decays_when_idle () =
-  let p = Pricing.create () in
-  let congested = tick ~completed:40 ~degraded:10 ~busy:20 ~in_flight:60 () in
-  List.iter (fun _ -> ignore (Pricing.observe p congested)) (List.init 8 Fun.id);
-  let peak = Pricing.price p in
-  let idle = tick ~completed:2 ~in_flight:1 () in
-  List.iter (fun _ -> ignore (Pricing.observe p idle)) (List.init 40 Fun.id);
-  let floor = (Pricing.config p).Pricing.floor in
-  Alcotest.(check bool) "price fell from its peak" true (Pricing.price p < peak);
-  Alcotest.(check (float 1e-9)) "idle price reaches the floor" floor
-    (Pricing.price p)
-
-let test_pricing_profit () =
-  let config = Pricing.default_config in
-  let o = tick ~seconds:2.0 ~completed:20 ~degraded:2 ~timeouts:1 ~busy:4 () in
-  let expected =
-    (20.0 /. 2.0)
-    -. (config.Pricing.degraded_cost *. 2.0 /. 2.0)
-    -. (config.Pricing.timeout_cost *. 1.0 /. 2.0)
-    -. (config.Pricing.busy_cost *. 4.0 /. 2.0)
-  in
-  Alcotest.(check (float 1e-9)) "profit arithmetic" expected
-    (Pricing.profit config o);
-  Alcotest.(check (float 1e-9)) "empty window profits nothing" 0.0
-    (Pricing.profit config (tick ~seconds:0.0 ()))
-
-let test_pricing_validation () =
-  let bad config =
-    match Pricing.create ~config () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
-  in
-  bad { Pricing.default_config with floor = 0.0 };
-  bad { Pricing.default_config with floor = 2.0; initial_price = 1.0 };
-  bad { Pricing.default_config with ceiling = 0.5 };
-  bad { Pricing.default_config with growth = 1.0 };
-  bad { Pricing.default_config with shrink = 1.0 }
+(* --- Router config --------------------------------------------------------- *)
 
 (* Router.create rejects nonsense hedge / breaker configuration before
    touching any socket, so the bad specs below never reach the
@@ -227,26 +161,7 @@ let test_router_config_validation () =
   bad { Router.default_config with hedge_delay_floor = -0.001 };
   bad { Router.default_config with hedge_delay_factor = 0.0 };
   bad { Router.default_config with breaker_threshold = 0 };
-  bad { Router.default_config with pool_size = 0 };
-  bad { Router.default_config with spill_price = 2.0; shed_price = 1.0 }
-
-(* Determinism: the same observation sequence always yields the same
-   price path — the router's admission decisions are replayable. *)
-let prop_pricing_deterministic =
-  QCheck.Test.make ~name:"pricing determinism" ~count:50
-    QCheck.(
-      list_of_size (Gen.int_range 0 30)
-        (pair (int_bound 80) (int_bound 10)))
-    (fun ticks ->
-      let run () =
-        let p = Pricing.create () in
-        List.map
-          (fun (completed, degraded) ->
-            Pricing.observe p
-              (tick ~completed ~degraded ~in_flight:(completed / 2) ()))
-          ticks
-      in
-      List.for_all2 (fun a b -> Float.equal a b) (run ()) (run ()))
+  bad { Router.default_config with pool_size = 0 }
 
 (* --- End to end: router -> shard span parentage -------------------------- *)
 
@@ -446,13 +361,14 @@ let fault_plan spec =
 let cluster_seq = Atomic.make 0
 
 (* Run [f ~connect router client servers] against shards "a" and "b"
-   ([servers] maps each live shard's id to its server; a shard listed in
-   [dead] gets no server: its socket path refuses every dial; [connect]
-   opens a further connection to the router).  The poller's failure
-   detector is pushed out of the way, so routing sees only the request
-   path's own failover and hedging. *)
-let with_tail_router ?(faults = fun _ -> None) ?(tracers = fun _ -> None)
-    ?(dead = []) ~config f =
+   ([servers] maps each live shard's id to its server, built from
+   [shard_config]; a shard listed in [dead] gets no server: its socket
+   path refuses every dial; [connect] opens a further connection to the
+   router).  The poller's failure detector is pushed out of the way, so
+   routing sees only the request path's own failover and hedging. *)
+let with_tail_router ?(shard_config = Server.default_config)
+    ?(faults = fun _ -> None) ?(tracers = fun _ -> None) ?(dead = []) ~config
+    f =
   let dir = Filename.get_temp_dir_name () in
   let tag =
     Printf.sprintf "rip-tail-%d-%d" (Unix.getpid ())
@@ -468,7 +384,7 @@ let with_tail_router ?(faults = fun _ -> None) ?(tracers = fun _ -> None)
             Server.create
               ~config:
                 {
-                  Server.default_config with
+                  shard_config with
                   jobs = Some 1;
                   shard_id = id;
                   faults = faults id;
@@ -868,6 +784,88 @@ let test_busy_owner_spills () =
       Alcotest.(check int) "b served nothing more" b_forwarded (forwarded "b");
       Alcotest.(check int) "a tie is not a spill" 1 (spills "b"))
 
+(* Run [solve_through] on [net] over a fresh router connection in a
+   thread; the returned function joins it and fails unless the answer
+   was the direct solve's RESULT. *)
+let hold ~connect net =
+  let outcome = ref (Error "never finished") in
+  let thread =
+    Thread.create
+      (fun () ->
+        let client = connect () in
+        outcome :=
+          (try Ok (solve_through client net : float)
+           with e -> Error (Printexc.to_string e));
+        Client.close client)
+      ()
+  in
+  fun () ->
+    Thread.join thread;
+    match !outcome with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "the held request failed: %s" e
+
+(* Overload admission is the shards' own: with both shards holding a
+   solve at their high-water mark of 1, a third request is answered
+   DEGRADED (overload) by the shard it reaches, and the router relays
+   that answer as it came instead of answering for the shard. *)
+let test_overload_through_router () =
+  let held_a, held_b, net =
+    match (nets_with_primary "a" 2, nets_with_primary "b" 1) with
+    | [ held_a; net ], [ held_b ] -> (held_a, held_b, net)
+    | _ -> Alcotest.fail "two nets owned by a and one owned by b"
+  in
+  with_tail_router
+    ~shard_config:{ Server.default_config with queue_depth = 2; high_water = 1 }
+    ~faults:(fun _ -> Some (fault_plan "seed=4,delay:p=1:ms=300"))
+    ~config:{ Router.default_config with hedge = false }
+    (fun ~connect router client _ ->
+      let join_a = hold ~connect held_a in
+      wait_until "a has one forward outstanding" (fun () ->
+          outstanding router "a" = 1.0);
+      let join_b = hold ~connect held_b in
+      wait_until "b has one forward outstanding" (fun () ->
+          outstanding router "b" = 1.0);
+      let budget = tail_budget net in
+      (match
+         Client.request client
+           (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
+       with
+      | Ok (Protocol.Degraded { reason = Protocol.Overload; solution }) ->
+          let violations =
+            Rip_core.Validate.check Helpers.process net ~budget
+              (Rip_elmore.Solution.create solution.Protocol.repeaters)
+          in
+          List.iter
+            (fun v ->
+              Alcotest.failf "the overload answer is illegal: %a"
+                Rip_core.Validate.pp_violation v)
+            violations;
+          let delay =
+            Helpers.ladder_delay net
+              (Rip_net.Geometry.of_net net)
+              solution.Protocol.repeaters
+          in
+          if delay > budget *. (1.0 +. 1e-4) then
+            Alcotest.failf "RC-ladder delay %.4g s exceeds the budget %.4g s"
+              delay budget
+      | Ok other ->
+          Alcotest.failf "the third request answered %S"
+            (Protocol.print_response other)
+      | Error e -> Alcotest.failf "the third request failed: %s" e);
+      join_a ();
+      join_b ();
+      Alcotest.(check int) "the router answered nothing itself" 0
+        (Obs.Counter.value (Router.metrics router).local_degraded);
+      let s = Router.aggregate_stats router in
+      Alcotest.(check int) "one degraded answer in the cluster" 1
+        s.Protocol.degraded;
+      Alcotest.(check int) "requests = solved + errors + busy + timeouts + \
+                            degraded"
+        s.Protocol.requests
+        (s.Protocol.solved + s.Protocol.errors + s.Protocol.rejected_busy
+       + s.Protocol.timeouts + s.Protocol.degraded))
+
 (* The pool's four steps on their own: a timed wait honours its bound
    and wakes on the answer, and an abandoned connection is closed, so
    the next checkout re-dials. *)
@@ -954,16 +952,6 @@ let suite =
         qcheck prop_ring_minimal_remap;
         qcheck prop_ring_add_restores;
       ] );
-    ( "router.pricing",
-      [
-        Alcotest.test_case "climbs under pain" `Quick
-          test_pricing_climbs_under_pain;
-        Alcotest.test_case "decays when idle" `Quick
-          test_pricing_decays_when_idle;
-        Alcotest.test_case "profit arithmetic" `Quick test_pricing_profit;
-        Alcotest.test_case "config validation" `Quick test_pricing_validation;
-        qcheck prop_pricing_deterministic;
-      ] );
     ( "router.config",
       [
         Alcotest.test_case "hedge and breaker validation" `Quick
@@ -992,6 +980,8 @@ let suite =
           test_tail_forwards_settle;
         Alcotest.test_case "a busy owner loses the request to an idle shard"
           `Quick test_busy_owner_spills;
+        Alcotest.test_case "overload through the router is the shard's answer"
+          `Quick test_overload_through_router;
         Alcotest.test_case "pool send, wait, receive, abandon" `Quick
           test_pool_steps;
       ] );
