@@ -217,7 +217,7 @@ let metrics t = t.metrics
 let stopping t = Frontend.stopping t.frontend
 let request_shutdown t = Frontend.request_shutdown t.frontend
 
-(* --- Poller: failure detection ---------------------------------------------- *)
+(* --- Poller: failure detection --------------------------------------------- *)
 
 let refresh_bounds t shard =
   match Client.Pool.request shard.pool Protocol.Health with

@@ -143,7 +143,7 @@ let prop_ring_add_restores =
           | _ -> false)
         (List.init 500 Fun.id))
 
-(* --- Router config --------------------------------------------------------- *)
+(* --- Router config ------------------------------------------------------- *)
 
 (* Router.create rejects nonsense hedge / breaker configuration before
    touching any socket, so the bad specs below never reach the
