@@ -7,8 +7,7 @@
      dune exec bench/main.exe -- --quick all   -- reduced suite (CI-sized)
      dune exec bench/main.exe -- --jobs 8 suite -- engine scaling run
 
-   Experiments: table1, table2, fig7, tree, ablation, micro, restart,
-   suite.
+   Experiments: table1, table2, fig7, tree, ablation, micro, suite.
    The suite experiment runs the quick sweep through the rip_engine
    domain pool at jobs=1 and jobs=N, checks the outcome arrays are
    identical, and writes machine-readable rows to BENCH_suite.json in
@@ -29,7 +28,6 @@ module Engine = Rip_engine.Engine
 module Telemetry = Rip_engine.Telemetry
 module Trace = Rip_obs.Trace
 module Json = Rip_obs.Json
-module Loadgen = Rip_service.Loadgen
 
 let process = Rip_tech.Process.default_180nm
 
@@ -283,148 +281,6 @@ let run_micro () =
   in
   print_string (Table.render ~header:[ "kernel"; "time/run" ] ~rows)
 
-(* --- Restart: journal warm-start vs cold (BENCH_restart.json) ----------- *)
-
-(* The crash-recovery experiment behind DESIGN §6e: solve a 20-net
-   suite cold, replay it against the live warm cache, SIGKILL the shard
-   (no grace, no footer — a real crash), restart it on the same
-   --journal-dir, and replay once more against the journal-replayed
-   cache.  The interesting ratios: replayed-warm should be within ~2x
-   of live-warm (replay rebuilds the same cache; the residue is boot
-   cost) and at least ~5x over cold (a cache hit skips the DP
-   entirely).  Both are reported, not enforced — a loaded CI box blurs
-   wall-clock ratios. *)
-let run_restart () =
-  section "Restart: cold vs live-warm vs journal-replayed-warm";
-  let module Client = Rip_service.Client in
-  let module Protocol = Rip_service.Protocol in
-  let module Supervisor = Rip_router.Supervisor in
-  let exe =
-    match Sys.getenv_opt "RIP_SERVICED" with
-    | Some exe -> exe
-    | None ->
-        Filename.concat
-          (Filename.dirname (Filename.dirname Sys.executable_name))
-          "bin/rip_serviced.exe"
-  in
-  if not (Sys.file_exists exe) then
-    Printf.printf
-      "skipped: rip_serviced not found at %s (set RIP_SERVICED or build \
-       bin/rip_serviced.exe)\n"
-      exe
-  else begin
-    let dir = Filename.get_temp_dir_name () in
-    let tag = Unix.getpid () in
-    let journal_dir =
-      Filename.concat dir (Printf.sprintf "rip-bench-%d-journal" tag)
-    in
-    let socket =
-      Filename.concat dir (Printf.sprintf "rip-bench-%d-restart.sock" tag)
-    in
-    let distinct_nets = 20 in
-    let workload =
-      Loadgen.workload ~distinct_nets ~requests:distinct_nets process
-    in
-    let child =
-      Supervisor.spawn ~restart_backoff:0.0 ~exe
-        ~extra_args:[ "--jobs"; "2"; "--journal-dir"; journal_dir ]
-        ~id:"restart0" ~socket ()
-    in
-    let cleanup () =
-      Supervisor.terminate child;
-      let shard_dir = Filename.concat journal_dir "restart0" in
-      (match Sys.readdir shard_dir with
-      | names ->
-          Array.iter
-            (fun name ->
-              try Sys.remove (Filename.concat shard_dir name)
-              with Sys_error _ -> ())
-            names;
-          (try Unix.rmdir shard_dir with Unix.Unix_error _ -> ());
-          (try Unix.rmdir journal_dir with Unix.Unix_error _ -> ())
-      | exception Sys_error _ -> ())
-    in
-    Fun.protect ~finally:cleanup (fun () ->
-        match Supervisor.wait_ready child with
-        | Error e -> Printf.printf "skipped: %s\n" e
-        | Ok () ->
-            let connect () = Client.connect_unix socket in
-            let pass label =
-              let r = Loadgen.run ~connect ~connections:4 workload in
-              Printf.printf "%-14s: %d requests (fresh %d, cached %d), %.1f \
-                             req/s\n%!"
-                label r.Loadgen.sent r.Loadgen.solved_fresh
-                r.Loadgen.solved_cached r.Loadgen.throughput;
-              r
-            in
-            let cold = pass "cold" in
-            let live_warm = pass "live-warm" in
-            (* A crash, not a shutdown: SIGKILL leaves no clean footer,
-               so the restart exercises the full recovery scan. *)
-            Supervisor.kill child;
-            if not (Supervisor.restart_if_due child) then
-              Printf.printf "skipped: shard did not respawn\n"
-            else
-              match Supervisor.wait_ready child with
-              | Error e -> Printf.printf "skipped after restart: %s\n" e
-              | Ok () ->
-                  let replayed_warm = pass "replayed-warm" in
-                  let cache_replayed =
-                    match
-                      let conn = Client.connect_unix socket in
-                      Fun.protect
-                        ~finally:(fun () -> Client.close conn)
-                        (fun () -> Client.request conn Protocol.Stats)
-                    with
-                    | Ok (Protocol.Stats_frame s) -> s.Protocol.cache_replayed
-                    | Ok _ | Error _ | (exception Unix.Unix_error _) -> -1
-                  in
-                  let ratio a b = if b > 0.0 then a /. b else 0.0 in
-                  let vs_cold =
-                    ratio replayed_warm.Loadgen.throughput
-                      cold.Loadgen.throughput
-                  in
-                  let vs_live =
-                    ratio live_warm.Loadgen.throughput
-                      replayed_warm.Loadgen.throughput
-                  in
-                  Printf.printf
-                    "journal replayed %d records; replayed-warm %.1fx over \
-                     cold (expect >= ~5x), live-warm %.2fx over replayed-warm \
-                     (expect <= ~2x)\n"
-                    cache_replayed vs_cold vs_live;
-                  let row label (r : Loadgen.result) =
-                    Json.Obj
-                      [
-                        ("pass", Json.String label);
-                        ("requests", Json.Int r.Loadgen.sent);
-                        ("fresh", Json.Int r.Loadgen.solved_fresh);
-                        ("cached", Json.Int r.Loadgen.solved_cached);
-                        ("wall_seconds", Json.Float r.Loadgen.wall_seconds);
-                        ("throughput", Json.Float r.Loadgen.throughput);
-                        ("p50_ms", Json.Float (r.Loadgen.p50 *. 1e3));
-                        ("p99_ms", Json.Float (r.Loadgen.p99 *. 1e3));
-                      ]
-                  in
-                  write_json "BENCH_restart.json"
-                    (Json.Obj
-                       [
-                         ("distinct_nets", Json.Int distinct_nets);
-                         ("cache_replayed", Json.Int cache_replayed);
-                         ("replayed_warm_over_cold", Json.Float vs_cold);
-                         ( "live_warm_over_replayed_warm",
-                           Json.Float vs_live );
-                         ( "runs",
-                           Json.List
-                             [
-                               row "cold" cold;
-                               row "live-warm" live_warm;
-                               row "replayed-warm" replayed_warm;
-                             ] );
-                       ]);
-                  print_endline "wrote BENCH_restart.json")
-  end
-
 (* --- Engine batch-solve scaling (BENCH_suite.json) ---------------------- *)
 
 (* Per-cell results modulo runtime: the determinism contract is that the
@@ -608,12 +464,11 @@ let () =
   let scale = if quick then quick_scale else full_scale in
   let wanted = List.filter (fun a -> a <> "--quick") args in
   let wanted = if wanted = [] || List.mem "all" wanted then
-      [ "table1"; "table2"; "tree"; "ablation"; "micro"; "restart"; "suite" ]
+      [ "table1"; "table2"; "tree"; "ablation"; "micro"; "suite" ]
     else wanted
   in
   let known =
-    [ "table1"; "fig7"; "table2"; "tree"; "ablation"; "micro"; "restart";
-      "suite" ]
+    [ "table1"; "fig7"; "table2"; "tree"; "ablation"; "micro"; "suite" ]
   in
   List.iter
     (fun w ->
@@ -630,7 +485,6 @@ let () =
   if List.mem "tree" wanted then run_tree scale;
   if List.mem "ablation" wanted then run_ablation scale;
   if List.mem "micro" wanted then run_micro ();
-  if List.mem "restart" wanted then run_restart ();
   if List.mem "suite" wanted then begin
     (* The scaling ladder: sequential, then the machine's own pool size.
        Never force more domains than the machine recommends — an

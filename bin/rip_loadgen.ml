@@ -9,16 +9,17 @@
    Replays a deterministic Netgen workload (a few distinct nets repeated
    many times, as a router re-querying global nets would) against a
    running daemon and reports throughput, latency percentiles, retry and
-   degradation counts, and the server's STATS counter deltas next to its
-   own counts.  With --passes 2 the second pass replays the identical
-   workload against the now-warm cache — the cold-vs-warm throughput
-   comparison.
+   degradation counts, and the server's METRICS counter deltas next to
+   its own counts.  With --passes 2 the second pass replays the
+   identical workload against the now-warm cache — the cold-vs-warm
+   throughput comparison.
 
    The generator talks to one socket.  Pointed at rip_routerd it loads
-   the whole cluster: the router owns placement and answers STATS with
-   the shards' aggregate, so the same consistency gate covers every
-   shard.  --verify pins each (net, budget)'s first answer and fails
-   the run on any contradicting one, whichever shard served it. *)
+   the whole cluster: the router owns placement and its METRICS sums
+   the shards' counters under the names a shard uses, so the same
+   consistency gate covers every shard.  --verify pins each (net,
+   budget)'s first answer and fails the run on any contradicting one,
+   whichever shard served it. *)
 
 module Protocol = Rip_service.Protocol
 module Client = Rip_service.Client
@@ -39,24 +40,16 @@ let fetch connect frame ~expect =
   | Error e -> Error e
   | exception Unix.Unix_error (code, _, _) -> Error (Unix.error_message code)
 
-let fetch_stats connect =
-  fetch connect Protocol.Stats ~expect:(function
-    | Protocol.Stats_frame stats -> Ok stats
-    | _ -> Error "unexpected response to STATS")
-
 let fetch_metrics connect =
   fetch connect Protocol.Metrics ~expect:(function
     | Protocol.Metrics_frame body -> Ok body
     | _ -> Error "unexpected response to METRICS")
 
-(* Hedged forwards a router fired between two METRICS fetches (0 against
-   a plain rip_serviced, which has no router families).  Each one
-   duplicated a request on a second shard. *)
-let hedged_delta ~metrics_before ~metrics_after =
-  let hedges body =
-    Option.value ~default:0.0 (Obs.scalar body "rip_router_hedges_total")
-  in
-  int_of_float (hedges metrics_after -. hedges metrics_before)
+(* A series' value in a METRICS body; 0 when the body lacks it (a
+   shard without a journal, a router with no shard available). *)
+let reading body =
+  let samples = Obs.parse_scalars body in
+  fun name -> Option.value ~default:0.0 (List.assoc_opt name samples)
 
 type totals = {
   sent : int;
@@ -105,28 +98,35 @@ let add_totals t (r : Loadgen.result) =
     verify_mismatches = t.verify_mismatches + r.verify_mismatches;
   }
 
-let print_consistency ~before ~after ~hedged (t : totals) =
-  let delta field = field after - field before in
-  let requests_delta = delta (fun s -> s.Protocol.requests) in
-  let hits_delta = delta (fun s -> s.Protocol.cache_hits) in
-  let misses_delta = delta (fun s -> s.Protocol.cache_misses) in
-  let errors_delta = delta (fun s -> s.Protocol.errors) in
-  let busy_delta = delta (fun s -> s.Protocol.rejected_busy) in
-  let solved_delta = delta (fun s -> s.Protocol.solved) in
-  let timeouts_delta = delta (fun s -> s.Protocol.timeouts) in
-  let degraded_delta = delta (fun s -> s.Protocol.degraded) in
+(* Counter deltas between two METRICS scrapes of the target, a shard's
+   own series or the router's cluster sums of them. *)
+let print_consistency ~before ~after (t : totals) =
+  let before = reading before and after = reading after in
+  let delta name = int_of_float (after name -. before name) in
+  let requests_delta = delta "rip_requests_total" in
+  let hits_delta = delta "rip_cache_hits" in
+  let misses_delta = delta "rip_cache_misses" in
+  let errors_delta = delta "rip_errors_total" in
+  let busy_delta = delta "rip_rejected_busy_total" in
+  let solved_delta = delta "rip_solved_total" in
+  let timeouts_delta = delta "rip_timeouts_total" in
+  let degraded_delta = delta "rip_degraded_total" in
+  (* Hedged forwards a router fired (0 against a plain rip_serviced,
+     which has no router families).  Each one duplicated a request on
+     a second shard. *)
+  let hedged = delta "rip_router_hedges_total" in
   Printf.printf
-    "server STATS deltas: requests %d, solved %d, hits %d, misses %d, \
+    "METRICS deltas     : requests %d, solved %d, hits %d, misses %d, \
      errors %d, busy %d, timeouts %d, degraded %d, evictions %d, \
      self-heals %d, replayed %d\n"
     requests_delta solved_delta hits_delta misses_delta errors_delta
     busy_delta timeouts_delta degraded_delta
-    (delta (fun s -> s.Protocol.cache_evictions))
-    (delta (fun s -> s.Protocol.cache_self_heals))
+    (delta "rip_cache_evictions")
+    (delta "rip_cache_self_heals")
     (* Journal replay pre-warms the cache at boot without counting as a
        hit or a miss, so a nonzero replayed delta leaves the
        [misses = requests - hits] identity below untouched. *)
-    (delta (fun s -> s.Protocol.cache_replayed));
+    (delta "rip_cache_replayed");
   Printf.printf
     "loadgen counts     : requests %d, solved %d, hits %d, degraded %d, \
      timeouts %d, errors %d, busy %d (retries: busy %d, timeout %d, \
@@ -175,20 +175,27 @@ let print_consistency ~before ~after ~hedged (t : totals) =
     consistent
   end
 
-(* The server's view of itself, from the closing STATS frame: the gauge
-   fields and its own histogram percentiles. *)
-let print_server_now (s : Protocol.stats) =
-  Printf.printf
-    "server now         : uptime %.1f s, in_flight %d, queue_depth %d\n\
-     server percentiles : queue p50/p95/p99 %.3f/%.3f/%.3f ms, solve \
-     p50/p95/p99 %.3f/%.3f/%.3f ms (since startup)\n"
-    s.Protocol.uptime_seconds s.Protocol.in_flight s.Protocol.queue_depth
-    (s.Protocol.queue_wait_p50 *. 1e3)
-    (s.Protocol.queue_wait_p95 *. 1e3)
-    (s.Protocol.queue_wait_p99 *. 1e3)
-    (s.Protocol.solve_p50 *. 1e3)
-    (s.Protocol.solve_p95 *. 1e3)
-    (s.Protocol.solve_p99 *. 1e3)
+(* The server's view of itself, from the closing METRICS scrape: its
+   admission gauges and its histograms' percentiles since startup.  A
+   router's cluster block carries no histogram buckets, so through a
+   router the percentiles are reported missing. *)
+let print_server_now after =
+  let gauge = reading after in
+  Printf.printf "server now         : in_flight %.0f, queue_depth %.0f\n"
+    (gauge "rip_in_flight") (gauge "rip_queue_depth");
+  let histograms = Obs.parse_histograms after in
+  match
+    ( List.assoc_opt Metrics.queue_wait_metric histograms,
+      List.assoc_opt Metrics.solve_cpu_metric histograms )
+  with
+  | Some queue, Some solve ->
+      let ms s p = Obs.Histogram.quantile s p *. 1e3 in
+      Printf.printf
+        "server percentiles : queue p50/p95/p99 %.3f/%.3f/%.3f ms, solve \
+         p50/p95/p99 %.3f/%.3f/%.3f ms (since startup)\n"
+        (ms queue 0.50) (ms queue 0.95) (ms queue 0.99) (ms solve 0.50)
+        (ms solve 0.95) (ms solve 0.99)
+  | _ -> Printf.printf "server percentiles : histograms missing from METRICS\n"
 
 (* Delta of one server histogram across the run, from two METRICS
    scrapes.  [diff] raises when the families do not line up (daemon
@@ -221,8 +228,8 @@ let print_histogram label (d : Obs.Histogram.snapshot) =
    solve, so the check is reported but skipped when cache hits,
    retries, degradation, timeouts or transport trouble blur it.  The
    histograms are one server's, so the check runs against a shard
-   socket; a router exposes no queue-wait or solve-cpu family and the
-   check reports them missing. *)
+   socket; a router's cluster block sums only their [_sum]/[_count]
+   series, not their buckets, and the check reports them missing. *)
 let print_percentile_reconciliation ~metrics_before ~metrics_after
     (t : totals) passes (runs : Loadgen.result list) =
   match
@@ -309,11 +316,11 @@ let run_load socket_path port host requests connections distinct_nets seed
       Loadgen.workload ~seed:(Int64.of_int seed) ~distinct_nets ~slack
         ?deadline_ms ~traced ~requests process
     in
-    match (fetch_stats connect, fetch_metrics connect) with
-    | Error e, _ | _, Error e ->
+    match fetch_metrics connect with
+    | Error e ->
         Printf.eprintf "rip_loadgen: cannot reach the daemon: %s\n" e;
         1
-    | Ok stats_before, Ok metrics_before ->
+    | Ok metrics_before ->
         let runs =
           List.init passes (fun pass ->
               let label =
@@ -354,35 +361,23 @@ let run_load socket_path port host requests connections distinct_nets seed
               else
                 Printf.sprintf "NO (%d contradicting RESULT answers)"
                   totals.verify_mismatches));
-        let metrics_after = fetch_metrics connect in
         let consistent =
-          match fetch_stats connect with
-          | Error e ->
-              Printf.eprintf "rip_loadgen: cannot fetch closing STATS: %s\n" e;
-              false
-          | Ok stats_after ->
-              let hedged =
-                match metrics_after with
-                | Ok metrics_after ->
-                    hedged_delta ~metrics_before ~metrics_after
-                | Error _ -> 0
-              in
-              let counters_ok =
-                print_consistency ~before:stats_before ~after:stats_after
-                  ~hedged totals
-              in
-              print_server_now stats_after;
-              counters_ok
-        in
-        let percentiles_ok =
-          match metrics_after with
+          match fetch_metrics connect with
           | Error e ->
               Printf.eprintf "rip_loadgen: cannot fetch closing METRICS: %s\n"
                 e;
               false
           | Ok metrics_after ->
-              print_percentile_reconciliation ~metrics_before ~metrics_after
-                totals passes runs
+              let counters_ok =
+                print_consistency ~before:metrics_before ~after:metrics_after
+                  totals
+              in
+              print_server_now metrics_after;
+              let percentiles_ok =
+                print_percentile_reconciliation ~metrics_before ~metrics_after
+                  totals passes runs
+              in
+              counters_ok && percentiles_ok
         in
         let reconciled =
           if skip_consistency then begin
@@ -391,7 +386,7 @@ let run_load socket_path port host requests connections distinct_nets seed
                only)\n";
             true
           end
-          else consistent && percentiles_ok
+          else consistent
         in
         if failures || (not reconciled) || totals.verify_mismatches > 0 then 1
         else 0
@@ -499,10 +494,11 @@ let skip_consistency =
   Arg.(
     value & flag
     & info [ "skip-consistency" ]
-        ~doc:"Do not gate the exit code on STATS/percentile reconciliation \
-              — only on transport failures and ERROR answers.  For chaos \
-              runs (shards killed mid-run), where counter resets make the \
-              identities unverifiable.")
+        ~doc:"Do not gate the exit code on the METRICS counter and \
+              percentile reconciliation — only on transport failures and \
+              ERROR answers.  For chaos runs (shards killed or restarted \
+              mid-run), where a restarted shard's counters start again \
+              from zero and the identities are unverifiable.")
 
 let verify =
   Arg.(

@@ -174,7 +174,7 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
           Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
           (* Restart dead children (after their backoff) until shutdown;
              the router's poller re-admits them to the ring once they
-             answer STATS again. *)
+             answer HEALTH again. *)
           let supervisor_thread =
             Thread.create
               (fun () ->
@@ -304,7 +304,7 @@ let poll_interval =
   Arg.(
     value & opt float Rip_router.Router.default_config.poll_interval
     & info [ "poll-interval" ] ~docv:"SECONDS"
-        ~doc:"Liveness tick: how often every shard is polled for STATS.  \
+        ~doc:"Liveness tick: how often every shard is polled with HEALTH.  \
               A shard missing consecutive polls stops receiving traffic, \
               and one answering again is re-admitted.")
 

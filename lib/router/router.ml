@@ -51,65 +51,6 @@ let default_config =
     spool = None;
   }
 
-(* Counter totals carried across shard incarnations.  A restarted shard
-   reports counters from zero; folding the dead incarnation's last
-   snapshot into this baseline keeps the router's aggregate STATS
-   monotone, which the load generator's delta reconciliation relies
-   on. *)
-type baseline = {
-  mutable b_requests : int;
-  mutable b_solved : int;
-  mutable b_errors : int;
-  mutable b_rejected_busy : int;
-  mutable b_timeouts : int;
-  mutable b_degraded : int;
-  mutable b_toobig : int;
-  mutable b_cache_self_heals : int;
-  mutable b_cache_hits : int;
-  mutable b_cache_misses : int;
-  mutable b_cache_evictions : int;
-  mutable b_cache_replayed : int;
-  mutable b_journal_compactions : int;
-  mutable b_queue_wait_seconds : float;
-  mutable b_solve_cpu_seconds : float;
-}
-
-let zero_baseline () =
-  {
-    b_requests = 0;
-    b_solved = 0;
-    b_errors = 0;
-    b_rejected_busy = 0;
-    b_timeouts = 0;
-    b_degraded = 0;
-    b_toobig = 0;
-    b_cache_self_heals = 0;
-    b_cache_hits = 0;
-    b_cache_misses = 0;
-    b_cache_evictions = 0;
-    b_cache_replayed = 0;
-    b_journal_compactions = 0;
-    b_queue_wait_seconds = 0.0;
-    b_solve_cpu_seconds = 0.0;
-  }
-
-let fold_into_baseline b (s : Protocol.stats) =
-  b.b_requests <- b.b_requests + s.requests;
-  b.b_solved <- b.b_solved + s.solved;
-  b.b_errors <- b.b_errors + s.errors;
-  b.b_rejected_busy <- b.b_rejected_busy + s.rejected_busy;
-  b.b_timeouts <- b.b_timeouts + s.timeouts;
-  b.b_degraded <- b.b_degraded + s.degraded;
-  b.b_toobig <- b.b_toobig + s.toobig;
-  b.b_cache_self_heals <- b.b_cache_self_heals + s.cache_self_heals;
-  b.b_cache_hits <- b.b_cache_hits + s.cache_hits;
-  b.b_cache_misses <- b.b_cache_misses + s.cache_misses;
-  b.b_cache_evictions <- b.b_cache_evictions + s.cache_evictions;
-  b.b_cache_replayed <- b.b_cache_replayed + s.cache_replayed;
-  b.b_journal_compactions <- b.b_journal_compactions + s.journal_compactions;
-  b.b_queue_wait_seconds <- b.b_queue_wait_seconds +. s.queue_wait_seconds;
-  b.b_solve_cpu_seconds <- b.b_solve_cpu_seconds +. s.solve_cpu_seconds
-
 (* The circuit breaker shadows the poller's failure detector on a much
    faster clock: the poller needs [down_after] ticks to mark a shard
    down, but [breaker_threshold] consecutive transport failures on the
@@ -124,14 +65,11 @@ type shard = {
   spec : shard_spec;
   pool : Client.Pool.t;
   inst : Router_metrics.shard_instruments;
-  baseline : baseline;
   (* The remaining fields are guarded by the router mutex. *)
   mutable up : bool;
   mutable missed_polls : int;
   mutable down_polls : int;
   mutable in_ring : bool;
-  mutable last_stats : Protocol.stats option;
-  mutable polled : bool;  (* has answered a poll *)
   mutable queue_bound : int;  (* the shard's --queue-depth (HEALTH) *)
   mutable high_water : int;  (* the shard's --high-water (HEALTH) *)
   mutable breaker : breaker_state;
@@ -185,13 +123,10 @@ let create ?(config = default_config) ~shards process =
                  ~size:config.pool_size (fun () ->
                    Client.connect_unix socket);
              inst = Router_metrics.shard metrics spec.id;
-             baseline = zero_baseline ();
              up = true;
              missed_polls = 0;
              down_polls = 0;
              in_ring = true;
-             last_stats = None;
-             polled = false;
              queue_bound = 64;
              high_water = 48;
              breaker = Breaker_closed;
@@ -216,31 +151,6 @@ let metrics t = t.metrics
 
 let stopping t = Frontend.stopping t.frontend
 let request_shutdown t = Frontend.request_shutdown t.frontend
-
-(* --- Poller: failure detection --------------------------------------------- *)
-
-let refresh_bounds t shard =
-  match Client.Pool.request shard.pool Protocol.Health with
-  | Ok (Protocol.Health_frame h) ->
-      Mutex.lock t.mutex;
-      shard.queue_bound <- h.Protocol.health_queue_depth;
-      shard.high_water <- h.Protocol.health_high_water;
-      Mutex.unlock t.mutex
-  | Ok _ | Error _ -> ()
-
-let mark_recovered t shard =
-  Mutex.lock t.mutex;
-  let re_add = not shard.in_ring in
-  shard.up <- true;
-  shard.missed_polls <- 0;
-  shard.down_polls <- 0;
-  if re_add then begin
-    t.ring <- Ring.add t.ring shard.spec.id ~weight:shard.spec.weight;
-    shard.in_ring <- true
-  end;
-  Mutex.unlock t.mutex;
-  Obs.Gauge.set shard.inst.up 1.0;
-  if re_add then Obs.Counter.incr t.metrics.rebalances
 
 (* --- Circuit breaker ------------------------------------------------------- *)
 
@@ -285,24 +195,26 @@ let note_forward_error t shard =
     Obs.Counter.incr shard.inst.breaker_opens
   end
 
-let on_stats t shard (stats : Protocol.stats) =
-  let was_down =
-    Mutex.lock t.mutex;
-    let d = not shard.up in
-    Mutex.unlock t.mutex;
-    d
-  in
-  if was_down then begin
-    (* Back from the dead: a new incarnation, with fresh counters and
-       possibly a different configuration. *)
-    refresh_bounds t shard;
-    mark_recovered t shard
-  end;
+(* --- Poller: failure detection --------------------------------------------- *)
+
+(* One HEALTH answer per tick does everything a poll is for: the shard
+   is alive (a down shard is re-admitted, and re-added to the ring if
+   it had been removed), its admission bounds are current (a restarted
+   shard may come back with another configuration), and an open
+   breaker moves to half-open, so the next forwarded request decides
+   (success closes, failure snaps back open). *)
+let on_health t shard (h : Protocol.health) =
   Mutex.lock t.mutex;
+  let re_add = not shard.in_ring in
+  shard.up <- true;
   shard.missed_polls <- 0;
-  (* An answered poll is the open breaker's probe: move to half-open so
-     the next forwarded request decides (success closes, failure snaps
-     back open). *)
+  shard.down_polls <- 0;
+  if re_add then begin
+    t.ring <- Ring.add t.ring shard.spec.id ~weight:shard.spec.weight;
+    shard.in_ring <- true
+  end;
+  shard.queue_bound <- h.Protocol.health_queue_depth;
+  shard.high_water <- h.Protocol.health_high_water;
   let half_opened =
     match shard.breaker with
     | Breaker_open ->
@@ -310,18 +222,9 @@ let on_stats t shard (stats : Protocol.stats) =
         true
     | _ -> false
   in
-  (* Restart detection: counters went backwards (or uptime did) — fold
-     the dead incarnation's final snapshot into the baseline so the
-     aggregate stays monotone. *)
-  (match shard.last_stats with
-  | Some prev
-    when stats.Protocol.uptime_seconds < prev.Protocol.uptime_seconds
-         || stats.Protocol.requests < prev.Protocol.requests ->
-      fold_into_baseline shard.baseline prev
-  | _ -> ());
-  shard.last_stats <- Some stats;
-  shard.polled <- true;
   Mutex.unlock t.mutex;
+  Obs.Gauge.set shard.inst.up 1.0;
+  if re_add then Obs.Counter.incr t.metrics.rebalances;
   if half_opened then
     Obs.Gauge.set shard.inst.breaker_state (breaker_gauge Breaker_half_open)
 
@@ -352,23 +255,13 @@ let on_poll_failure t shard =
   if removed then Obs.Counter.incr t.metrics.rebalances
 
 let poll_shard t shard =
-  match Client.Pool.request shard.pool Protocol.Stats with
-  | Ok (Protocol.Stats_frame stats) -> on_stats t shard stats
+  match Client.Pool.request shard.pool Protocol.Health with
+  | Ok (Protocol.Health_frame h) -> on_health t shard h
   | Ok _ | Error _ -> on_poll_failure t shard
 
 let rec poll_loop t =
   if not (stopping t) then begin
-    Array.iter
-      (fun shard ->
-        let never_polled =
-          Mutex.lock t.mutex;
-          let b = (not shard.polled) && shard.up in
-          Mutex.unlock t.mutex;
-          b
-        in
-        if never_polled then refresh_bounds t shard;
-        poll_shard t shard)
-      t.shards;
+    Array.iter (poll_shard t) t.shards;
     Thread.delay t.config.poll_interval;
     poll_loop t
   end
@@ -713,108 +606,51 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
 
 (* --- Aggregated views ------------------------------------------------------ *)
 
-(* The cluster's STATS, as if it were one server: counters are the sum
-   of every shard's live counters, each shard's retired-incarnation
-   baseline, and the answers the router produced itself; percentiles
-   are the worst (max) across shards — a conservative bound a client's
-   own percentile must still dominate; uptime is the router's own. *)
-let aggregate_stats t =
-  let live =
-    Array.map
-      (fun shard ->
-        match Client.Pool.request shard.pool Protocol.Stats with
-        | Ok (Protocol.Stats_frame s) -> Some s
-        | Ok _ | Error _ ->
-            Mutex.lock t.mutex;
-            let cached = shard.last_stats in
-            Mutex.unlock t.mutex;
-            cached)
-      t.shards
+(* The cluster block of the router's METRICS: the cluster as one
+   server, under the names a shard uses.  Every unlabelled sample of
+   each available shard's exposition is summed by name, in first-seen
+   order; uptime is left out (the router's own is
+   [rip_router_uptime_seconds]) and histogram buckets carry labels, so
+   only their [_sum]/[_count] series add up.  The answers the router
+   gave itself never reached a shard: a local DEGRADED answer counts in
+   [rip_requests_total] and [rip_degraded_total], which keeps
+   requests = solved + errors + busy + timeouts + degraded, and a local
+   TOOBIG in [rip_toobig_total] only (an oversized frame is not a SOLVE
+   request, as on a server).  A restarted shard's counters start from
+   zero, so the sums restart with it, like any Prometheus counter. *)
+let cluster_block t =
+  let totals = Hashtbl.create 64 and order = ref [] in
+  let add (name, value) =
+    match Hashtbl.find_opt totals name with
+    | Some total -> Hashtbl.replace totals name (total +. value)
+    | None ->
+        Hashtbl.add totals name value;
+        order := name :: !order
   in
-  let sum_i f =
-    Array.fold_left (fun acc s -> acc + match s with Some s -> f s | None -> 0) 0 live
+  Array.iter
+    (fun shard ->
+      if shard_available t shard then
+        match Client.Pool.request shard.pool Protocol.Metrics with
+        | Ok (Protocol.Metrics_frame body) ->
+            List.iter
+              (fun ((name, _) as sample) ->
+                if not (String.equal name "rip_uptime_seconds") then
+                  add sample)
+              (Obs.parse_scalars body)
+        | Ok _ | Error _ -> ())
+    t.shards;
+  let local_degraded =
+    float_of_int (Obs.Counter.value t.metrics.local_degraded)
   in
-  let sum_f f =
-    Array.fold_left
-      (fun acc s -> acc +. match s with Some s -> f s | None -> 0.0)
-      0.0 live
-  in
-  let max_f f =
-    Array.fold_left
-      (fun acc s -> Float.max acc (match s with Some s -> f s | None -> 0.0))
-      0.0 live
-  in
-  let base f = Array.fold_left (fun acc s -> acc + f s.baseline) 0 t.shards in
-  let base_f f =
-    Array.fold_left (fun acc s -> acc +. f s.baseline) 0.0 t.shards
-  in
-  let local_degraded = Obs.Counter.value t.metrics.local_degraded in
-  let local_toobig = Obs.Counter.value t.metrics.toobig in
-  (* The whole snapshot is taken under the lock: the poller folds dead
-     incarnations into [shard.baseline] concurrently, and a torn read
-     would break the accounting identity below. *)
-  Mutex.lock t.mutex;
-  let in_flight = t.in_flight in
-  let stats =
-  {
-    Protocol.shard_id = "router";
-    uptime_seconds = Router_metrics.uptime_seconds t.metrics;
-    (* Requests the router answered itself never reached a shard; adding
-       the locally-degraded count on both sides keeps the accounting
-       identity requests = solved + errors + busy + timeouts + degraded
-       across the aggregate. *)
-    requests = sum_i (fun s -> s.Protocol.requests) + base (fun b -> b.b_requests) + local_degraded;
-    solved = sum_i (fun s -> s.Protocol.solved) + base (fun b -> b.b_solved);
-    errors = sum_i (fun s -> s.Protocol.errors) + base (fun b -> b.b_errors);
-    rejected_busy =
-      sum_i (fun s -> s.Protocol.rejected_busy) + base (fun b -> b.b_rejected_busy);
-    timeouts = sum_i (fun s -> s.Protocol.timeouts) + base (fun b -> b.b_timeouts);
-    degraded =
-      sum_i (fun s -> s.Protocol.degraded) + base (fun b -> b.b_degraded)
-      + local_degraded;
-    (* Oversized frames the router answered itself never reach a shard;
-       like a shard's, they are not SOLVE requests. *)
-    toobig =
-      sum_i (fun s -> s.Protocol.toobig) + base (fun b -> b.b_toobig)
-      + local_toobig;
-    cache_self_heals =
-      sum_i (fun s -> s.Protocol.cache_self_heals)
-      + base (fun b -> b.b_cache_self_heals);
-    cache_hits =
-      sum_i (fun s -> s.Protocol.cache_hits) + base (fun b -> b.b_cache_hits);
-    cache_misses =
-      sum_i (fun s -> s.Protocol.cache_misses) + base (fun b -> b.b_cache_misses);
-    cache_evictions =
-      sum_i (fun s -> s.Protocol.cache_evictions)
-      + base (fun b -> b.b_cache_evictions);
-    cache_replayed =
-      sum_i (fun s -> s.Protocol.cache_replayed)
-      + base (fun b -> b.b_cache_replayed);
-    cache_size = sum_i (fun s -> s.Protocol.cache_size);
-    cache_capacity = sum_i (fun s -> s.Protocol.cache_capacity);
-    queue_wait_seconds =
-      sum_f (fun s -> s.Protocol.queue_wait_seconds)
-      +. base_f (fun b -> b.b_queue_wait_seconds);
-    solve_cpu_seconds =
-      sum_f (fun s -> s.Protocol.solve_cpu_seconds)
-      +. base_f (fun b -> b.b_solve_cpu_seconds);
-    (* A gauge, like cache_size: live bytes only, no baseline. *)
-    journal_bytes = sum_i (fun s -> s.Protocol.journal_bytes);
-    journal_compactions =
-      sum_i (fun s -> s.Protocol.journal_compactions)
-      + base (fun b -> b.b_journal_compactions);
-    in_flight;
-    queue_depth = sum_i (fun s -> s.Protocol.queue_depth);
-    queue_wait_p50 = max_f (fun s -> s.Protocol.queue_wait_p50);
-    queue_wait_p95 = max_f (fun s -> s.Protocol.queue_wait_p95);
-    queue_wait_p99 = max_f (fun s -> s.Protocol.queue_wait_p99);
-    solve_p50 = max_f (fun s -> s.Protocol.solve_p50);
-    solve_p95 = max_f (fun s -> s.Protocol.solve_p95);
-    solve_p99 = max_f (fun s -> s.Protocol.solve_p99);
-  }
-  in
-  Mutex.unlock t.mutex;
-  stats
+  add ("rip_requests_total", local_degraded);
+  add ("rip_degraded_total", local_degraded);
+  add ("rip_toobig_total", float_of_int (Obs.Counter.value t.metrics.toobig));
+  String.concat ""
+    (List.rev_map
+       (fun name -> Printf.sprintf "%s %.17g\n" name (Hashtbl.find totals name))
+       !order)
+
+let metrics_body t = Router_metrics.render t.metrics ^ cluster_block t
 
 let health t =
   Mutex.lock t.mutex;
@@ -847,8 +683,7 @@ let handlers t =
         Fun.protect
           ~finally:(fun () -> track_in_flight t (-1))
           (fun () -> serve_solve t ~budget ~deadline_ms ~trace ~net));
-    stats = (fun () -> aggregate_stats t);
-    metrics = (fun () -> Router_metrics.render t.metrics);
+    metrics = (fun () -> metrics_body t);
     health = (fun () -> health t);
     on_toobig = (fun () -> Obs.Counter.incr t.metrics.toobig);
   }

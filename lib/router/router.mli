@@ -19,7 +19,9 @@
     above its high-water mark, and the router relays either answer
     unchanged.
 
-    The poller doubles as the failure detector: a shard missing
+    The poller doubles as the failure detector.  Each tick it sends
+    every shard HEALTH; an answer keeps the shard live, refreshes its
+    admission bounds and half-opens an open breaker.  A shard missing
     [down_after] polls stops receiving traffic, after [remove_after]
     more its arcs fall to the survivors (a counted rebalance), and a
     recovery re-adds it — both transitions remap only that shard's
@@ -106,13 +108,16 @@ val request_shutdown : t -> unit
 val stopping : t -> bool
 val metrics : t -> Router_metrics.t
 
-val aggregate_stats : t -> Rip_service.Protocol.stats
-(** The cluster as one server: counters sum live shards, their
-    retired-incarnation baselines and the router's own local answers:
-    DEGRADED answers count in [requests] and [degraded], TOOBIG answers
-    in [toobig] only (an oversized frame is not a SOLVE request, as on
-    a server); percentiles are the max across shards; uptime is the
-    router's own. *)
+val metrics_body : t -> string
+(** The router's METRICS body: its own registry ({!Router_metrics}),
+    then the cluster block — the unlabelled samples of every available
+    shard's METRICS summed under the names a shard uses, without
+    [rip_uptime_seconds].  The router's own answers count in the sums
+    as a shard's would: a local DEGRADED answer in [rip_requests_total]
+    and [rip_degraded_total], a local TOOBIG in [rip_toobig_total] (an
+    oversized frame is not a SOLVE request, as on a server).  Histogram
+    buckets carry labels and are not summed.  A restarted shard's
+    counters start from zero, and so does its share of the sums. *)
 
 val health : t -> Rip_service.Protocol.health
 (** [shard_id = "router"]; queue/high-water are sums of shard bounds. *)

@@ -29,7 +29,6 @@ type shard_instruments = {
 
 type t = {
   registry : Obs.t;
-  started : float;
   requests : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
   toobig : Obs.Counter.t;
@@ -120,7 +119,6 @@ let create ~shard_ids () =
   List.iter (fun (_, i) -> Obs.Gauge.set i.up 1.0) shards;
   {
     registry;
-    started;
     requests;
     local_degraded;
     toobig;
@@ -135,4 +133,3 @@ let create ~shard_ids () =
 let shard t id = List.assoc id t.shards
 let render t = Obs.render t.registry
 let registry t = t.registry
-let uptime_seconds t = Cpu_clock.monotonic_seconds () -. t.started

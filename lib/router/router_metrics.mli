@@ -22,7 +22,6 @@ type shard_instruments = {
 
 type t = {
   registry : Obs.t;
-  started : float;
   requests : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
   toobig : Obs.Counter.t;  (** oversized frames the router answered *)
@@ -44,4 +43,3 @@ val shard : t -> string -> shard_instruments
 
 val render : t -> string
 val registry : t -> Obs.t
-val uptime_seconds : t -> float

@@ -3,7 +3,7 @@
 
    The supervisor is deliberately dumb — it owns pids and sockets,
    nothing else.  Liveness of the *service* (is the shard answering
-   STATS?) is the router's poller's business; [alive] only answers "has
+   HEALTH?) is the router's poller's business; [alive] only answers "has
    the OS process exited", via a non-blocking [waitpid] that also reaps
    the zombie.  Keeping the two notions separate matters for the
    degrade path: a wedged-but-running shard must be routed around even
@@ -151,16 +151,3 @@ let terminate ?(timeout = 5.0) ?(log = fun _ -> ()) child =
       child.pid <- None;
       if Sys.file_exists child.socket then
         try Unix.unlink child.socket with Unix.Unix_error _ -> ()
-
-(* SIGKILL with no grace at all — the crash-simulation path (bench
-   restart, chaos tests).  The socket file is left in place, exactly as
-   a real crash would leave it; the next [spawn_process] unlinks it. *)
-let kill child =
-  match child.pid with
-  | None -> ()
-  | Some pid ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore
-        (try Unix.waitpid [] pid with Unix.Unix_error _ -> (0, Unix.WEXITED 0));
-      child.pid <- None;
-      child.last_exit <- monotonic ()

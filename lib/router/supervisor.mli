@@ -2,7 +2,7 @@
     sockets, detect exits, and respawn after a backoff.
 
     Owns only pids and socket paths.  Service-level liveness (does the
-    shard answer STATS?) is the router poller's concern — a wedged
+    shard answer HEALTH?) is the router poller's concern — a wedged
     process is [alive] here yet still gets routed around, and a fresh
     respawn stays out of the ring until it answers PING
     ({!wait_ready}). *)
@@ -47,9 +47,3 @@ val terminate : ?timeout:float -> ?log:(string -> unit) -> child -> unit
     journaled shard flush its unsynced journal bytes; [log] receives
     one line saying whether the child exited within the window or was
     escalated to SIGKILL. *)
-
-val kill : child -> unit
-(** SIGKILL immediately, no grace, and reap — simulates a crash for
-    restart experiments.  Unlike {!terminate} the socket file is left
-    behind, as a real crash would leave it; a subsequent respawn
-    unlinks it.  The child remains restartable ({!restart_if_due}). *)

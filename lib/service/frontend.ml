@@ -3,7 +3,6 @@ type handlers = {
     budget:float -> deadline_ms:float option ->
     trace:Rip_obs.Trace.context option -> net:Rip_net.Net.t ->
     Protocol.response;
-  stats : unit -> Protocol.stats;
   metrics : unit -> string;
   health : unit -> Protocol.health;
   on_toobig : unit -> unit;
@@ -72,9 +71,6 @@ let handle_connection t handlers fd =
         send (Protocol.Error_frame { kind = Protocol.Protocol_error; message })
     | Ok (Some Protocol.Ping) ->
         send Protocol.Pong;
-        serve ()
-    | Ok (Some Protocol.Stats) ->
-        send (Protocol.Stats_frame (handlers.stats ()));
         serve ()
     | Ok (Some Protocol.Metrics) ->
         send (Protocol.Metrics_frame (handlers.metrics ()));

@@ -4,8 +4,8 @@
     shutdown.  What a process answers comes from its {!handlers}.
 
     Each request frame is read under a fresh [max_frame_bytes] budget
-    and answered with exactly one frame.  PING, STATS, METRICS, HEALTH
-    and SOLVE keep the connection open (an exception escaping
+    and answered with exactly one frame.  PING, METRICS, HEALTH and
+    SOLVE keep the connection open (an exception escaping
     [handlers.solve] is answered [ERROR internal]); SHUTDOWN is answered
     [BYE], then {!request_shutdown}.  A malformed request is answered
     [ERROR protocol] and an oversized frame [TOOBIG] (after
@@ -17,7 +17,6 @@ type handlers = {
     budget:float -> deadline_ms:float option ->
     trace:Rip_obs.Trace.context option -> net:Rip_net.Net.t ->
     Protocol.response;
-  stats : unit -> Protocol.stats;
   metrics : unit -> string;  (** the METRICS body *)
   health : unit -> Protocol.health;
   on_toobig : unit -> unit;  (** called before each TOOBIG answer *)

@@ -3,7 +3,6 @@ module Cpu_clock = Rip_numerics.Cpu_clock
 
 type t = {
   registry : Obs.t;
-  started : float;
   requests : Obs.Counter.t;
   solved : Obs.Counter.t;
   errors : Obs.Counter.t;
@@ -34,7 +33,6 @@ let create ?cache_stats ?journal_stats () =
   let t =
     {
       registry;
-      started;
       requests = counter "rip_requests_total" "SOLVE requests received";
       solved = counter "rip_solved_total" "SOLVE requests answered RESULT";
       errors = counter "rip_errors_total" "SOLVE requests answered ERROR";
@@ -118,44 +116,3 @@ let create ?cache_stats ?journal_stats () =
   t
 
 let render t = Obs.render t.registry
-let uptime_seconds t = Cpu_clock.monotonic_seconds () -. t.started
-
-let snapshot t ~shard_id ~cache ?journal () =
-  let queue_wait = Obs.Histogram.snapshot t.queue_wait in
-  let solve_cpu = Obs.Histogram.snapshot t.solve_cpu in
-  let q s p = Obs.Histogram.quantile s p in
-  let journal_bytes, journal_compactions =
-    match journal with
-    | None -> (0, 0)
-    | Some (s : Journal.stats) -> (s.Journal.bytes, s.Journal.compactions)
-  in
-  {
-    Protocol.shard_id;
-    uptime_seconds = uptime_seconds t;
-    requests = Obs.Counter.value t.requests;
-    solved = Obs.Counter.value t.solved;
-    errors = Obs.Counter.value t.errors;
-    rejected_busy = Obs.Counter.value t.rejected_busy;
-    timeouts = Obs.Counter.value t.timeouts;
-    degraded = Obs.Counter.value t.degraded;
-    toobig = Obs.Counter.value t.toobig;
-    cache_self_heals = cache.Solve_cache.self_heals;
-    cache_replayed = cache.Solve_cache.replayed;
-    journal_bytes;
-    journal_compactions;
-    cache_hits = cache.Solve_cache.hits;
-    cache_misses = cache.Solve_cache.misses;
-    cache_evictions = cache.Solve_cache.evictions;
-    cache_size = cache.Solve_cache.size;
-    cache_capacity = cache.Solve_cache.capacity;
-    queue_wait_seconds = queue_wait.Obs.Histogram.sum;
-    solve_cpu_seconds = solve_cpu.Obs.Histogram.sum;
-    in_flight = int_of_float (Obs.Gauge.value t.in_flight);
-    queue_depth = int_of_float (Obs.Gauge.value t.queue_depth);
-    queue_wait_p50 = q queue_wait 0.50;
-    queue_wait_p95 = q queue_wait 0.95;
-    queue_wait_p99 = q queue_wait 0.99;
-    solve_p50 = q solve_cpu 0.50;
-    solve_p95 = q solve_cpu 0.95;
-    solve_p99 = q solve_cpu 0.99;
-  }

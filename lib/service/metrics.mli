@@ -2,16 +2,14 @@
     instance, backed by the lock-free {!Rip_obs.Metrics} registry.
 
     Counters are mutated from connection threads and read from any
-    thread without locking; a STATS frame derives every percentile and
-    cumulative sum from one histogram snapshot, so it can never show a
-    histogram disagreeing with itself.  Uptime runs on the monotonic
-    clock — a wall-clock step must not move it. *)
+    thread without locking; the METRICS rendering of a histogram comes
+    from one snapshot, so it can never disagree with itself.  Uptime
+    runs on the monotonic clock — a wall-clock step must not move it. *)
 
 module Obs = Rip_obs.Metrics
 
 type t = {
   registry : Obs.t;
-  started : float;  (** monotonic; uptime survives wall-clock steps *)
   requests : Obs.Counter.t;
       (** SOLVE requests received (before they are classified) *)
   solved : Obs.Counter.t;  (** SOLVEs answered RESULT (fresh or cached) *)
@@ -62,23 +60,9 @@ val render : t -> string
 (** [Rip_obs.Metrics.render t.registry]: the Prometheus text body of a
     METRICS response. *)
 
-val uptime_seconds : t -> float
-
 val queue_wait_metric : string
 (** Name of the queue-wait histogram in the exposition
     (["rip_queue_wait_seconds"]). *)
 
 val solve_cpu_metric : string
 (** Name of the solve-CPU histogram (["rip_solve_cpu_seconds"]). *)
-
-val snapshot :
-  t ->
-  shard_id:string ->
-  cache:Solve_cache.stats ->
-  ?journal:Journal.stats ->
-  unit ->
-  Protocol.stats
-(** A point-in-time STATS payload, merging the cache's own counters;
-    percentile fields are histogram estimates (0 before the first fresh
-    solve).  [shard_id] stamps the frame with the answering server's
-    identity; [journal] fills the journal fields (0 when absent). *)

@@ -164,11 +164,7 @@ let create ?(config = default_config) process =
     in_flight = 0;
   }
 
-let stats t =
-  Metrics.snapshot t.metrics ~shard_id:t.config.shard_id
-    ~cache:(Solve_cache.stats t.cache)
-    ?journal:(Option.map Journal.stats t.journal)
-    ()
+let metrics_body t = Metrics.render t.metrics
 
 let journal_recovery t = t.journal_recovery
 let journal_flush t = Option.iter Journal.flush t.journal
@@ -499,8 +495,7 @@ let handlers t =
          of partial ones. *)
       (fun ~budget ~deadline_ms ~trace ~net ->
         serve_solve t ~budget ~deadline_ms ~trace ~net);
-    stats = (fun () -> stats t);
-    metrics = (fun () -> Metrics.render t.metrics);
+    metrics = (fun () -> metrics_body t);
     health = (fun () -> health t);
     on_toobig = (fun () -> Obs.Counter.incr t.metrics.toobig);
   }

@@ -4,7 +4,7 @@
     pool), a digest-verified {!Solve_cache} in front of it, {!Metrics} and
     a {!Faults} plan (disabled unless configured).  Connections go
     through the shared {!Frontend} (one thread each, {!Protocol} over a
-    bounded {!Wire} reader); this module supplies what a SOLVE, STATS,
+    bounded {!Wire} reader); this module supplies what a SOLVE,
     METRICS or HEALTH request is answered with.
 
     A SOLVE request walks a degradation ladder — every rung answers with
@@ -39,7 +39,7 @@
 
 type config = {
   shard_id : string;
-      (** this server's identity on HEALTH and STATS frames; one token
+      (** this server's identity on HEALTH frames; one token
           over [[A-Za-z0-9._-]] (see {!Protocol.valid_shard_id}).  A
           router uses it to tell its shards apart *)
   jobs : int option;
@@ -97,8 +97,9 @@ val create : ?config:config -> Rip_tech.Process.t -> t
     written.  This is the one check of a config: [rip_serviced] reports
     the message and exits 2. *)
 
-val stats : t -> Protocol.stats
-(** The STATS payload a client would receive now. *)
+val metrics_body : t -> string
+(** The METRICS body a client would receive now: every counter, gauge
+    and histogram of this server ({!Metrics.render}). *)
 
 val journal_recovery : t -> Journal.recovery option
 (** What boot-time replay found: [None] for an unjournaled server.
@@ -127,7 +128,7 @@ val corrupt_cache_entry : t -> string -> bool
 val handle_connection : t -> Unix.file_descr -> unit
 (** {!Frontend.handle_connection} with this server's answers, for one
     established connection (e.g. one end of a socketpair); a TOOBIG
-    answer counts in [toobig]. *)
+    answer counts in [rip_toobig_total]. *)
 
 val run : t -> Unix.file_descr -> unit
 (** {!Frontend.run} over a listening socket (see {!Frontend.listen_unix})

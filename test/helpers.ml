@@ -146,3 +146,12 @@ let contains haystack needle =
 let close ?(rel = 1e-3) expected actual =
   let scale = Float.max (Float.abs expected) (Float.abs actual) in
   scale = 0.0 || Float.abs (expected -. actual) /. scale <= rel
+
+(* The value of one unlabelled series in a METRICS body — the way tests
+   read a server's or a router's counters. *)
+let metric body name =
+  match Rip_obs.Metrics.scalar body name with
+  | Some v -> v
+  | None -> Alcotest.failf "METRICS has no %s series" name
+
+let count body name = int_of_float (metric body name)

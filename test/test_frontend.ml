@@ -1,9 +1,10 @@
 (* Connection front-end conformance: one frame script run against an
    in-process server and against an in-process router over one shard.
-   Both answer through [Rip_service.Frontend], so every non-HEALTH
-   answer must be the same bytes from either, and both must count a
-   TOOBIG they answered, and drain on SHUTDOWN only once every open
-   connection has closed. *)
+   Both answer through [Rip_service.Frontend], so every answer but
+   HEALTH and METRICS must be the same bytes from either, both must
+   count a TOOBIG they answered in their METRICS [rip_toobig_total],
+   and both must drain on SHUTDOWN only once every open connection has
+   closed. *)
 
 module Protocol = Rip_service.Protocol
 module Server = Rip_service.Server
@@ -19,7 +20,6 @@ let max_frame_bytes = 256
 type target = {
   socket : string;
   shard_id : string;  (* what HEALTH reports *)
-  toobig : unit -> int;  (* the STATS [toobig] counter *)
   returned : bool Atomic.t;  (* set once [run] has returned *)
   finish : unit -> unit;  (* join [run] and release everything *)
 }
@@ -53,7 +53,6 @@ let server_target () =
   {
     socket;
     shard_id = "fe0";
-    toobig = (fun () -> (Server.stats server).Protocol.toobig);
     returned;
     finish =
       (fun () ->
@@ -80,7 +79,6 @@ let router_target () =
   {
     socket;
     shard_id = "router";
-    toobig = (fun () -> (Router.aggregate_stats router).Protocol.toobig);
     returned;
     finish =
       (fun () ->
@@ -144,20 +142,31 @@ let conformance make () =
   | Ok other ->
       Alcotest.failf "HEALTH answered %S" (Protocol.print_response other)
   | Error e -> Alcotest.failf "HEALTH failed: %s" e);
-  let malformed_answer =
-    match Protocol.input_request (Protocol.reader_of_lines [ "GARBAGE" ]) with
-    | Error message ->
-        Protocol.print_response
-          (Protocol.Error_frame { kind = Protocol.Protocol_error; message })
-    | Ok _ -> Alcotest.fail "GARBAGE must not parse"
-  in
-  Alcotest.(check string)
-    "malformed: ERROR protocol, then EOF" malformed_answer
-    (one_shot target.socket "GARBAGE\n");
+  (* STATS is no verb: it is answered like any malformed request. *)
+  List.iter
+    (fun line ->
+      let malformed_answer =
+        match Protocol.input_request (Protocol.reader_of_lines [ line ]) with
+        | Error message ->
+            Protocol.print_response
+              (Protocol.Error_frame { kind = Protocol.Protocol_error; message })
+        | Ok _ -> Alcotest.failf "%s must not parse" line
+      in
+      Alcotest.(check string)
+        (line ^ ": ERROR protocol, then EOF")
+        malformed_answer
+        (one_shot target.socket (line ^ "\n")))
+    [ "GARBAGE"; "STATS" ];
   Alcotest.(check string)
     "oversized: TOOBIG, then EOF" "TOOBIG\n"
     (one_shot target.socket ("SOLVE " ^ String.make 600 'x' ^ "\nEND\n"));
-  Alcotest.(check int) "TOOBIG counted" 1 (target.toobig ());
+  (match Client.request held Protocol.Metrics with
+  | Ok (Protocol.Metrics_frame body) ->
+      Alcotest.(check int) "TOOBIG counted" 1
+        (Helpers.count body "rip_toobig_total")
+  | Ok other ->
+      Alcotest.failf "METRICS answered %S" (Protocol.print_response other)
+  | Error e -> Alcotest.failf "METRICS failed: %s" e);
   Alcotest.(check string)
     "SHUTDOWN: BYE, then EOF" "BYE\n"
     (one_shot target.socket (Protocol.print_request Protocol.Shutdown));

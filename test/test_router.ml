@@ -642,14 +642,15 @@ let test_cache_affinity () =
       pass ();
       List.iter
         (fun (id, server) ->
-          let stats = Server.stats server in
+          let metrics = Server.metrics_body server in
           Alcotest.(check int)
             (id ^ ": misses = distinct nets it owns")
-            (owned id) stats.Protocol.cache_misses;
+            (owned id)
+            (Helpers.count metrics "rip_cache_misses");
           Alcotest.(check int)
             (id ^ ": hits = repeats the router sent it")
             (forwarded id - List.assoc id first)
-            stats.Protocol.cache_hits)
+            (Helpers.count metrics "rip_cache_hits"))
         servers)
 
 (* --- Load-aware routing ---------------------------------------------------- *)
@@ -737,7 +738,9 @@ let test_busy_owner_spills () =
       let spills id = Obs.Counter.value (shard_inst router id).spills in
       let forwarded id = Obs.Counter.value (shard_inst router id).forwarded in
       let misses id =
-        (Server.stats (List.assoc id servers)).Protocol.cache_misses
+        Helpers.count
+          (Server.metrics_body (List.assoc id servers))
+          "rip_cache_misses"
       in
       let held_result = ref None in
       let holder =
@@ -857,14 +860,82 @@ let test_overload_through_router () =
       join_b ();
       Alcotest.(check int) "the router answered nothing itself" 0
         (Obs.Counter.value (Router.metrics router).local_degraded);
-      let s = Router.aggregate_stats router in
       Alcotest.(check int) "one degraded answer in the cluster" 1
-        s.Protocol.degraded;
-      Alcotest.(check int) "requests = solved + errors + busy + timeouts + \
-                            degraded"
-        s.Protocol.requests
-        (s.Protocol.solved + s.Protocol.errors + s.Protocol.rejected_busy
-       + s.Protocol.timeouts + s.Protocol.degraded))
+        (Helpers.count (Router.metrics_body router) "rip_degraded_total"))
+
+(* The router's METRICS ends in the cluster block.  After fresh and
+   cached solves, every series there is the sum of the two shards' own
+   (uptime excepted).  A DEGRADED answer the router gives itself — both
+   shards dead, so every forward loses its transport — counts in
+   requests and degraded.  Either way the sums keep
+   requests = solved + errors + busy + timeouts + degraded. *)
+let test_cluster_block () =
+  (* A series the block lacks reads 0: with no shard to scrape, only
+     the router's own answers are summed. *)
+  let series body name =
+    Option.value ~default:0.0 (Obs.scalar body name)
+  in
+  let check_identity what body =
+    let n = series body in
+    Alcotest.(check (float 0.0))
+      (what ^ ": requests = solved + errors + busy + timeouts + degraded")
+      (n "rip_requests_total")
+      (n "rip_solved_total" +. n "rip_errors_total"
+      +. n "rip_rejected_busy_total" +. n "rip_timeouts_total"
+      +. n "rip_degraded_total")
+  in
+  let nets = List.init 4 tail_net in
+  with_tail_cluster ~config:{ Router.default_config with hedge = false }
+    (fun router client servers ->
+      let pass () =
+        List.iter (fun net -> ignore (solve_through client net : float)) nets
+      in
+      pass ();
+      pass ();
+      let cluster = Router.metrics_body router in
+      let own =
+        List.map (fun (_, server) -> Server.metrics_body server) servers
+      in
+      let names =
+        List.filter
+          (fun name -> not (String.equal name "rip_uptime_seconds"))
+          (List.map fst (Obs.parse_scalars (List.hd own)))
+      in
+      List.iter
+        (fun name ->
+          Alcotest.(check (float 0.0))
+            (name ^ " sums the shards")
+            (List.fold_left (fun acc body -> acc +. series body name) 0.0 own)
+            (Helpers.metric cluster name))
+        names;
+      Alcotest.(check int) "every fresh solve missed once" (List.length nets)
+        (Helpers.count cluster "rip_cache_misses");
+      Alcotest.(check int) "every repeat hit" (List.length nets)
+        (Helpers.count cluster "rip_cache_hits");
+      Alcotest.(check bool) "no uptime sum" true
+        (Option.is_none (Obs.scalar cluster "rip_uptime_seconds"));
+      check_identity "live shards" cluster);
+  let net = tail_net 0 in
+  let budget = tail_budget net in
+  with_tail_cluster ~dead:tail_ids ~config:Router.default_config
+    (fun router client _ ->
+      (match
+         Client.request client
+           (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
+       with
+      | Ok (Protocol.Degraded { reason = Protocol.Worker_lost; _ }) -> ()
+      | Ok other ->
+          Alcotest.failf "with both shards dead the router answered %S"
+            (Protocol.print_response other)
+      | Error e -> Alcotest.failf "SOLVE failed: %s" e);
+      let cluster = Router.metrics_body router in
+      Alcotest.(check int) "the local answer is a request" 1
+        (Helpers.count cluster "rip_requests_total");
+      Alcotest.(check int) "the local answer is degraded" 1
+        (Helpers.count cluster "rip_degraded_total");
+      Alcotest.(check int) "no TOOBIG" 0
+        (Helpers.count cluster "rip_toobig_total");
+      check_identity "dead shards" cluster)
 
 (* The pool's four steps on their own: a timed wait honours its bound
    and wakes on the answer, and an abandoned connection is closed, so
@@ -982,6 +1053,8 @@ let suite =
           `Quick test_busy_owner_spills;
         Alcotest.test_case "overload through the router is the shard's answer"
           `Quick test_overload_through_router;
+        Alcotest.test_case "the cluster block sums the shards' METRICS"
+          `Quick test_cluster_block;
         Alcotest.test_case "pool send, wait, receive, abandon" `Quick
           test_pool_steps;
       ] );

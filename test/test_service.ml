@@ -35,38 +35,6 @@ let sample_solution =
     power_watts = 1.75e-3;
   }
 
-let sample_stats =
-  {
-    Protocol.shard_id = "s0";
-    uptime_seconds = 12.5;
-    requests = 9;
-    solved = 7;
-    errors = 1;
-    rejected_busy = 1;
-    cache_hits = 3;
-    cache_misses = 4;
-    cache_evictions = 2;
-    cache_size = 2;
-    cache_capacity = 4;
-    queue_wait_seconds = 0.75;
-    solve_cpu_seconds = 1.5;
-    timeouts = 2;
-    degraded = 3;
-    toobig = 1;
-    cache_self_heals = 1;
-    cache_replayed = 5;
-    journal_bytes = 4096;
-    journal_compactions = 1;
-    in_flight = 2;
-    queue_depth = 1;
-    queue_wait_p50 = 0.125;
-    queue_wait_p95 = 0.5;
-    queue_wait_p99 = 0.625;
-    solve_p50 = 0.25;
-    solve_p95 = 0.875;
-    solve_p99 = 1.0;
-  }
-
 (* --- Protocol ----------------------------------------------------------- *)
 
 let frame_lines s =
@@ -99,7 +67,6 @@ let check_response_round_trip response =
 
 let test_protocol_request_round_trips () =
   check_request_round_trip Protocol.Ping;
-  check_request_round_trip Protocol.Stats;
   check_request_round_trip Protocol.Metrics;
   check_request_round_trip Protocol.Health;
   check_request_round_trip Protocol.Shutdown;
@@ -170,7 +137,6 @@ let test_protocol_response_round_trips () =
            { Protocol.repeaters = []; total_width = 0.0; delay = 4.5e-10;
              power_watts = 0.0 };
        });
-  check_response_round_trip (Protocol.Stats_frame sample_stats);
   check_response_round_trip
     (Protocol.Health_frame
        {
@@ -489,21 +455,17 @@ let test_server_end_to_end () =
       Alcotest.failf "infeasible solve answered %S"
         (Protocol.print_response other)
   | Error e -> Alcotest.failf "infeasible solve failed: %s" e);
-  (match Client.request client Protocol.Stats with
-  | Ok (Protocol.Stats_frame stats) ->
-      Alcotest.(check int) "requests" 3 stats.Protocol.requests;
-      Alcotest.(check int) "solved" 2 stats.Protocol.solved;
-      Alcotest.(check int) "errors" 1 stats.Protocol.errors;
-      Alcotest.(check int) "cache hits" 1 stats.Protocol.cache_hits;
-      Alcotest.(check int) "cache misses" 2 stats.Protocol.cache_misses;
-      Alcotest.(check int) "cache size" 1 stats.Protocol.cache_size;
-      Alcotest.(check bool) "solver cpu accounted" true
-        (stats.Protocol.solve_cpu_seconds > 0.0)
-  | Ok other ->
-      Alcotest.failf "STATS answered %S" (Protocol.print_response other)
-  | Error e -> Alcotest.failf "STATS failed: %s" e);
   (match Client.request client Protocol.Metrics with
   | Ok (Protocol.Metrics_frame body) ->
+      let count = Helpers.count body in
+      Alcotest.(check int) "requests" 3 (count "rip_requests_total");
+      Alcotest.(check int) "solved" 2 (count "rip_solved_total");
+      Alcotest.(check int) "errors" 1 (count "rip_errors_total");
+      Alcotest.(check int) "cache hits" 1 (count "rip_cache_hits");
+      Alcotest.(check int) "cache misses" 2 (count "rip_cache_misses");
+      Alcotest.(check int) "cache size" 1 (count "rip_cache_size");
+      Alcotest.(check bool) "solver cpu accounted" true
+        (Helpers.metric body "rip_solve_cpu_seconds_sum" > 0.0);
       Alcotest.(check bool) "requests counter scraped" true
         (Helpers.contains body "rip_requests_total 3");
       Alcotest.(check bool) "histogram type line" true
