@@ -111,10 +111,6 @@ let print_consistency ~before ~after (t : totals) =
   let solved_delta = delta "rip_solved_total" in
   let timeouts_delta = delta "rip_timeouts_total" in
   let degraded_delta = delta "rip_degraded_total" in
-  (* Hedged forwards a router fired (0 against a plain rip_serviced,
-     which has no router families).  Each one duplicated a request on
-     a second shard. *)
-  let hedged = delta "rip_router_hedges_total" in
   Printf.printf
     "METRICS deltas     : requests %d, solved %d, hits %d, misses %d, \
      errors %d, busy %d, timeouts %d, degraded %d, evictions %d, \
@@ -142,19 +138,6 @@ let print_consistency ~before ~after (t : totals) =
     Printf.printf
       "counters consistent: skipped (transport retries/failures make \
        server-side attempt counts ambiguous)\n";
-    true
-  end
-  else if hedged > 0 then begin
-    (* A hedged forward lands the same request on a second shard and
-       discards one of the two answers, so cluster-wide requests, solved
-       and hit/miss counts exceed the client's by up to [hedged] — and a
-       discarded answer may still be in flight at scrape time.  The
-       exact identities below do not apply; transport cleanliness (zero
-       drops) is still enforced by the exit code. *)
-    Printf.printf
-      "counters consistent: skipped (%d hedged forwards duplicated \
-       requests on a second shard)\n"
-      hedged;
     true
   end
   else begin

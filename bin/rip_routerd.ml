@@ -71,9 +71,8 @@ let rec parse_attach_all = function
           Result.map (fun pairs -> pair :: pairs) (parse_attach_all rest))
 
 let serve socket_path port host shards shard_dir shard_jobs shard_args attach
-    pool_size poll_interval restart_backoff no_hedge
-    hedge_floor_ms breaker_threshold trace_out wide_events wide_sample_ratio
-    wide_latency_threshold_ms =
+    pool_size poll_interval restart_backoff breaker_threshold trace_out
+    wide_events wide_sample_ratio wide_latency_threshold_ms =
   match parse_attach_all attach with
   | Error e ->
       Printf.eprintf "rip_routerd: %s\n" e;
@@ -161,8 +160,6 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
               Router.default_config with
               pool_size;
               poll_interval;
-              hedge = not no_hedge;
-              hedge_delay_floor = hedge_floor_ms /. 1000.0;
               breaker_threshold;
               tracer;
               spool;
@@ -198,16 +195,12 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
           in
           Printf.printf
             "rip_routerd: listening on %s (%d shards: %s; pool %d, poll \
-             %.2fs, %s, breaker at %d)\n\
+             %.2fs, breaker at %d)\n\
              %!"
             endpoint (List.length specs)
             (String.concat ", "
                (List.map (fun (s : Router.shard_spec) -> s.id) specs))
-            pool_size poll_interval
-            (if no_hedge then "hedging off"
-             else
-               Printf.sprintf "hedge floor %.0f ms" hedge_floor_ms)
-            breaker_threshold;
+            pool_size poll_interval breaker_threshold;
           Router.run router listen_fd;
           Thread.join supervisor_thread;
           (match (tracer, trace_out) with
@@ -316,22 +309,6 @@ let restart_backoff =
               restarted.  Large values keep a killed shard down — useful \
               for observing graceful degradation.")
 
-let no_hedge =
-  Arg.(
-    value & flag
-    & info [ "no-hedge" ]
-        ~doc:"Disable hedged requests.  By default a forward still \
-              unanswered after the p99-derived hedge delay is also issued \
-              to the key's failover shard and the first answer wins.")
-
-let hedge_floor_ms =
-  Arg.(
-    value
-    & opt float (Rip_router.Router.default_config.hedge_delay_floor *. 1000.0)
-    & info [ "hedge-floor-ms" ] ~docv:"MS"
-        ~doc:"Lower bound on the hedge delay, so a cold or cache-hit-fast \
-              forward histogram cannot hedge every request.")
-
 let breaker_threshold =
   Arg.(
     value & opt int Rip_router.Router.default_config.breaker_threshold
@@ -359,7 +336,7 @@ let wide_events =
     & opt (some string) None
     & info [ "wide-events" ] ~docv:"FILE"
         ~doc:"Emit one structured wide-event JSON line per routed SOLVE \
-              (target shard, outcome, hedge/failover/spill/breaker \
+              (target shard, outcome, failover/spill/breaker \
               involvement, deadline slack) to this bounded spool, \
               tail-sampled like rip_serviced's.  A $(docv) ending in '/' \
               writes wide-router.jsonl inside it.  Query offline with \
@@ -391,8 +368,7 @@ let main =
     Term.(
       const serve $ socket_path $ port $ host $ shards $ shard_dir
       $ shard_jobs $ shard_args $ attach $ pool_size $ poll_interval
-      $ restart_backoff $ no_hedge
-      $ hedge_floor_ms $ breaker_threshold $ trace_out $ wide_events
+      $ restart_backoff $ breaker_threshold $ trace_out $ wide_events
       $ wide_sample_ratio $ wide_latency_threshold_ms)
 
 let () = exit (Cmd.eval' main)

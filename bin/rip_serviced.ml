@@ -279,9 +279,9 @@ let wide_events =
     & opt (some string) None
     & info [ "wide-events" ] ~docv:"FILE"
         ~doc:"Emit one structured wide-event JSON line per SOLVE to this \
-              bounded spool, tail-sampled: errors, timeouts, degraded and \
-              hedge/failover-involved requests are always kept, the rest \
-              pass a latency threshold or a probabilistic sample.  A \
+              bounded spool, tail-sampled: errors, timeouts and degraded \
+              requests are always kept, the rest pass a latency threshold \
+              or a probabilistic sample.  A \
               $(docv) ending in '/' writes wide-<shard-id>.jsonl inside \
               it.  Query offline with rip_trace query.")
 

@@ -8,7 +8,7 @@
    router endpoints contribute a per-shard table (up, breaker state,
    forwarded/failover/spill counters; "spills" counts the requests the
    shard took as a key's second choice, because the owner had more
-   forwards outstanding) plus hedge and forward-latency lines; shard
+   forwards outstanding) plus a forward-latency line; shard
    endpoints contribute a per-shard row (requests, cache hit rate, queue
    depth, solve p50/p95/p99, journal bytes).  --once prints a single
    frame without clearing the screen — the mode CI and scripts use. *)
@@ -77,12 +77,9 @@ let render_router buf label body =
        (s "rip_router_requests_total")
        (s "rip_router_in_flight"));
   Buffer.add_string buf
-    (Printf.sprintf
-       "  degraded %.0f  rebalances %.0f  hedges %.0f (wins %.0f)\n"
+    (Printf.sprintf "  degraded %.0f  rebalances %.0f\n"
        (s "rip_router_degraded_total")
-       (s "rip_router_rebalances_total")
-       (s "rip_router_hedges_total")
-       (s "rip_router_hedge_wins_total"));
+       (s "rip_router_rebalances_total"));
   (match quantiles body "rip_router_forward_seconds" with
   | Some (p50, p95, p99, count) ->
       Buffer.add_string buf
@@ -257,7 +254,7 @@ let main =
   Cmd.v
     (Cmd.info "rip_top" ~version:"1.0.0"
        ~doc:"Live per-shard dashboard over METRICS: breaker states, \
-             cache hit rates, latency percentiles, hedge wins")
+             cache hit rates, latency percentiles")
     Term.(
       const run $ socket_path $ port $ host $ endpoints $ interval $ once
       $ count)

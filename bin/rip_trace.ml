@@ -9,7 +9,7 @@
    query filters and aggregates wide-event spools (--wide-events); check
    verifies that merged traces actually link across processes — that a
    shard's spans parent under the router's forward span — and can gate a
-   CI run on hedged/failover traces being present and linked. *)
+   CI run on failover traces being present and linked. *)
 
 module Trace_merge = Rip_obs.Trace_merge
 module Wide_event = Rip_obs.Wide_event
@@ -47,7 +47,6 @@ type filter = {
   shard : string option;
   process : string option;
   trace_id : string option;
-  hedged : bool;
   failover : bool;
   spilled : bool;
   breaker_skip : bool;
@@ -59,7 +58,6 @@ let matches f (e : Wide_event.t) =
   opt_eq f.outcome e.outcome && opt_eq f.shard e.shard
   && opt_eq f.process e.process
   && opt_eq f.trace_id e.trace_id
-  && ((not f.hedged) || e.hedged)
   && ((not f.failover) || e.failover)
   && ((not f.spilled) || e.spilled)
   && ((not f.breaker_skip) || e.breaker_skip)
@@ -75,7 +73,7 @@ let count_by key events =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let run_query files outcome shard process trace_id hedged failover spilled
+let run_query files outcome shard process trace_id failover spilled
     breaker_skip min_latency_ms print_lines =
   if files = [] then begin
     prerr_endline "rip_trace: query needs at least one spool file";
@@ -88,7 +86,6 @@ let run_query files outcome shard process trace_id hedged failover spilled
         shard;
         process;
         trace_id;
-        hedged;
         failover;
         spilled;
         breaker_skip;
@@ -118,8 +115,6 @@ let run_query files outcome shard process trace_id hedged failover spilled
         let n = List.length (List.filter pred hits) in
         if n > 0 then Printf.printf "%-14s %d\n" name n
       in
-      flag "hedged" (fun (e : Wide_event.t) -> e.hedged);
-      flag "hedge_won" (fun (e : Wide_event.t) -> e.hedge_won);
       flag "failover" (fun (e : Wide_event.t) -> e.failover);
       flag "spilled" (fun (e : Wide_event.t) -> e.spilled);
       flag "breaker_skip" (fun (e : Wide_event.t) -> e.breaker_skip);
@@ -175,7 +170,7 @@ let run_check files require_multi =
         traces;
       Printf.printf
         "traces: %d total, %d linked across processes, %d linked with \
-         forwards to multiple shards (hedge or failover)\n"
+         forwards to multiple shards (failover)\n"
         total !linked !multi_linked;
       if total = 0 then begin
         prerr_endline "rip_trace: check failed: no traces found";
@@ -189,8 +184,8 @@ let run_check files require_multi =
       end
       else if require_multi && !multi_linked = 0 then begin
         prerr_endline
-          "rip_trace: check failed: no linked trace shows a hedged or \
-           failover request (forwards to >= 2 shards)";
+          "rip_trace: check failed: no linked trace shows a failover \
+           request (forwards to >= 2 shards)";
         1
       end
       else 0
@@ -253,7 +248,6 @@ let query_cmd =
       & info [ "trace-id" ] ~docv:"HEX"
           ~doc:"Keep only events belonging to this distributed trace.")
   in
-  let hedged = Arg.(value & flag & info [ "hedged" ] ~doc:"Hedged events only.") in
   let failover =
     Arg.(value & flag & info [ "failover" ] ~doc:"Failover events only.")
   in
@@ -287,11 +281,11 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query"
        ~doc:"Filter and aggregate --wide-events spools.  Interesting events \
-             (non-fresh/cached outcomes, hedge/failover/spill/breaker \
+             (non-fresh/cached outcomes, failover/spill/breaker \
              involvement) are spooled at 100%, so their counts here are \
              exact, not estimates.")
     Term.(
-      const run_query $ files $ outcome $ shard $ process $ trace_id $ hedged
+      const run_query $ files $ outcome $ shard $ process $ trace_id
       $ failover $ spilled $ breaker_skip $ min_latency_ms $ print_lines)
 
 let check_cmd =
@@ -300,8 +294,8 @@ let check_cmd =
       value & flag
       & info [ "require-multi-forward" ]
           ~doc:"Also fail unless at least one linked trace carries forwards \
-                to two or more distinct shards — evidence a hedged or \
-                failover request propagated its context to both.")
+                to two or more distinct shards — evidence a failover \
+                request propagated its context to both.")
   in
   Cmd.v
     (Cmd.info "check"

@@ -24,6 +24,6 @@ val monotonic_available : bool
 
 val monotonic_seconds : unit -> float
 (** Seconds on a monotonic clock that keeps ticking while the caller
-    sleeps — the timebase for request deadlines and hedge delays, immune to
-    wall-clock steps.  Arbitrary origin: only differences between two
+    sleeps — the timebase for request deadlines and forward round trips,
+    immune to wall-clock steps.  Arbitrary origin: only differences between two
     reads are meaningful (any thread). *)

@@ -50,6 +50,6 @@ val analyse : trace_span list -> int * bool
     whether the trace links across processes — some span recorded by
     another process parents under a router forward span, so the wire
     TRACE header demonstrably carried the context across the hop.  Two
-    or more targets in a linked trace are the signature of a hedge or
-    failover: a replayed workload re-forwards to the same primary, but
-    only tail tolerance tries a second shard. *)
+    or more targets in a linked trace are the signature of a failover:
+    a replayed workload re-forwards to the same primary, but only a
+    transport failure sends one request to a second shard. *)

@@ -15,8 +15,6 @@ type t = {
   outcome : string;
   degrade_reason : string;  (* "" unless outcome = "degraded" *)
   cache : string;  (* "hit" | "miss" | "" *)
-  hedged : bool;
-  hedge_won : bool;
   failover : bool;
   spilled : bool;
   breaker_skip : bool;  (* an open breaker excluded the primary shard *)
@@ -37,8 +35,6 @@ let empty =
     outcome = "";
     degrade_reason = "";
     cache = "";
-    hedged = false;
-    hedge_won = false;
     failover = false;
     spilled = false;
     breaker_skip = false;
@@ -60,8 +56,6 @@ let to_json event =
       ("outcome", Json.String event.outcome);
       ("degrade_reason", Json.String event.degrade_reason);
       ("cache", Json.String event.cache);
-      ("hedged", Json.Bool event.hedged);
-      ("hedge_won", Json.Bool event.hedge_won);
       ("failover", Json.Bool event.failover);
       ("spilled", Json.Bool event.spilled);
       ("breaker_skip", Json.Bool event.breaker_skip);
@@ -110,8 +104,6 @@ let of_line line =
               outcome = str "outcome" "";
               degrade_reason = str "degrade_reason" "";
               cache = str "cache" "";
-              hedged = flag "hedged";
-              hedge_won = flag "hedge_won";
               failover = flag "failover";
               spilled = flag "spilled";
               breaker_skip = flag "breaker_skip";
@@ -136,14 +128,13 @@ let default_sampler = { latency_threshold = 0.1; sample_ratio = 0.05 }
 let keep_all = { latency_threshold = 0.0; sample_ratio = 1.0 }
 
 (* The tail-sampling contract: anything anomalous is kept at 100% so
-   offline counts of errors / timeouts / degradations / hedges are
+   offline counts of errors / timeouts / degradations / failovers are
    exact, not estimates. *)
 let interesting event =
   (match event.outcome with
   | "fresh" | "cached" -> false
   | _ -> true)
-  || event.hedged || event.hedge_won || event.failover || event.spilled
-  || event.breaker_skip
+  || event.failover || event.spilled || event.breaker_skip
 
 (* Deterministic [0,1) from the event identity — no wall clock, no
    PRNG state, so a replayed workload samples identically. *)

@@ -2,15 +2,15 @@
     per process with tail sampling.
 
     A wide event is the request's whole story in one record — digest,
-    serving shard, cache outcome, degradation rung, hedge/breaker/
-    failover involvement, queue wait, DP backend, deadline slack — so
+    serving shard, cache outcome, degradation rung, breaker/failover
+    involvement, queue wait, DP backend, deadline slack — so
     offline analysis (rip_trace query) joins nothing.  The schema is
     versioned ({!schema_version}, carried in every line); consumers
     reject lines from a schema they do not understand.
 
     Tail sampling keeps the spool small without losing the tail:
     anomalous events (every outcome other than [fresh]/[cached], and
-    any hedge/failover/spill/breaker involvement) are kept at 100% —
+    any failover/spill/breaker involvement) are kept at 100% —
     offline counts of them are exact, not estimates — plus everything
     above a latency threshold; the boring rest is sampled
     deterministically from the event identity, never a clock or PRNG,
@@ -28,8 +28,6 @@ type t = {
       (** [fresh | cached | degraded | timeout | busy | toobig | error | shed] *)
   degrade_reason : string;  (** [""] unless [outcome = "degraded"] *)
   cache : string;  (** ["hit" | "miss" | ""] *)
-  hedged : bool;
-  hedge_won : bool;
   failover : bool;
   spilled : bool;
   breaker_skip : bool;  (** an open breaker excluded the primary shard *)
@@ -68,7 +66,7 @@ val keep_all : sampler
 
 val interesting : t -> bool
 (** The always-keep predicate: any outcome other than [fresh]/[cached],
-    or any hedge/failover/spill/breaker involvement. *)
+    or any failover/spill/breaker involvement. *)
 
 val keep : sampler -> t -> bool
 

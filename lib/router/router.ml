@@ -1,5 +1,5 @@
 (* The cluster front end.  router.mli states the routing, admission,
-   failure-detection and tail-tolerance contract and DESIGN.md §6d/§6e
+   failure-detection and circuit-breaker contract and DESIGN.md §6d/§6e
    the reasoning behind it.  Connections are served by the shared
    [Rip_service.Frontend]; this module answers what arrives on them. *)
 
@@ -25,9 +25,6 @@ type config = {
   remove_after : int;  (* further misses before ring removal *)
   solver : Rip_core.Config.t option;  (* for the local fallback tier *)
   max_frame_bytes : int;
-  hedge : bool;  (* hedge slow forwards onto the failover candidate *)
-  hedge_delay_floor : float;  (* seconds; hedge delay never below this *)
-  hedge_delay_factor : float;  (* hedge delay = factor * forward p99 *)
   breaker_threshold : int;  (* consecutive transport failures to open *)
   tracer : Trace.t option;  (* ingress/forward spans + TRACE propagation *)
   spool : Wide_event.spool option;  (* one wide event per request *)
@@ -43,9 +40,6 @@ let default_config =
     remove_after = 8;
     solver = None;
     max_frame_bytes = Wire.default_max_frame_bytes;
-    hedge = true;
-    hedge_delay_floor = 0.05;
-    hedge_delay_factor = 1.5;
     breaker_threshold = 3;
     tracer = None;
     spool = None;
@@ -74,7 +68,7 @@ type shard = {
   mutable high_water : int;  (* the shard's --high-water (HEALTH) *)
   mutable breaker : breaker_state;
   mutable breaker_failures : int;  (* consecutive transport failures *)
-  mutable outstanding : int;  (* forwards sent, not yet received/abandoned *)
+  mutable outstanding : int;  (* forwards sent, not yet answered *)
 }
 
 type t = {
@@ -98,10 +92,6 @@ let create ?(config = default_config) ~shards process =
     invalid_arg "Router.create: poll_interval must be positive";
   if config.down_after < 1 || config.remove_after < 1 then
     invalid_arg "Router.create: down_after and remove_after must be >= 1";
-  if config.hedge_delay_floor < 0.0 || config.hedge_delay_factor <= 0.0 then
-    invalid_arg
-      "Router.create: hedge_delay_floor must be >= 0 and hedge_delay_factor \
-       positive";
   if config.breaker_threshold < 1 then
     invalid_arg "Router.create: breaker_threshold must be >= 1";
   let ring =
@@ -268,10 +258,15 @@ let rec poll_loop t =
 
 (* --- Local degraded answers ------------------------------------------------ *)
 
-let degraded_response t ~budget ~net reason =
+(* No shard left to try, or every forward tried lost its transport: the
+   router answers from its own fallback tier.  No shard saw the request,
+   so the router says why on stderr — the route decision and each
+   forward's transport error. *)
+let worker_lost t ~budget ~net ~key why =
   Obs.Counter.incr t.metrics.local_degraded;
+  Printf.eprintf "router: DEGRADED worker-lost for net %s: %s\n%!" key why;
   Fallback.degraded ~process:t.process ?solver:t.config.solver ~budget ~net
-    reason
+    Protocol.Worker_lost
 
 (* --- Request routing ------------------------------------------------------- *)
 
@@ -335,18 +330,6 @@ let route t key =
   Mutex.unlock t.mutex;
   decision
 
-(* One forward attempt, split so a hedge can bound its wait on it: the
-   [forward:<id>] span and the round-trip clock start at [send_forward]
-   and stop at [receive_forward] or [abandon_forward].  So does the
-   shard's outstanding count that [route] compares: every sent forward
-   ends in exactly one of the two, which settles it. *)
-type sent = {
-  shard : shard;
-  pending : Client.Pool.pending;
-  sent_at : float;
-  end_span : unit -> unit;
-}
-
 let track_outstanding t shard delta =
   Mutex.lock t.mutex;
   shard.outstanding <- shard.outstanding + delta;
@@ -354,115 +337,30 @@ let track_outstanding t shard delta =
   Obs.Gauge.set shard.inst.outstanding (float_of_int shard.outstanding);
   Mutex.unlock t.mutex
 
-let send_forward ?(args = []) t shard frame =
+(* One forward attempt: the [forward:<id>] span and the shard's
+   outstanding count that [route] compares both cover exactly the
+   pool's round trip.  An answer closes the breaker and lands in
+   [rip_router_forward_seconds]; a transport failure feeds the breaker
+   and counts as a failover away from this shard. *)
+let forward ~args t shard frame =
   let sent_at = Cpu_clock.monotonic_seconds () in
-  let end_span =
-    Trace.begin_opt t.config.tracer ~cat:"router" ~args
+  track_outstanding t shard 1;
+  let result =
+    Trace.span t.config.tracer ~cat:"router" ~args
       ("forward:" ^ shard.spec.id)
+      (fun () -> Client.Pool.request shard.pool frame)
   in
-  match Client.Pool.send shard.pool frame with
-  | Ok pending ->
-      track_outstanding t shard 1;
-      Ok { shard; pending; sent_at; end_span }
-  | Error _ as e ->
-      end_span ();
-      note_forward_error t shard;
-      Obs.Counter.incr shard.inst.failovers;
-      e
-
-let receive_forward t s =
-  let result = Client.Pool.receive s.pending in
-  s.end_span ();
-  track_outstanding t s.shard (-1);
+  track_outstanding t shard (-1);
   (match result with
   | Ok _ ->
-      note_forward_ok t s.shard;
-      Obs.Counter.incr s.shard.inst.forwarded;
+      note_forward_ok t shard;
+      Obs.Counter.incr shard.inst.forwarded;
       Obs.Histogram.observe t.metrics.forward_seconds
-        (Cpu_clock.monotonic_seconds () -. s.sent_at)
+        (Cpu_clock.monotonic_seconds () -. sent_at)
   | Error _ ->
-      note_forward_error t s.shard;
-      Obs.Counter.incr s.shard.inst.failovers);
+      note_forward_error t shard;
+      Obs.Counter.incr shard.inst.failovers);
   result
-
-(* A straggler given up on still feeds its elapsed time (a lower bound
-   of its round trip) into the histogram the hedge delay is derived
-   from, so slow shards keep raising the p99.  It counts neither as
-   forwarded nor as failed, and leaves the breaker alone: slowness is
-   not a transport failure. *)
-let abandon_forward t s =
-  Client.Pool.abandon s.pending;
-  s.end_span ();
-  track_outstanding t s.shard (-1);
-  Obs.Histogram.observe t.metrics.forward_seconds
-    (Cpu_clock.monotonic_seconds () -. s.sent_at)
-
-let forward ?args t shard frame =
-  Result.bind (send_forward ?args t shard frame) (receive_forward t)
-
-(* --- Hedged forwards ------------------------------------------------------- *)
-
-(* Tail tolerance: the primary is sent, then waited on for at most the
-   hedge delay — derived from the p99 of recent forward round-trips,
-   floored so a cold histogram cannot hedge everything.  Only a primary
-   still silent by then is hedged: the same request goes to the
-   failover candidate (the key's other ring choice, whose cache the key
-   may land on anyway), all on the connection's own thread.  A primary
-   that has answered by the time the hedge returns still wins; one that
-   has not is abandoned (see [abandon_forward]). *)
-
-(* Per-request involvement flags for the wide event. *)
-type request_obs = {
-  mutable o_shard : string;
-  mutable o_hedged : bool;
-  mutable o_hedge_won : bool;
-  mutable o_failover : bool;
-}
-
-let hedge_delay t =
-  let snapshot = Obs.Histogram.snapshot t.metrics.forward_seconds in
-  Float.max t.config.hedge_delay_floor
-    (t.config.hedge_delay_factor *. Obs.Histogram.quantile snapshot 0.99)
-
-(* The first candidate's transport failed: retry on the other one right
-   away.  Inside a hedge this happens only before the hedge delay
-   expires, so it is an ordinary failover, not a hedge. *)
-let fail_over t obs (secondary, frame, args) =
-  obs.o_failover <- true;
-  obs.o_shard <- secondary.spec.id;
-  forward ~args t secondary frame
-
-let hedge_won t obs secondary response =
-  Obs.Counter.incr t.metrics.hedge_wins;
-  obs.o_hedge_won <- true;
-  obs.o_shard <- secondary.spec.id;
-  Ok response
-
-let hedged_forward t obs (primary, primary_frame, primary_args)
-    ((secondary, secondary_frame, secondary_args) as hedge) =
-  match send_forward ~args:primary_args t primary primary_frame with
-  | Error _ -> fail_over t obs hedge
-  | Ok first when Client.Pool.wait first.pending (hedge_delay t) -> (
-      match receive_forward t first with
-      | Ok _ as answered -> answered
-      | Error _ -> fail_over t obs hedge)
-  | Ok first -> (
-      Obs.Counter.incr t.metrics.hedges;
-      obs.o_hedged <- true;
-      match forward ~args:secondary_args t secondary secondary_frame with
-      | Ok response when Client.Pool.wait first.pending 0.0 -> (
-          (* First answer wins: the primary's arrived while the hedge
-             ran, so it is the one served. *)
-          match receive_forward t first with
-          | Ok _ as answered -> answered
-          | Error _ -> hedge_won t obs secondary response)
-      | Ok response ->
-          abandon_forward t first;
-          hedge_won t obs secondary response
-      | Error _ ->
-          (* The hedge lost its transport; all that is left is the
-             primary, bounded by the request timeout. *)
-          receive_forward t first)
 
 let serve_solve t ~budget ~deadline_ms ~trace ~net =
   let started = Cpu_clock.monotonic_seconds () in
@@ -510,9 +408,7 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
   let fwd_args shard =
     span_args ~parent:ingress_id ("forward:" ^ shard.spec.id)
   in
-  let obs =
-    { o_shard = ""; o_hedged = false; o_hedge_won = false; o_failover = false }
-  in
+  let served_by = ref "" and failed_over = ref false in
   let spilled_flag = ref false and breaker_flag = ref false in
   let ingress_parent =
     match context with
@@ -527,46 +423,37 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
         match route t key with
         | No_candidate ->
             (* Every shard is gone; the router still answers. *)
-            degraded_response t ~budget ~net Protocol.Worker_lost
+            worker_lost t ~budget ~net ~key "no candidate shard"
         | Forward { target; failover; spilled; breaker_skip } -> (
-            obs.o_shard <- target.spec.id;
+            served_by := target.spec.id;
             spilled_flag := spilled;
             breaker_flag := breaker_skip;
             if spilled then Obs.Counter.incr target.inst.spills;
-            let hedge_target =
-              if t.config.hedge then
-                match failover with
-                | Some other when shard_available t other -> Some other
-                | _ -> None
-              else None
+            let forward_to shard =
+              forward ~args:(fwd_args shard) t shard (frame_for shard)
             in
-            let forward_to shard = (shard, frame_for shard, fwd_args shard) in
-            let result =
-              match hedge_target with
-              | Some other ->
-                  hedged_forward t obs (forward_to target) (forward_to other)
-              | None -> (
-                  match
-                    forward ~args:(fwd_args target) t target (frame_for target)
-                  with
-                  | Ok _ as answered -> answered
-                  | Error _ as e -> (
-                      (* The poller will notice the death on its own tick;
-                         the request fails over right now. *)
-                      match failover with
-                      | Some other when shard_available t other ->
-                          fail_over t obs (forward_to other)
-                      | _ -> e))
-            in
-            match result with
+            let failed shard e = Printf.sprintf "%s: %s" shard.spec.id e in
+            match forward_to target with
             | Ok response -> response
-            | Error _ ->
-                (* Every candidate was tried (the hedge tries both). *)
-                degraded_response t ~budget ~net Protocol.Worker_lost))
+            | Error e -> (
+                (* The poller will notice the death on its own tick; the
+                   request fails over right now. *)
+                match failover with
+                | Some other when shard_available t other -> (
+                    failed_over := true;
+                    served_by := other.spec.id;
+                    match forward_to other with
+                    | Ok response -> response
+                    | Error e' ->
+                        worker_lost t ~budget ~net ~key
+                          (failed target e ^ "; " ^ failed other e'))
+                | _ ->
+                    worker_lost t ~budget ~net ~key
+                      (failed target e ^ "; no failover shard available"))))
   in
   (* Exactly one wide event per request through the router, always kept
      by the tail sampler when anything interesting happened (degraded,
-     hedged, failover, spill, breaker skip), so offline [rip_trace
+     failover, spill, breaker skip), so offline [rip_trace
      query] counts reconcile exactly with the load generator's. *)
   (match t.config.spool with
   | None -> ()
@@ -587,13 +474,11 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
           trace_id =
             (match context with Some c -> c.Trace.trace_id | None -> "");
           digest = key;
-          shard = obs.o_shard;
+          shard = !served_by;
           outcome;
           degrade_reason;
           cache;
-          hedged = obs.o_hedged;
-          hedge_won = obs.o_hedge_won;
-          failover = obs.o_failover;
+          failover = !failed_over;
           spilled = !spilled_flag;
           breaker_skip = !breaker_flag;
           latency = finished -. started;
@@ -613,11 +498,13 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
    [rip_router_uptime_seconds]) and histogram buckets carry labels, so
    only their [_sum]/[_count] series add up.  The answers the router
    gave itself never reached a shard: a local DEGRADED answer counts in
-   [rip_requests_total] and [rip_degraded_total], which keeps
-   requests = solved + errors + busy + timeouts + degraded, and a local
-   TOOBIG in [rip_toobig_total] only (an oversized frame is not a SOLVE
-   request, as on a server).  A restarted shard's counters start from
-   zero, so the sums restart with it, like any Prometheus counter. *)
+   [rip_requests_total], [rip_degraded_total] and [rip_cache_misses]
+   (a shard looks its cache up before it degrades), which keeps
+   requests = solved + errors + busy + timeouts + degraded and
+   misses = requests - hits, and a local TOOBIG in [rip_toobig_total]
+   only (an oversized frame is not a SOLVE request, as on a server).  A
+   restarted shard's counters start from zero, so the sums restart with
+   it, like any Prometheus counter. *)
 let cluster_block t =
   let totals = Hashtbl.create 64 and order = ref [] in
   let add (name, value) =
@@ -644,6 +531,7 @@ let cluster_block t =
   in
   add ("rip_requests_total", local_degraded);
   add ("rip_degraded_total", local_degraded);
+  add ("rip_cache_misses", local_degraded);
   add ("rip_toobig_total", float_of_int (Obs.Counter.value t.metrics.toobig));
   String.concat ""
     (List.rev_map

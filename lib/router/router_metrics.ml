@@ -33,8 +33,6 @@ type t = {
   local_degraded : Obs.Counter.t;
   toobig : Obs.Counter.t;
   rebalances : Obs.Counter.t;
-  hedges : Obs.Counter.t;
-  hedge_wins : Obs.Counter.t;
   forward_seconds : Obs.Histogram.t;
   in_flight : Obs.Gauge.t;
   shards : (string * shard_instruments) list;
@@ -61,16 +59,6 @@ let create ~shard_ids () =
     counter "rip_router_rebalances_total"
       "hash-ring membership changes (shard removed on sustained death or \
        re-added on recovery)"
-  in
-  let hedges =
-    counter "rip_router_hedges_total"
-      "forwards whose p99-derived hedge delay expired, issuing the request \
-       to the failover candidate as well"
-  in
-  let hedge_wins =
-    counter "rip_router_hedge_wins_total"
-      "hedged forwards where the secondary's answer came back first and was \
-       the one served"
   in
   let forward_seconds =
     Obs.histogram registry ~name:"rip_router_forward_seconds"
@@ -105,7 +93,7 @@ let create ~shard_ids () =
                  forwards outstanding)";
             outstanding =
               g "outstanding"
-                "forwards sent and not yet received or abandoned";
+                "forwards sent and not yet answered";
             up = g "up" "1 while the shard answers polls";
             breaker_state =
               g "breaker_state"
@@ -123,8 +111,6 @@ let create ~shard_ids () =
     local_degraded;
     toobig;
     rebalances;
-    hedges;
-    hedge_wins;
     forward_seconds;
     in_flight;
     shards;

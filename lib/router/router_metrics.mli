@@ -14,7 +14,7 @@ type shard_instruments = {
       (** requests this shard took as the key's second choice because
           the owner had more forwards outstanding *)
   outstanding : Obs.Gauge.t;
-      (** forwards sent to this shard, not yet received or abandoned *)
+      (** forwards sent to this shard, not yet answered *)
   up : Obs.Gauge.t;
   breaker_state : Obs.Gauge.t;  (** 0 closed, 1 open, 2 half-open *)
   breaker_opens : Obs.Counter.t;
@@ -26,8 +26,6 @@ type t = {
   local_degraded : Obs.Counter.t;
   toobig : Obs.Counter.t;  (** oversized frames the router answered *)
   rebalances : Obs.Counter.t;
-  hedges : Obs.Counter.t;  (** hedge delays that expired (secondary sent) *)
-  hedge_wins : Obs.Counter.t;  (** hedges where the secondary's answer won *)
   forward_seconds : Obs.Histogram.t;
   in_flight : Obs.Gauge.t;
   shards : (string * shard_instruments) list;

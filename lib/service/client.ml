@@ -1,5 +1,3 @@
-module Cpu_clock = Rip_numerics.Cpu_clock
-
 type t = {
   fd : Unix.file_descr;
   wire : Wire.reader;
@@ -44,66 +42,20 @@ let connect_tcp ?timeout ~host ~port () =
      raise exn);
   of_fd ?timeout fd
 
-let guard f =
-  match f () with
-  | result -> result
-  | exception Unix.Unix_error (code, _, _) -> Error (Unix.error_message code)
-  | exception (Sys_error message | Failure message) -> Error message
-  | exception End_of_file -> Error "connection closed by server"
-  | exception Wire.Frame_too_big -> Error "oversized response frame"
-
-let send t frame =
+let request t frame =
   if t.closed then Error "client is closed"
-  else guard (fun () -> Ok (Wire.send t.fd (Protocol.print_request frame)))
-
-let receive t =
-  guard (fun () ->
-      match Protocol.input_response (Wire.reader t.wire) with
-      | Ok (Some response) -> Ok response
-      | Ok None -> Error "connection closed by server"
-      | Error e -> Error e)
-
-let request t frame = Result.bind (send t frame) (fun () -> receive t)
-
-(* [Some readable] for the next byte of [fd], or [None] when a signal
-   interrupted the wait.  End of stream and socket errors count as
-   readable: the read that follows reports them without blocking. *)
-let peek fd =
-  match Unix.recv fd (Bytes.create 1) 0 1 [ Unix.MSG_PEEK ] with
-  | _ -> Some true
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      Some false
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
-  | exception Unix.Unix_error _ -> Some true
-
-(* A timed wait for the next response byte: the socket's own receive
-   timeout around a one-byte [MSG_PEEK], which costs no thread and,
-   unlike [select], works for any fd number.  [SO_RCVTIMEO = 0] means
-   "block forever" and the kernel rounds any positive timeout up to
-   whole scheduler ticks, so a wait shorter than 1 us peeks without
-   blocking instead; [restore] is the timeout to put back afterwards.
-   Bytes already buffered by the reader count as readable. *)
-let wait_readable t ~seconds ~restore =
-  Wire.buffered t.wire
-  ||
-  try
-    if seconds < 1e-6 then begin
-      Unix.set_nonblock t.fd;
-      let readable = peek t.fd in
-      Unix.clear_nonblock t.fd;
-      Option.value readable ~default:false
-    end
-    else
-      let until = Cpu_clock.monotonic_seconds () +. seconds in
-      let rec wait () =
-        let left = until -. Cpu_clock.monotonic_seconds () in
-        Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO (Float.max 1e-6 left);
-        match peek t.fd with Some readable -> readable | None -> wait ()
-      in
-      let readable = wait () in
-      Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO restore;
-      readable
-  with Unix.Unix_error _ -> true
+  else
+    match
+      Wire.send t.fd (Protocol.print_request frame);
+      Protocol.input_response (Wire.reader t.wire)
+    with
+    | Ok (Some response) -> Ok response
+    | Ok None -> Error "connection closed by server"
+    | Error e -> Error e
+    | exception Unix.Unix_error (code, _, _) -> Error (Unix.error_message code)
+    | exception (Sys_error message | Failure message) -> Error message
+    | exception End_of_file -> Error "connection closed by server"
+    | exception Wire.Frame_too_big -> Error "oversized response frame"
 
 (* domain-escape waiver: a [t] is owned by exactly one thread at a time
    — loadgen workers each dial their own connection, and the pool hands
@@ -183,38 +135,19 @@ module Pool = struct
     Mutex.unlock p.mutex;
     if not keep then close conn
 
-  (* One round trip in four steps on one checked-out connection, so a
-     caller can bound its wait for the answer without a thread.
-     Transport trouble poisons the connection, and so does an abandoned
-     request (its answer is still on the way): either way the connection
-     is closed, never re-pooled, and the next checkout dials fresh. *)
-  type pending = { pool : t; conn : conn }
-
-  let send p frame =
+  let request p frame =
     match checkout p with
     | Error _ as e -> e
     | Ok conn -> (
-        match send conn frame with
-        | Ok () -> Ok { pool = p; conn }
+        match request conn frame with
+        | Ok _ as ok ->
+            checkin p conn;
+            ok
         | Error _ as e ->
+            (* Transport trouble poisons the connection; drop it so the
+               next checkout dials fresh. *)
             close conn;
             e)
-
-  let wait { pool; conn } seconds =
-    wait_readable conn ~seconds
-      ~restore:(Option.value pool.timeout ~default:0.0)
-
-  let receive { pool; conn } =
-    match receive conn with
-    | Ok _ as ok ->
-        checkin pool conn;
-        ok
-    | Error _ as e ->
-        close conn;
-        e
-
-  let abandon { conn; _ } = close conn
-  let request p frame = Result.bind (send p frame) receive
 
   let close_all p =
     Mutex.lock p.mutex;

@@ -57,37 +57,7 @@ module Pool : sig
   (** Check a connection out (pooled or freshly dialed), run one
       round trip, check it back in on success.  [Error] carries the
       dial or transport diagnostic; the failed connection is closed,
-      not re-pooled.  [request p frame] is {!send} then {!receive}. *)
-
-  (** {2 One round trip, step by step}
-
-      A {!pending} request owns its checked-out connection until it is
-      received or abandoned, so a caller can bound how long it waits
-      for the answer without a thread. *)
-
-  type pending
-
-  val send : t -> Protocol.request -> (pending, string) result
-  (** Check a connection out and write the whole frame.  [Error]
-      carries the dial or transport diagnostic; the connection is
-      closed. *)
-
-  val wait : pending -> float -> bool
-  (** [wait r seconds] blocks until the answer is readable or [seconds]
-      have passed; [true] when {!receive} would not block on the
-      socket.  The kernel rounds the wait up to whole scheduler ticks;
-      below 1 us it only checks, without blocking.  End of stream and
-      socket errors count as readable — {!receive} reports them.  No
-      [select], so any fd number works; the pool's socket timeout is
-      restored after. *)
-
-  val receive : pending -> (Protocol.response, string) result
-  (** Read the answer (bounded by the pool's socket timeout) and check
-      the connection back in; on [Error] it is closed instead. *)
-
-  val abandon : pending -> unit
-  (** Give up on the answer: the connection is closed, not drained or
-      re-pooled, and the next checkout dials afresh. *)
+      not re-pooled. *)
 
   val close_all : t -> unit
   (** Close every idle connection and refuse further checkouts.

@@ -86,4 +86,3 @@ let rec next_line r =
       end
 
 let reader r () = next_line r
-let buffered r = String.length r.pending > 0

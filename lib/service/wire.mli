@@ -40,7 +40,3 @@ val reader : reader -> Protocol.reader
     terminator excluded) or [None] at end of stream.
     @raise Frame_too_big when the frame budget is exceeded.
     @raise Unix.Unix_error on transport failures other than [EINTR]. *)
-
-val buffered : reader -> bool
-(** Whether bytes are already buffered past the last line returned, so
-    the next read can proceed without the socket. *)

@@ -1,7 +1,7 @@
 (* Aggregated test entry point; each module contributes its suites. *)
 let () =
-  (* As in the daemons: a peer that hung up (an abandoned hedge loser's
-     connection, say) must surface as EPIPE on the in-process server's
+  (* As in the daemons: a peer that hung up (a client that gave up on
+     its answer, say) must surface as EPIPE on the in-process server's
      write, not kill the runner. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "rip"

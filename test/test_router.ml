@@ -1,10 +1,10 @@
 (* The router subsystem: consistent-hash ring placement (balance,
    restart determinism, minimal remap on membership edits), config
-   validation, and — against in-process shards — trace parentage, the
-   tail-tolerance path (hedging, failover, abandoned stragglers),
-   wide-event and trace reconciliation under forced hedges, per-shard
-   cache affinity, two-choice spilling, and a shard's own overload
-   answer relayed through the router.  Real daemons (spawned shards,
+   validation, and — against in-process shards — trace parentage,
+   failover off a dead owner, wide-event and trace reconciliation under
+   failover, per-shard cache affinity, two-choice spilling, a shard's
+   own overload answer relayed through the router, and counters that
+   reconcile exactly through it.  Real daemons (spawned shards,
    one killed mid-run and restarted on its journal) are exercised by
    the CI cluster smoke job. *)
 
@@ -145,7 +145,7 @@ let prop_ring_add_restores =
 
 (* --- Router config ------------------------------------------------------- *)
 
-(* Router.create rejects nonsense hedge / breaker configuration before
+(* Router.create rejects nonsense breaker / pool configuration before
    touching any socket, so the bad specs below never reach the
    connection pools. *)
 let test_router_config_validation () =
@@ -158,8 +158,6 @@ let test_router_config_validation () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
-  bad { Router.default_config with hedge_delay_floor = -0.001 };
-  bad { Router.default_config with hedge_delay_factor = 0.0 };
   bad { Router.default_config with breaker_threshold = 0 };
   bad { Router.default_config with pool_size = 0 }
 
@@ -295,11 +293,11 @@ let test_router_trace_parentage () =
       Alcotest.failf "expected exactly 1 merged trace, got %d"
         (List.length traces)
 
-(* --- End to end: hedging and failover -------------------------------------
+(* --- End to end: failover ------------------------------------------------
 
    Two in-process shards, "a" and "b", behind an in-process router.  A
-   shard's fault plan (or its absence: a dead socket) makes it the slow
-   or failed primary for the nets under test; the ring decides which
+   shard's fault plan makes it slow, and a dead socket makes it the
+   failed primary for the nets under test; the ring decides which
    shard is a net's primary, so the tests pick nets by their primary. *)
 
 module Server = Rip_service.Server
@@ -365,7 +363,7 @@ let cluster_seq = Atomic.make 0
    [shard_config]; a shard listed in [dead] gets no server: its socket
    path refuses every dial; [connect] opens a further connection to the
    router).  The poller's failure detector is pushed out of the way, so
-   routing sees only the request path's own failover and hedging. *)
+   routing sees only the request path's own failover. *)
 let with_tail_router ?(shard_config = Server.default_config)
     ?(faults = fun _ -> None) ?(tracers = fun _ -> None) ?(dead = []) ~config
     f =
@@ -452,129 +450,35 @@ let check_direct net solution =
     (Protocol.solution_body solution)
 
 (* One SOLVE through the router: the answer must be a RESULT whose body
-   is byte-identical to a direct solve.  Returns the round trip's
-   seconds. *)
-let solve_through client net =
-  let sent = Cpu_clock.monotonic_seconds () in
-  let solution = request_solution client net in
-  let elapsed = Cpu_clock.monotonic_seconds () -. sent in
-  check_direct net solution;
-  elapsed
+   is byte-identical to a direct solve. *)
+let solve_through client net = check_direct net (request_solution client net)
 
 let shard_inst router id =
   Rip_router.Router_metrics.shard (Router.metrics router) id
-let forward_count router =
-  (Obs.Histogram.snapshot (Router.metrics router).forward_seconds)
-    .Obs.Histogram.count
-
-let test_tail_fast_primary () =
-  let net = tail_net 0 in
-  with_tail_cluster
-    ~config:{ Router.default_config with hedge_delay_floor = 0.5 }
-    (fun router client _ ->
-      let elapsed = solve_through client net in
-      let m = Router.metrics router in
-      Alcotest.(check int) "no hedge" 0 (Obs.Counter.value m.hedges);
-      Alcotest.(check int) "no hedge win" 0 (Obs.Counter.value m.hedge_wins);
-      Alcotest.(check int) "forwarded by the primary" 1
-        (Obs.Counter.value (shard_inst router (primary_of net)).forwarded);
-      (* The wait woke on the answer, not at the 500 ms hedge delay. *)
-      if elapsed >= 0.4 then
-        Alcotest.failf "fast primary took %.0f ms" (elapsed *. 1000.0))
-
-let test_tail_slow_primary_hedged () =
-  let net = tail_net 0 in
-  let slow = primary_of net in
-  with_tail_cluster
-    ~faults:(fun id ->
-      if String.equal id slow then Some (fault_plan "seed=5,delay:p=1:ms=500")
-      else None)
-    ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
-    (fun router client _ ->
-      let elapsed = solve_through client net in
-      let m = Router.metrics router in
-      Alcotest.(check int) "one hedge" 1 (Obs.Counter.value m.hedges);
-      Alcotest.(check int) "the secondary won" 1
-        (Obs.Counter.value m.hedge_wins);
-      if elapsed >= 0.4 then
-        Alcotest.failf "hedged answer took %.0f ms; it waited on the primary"
-          (elapsed *. 1000.0);
-      (* The abandoned primary: its elapsed time still feeds the hedge
-         delay's histogram, but it is neither forwarded nor failed and
-         the breaker stays closed. *)
-      let primary = shard_inst router slow in
-      Alcotest.(check int) "histogram saw the hedge and the straggler" 2
-        (forward_count router);
-      Alcotest.(check int) "straggler not counted forwarded" 0
-        (Obs.Counter.value primary.forwarded);
-      Alcotest.(check int) "straggler not counted failed" 0
-        (Obs.Counter.value primary.failovers);
-      Alcotest.(check (float 0.0)) "primary breaker closed" 0.0
-        (Obs.Gauge.value primary.breaker_state);
-      (* The abandoned connection was closed, not pooled: the next
-         request to the same primary dials afresh and still answers. *)
-      ignore (solve_through client net : float))
 
 let test_tail_dead_primary_fails_over () =
   let net = tail_net 0 in
   let dead = primary_of net in
-  with_tail_cluster ~dead:[ dead ]
-    ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
+  with_tail_cluster ~dead:[ dead ] ~config:Router.default_config
     (fun router client _ ->
-      ignore (solve_through client net : float);
-      let m = Router.metrics router in
-      Alcotest.(check int) "a failover is not a hedge" 0
-        (Obs.Counter.value m.hedges);
+      solve_through client net;
       Alcotest.(check int) "dead primary counted as a failover" 1
         (Obs.Counter.value (shard_inst router dead).failovers))
 
-(* The zero-floor case: shard "a" answers after 200 ms, and the hedge
-   delay is zero, so every request for a net "a" owns is hedged onto "b"
-   at once. *)
-let zero_floor_nets () =
-  let nets = nets_with_primary "a" 3 in
-  Alcotest.(check int) "three nets owned by shard a" 3 (List.length nets);
-  nets
-
-let slow_a id =
-  if String.equal id "a" then Some (fault_plan "seed=9,delay:p=1:ms=200")
-  else None
-
-let zero_floor_config =
-  {
-    Router.default_config with
-    hedge_delay_floor = 0.0;
-    hedge_delay_factor = 1e-4;
-  }
-
-let test_tail_zero_floor () =
-  let nets = zero_floor_nets () in
-  with_tail_cluster ~faults:slow_a ~config:zero_floor_config
-    (fun router client _ ->
-      List.iter
-        (fun net ->
-          let elapsed = solve_through client net in
-          (* A zero wait that blocked would sit out the 200 ms delay. *)
-          if elapsed >= 0.15 then
-            Alcotest.failf "zero hedge delay blocked for %.0f ms"
-              (elapsed *. 1000.0))
-        nets;
-      let m = Router.metrics router in
-      Alcotest.(check int) "every request hedged" 3
-        (Obs.Counter.value m.hedges);
-      Alcotest.(check int) "every hedge won" 3
-        (Obs.Counter.value m.hedge_wins))
-
-(* The zero-floor case again, observed by a router tracer and a keep-all
-   spool.  The spool holds exactly one event per request and marks
-   exactly the requests the router counted as hedged; the merged traces
-   link a shard's spans under a router forward span, in a trace that
-   forwarded to both shards. *)
+(* A dead owner, observed by a router tracer and a keep-all spool.  The
+   spool holds exactly one event per request, and marks as a failover
+   exactly the requests the router counted as the owner's failovers;
+   the merged traces link a shard's spans under a router forward span,
+   in a trace that forwarded to both shards. *)
 let test_tail_spool_reconciles () =
   let module Trace = Rip_obs.Trace in
   let module Trace_merge = Rip_obs.Trace_merge in
   let module Wide_event = Rip_obs.Wide_event in
-  let nets = zero_floor_nets () in
+  let owner = "a" in
+  (* Fewer than [breaker_threshold] nets, so every one still tries the
+     dead owner first. *)
+  let nets = nets_with_primary owner 3 in
+  Alcotest.(check int) "three nets owned by shard a" 3 (List.length nets);
   let router_tracer = Trace.create ~scope:"router" ~pid:1 () in
   let shard_tracers =
     List.mapi
@@ -583,25 +487,27 @@ let test_tail_spool_reconciles () =
   in
   let spool_path = Filename.temp_file "rip-test-spool" ".jsonl" in
   let spool = Wide_event.create ~sampler:Wide_event.keep_all spool_path in
-  let hedges_total =
-    with_tail_cluster ~faults:slow_a
+  let failovers_total =
+    with_tail_cluster ~dead:[ owner ]
       ~tracers:(fun id -> List.assoc_opt id shard_tracers)
       ~config:
         {
-          zero_floor_config with
+          Router.default_config with
           tracer = Some router_tracer;
           spool = Some spool;
         }
       (fun router client _ ->
-        List.iter (fun net -> ignore (solve_through client net : float)) nets;
-        Obs.Counter.value (Router.metrics router).hedges)
+        List.iter (solve_through client) nets;
+        Obs.Counter.value (shard_inst router owner).failovers)
   in
   Wide_event.close spool;
   let events = Wide_event.load_file spool_path in
   Sys.remove spool_path;
-  Alcotest.(check int) "every request hedged" (List.length nets) hedges_total;
-  Alcotest.(check int) "spool hedged events = hedges_total" hedges_total
-    (List.length (List.filter (fun (e : Wide_event.t) -> e.hedged) events));
+  Alcotest.(check int) "every request failed over" (List.length nets)
+    failovers_total;
+  Alcotest.(check int) "spool failover events = the owner's failovers_total"
+    failovers_total
+    (List.length (List.filter (fun (e : Wide_event.t) -> e.failover) events));
   Alcotest.(check int) "spool events = requests sent" (List.length nets)
     (List.length events);
   let dump tracer =
@@ -609,7 +515,13 @@ let test_tail_spool_reconciles () =
     | Ok d -> d
     | Error e -> Alcotest.fail e
   in
-  let dumps = List.map dump (router_tracer :: List.map snd shard_tracers) in
+  let dumps =
+    List.map dump
+      (router_tracer
+      :: List.filter_map
+           (fun (id, tracer) -> if id = owner then None else Some tracer)
+           shard_tracers)
+  in
   Alcotest.(check bool) "a linked trace forwards to both shards" true
     (List.exists
        (fun (_, spans) ->
@@ -617,8 +529,7 @@ let test_tail_spool_reconciles () =
          linked && targets >= 2)
        (Trace_merge.traces dumps))
 
-(* Cache affinity: with hedging off the ring sends every repeat of a net
-   to the shard that solved it first, so each shard misses once per net
+(* Cache affinity: the ring sends every repeat of a net to the shard that solved it first, so each shard misses once per net
    it owns and hits on every repeat the router sent it. *)
 let test_cache_affinity () =
   let nets = List.init 8 tail_net in
@@ -629,10 +540,10 @@ let test_cache_affinity () =
     (fun id ->
       if owned id = 0 then Alcotest.failf "shard %s owns none of the nets" id)
     tail_ids;
-  with_tail_cluster ~config:{ Router.default_config with hedge = false }
+  with_tail_cluster ~config:Router.default_config
     (fun router client servers ->
       let pass () =
-        List.iter (fun net -> ignore (solve_through client net : float)) nets
+        List.iter (solve_through client) nets
       in
       let forwarded id =
         Obs.Counter.value (shard_inst router id).forwarded
@@ -657,7 +568,7 @@ let test_cache_affinity () =
 
 let outstanding router id = Obs.Gauge.value (shard_inst router id).outstanding
 
-(* Every forward the router sent has been received or abandoned.  A
+(* Every forward the router sent has been answered or has failed.  A
    leaked count would move the shard's keys to their second choice for
    good. *)
 let check_settled what router =
@@ -669,42 +580,19 @@ let check_settled what router =
     tail_ids
 
 (* Each way a sent forward can end settles its shard's count: a plain
-   answer, a primary abandoned for a winning hedge, a failover off a dead
-   primary, and zero-delay hedges. *)
+   answer, and a failover off a dead primary. *)
 let test_tail_forwards_settle () =
   let net = tail_net 0 in
   let owner = primary_of net in
-  let hedge_wins router =
-    Obs.Counter.value (Router.metrics router).hedge_wins
-  in
-  with_tail_cluster
-    ~config:{ Router.default_config with hedge_delay_floor = 0.5 }
-    (fun router client _ ->
-      ignore (solve_through client net : float);
+  with_tail_cluster ~config:Router.default_config (fun router client _ ->
+      solve_through client net;
       check_settled "plain forward" router);
-  with_tail_cluster
-    ~faults:(fun id ->
-      if String.equal id owner then Some (fault_plan "seed=5,delay:p=1:ms=500")
-      else None)
-    ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
+  with_tail_cluster ~dead:[ owner ] ~config:Router.default_config
     (fun router client _ ->
-      ignore (solve_through client net : float);
-      Alcotest.(check int) "the hedge won" 1 (hedge_wins router);
-      check_settled "primary abandoned" router);
-  with_tail_cluster ~dead:[ owner ]
-    ~config:{ Router.default_config with hedge_delay_floor = 0.02 }
-    (fun router client _ ->
-      ignore (solve_through client net : float);
+      solve_through client net;
       Alcotest.(check int) "the dead primary failed over" 1
         (Obs.Counter.value (shard_inst router owner).failovers);
-      check_settled "failover" router);
-  let nets = zero_floor_nets () in
-  with_tail_cluster ~faults:slow_a ~config:zero_floor_config
-    (fun router client _ ->
-      List.iter (fun net -> ignore (solve_through client net : float)) nets;
-      Alcotest.(check int) "every hedge won" (List.length nets)
-        (hedge_wins router);
-      check_settled "zero-floor hedges" router)
+      check_settled "failover" router)
 
 let wait_until what ready =
   let give_up = Cpu_clock.monotonic_seconds () +. 10.0 in
@@ -733,7 +621,7 @@ let test_busy_owner_spills () =
     ~faults:(fun id ->
       if String.equal id "a" then Some (fault_plan "seed=3,delay:p=1:ms=300")
       else None)
-    ~config:{ Router.default_config with hedge = false }
+    ~config:Router.default_config
     (fun ~connect router client servers ->
       let spills id = Obs.Counter.value (shard_inst router id).spills in
       let forwarded id = Obs.Counter.value (shard_inst router id).forwarded in
@@ -748,7 +636,7 @@ let test_busy_owner_spills () =
           (fun () ->
             held_result :=
               Some
-                (try Ok (solve_through client held : float)
+                (try Ok (solve_through client held)
                  with e -> Error (Printexc.to_string e)))
           ()
       in
@@ -781,7 +669,7 @@ let test_busy_owner_spills () =
       | None -> Alcotest.fail "the held request never finished");
       check_settled "both idle" router;
       let a_forwarded = forwarded "a" and b_forwarded = forwarded "b" in
-      ignore (solve_through client net : float);
+      solve_through client net;
       Alcotest.(check int) "the idle owner served the repeat"
         (a_forwarded + 1) (forwarded "a");
       Alcotest.(check int) "b served nothing more" b_forwarded (forwarded "b");
@@ -797,7 +685,7 @@ let hold ~connect net =
       (fun () ->
         let client = connect () in
         outcome :=
-          (try Ok (solve_through client net : float)
+          (try Ok (solve_through client net)
            with e -> Error (Printexc.to_string e));
         Client.close client)
       ()
@@ -821,7 +709,7 @@ let test_overload_through_router () =
   with_tail_router
     ~shard_config:{ Server.default_config with queue_depth = 2; high_water = 1 }
     ~faults:(fun _ -> Some (fault_plan "seed=4,delay:p=1:ms=300"))
-    ~config:{ Router.default_config with hedge = false }
+    ~config:Router.default_config
     (fun ~connect router client _ ->
       let join_a = hold ~connect held_a in
       wait_until "a has one forward outstanding" (fun () ->
@@ -885,10 +773,10 @@ let test_cluster_block () =
       +. n "rip_degraded_total")
   in
   let nets = List.init 4 tail_net in
-  with_tail_cluster ~config:{ Router.default_config with hedge = false }
+  with_tail_cluster ~config:Router.default_config
     (fun router client servers ->
       let pass () =
-        List.iter (fun net -> ignore (solve_through client net : float)) nets
+        List.iter (solve_through client) nets
       in
       pass ();
       pass ();
@@ -937,78 +825,65 @@ let test_cluster_block () =
         (Helpers.count cluster "rip_toobig_total");
       check_identity "dead shards" cluster)
 
-(* The pool's four steps on their own: a timed wait honours its bound
-   and wakes on the answer, and an abandoned connection is closed, so
-   the next checkout re-dials. *)
-let test_pool_steps () =
-  let server =
-    Server.create
-      ~config:
-        {
-          Server.default_config with
-          jobs = Some 1;
-          faults = Some (fault_plan "seed=2,delay:p=1:ms=300");
-        }
-      Helpers.process
+(* One forward per request: the deltas of the router's cluster block
+   equal the client's own counts exactly — requests = sent, solved =
+   answers, hits = repeats, degraded = DEGRADED answers and misses =
+   requests - hits.  Once over a cold pass of distinct nets plus
+   repeats through live shards, once over requests the router answers
+   DEGRADED itself because every shard is dead. *)
+let test_routed_reconciliation () =
+  let series body name =
+    int_of_float (Option.value ~default:0.0 (Obs.scalar body name))
   in
-  let dials = ref 0 and workers = ref [] in
-  let connect () =
-    incr dials;
-    let server_fd, client_fd =
-      Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-    in
-    workers :=
-      Thread.create (Server.handle_connection server) server_fd :: !workers;
-    Client.of_fd client_fd
+  let reconcile what ~dead requests =
+    with_tail_cluster ~dead ~config:Router.default_config
+      (fun router client _ ->
+        let before = Router.metrics_body router in
+        let answers = ref 0 and cached = ref 0 and degraded = ref 0 in
+        List.iter
+          (fun net ->
+            match
+              Client.request client
+                (Protocol.Solve
+                   {
+                     budget = tail_budget net;
+                     deadline_ms = None;
+                     trace = None;
+                     net;
+                   })
+            with
+            | Ok (Protocol.Result { served; _ }) ->
+                incr answers;
+                if served = Protocol.Cached then incr cached
+            | Ok (Protocol.Degraded _) -> incr degraded
+            | Ok other ->
+                Alcotest.failf "%s: SOLVE answered %S" what
+                  (Protocol.print_response other)
+            | Error e -> Alcotest.failf "%s: SOLVE failed: %s" what e)
+          requests;
+        let after = Router.metrics_body router in
+        let delta name = series after name - series before name in
+        let check name expected =
+          Alcotest.(check int) (what ^ ": " ^ name ^ " delta") expected
+            (delta name)
+        in
+        check "rip_requests_total" (List.length requests);
+        check "rip_solved_total" !answers;
+        check "rip_cache_hits" !cached;
+        check "rip_degraded_total" !degraded;
+        check "rip_cache_misses"
+          (delta "rip_requests_total" - delta "rip_cache_hits");
+        (!cached, !degraded))
   in
-  let pool = Client.Pool.create ~timeout:5.0 ~size:1 connect in
-  let net = tail_net 1 in
-  let solve =
-    Protocol.Solve
-      { budget = tail_budget net; deadline_ms = None; trace = None; net }
-  in
-  let send frame =
-    match Client.Pool.send pool frame with
-    | Ok pending -> pending
-    | Error e -> Alcotest.failf "send failed: %s" e
-  in
-  let pending = send solve in
-  (* Each wait must return without the answer, and within bounds: an
-     instant check, the shortest blocking wait (1 us, which must not
-     turn into "block forever"), and a 20 ms wait that lasts about
-     that long (plus the kernel's tick rounding). *)
-  let timed_wait seconds =
-    let started = Cpu_clock.monotonic_seconds () in
-    Alcotest.(check bool)
-      (Printf.sprintf "not readable within %g s" seconds)
-      false
-      (Client.Pool.wait pending seconds);
-    Cpu_clock.monotonic_seconds () -. started
-  in
-  let instant = timed_wait 0.0 in
-  if instant > 0.005 then
-    Alcotest.failf "a zero wait took %.1f ms" (instant *. 1000.0);
-  let shortest = timed_wait 1e-6 in
-  if shortest > 0.1 then
-    Alcotest.failf "a 1 us wait took %.1f ms" (shortest *. 1000.0);
-  let waited = timed_wait 0.02 in
-  if waited < 0.015 || waited > 0.12 then
-    Alcotest.failf "a 20 ms wait took %.1f ms" (waited *. 1000.0);
-  Alcotest.(check bool) "readable once answered" true
-    (Client.Pool.wait pending 5.0);
-  (match Client.Pool.receive pending with
-  | Ok (Protocol.Result _) -> ()
-  | Ok other -> Alcotest.failf "answered %S" (Protocol.print_response other)
-  | Error e -> Alcotest.failf "receive failed: %s" e);
-  Client.Pool.abandon (send Protocol.Ping);
-  (match Client.Pool.request pool Protocol.Ping with
-  | Ok Protocol.Pong -> ()
-  | Ok other -> Alcotest.failf "answered %S" (Protocol.print_response other)
-  | Error e -> Alcotest.failf "request failed: %s" e);
-  Alcotest.(check int) "abandoning forced exactly one re-dial" 2 !dials;
-  Client.Pool.close_all pool;
-  List.iter Thread.join !workers;
-  Server.shutdown server
+  let nets = List.init 6 tail_net in
+  let repeats = List.filteri (fun i _ -> i mod 2 = 0) nets in
+  let hits, degraded = reconcile "live shards" ~dead:[] (nets @ repeats) in
+  Alcotest.(check int) "every repeat hit" (List.length repeats) hits;
+  Alcotest.(check int) "no degraded answer" 0 degraded;
+  let lost = List.init 3 tail_net in
+  let hits, degraded = reconcile "dead shards" ~dead:tail_ids lost in
+  Alcotest.(check int) "no hit" 0 hits;
+  Alcotest.(check int) "every answer degraded" (List.length lost) degraded
 
 let suite =
   [
@@ -1025,7 +900,7 @@ let suite =
       ] );
     ( "router.config",
       [
-        Alcotest.test_case "hedge and breaker validation" `Quick
+        Alcotest.test_case "breaker and pool validation" `Quick
           test_router_config_validation;
       ] );
     ( "router.trace",
@@ -1036,14 +911,9 @@ let suite =
       ] );
     ( "router.tail",
       [
-        Alcotest.test_case "fast primary is not hedged" `Quick
-          test_tail_fast_primary;
-        Alcotest.test_case "slow primary is hedged and abandoned" `Quick
-          test_tail_slow_primary_hedged;
         Alcotest.test_case "dead primary fails over" `Quick
           test_tail_dead_primary_fails_over;
-        Alcotest.test_case "zero hedge floor" `Quick test_tail_zero_floor;
-        Alcotest.test_case "spool and traces reconcile with hedges" `Quick
+        Alcotest.test_case "spool and traces reconcile on failover" `Quick
           test_tail_spool_reconciles;
         Alcotest.test_case "repeats hit the owning shard's cache" `Quick
           test_cache_affinity;
@@ -1055,7 +925,7 @@ let suite =
           `Quick test_overload_through_router;
         Alcotest.test_case "the cluster block sums the shards' METRICS"
           `Quick test_cluster_block;
-        Alcotest.test_case "pool send, wait, receive, abandon" `Quick
-          test_pool_steps;
+        Alcotest.test_case "routed counters reconcile exactly" `Quick
+          test_routed_reconciliation;
       ] );
   ]
