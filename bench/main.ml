@@ -146,9 +146,9 @@ let run_ablation scale =
         { base_config with
           refine = { base_config.Config.refine with
                      Rip_refine.Refine.max_iterations = 0 } } );
-      ( "refined radius 2",
+      ( "radius ceiling 2 (no widening)",
         { base_config with Config.refined_radius = 2 } );
-      ( "refined radius 20",
+      ( "radius ceiling 20",
         { base_config with Config.refined_radius = 20 } );
       ( "coarse pitch 400um",
         { base_config with Config.coarse_pitch = 400.0 } );

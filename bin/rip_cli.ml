@@ -56,14 +56,22 @@ let print_trace (report : Rip.report) =
   | None -> printf "line 2 (REFINE): skipped\n");
   (match trace.Rip.refined_library with
   | Some b ->
-      printf "line 3: library %s, %d candidate sites\n"
-        (Fmt.str "%a" Rip_dp.Repeater_library.pp b)
-        (List.length trace.Rip.refined_candidates)
+      printf "line 3: library %s\n" (Fmt.str "%a" Rip_dp.Repeater_library.pp b)
   | None -> ());
+  (* The window where line 4's schedule stopped: both backends widen
+     alike, so a diff of two traces compares the schedules too. *)
+  let window =
+    match trace.Rip.final_radius with
+    | Some radius ->
+        Printf.sprintf ", radius %d, %d candidate sites" radius
+          (List.length trace.Rip.refined_candidates)
+    | None -> ""
+  in
   (match trace.Rip.final with
   | Some f ->
-      printf "line 4 (final DP): width %.1f u\n" f.Rip_dp.Power_dp.total_width
-  | None -> printf "line 4 (final DP): infeasible\n");
+      printf "line 4 (final DP%s): width %.1f u\n" window
+        f.Rip_dp.Power_dp.total_width
+  | None -> printf "line 4 (final DP%s): infeasible\n" window);
   (match trace.Rip.rescue with
   | Some r ->
       printf "rescue pass: width %.1f u\n" r.Rip_dp.Power_dp.total_width

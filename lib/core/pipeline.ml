@@ -10,8 +10,9 @@ module type SUBSTRATE = sig
   val uniform : t -> pitch:float -> sites
   val around : t -> centers:solution -> radius:int -> pitch:float -> sites
   val halve : t -> sites -> sites option
-  val window_core :
-    t -> centers:solution -> pitch:float -> sites -> sites option
+  val widens : bool
+  val at_edge :
+    t -> centers:solution -> radius:int -> pitch:float -> solution -> bool
 
   val power_dp :
     t -> ?width_bound:dp -> ?price:float -> library:Repeater_library.t ->
@@ -40,9 +41,20 @@ type ('dp, 'continuous, 'sites) trace = {
   refined_library : Repeater_library.t option;
   refined_sites : 'sites option;
   core_bound : 'dp option;
+  final_radius : int option;
   final : 'dp option;
   rescue : 'dp option;
   anchor : 'dp option;
+}
+
+(* One round of lines 2-4. *)
+type ('dp, 'continuous, 'sites) round = {
+  outcome : 'continuous;
+  library : Repeater_library.t option;
+  sites : 'sites;
+  core_bound : 'dp option;
+  radius : int option;
+  final : 'dp option;
 }
 
 let rounded_library (config : Config.t) widths =
@@ -50,13 +62,13 @@ let rounded_library (config : Config.t) widths =
     ~min_width:config.Config.min_width ~max_width:config.Config.max_width
     widths
 
+let start_radius = 2
+
 module Make (S : SUBSTRATE) = struct
   let run ~(config : Config.t) ~hooks t ~budget =
     let in_phase name f = Hooks.in_phase hooks name f in
-    let around centers =
-      S.around t ~centers ~radius:config.Config.refined_radius
-        ~pitch:config.Config.refined_pitch
-    in
+    let pitch = config.Config.refined_pitch in
+    let ceiling = config.Config.refined_radius in
     let run_dp ?width_bound ?price ~library sites =
       S.power_dp t ?width_bound ?price ~library ~budget sites
     in
@@ -81,14 +93,34 @@ module Make (S : SUBSTRATE) = struct
       | Some half ->
           bounded ~library sites ~bound:(halving ~library half)
     in
-    let windowed ?price ?seed ~library ~centers sites =
-      match
-        S.window_core t ~centers ~pitch:config.Config.refined_pitch sites
-      with
-      | None -> run_dp ~library sites
-      | Some core ->
-          bounded ?price ~library sites
-            ~bound:(bounded ?price ~library core ~bound:seed)
+    (* A window pass around [centers] starts at [start_radius] slots,
+       bounded by [seed], and doubles the radius up to the ceiling while a
+       repeater of its answer sits on a window's outermost slot; a window
+       without an answer widens straight to the ceiling.  Each wider
+       window holds the narrower one's sites, so the previous answer
+       bounds it.  Returns the last window's sites and radius with its
+       answer. *)
+    let windowed ?price ?seed ~library ~centers () =
+      let solve radius bound =
+        let sites = S.around t ~centers ~radius ~pitch in
+        (sites, radius, bounded ?price ~library ~bound sites)
+      in
+      let rec widen ((_, radius, answer) as window) =
+        if radius >= ceiling then window
+        else
+          match answer with
+          | None -> solve ceiling None
+          | Some a ->
+              if S.at_edge t ~centers ~radius ~pitch (S.solution a) then
+                widen (solve (Int.min ceiling (2 * radius)) answer)
+              else window
+      in
+      let first = if S.widens then Int.min start_radius ceiling else ceiling in
+      widen (solve first seed)
+    in
+    let window_answer ~library ~centers =
+      let _, _, answer = windowed ~library ~centers () in
+      answer
     in
     let coarse_sites = S.uniform t ~pitch:config.Config.coarse_pitch in
     (* Line 1, with a fallback library for budgets the coarse grid misses.
@@ -115,7 +147,7 @@ module Make (S : SUBSTRATE) = struct
        seeds the continuous step with the previous round's answer. *)
     let run_round seed =
       match in_phase "refine" (fun () -> S.continuous t ~budget ~seed) with
-      | None -> (None, None, None, None, None)
+      | None -> None
       | Some outcome ->
           let placed = S.placed outcome in
           let library =
@@ -125,28 +157,30 @@ module Make (S : SUBSTRATE) = struct
           in
           (* The continuous insertion with its widths rounded up to the
              final library: when it meets the budget it is a legal answer
-             over the core sites (they hold its positions), so its width
-             bounds the core pass. *)
+             over the first window's sites (they hold its positions), so
+             its width bounds that pass. *)
           let core_bound =
             Option.bind library (fun library ->
                 match S.rounded_up t outcome ~library with
                 | Some r when S.delay r <= budget -> Some r
                 | Some _ | None -> None)
           in
-          let sites = around placed in
-          let final =
+          let sites, radius, final =
             match library with
-            | None -> Some (S.bare t)
+            | None ->
+                (S.around t ~centers:placed ~radius:ceiling ~pitch, None,
+                 Some (S.bare t))
             | Some library ->
-                in_phase "final_dp" (fun () ->
-                    windowed ?price:(S.price outcome) ?seed:core_bound
-                      ~library ~centers:placed sites)
+                let sites, radius, final =
+                  in_phase "final_dp" (fun () ->
+                      windowed ?price:(S.price outcome) ?seed:core_bound
+                        ~library ~centers:placed ())
+                in
+                (sites, Some radius, final)
           in
-          (Some outcome, library, Some sites, core_bound, final)
+          Some { outcome; library; sites; core_bound; radius; final }
     in
-    let refined, refined_library, refined_sites, core_bound, first_final =
-      run_round (S.solution coarse)
-    in
+    let first = run_round (S.solution coarse) in
     let final =
       let passes = Stdlib.max 1 config.Config.refine_passes in
       let rec iterate best k =
@@ -156,11 +190,12 @@ module Make (S : SUBSTRATE) = struct
           | None -> best
           | Some previous -> (
               match run_round (S.solution previous) with
-              | _, _, _, _, Some next when S.width next < S.width previous ->
+              | Some { final = Some next; _ }
+                when S.width next < S.width previous ->
                   iterate (Some next) (k + 1)
-              | _, _, _, _, (Some _ | None) -> best)
+              | Some _ | None -> best)
       in
-      iterate first_final 1
+      iterate (Option.bind first (fun r -> r.final)) 1
     in
     let tolerance = 1e-6 *. Float.abs budget in
     let misses r = S.delay r > budget +. tolerance in
@@ -182,7 +217,7 @@ module Make (S : SUBSTRATE) = struct
           | [] -> config.Config.fallback_library
           | widths -> rounded_library config widths
         in
-        windowed ~library ~centers:fastest (around fastest)
+        window_answer ~library ~centers:fastest
     in
     (* The narrowest budget-meeting result; a min-delay seed that itself
        misses the budget is never returned. *)
@@ -200,9 +235,15 @@ module Make (S : SUBSTRATE) = struct
            [ final; (if coarse_feasible then Some coarse else None); rescue ])
     in
     let answer ~anchor result =
+      let round f = Option.bind first f in
       Ok
-        ( { coarse; used_fallback_library; refined; refined_library;
-            refined_sites; core_bound; final; rescue; anchor },
+        ( { coarse; used_fallback_library;
+            refined = Option.map (fun r -> r.outcome) first;
+            refined_library = round (fun r -> r.library);
+            refined_sites = Option.map (fun r -> r.sites) first;
+            core_bound = round (fun r -> r.core_bound);
+            final_radius = round (fun r -> r.radius);
+            final; rescue; anchor },
           result )
     in
     match best with
@@ -226,9 +267,9 @@ module Make (S : SUBSTRATE) = struct
                 narrowest
                   (seed
                   :: Option.to_list
-                       (windowed
+                       (window_answer
                           ~library:(Repeater_library.create widths)
-                          ~centers:solution (around solution)))
+                          ~centers:solution))
         in
         match anchor with
         | Some result -> answer ~anchor result

@@ -20,14 +20,18 @@
        it over its own widths, whichever is narrower, if it meets.}}
 
     A substrate whose power DP takes a width bound names subsets of its
-    candidates ([halve], [window_core]): such a pass solves the subset
-    first and bounds the full pass by that answer's width, with the same
-    answer (DESIGN.md 3.2a).  A final pass's core subset is itself
-    bounded by the continuous insertion rounded up to the final library
-    ({!SUBSTRATE.rounded_up}), when that meets the budget, and priced at
-    the continuous step's multiplier.  A bounded pass without an answer
-    reruns unbounded, so no bound changes an answer.  A substrate without
-    subsets returns [None] there and every pass runs once. *)
+    candidates ([halve]): a coarse pass solves the subset first and bounds
+    the full pass by that answer's width, with the same answer (DESIGN.md
+    3.2a).  A window pass (final, rescue, anchor) around a substrate that
+    {!SUBSTRATE.widens} starts at {!start_radius} slots and doubles the
+    radius up to [config.refined_radius] while a repeater of its answer
+    sits on a window's outermost slot, each wider pass bounded by the
+    narrower one's answer; otherwise it runs once at
+    [config.refined_radius].  The final pass's first window is bounded by
+    the continuous insertion rounded up to the final library
+    ({!SUBSTRATE.rounded_up}), when that meets the budget, and every final
+    window is priced at the continuous step's multiplier.  A bounded pass
+    without an answer reruns unbounded, so no bound changes an answer. *)
 
 module type SUBSTRATE = sig
   type t
@@ -53,10 +57,15 @@ module type SUBSTRATE = sig
   val halve : t -> sites -> sites option
   (** The subset a coarse pass solves first, if any. *)
 
-  val window_core :
-    t -> centers:solution -> pitch:float -> sites -> sites option
-  (** The subset a pass over sites {!around} [centers] solves first, if
-      any. *)
+  val widens : bool
+  (** Whether window passes follow the widening schedule; without it
+      each runs once at the ceiling. *)
+
+  val at_edge :
+    t -> centers:solution -> radius:int -> pitch:float -> solution -> bool
+  (** Whether a repeater of the solution sits on the outermost slot of
+      every window {!around} [centers] at [radius] that holds it, so a
+      wider window may move it outward. *)
 
   val power_dp :
     t -> ?width_bound:dp -> ?price:float ->
@@ -82,8 +91,8 @@ module type SUBSTRATE = sig
     t -> continuous -> library:Rip_dp.Repeater_library.t -> dp option
   (** {!placed} with each width rounded up to the next width of
       [library], with its evaluated delay; [None] when some width has no
-      library width at or above it, or when the substrate has no
-      {!window_core} for the answer to bound. *)
+      library width at or above it, or when the substrate's power DP
+      ignores width bounds. *)
 
   val price : continuous -> float option
   (** The multiplier the final pass prices delay at, if any. *)
@@ -115,14 +124,21 @@ type ('dp, 'continuous, 'sites) trace = {
   refined : 'continuous option;  (** the first round's continuous step *)
   refined_library : Rip_dp.Repeater_library.t option;
       (** the first round's final library *)
-  refined_sites : 'sites option;  (** the first round's final sites *)
+  refined_sites : 'sites option;
+      (** the first round's last final window's sites *)
   core_bound : 'dp option;
       (** the first round's {!SUBSTRATE.rounded_up} insertion, when it
-          met the budget and so bounded that round's core pass *)
+          met the budget and so bounded that round's first window *)
+  final_radius : int option;
+      (** the radius where the first round's final window stopped;
+          [None] when that round ran no final DP *)
   final : 'dp option;  (** the last improving round's final DP *)
   rescue : 'dp option;  (** [None] unless it ran and found an answer *)
   anchor : 'dp option;  (** [None] unless it ran and its insertion meets *)
 }
+
+val start_radius : int
+(** The radius, in slots, a widening window pass starts at: 2. *)
 
 module Make (S : SUBSTRATE) : sig
   val run :

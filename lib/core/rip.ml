@@ -18,6 +18,7 @@ type phase_trace = {
   refined_library : Repeater_library.t option;
   refined_candidates : float list;
   core_bound : Power_dp.result option;
+  final_radius : int option;
   final : Power_dp.result option;
   rescue : Power_dp.result option;
   anchor : Power_dp.result option;
@@ -46,13 +47,9 @@ let tau_min (process : Process.t) geometry =
          (Candidates.uniform (Geometry.net geometry)
             ~pitch:Config.tau_min_pitch))
 
-(* The subsets the DP passes solve first (see [Pipeline]).  A coarse or
-   fallback pass halves its candidates down to [halving_floor]; a final
-   or rescue pass keeps the [core_slots] slots either side of each window
-   center, filtered out of the full list so it is a true subset even
-   where [Candidates] merged two windows. *)
+(* A coarse or fallback pass solves every other candidate first (see
+   [Pipeline]), halved down to [halving_floor]. *)
 let halving_floor = 8
-let core_slots = 2
 
 (* The chain substrate of the hybrid pipeline: the power DP, REFINE and
    the analytical min-delay insertion over one net. *)
@@ -91,17 +88,18 @@ module Chain = struct
     then Some (List.filteri (fun i _ -> i mod 2 = 1) candidates)
     else None
 
-  let window_core t ~centers ~pitch candidates =
-    if not (bounded t) then None
-    else
-      let centers = Solution.positions centers in
-      let reach = (float_of_int core_slots +. 0.5) *. pitch in
-      let core =
-        List.filter
-          (fun x -> List.exists (fun c -> Float.abs (x -. c) < reach) centers)
-          candidates
-      in
-      if List.compare_lengths core candidates = 0 then None else Some core
+  (* The schedule is part of the algorithm: both backends widen alike. *)
+  let widens = true
+
+  (* A site of a window is [center + k * pitch] with [|k| <= radius], so
+     a repeater no center holds within [radius - 1/2] slots sits on the
+     outermost slot of every window it is in. *)
+  let at_edge _ ~centers ~radius ~pitch solution =
+    let inner = (float_of_int radius -. 0.5) *. pitch in
+    let centers = Solution.positions centers in
+    List.exists
+      (fun x -> List.for_all (fun c -> Float.abs (x -. c) > inner) centers)
+      (Solution.positions solution)
 
   (* One label arena serves every DP pass of a solve (coarse, final per
      round, rescue): the final DPs reuse the capacity the coarse pass
@@ -231,6 +229,7 @@ let solve_prepared ?(config = Config.default) ?(hooks = Hooks.default) process
           refined_candidates =
             Option.value t.Pipeline.refined_sites ~default:[];
           core_bound = t.Pipeline.core_bound;
+          final_radius = t.Pipeline.final_radius;
           final = t.Pipeline.final;
           rescue = t.Pipeline.rescue;
           anchor = t.Pipeline.anchor;

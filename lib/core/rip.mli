@@ -18,14 +18,19 @@
     the gridded min-delay insertion behind {!tau_min} meets is always
     answered.
 
-    Under the [Fast] DP backend every DP pass first solves a subset of
-    its candidates and bounds the full pass by that answer's width.  The
-    final pass's core subset is itself bounded by REFINE's insertion
-    rounded up to library B ({!phase_trace.core_bound}), and the final
-    pass's bounded runs price delay at REFINE's multiplier.  A bounded
-    run without an answer reruns unbounded, so the answers and every
-    phase of the trace are those of the unbounded passes [Reference]
-    runs (DESIGN.md 3.2a). *)
+    Line 4 searches a window that starts at
+    {!Pipeline.start_radius} slots around each REFINE location
+    and doubles up to [config.refined_radius] (the paper's 10, a ceiling)
+    while a repeater of its answer sits on the window's outermost slot;
+    the rescue and anchor passes widen alike.  Under the [Fast] DP
+    backend every coarse pass first solves a subset of its candidates and
+    bounds the full pass by that answer's width, and every wider window
+    is bounded by the narrower one's answer.  The first window is itself
+    bounded by REFINE's insertion rounded up to library B
+    ({!phase_trace.core_bound}), and line 4's bounded runs price delay at
+    REFINE's multiplier.  A bounded run without an answer reruns
+    unbounded, so the answers and every phase of the trace are those of
+    the unbounded passes [Reference] runs (DESIGN.md 3.2a). *)
 
 type phase_trace = {
   coarse : Rip_dp.Power_dp.result option;
@@ -33,12 +38,15 @@ type phase_trace = {
   used_fallback_library : bool;
   refined : Rip_refine.Refine.outcome option;  (** line 2 result *)
   refined_library : Rip_dp.Repeater_library.t option;  (** line 3 library B *)
-  refined_candidates : float list;  (** line 3 location set S *)
+  refined_candidates : float list;
+      (** line 3 location set S: the sites of line 4's last window *)
   core_bound : Rip_dp.Power_dp.result option;
       (** REFINE's insertion with each width rounded up to library B,
-          when it meets the budget: its width bounded the line-4 pass's
-          core subset.  [None] under [Reference], which has no subset
-          passes. *)
+          when it meets the budget: its width bounded line 4's first
+          window.  [None] under [Reference], which ignores bounds. *)
+  final_radius : int option;
+      (** the radius, in slots, where line 4's window stopped widening;
+          [None] when line 4 ran no DP *)
   final : Rip_dp.Power_dp.result option;  (** line 4 result *)
   rescue : Rip_dp.Power_dp.result option;
       (** last-resort pass for budgets so tight that every DP grid missed:

@@ -279,7 +279,8 @@ let open_ ?faults config =
         let valid = ref 0 in
         let rejected = ref 0 in
         let torn = ref 0 in
-        let clean = ref false in
+        (* No segment yet is a first boot, not a crash. *)
+        let clean = ref (files = []) in
         let total = ref 0 in
         let last_index = List.fold_left (fun _ (i, _) -> i) 0 files in
         List.iter

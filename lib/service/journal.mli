@@ -50,7 +50,9 @@ type recovery = {
   valid_records : int;  (** CRC-valid records scanned *)
   crc_rejected : int;  (** records dropped for a CRC mismatch *)
   torn_bytes : int;  (** tail bytes truncated at the first bad frame *)
-  clean : bool;  (** a clean-shutdown footer terminated the log *)
+  clean : bool;
+      (** a clean-shutdown footer terminated the log, or there was no
+          segment yet (a first boot) *)
   segments : int;  (** segment files scanned *)
 }
 

@@ -15,6 +15,7 @@ type t = {
   queue_wait : Obs.Histogram.t;
   solve_cpu : Obs.Histogram.t;
   dp_columns : Obs.Counter.t;
+  dp_labels_kept : Obs.Counter.t;
   dp_labels_pruned : Obs.Counter.t;
   refine_iterations : Obs.Counter.t;
   refine_width_evaluations : Obs.Counter.t;
@@ -57,6 +58,10 @@ let create ?cache_stats ?journal_stats () =
           ~help:"per-solve thread-CPU seconds inside the solver";
       dp_columns =
         counter "rip_dp_columns_total" "DP state frontiers frozen";
+      dp_labels_kept =
+        counter "rip_dp_labels_kept_total"
+          "DP labels kept at frontier freezing (after the Pareto prune and \
+           any cap)";
       dp_labels_pruned =
         counter "rip_dp_labels_pruned_total"
           "DP labels dropped at frontier freezing (collected - kept: \

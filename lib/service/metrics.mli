@@ -31,6 +31,9 @@ type t = {
       (** per fresh solve, thread-CPU seconds inside the solver *)
   dp_columns : Obs.Counter.t;
       (** DP state frontiers frozen ({!Rip_dp.Power_dp.probe_event}) *)
+  dp_labels_kept : Obs.Counter.t;
+      (** labels those freezes kept ([kept], after the Pareto prune and
+          any cap): the DP work {!dp_columns} cannot show *)
   dp_labels_pruned : Obs.Counter.t;
       (** labels dropped at those freezes ([collected - kept]).  Labels
           the fast DP skips before collection (the minF, width-bound and

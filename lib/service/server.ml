@@ -283,6 +283,7 @@ type solve_outcome =
 let solver_probe t ~pruned = function
   | Rip.Dp (Rip_dp.Power_dp.Column { collected; kept; _ }) ->
       Obs.Counter.incr t.metrics.dp_columns;
+      Obs.Counter.add t.metrics.dp_labels_kept kept;
       Obs.Counter.add t.metrics.dp_labels_pruned (collected - kept);
       ignore (Atomic.fetch_and_add pruned (collected - kept))
   | Rip.Refine (Rip_refine.Refine.Iteration { evaluations; _ }) ->

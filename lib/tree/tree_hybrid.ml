@@ -18,9 +18,10 @@ let tau_min (process : Process.t) tree =
     ~sites:(Tree_dp.uniform_sites tree ~pitch:Config.tau_min_pitch)
 
 (* The tree substrate of the hybrid pipeline.  [Tree_dp] takes no width
-   bound, so no pass has a subset; the continuous step is [Tree_sizing] at
-   the seed's placements, which neither moves repeaters nor yields a
-   price. *)
+   bound, so no pass has a subset and each wider window would rerun its
+   DP from scratch: every window runs once at the ceiling.  The
+   continuous step is [Tree_sizing] at the seed's placements, which
+   neither moves repeaters nor yields a price. *)
 module Tree_substrate = struct
   type t = {
     config : Config.t;
@@ -37,7 +38,8 @@ module Tree_substrate = struct
     Tree_dp.around_sites t.tree ~centers ~radius ~pitch
 
   let halve _ _ = None
-  let window_core _ ~centers:_ ~pitch:_ _ = None
+  let widens = false
+  let at_edge _ ~centers:_ ~radius:_ ~pitch:_ _ = false
 
   let power_dp t ?width_bound:_ ?price:_ ~library ~budget sites =
     Tree_dp.solve t.repeater t.tree ~library ~sites ~budget

@@ -354,48 +354,65 @@ let bounded_passes_case ~frontier_cap name =
       run ();
       Alcotest.(check bool) "the seeded core pass ran" true (!seeded > 0) )
 
-(* A seed bound one unit (1e-3 u) below the core optimum: the bounded
-   core pass finds nothing and reruns unbounded, and the full pass is
-   bounded by that rerun's answer.  The answer and the final pass,
-   its work counts included, are bit-identical to the real seed's. *)
+(* A perfbench-recipe net whose final window widens from radius 2 to the
+   ceiling at [widening_slack]: the radius-2 answer puts a repeater on
+   the window's outermost slot, and the ceiling's answer drops one of
+   its three repeaters (200 u -> 180 u). *)
+let widening_net () =
+  match
+    Net_io.parse_string
+      "net n6_23\ndriver 20\nreceiver 40\n\
+       segment 1551.2252507703377 0.06 0.48 metal4\n\
+       segment 1588.7897123755724 0.05 0.52 metal5\n\
+       segment 1435.4950633971537 0.05 0.52 metal5\n\
+       segment 1946.0163932138908 0.06 0.48 metal4\n\
+       segment 1322.3122465812921 0.06 0.48 metal4\n\
+       segment 2332.0993083614626 0.06 0.48 metal4\n\
+       zone 3269.503803016879 5569.242454846884\n"
+  with
+  | Ok net -> net
+  | Error e -> Alcotest.failf "parse: %s" e
+
+let widening_slack = 1.483429
+
+(* A seed bound one unit (1e-3 u) below the optimum of the final pass's
+   first, radius-2 window: the bounded pass finds nothing and reruns
+   unbounded, and each wider window is bounded by the previous answer.
+   The window widens, so the last final pass runs under the same bound
+   either way: the answer and that pass, its work counts included, are
+   bit-identical to the real seed's. *)
 let test_seed_below_core_optimum () =
-  let net = macro_net () in
+  let net = widening_net () in
   let geometry = Geometry.of_net net in
-  let budget = 1.2 *. Rip.tau_min process geometry in
+  let budget = widening_slack *. Rip.tau_min process geometry in
   let config = Config.default in
   let bounded_misses = ref 0 in
   let module Low_seed = struct
     include Rip.Chain
 
     let rounded_up t outcome ~library =
-      let centers = placed outcome in
-      let sites =
-        around t ~centers ~radius:config.Config.refined_radius
+      let core =
+        around t ~centers:(placed outcome)
+          ~radius:Rip_core.Pipeline.start_radius
           ~pitch:config.Config.refined_pitch
       in
-      match
-        window_core t ~centers ~pitch:config.Config.refined_pitch sites
-      with
-      | None -> Alcotest.fail "the final pass has a core subset"
-      | Some core -> (
-          match power_dp t ~library ~budget core with
-          | None -> Alcotest.fail "the core subset has an answer"
-          | Some optimum -> (
-              match Solution.repeaters optimum.Power_dp.solution with
-              | [] -> Alcotest.fail "the core optimum has a repeater"
-              | first :: rest ->
-                  let lowered =
-                    Solution.create
-                      ((first.position, first.width -. 1e-3)
-                      :: List.map
-                           (fun (r : Solution.repeater) ->
-                             (r.position, r.width))
-                           rest)
-                  in
-                  Some
-                    { optimum with
-                      Power_dp.solution = lowered;
-                      total_width = optimum.Power_dp.total_width -. 1e-3 }))
+      match power_dp t ~library ~budget core with
+      | None -> Alcotest.fail "the radius-2 window has an answer"
+      | Some optimum -> (
+          match Solution.repeaters optimum.Power_dp.solution with
+          | [] -> Alcotest.fail "the radius-2 optimum has a repeater"
+          | first :: rest ->
+              let lowered =
+                Solution.create
+                  ((first.position, first.width -. 1e-3)
+                  :: List.map
+                       (fun (r : Solution.repeater) -> (r.position, r.width))
+                       rest)
+              in
+              Some
+                { optimum with
+                  Power_dp.solution = lowered;
+                  total_width = optimum.Power_dp.total_width -. 1e-3 })
 
     let power_dp t ?width_bound ?price ~library ~budget sites =
       let answer = power_dp t ?width_bound ?price ~library ~budget sites in
@@ -410,8 +427,12 @@ let test_seed_below_core_optimum () =
     | Ok r -> r
     | Error e -> Alcotest.fail (Rip.error_to_string e)
   in
-  Alcotest.(check bool) "the real seed bounds the core pass" true
+  Alcotest.(check bool) "the real seed bounds the first window" true
     (Option.is_some expected.Rip.trace.Rip.core_bound);
+  Alcotest.(check bool) "the window widened" true
+    (Option.fold ~none:false
+       ~some:(fun r -> r > Rip_core.Pipeline.start_radius)
+       expected.Rip.trace.Rip.final_radius);
   match
     Low_pipeline.run ~config ~hooks:Rip_core.Hooks.default
       (Rip.Chain.create ~config process geometry)
@@ -419,8 +440,11 @@ let test_seed_below_core_optimum () =
   with
   | Error _ -> Alcotest.fail "the low seed lost the answer"
   | Ok (trace, best) ->
-      Alcotest.(check int) "only the seeded core pass found nothing" 1
+      Alcotest.(check int) "only the seeded first window found nothing" 1
         !bounded_misses;
+      Alcotest.(check (option int)) "same final radius"
+        expected.Rip.trace.Rip.final_radius
+        trace.Rip_core.Pipeline.final_radius;
       Alcotest.(check bool) "same answer" true
         (Solution.equal best.Power_dp.solution expected.Rip.solution
         && Float.equal best.Power_dp.total_width expected.Rip.total_width);
@@ -440,6 +464,89 @@ let ladder_delay net geometry solution =
 let legal_and_meets net geometry ~budget (r : Rip.report) =
   Validate.is_valid process net ~budget r.Rip.solution
   && ladder_delay net geometry r.Rip.solution <= budget *. (1.0 +. 1e-4)
+
+let solve_at_radius radius net ~geometry ~budget =
+  Rip.solve
+    ~config:{ Config.default with Config.refined_radius = radius }
+    (Rip.problem ~geometry process net ~budget)
+
+(* The pinned net's window widens past radius 2, and the wider window's
+   answer is narrower than the answer with the ceiling at radius 2. *)
+let test_window_widens () =
+  let net = widening_net () in
+  let geometry = Geometry.of_net net in
+  let budget = widening_slack *. Rip.tau_min process geometry in
+  match
+    ( Rip.solve (Rip.problem ~geometry process net ~budget),
+      solve_at_radius Rip_core.Pipeline.start_radius net ~geometry ~budget )
+  with
+  | Ok widened, Ok core ->
+      Alcotest.(check (option int)) "radius 2 stops at radius 2"
+        (Some Rip_core.Pipeline.start_radius)
+        core.Rip.trace.Rip.final_radius;
+      Alcotest.(check (option int)) "the window widened to the ceiling"
+        (Some Config.default.Config.refined_radius)
+        widened.Rip.trace.Rip.final_radius;
+      Alcotest.(check bool) "the last window's sites are recorded" true
+        (List.compare_lengths widened.Rip.trace.Rip.refined_candidates
+           core.Rip.trace.Rip.refined_candidates
+        > 0);
+      Alcotest.(check bool) "legal and meets the budget on the RC ladder"
+        true
+        (legal_and_meets net geometry ~budget widened);
+      Alcotest.(check bool) "narrower than the radius-2 answer" true
+        (widened.Rip.total_width < core.Rip.total_width)
+  | Error e, _ | _, Error e -> Alcotest.fail (Rip.error_to_string e)
+
+(* Whatever the schedule does, its answer is legal, meets the budget on
+   the RC ladder and is never wider than the answer with the ceiling at
+   radius 2, whose only window is the schedule's first.  Section-6
+   Netgen nets at 1.05-2.0 x tau_min. *)
+let widening_arb =
+  let gen =
+    QCheck.Gen.(
+      let* index = int_range 1 10_000 in
+      let* slack = float_range 1.05 2.0 in
+      return (Netgen.generate (Rip_numerics.Prng.create 31L) ~index, slack))
+  in
+  QCheck.make
+    ~print:(fun (net, slack) -> Fmt.str "%a x%g" Net.pp net slack)
+    gen
+
+(* How many cases of the qcheck below widened past radius 2. *)
+let widened_cases = ref 0
+
+let prop_widening_never_loses =
+  QCheck.Test.make ~name:"the widened window never loses to radius 2"
+    ~count:60 widening_arb (fun (net, slack) ->
+      let geometry = Geometry.of_net net in
+      let budget = slack *. Rip.tau_min process geometry in
+      match
+        ( Rip.solve (Rip.problem ~geometry process net ~budget),
+          solve_at_radius Rip_core.Pipeline.start_radius net ~geometry
+            ~budget )
+      with
+      | Ok widened, Ok core ->
+          if widened.Rip.trace.Rip.final_radius
+             <> core.Rip.trace.Rip.final_radius
+          then incr widened_cases;
+          legal_and_meets net geometry ~budget widened
+          && widened.Rip.total_width <= core.Rip.total_width
+      | Ok widened, Error _ -> legal_and_meets net geometry ~budget widened
+      | Error _, _ -> false)
+
+(* The seeded qcheck, then a check that some of its windows widened. *)
+let widening_case =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 41 |])
+      prop_widening_never_loses
+  in
+  ( name,
+    speed,
+    fun () ->
+      widened_cases := 0;
+      run ();
+      Alcotest.(check bool) "some window widened" true (!widened_cases > 0) )
 
 (* The insertion behind [Rip.tau_min]'s gridded half. *)
 let gridded_min_delay net geometry =
@@ -588,7 +695,10 @@ let suite =
         bounded_passes_case
           ~frontier_cap:Config.default.Config.dp.Config.frontier_cap
           "bounded passes match reference, default cap";
-        Alcotest.test_case "a seed bound below the core optimum" `Quick
+        Alcotest.test_case "a seed bound below the radius-2 optimum" `Quick
           test_seed_below_core_optimum;
+        Alcotest.test_case "a window on its edge widens" `Quick
+          test_window_widens;
+        widening_case;
       ] );
   ]

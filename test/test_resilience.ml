@@ -715,6 +715,24 @@ let test_journal_roundtrip () =
         (recovery2.Journal.entries = pairs);
       Journal.close journal2)
 
+(* A directory with no segment is a first boot, not a crash; a segment
+   its boot never closed still reads as unclean. *)
+let test_journal_first_boot () =
+  with_journal_dir "firstboot" (fun dir ->
+      let journal, recovery = open_exn (Journal.default_config ~dir) in
+      Alcotest.(check int) "no segment yet" 0 recovery.Journal.segments;
+      Alcotest.(check bool) "a first boot is not unclean" true
+        recovery.Journal.clean;
+      Journal.append journal ~key:"k" ~value:"v";
+      Journal.flush journal;
+      let journal2, recovery2 = open_exn (Journal.default_config ~dir) in
+      Alcotest.(check int) "the first boot's segment" 1
+        recovery2.Journal.segments;
+      Alcotest.(check bool) "a segment without a footer is unclean" false
+        recovery2.Journal.clean;
+      Journal.close journal2;
+      Journal.close journal)
+
 let test_journal_last_wins () =
   with_journal_dir "lastwins" (fun dir ->
       let journal, _ = open_exn (Journal.default_config ~dir) in
@@ -1035,6 +1053,8 @@ let suite =
           test_journal_crc32_vector;
         Alcotest.test_case "roundtrip with clean footer" `Quick
           test_journal_roundtrip;
+        Alcotest.test_case "a first boot is not unclean" `Quick
+          test_journal_first_boot;
         Alcotest.test_case "last write wins" `Quick test_journal_last_wins;
         Alcotest.test_case "segment rotation" `Quick test_journal_rotation;
         Alcotest.test_case "eviction-driven compaction" `Quick

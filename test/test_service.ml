@@ -511,6 +511,60 @@ let test_server_end_to_end () =
   Client.close client;
   Server.shutdown server
 
+(* The DP work counters are fed by the solver's [Column] probe: after
+   one fresh solve, the column count and the [kept] sum equal those of
+   the same solve probed in-process. *)
+let test_server_dp_counters_reconcile () =
+  let server =
+    Server.create ~config:{ Server.default_config with jobs = Some 1 } process
+  in
+  let server_fd, client_fd =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  let worker = Thread.create (Server.handle_connection server) server_fd in
+  let client = Client.of_fd client_fd in
+  let net = sample_net () in
+  let budget = 1.3 *. Rip.tau_min process (Geometry.of_net net) in
+  let _ =
+    expect_result
+      (Client.request client
+         (Protocol.Solve { budget; deadline_ms = None; trace = None; net }))
+  in
+  let columns = ref 0 and kept = ref 0 in
+  let probe = function
+    | Rip.Dp (Rip_dp.Power_dp.Column { kept = k; _ }) ->
+        incr columns;
+        kept := !kept + k
+    | Rip.Refine _ -> ()
+  in
+  (match
+     Rip.solve
+       ~hooks:(Rip_core.Hooks.make ~probe ())
+       (Rip.problem process net ~budget)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Rip.error_to_string e));
+  let metrics = Client.request client Protocol.Metrics in
+  let bye = Client.request client Protocol.Shutdown in
+  Thread.join worker;
+  Client.close client;
+  Server.shutdown server;
+  (match bye with
+  | Ok Protocol.Bye -> ()
+  | Ok other ->
+      Alcotest.failf "SHUTDOWN answered %S" (Protocol.print_response other)
+  | Error e -> Alcotest.failf "SHUTDOWN failed: %s" e);
+  match metrics with
+  | Ok (Protocol.Metrics_frame body) ->
+      Alcotest.(check bool) "the solve kept labels" true (!kept > 0);
+      Alcotest.(check int) "columns" !columns
+        (Helpers.count body "rip_dp_columns_total");
+      Alcotest.(check int) "labels kept" !kept
+        (Helpers.count body "rip_dp_labels_kept_total")
+  | Ok other ->
+      Alcotest.failf "METRICS answered %S" (Protocol.print_response other)
+  | Error e -> Alcotest.failf "METRICS failed: %s" e
+
 (* A traced solve must leave the full span tree: admission and cache
    lookup on the connection thread, the queue wait, the solve, and the
    per-phase solver spans — with span ids derived from the request's
@@ -819,6 +873,8 @@ let suite =
     ( "service.server",
       [
         Alcotest.test_case "end to end" `Quick test_server_end_to_end;
+        Alcotest.test_case "DP counters reconcile with the probe" `Quick
+          test_server_dp_counters_reconcile;
         Alcotest.test_case "traced solve leaves the span tree" `Quick
           test_server_traced_spans;
         Alcotest.test_case "TRACE context parents the server spans" `Quick

@@ -163,7 +163,7 @@ let fake_rip ~width : Rip.report =
     trace =
       { Rip.coarse = None; used_fallback_library = false; refined = None;
         refined_library = None; refined_candidates = []; core_bound = None;
-        final = None; rescue = None; anchor = None };
+        final_radius = None; final = None; rescue = None; anchor = None };
   }
 
 let fake_baseline ~width : Power_dp.result =
