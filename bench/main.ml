@@ -8,6 +8,9 @@
      dune exec bench/main.exe -- --jobs 8 suite -- engine scaling run
 
    Experiments: table1, table2, fig7, tree, ablation, micro, suite.
+   The micro experiment also times the service's per-request codec work
+   in-process (rows "codec:*": parsing a SOLVE, building its cache key,
+   serving a cache hit, forwarding through the router).
    The suite experiment runs the quick sweep through the rip_engine
    domain pool at jobs=1 and jobs=N, checks the outcome arrays are
    identical, and writes machine-readable rows to BENCH_suite.json in
@@ -224,6 +227,79 @@ let run_micro () =
     | None -> Solution.empty
   in
   let positions = Array.of_list (Solution.positions coarse) in
+  (* The request path's codec work, away from sockets and host noise:
+     what a shard does with a SOLVE that hits its cache, and what the
+     router does forwarding a SOLVE and relaying its answer. *)
+  let codec_tests =
+    let module Protocol = Rip_service.Protocol in
+    let module Solve_cache = Rip_service.Solve_cache in
+    let lines_of frame =
+      match List.rev (String.split_on_char '\n' frame) with
+      | "" :: rest -> List.rev rest
+      | all -> List.rev all
+    in
+    let request_lines =
+      lines_of (Protocol.print_request (Protocol.solve ~budget net))
+    in
+    let parse_solve () =
+      match Protocol.input_request (Protocol.reader_of_lines request_lines) with
+      | Ok (Some (Protocol.Solve solve)) -> solve
+      | Ok _ | Error _ -> failwith "micro: the SOLVE frame does not parse"
+    in
+    let answer =
+      match Rip.solve { Rip.process; net; geometry = Some geometry; budget } with
+      | Ok report ->
+          Protocol.answer
+            {
+              Protocol.repeaters =
+                List.map
+                  (fun (r : Solution.repeater) -> (r.position, r.width))
+                  (Solution.repeaters report.Rip.solution);
+              total_width = report.Rip.total_width;
+              delay = report.Rip.delay;
+              power_watts = report.Rip.power_watts;
+            }
+      | Error e -> failwith (Rip.error_to_string e)
+    in
+    let reply_lines =
+      lines_of
+        (Protocol.print_response
+           (Protocol.Result { served = Protocol.Cached; answer }))
+    in
+    let key = Solve_cache.key ~process in
+    let digest_of (a : Protocol.answer) = Digest.string a.Protocol.body in
+    let cache = Solve_cache.create ~capacity:16 in
+    Solve_cache.add_verified cache (key ~net ~budget) answer
+      ~digest:(digest_of answer);
+    [
+      Test.make ~name:"codec:parse_solve" (Staged.stage parse_solve);
+      Test.make ~name:"codec:cache_key"
+        (Staged.stage (fun () -> key ~net ~budget));
+      Test.make ~name:"codec:serve_cache_hit"
+        (Staged.stage (fun () ->
+             let solve = parse_solve () in
+             match
+               Solve_cache.find_verified cache
+                 (key ~net:solve.Protocol.net ~budget:solve.Protocol.budget)
+                 ~digest_of
+             with
+             | Some answer ->
+                 Protocol.print_response
+                   (Protocol.Result { served = Protocol.Cached; answer })
+             | None -> failwith "micro: the cache hit missed"));
+      Test.make ~name:"codec:router_forward"
+        (Staged.stage (fun () ->
+             let solve = parse_solve () in
+             let placement = Rip_net.Net.canonical_digest solve.Protocol.net in
+             let forwarded = Protocol.print_request (Protocol.Solve solve) in
+             match
+               Protocol.input_response (Protocol.reader_of_lines reply_lines)
+             with
+             | Ok (Some reply) ->
+                 (placement, forwarded, Protocol.print_response reply)
+             | Ok None | Error _ -> failwith "micro: the answer does not parse"));
+    ]
+  in
   let dp_micro backend name =
     let open Bechamel in
     Test.make ~name
@@ -254,6 +330,7 @@ let run_micro () =
         (Staged.stage (fun () ->
              Rip.solve { Rip.process; net; geometry = Some geometry; budget }));
     ]
+    @ codec_tests
   in
   let test = Test.make_grouped ~name:"rip" ~fmt:"%s/%s" tests in
   let ols =

@@ -58,5 +58,7 @@ let max_width t = t.(Array.length t - 1)
 let mem t w =
   Array.exists (fun x -> Float.abs (x -. w) <= equal_tolerance) t
 
+(* The separator holds no break hint, so a library never wraps the line
+   it is printed on. *)
 let pp ppf t =
-  Fmt.pf ppf "{%a}u" Fmt.(array ~sep:comma float) t
+  Fmt.pf ppf "{%a}u" Fmt.(array ~sep:(any ", ") float) t

@@ -60,23 +60,32 @@ let equal a b =
   && a.receiver_width = b.receiver_width
 
 (* The digest covers exactly the fields the solvers read — pin widths,
-   per-segment (length, r, c) and normalized zones — rendered at %.17g so
-   electrically identical nets collide and any float difference does not.
-   The cosmetic [name] and per-segment layer names are excluded. *)
+   per-segment (length, r, c) and normalized zones — as their IEEE-754
+   bits, so electrically identical nets collide and any float difference
+   does not.  Each record is a tag byte and fixed-width little-endian
+   words, so the byte string parses back unambiguously.  The cosmetic
+   [name] and per-segment layer names are excluded. *)
 let canonical_digest net =
-  let buffer = Buffer.create 256 in
-  Buffer.add_string buffer
-    (Printf.sprintf "pins %.17g %.17g\n" net.driver_width net.receiver_width);
+  let buffer =
+    Buffer.create
+      (17 + (25 * Array.length net.segments) + (17 * List.length net.zones))
+  in
+  let add_float x = Buffer.add_int64_le buffer (Int64.bits_of_float x) in
+  Buffer.add_char buffer 'p';
+  add_float net.driver_width;
+  add_float net.receiver_width;
   Array.iter
     (fun (s : Segment.t) ->
-      Buffer.add_string buffer
-        (Printf.sprintf "seg %.17g %.17g %.17g\n" s.length s.resistance_per_um
-           s.capacitance_per_um))
+      Buffer.add_char buffer 's';
+      add_float s.length;
+      add_float s.resistance_per_um;
+      add_float s.capacitance_per_um)
     net.segments;
   List.iter
     (fun (z : Zone.t) ->
-      Buffer.add_string buffer
-        (Printf.sprintf "zone %.17g %.17g\n" z.z_start z.z_end))
+      Buffer.add_char buffer 'z';
+      add_float z.z_start;
+      add_float z.z_end)
     net.zones;
   Digest.to_hex (Digest.string (Buffer.contents buffer))
 

@@ -40,9 +40,11 @@ val uniform : ?name:string -> Rip_tech.Layer.t -> length:float ->
 
 val canonical_digest : t -> string
 (** A hex digest of the net's electrical content: pin widths, per-segment
-    (length, unit R, unit C) and normalized zones, each rendered at
-    [%.17g].  Two nets share a digest iff they state the same insertion
-    problem — the cosmetic net name and segment layer names are excluded.
+    (length, unit R, unit C) and normalized zones, each as its IEEE-754
+    bits ({!Int64.bits_of_float}; no float is rendered as text).  Two nets
+    share a digest iff they state the same insertion problem — the
+    cosmetic net name and segment layer names are excluded.  [-0.] and
+    [0.] differ, as they did when the digest hashed [%.17g] text.
     This is the net part of a solve-cache key
     ({!Rip_service.Solve_cache}). *)
 

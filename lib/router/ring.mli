@@ -1,8 +1,9 @@
 (** A weighted consistent-hash ring over shard ids.
 
     Routing keys are opaque strings — the router uses
-    {!Rip_net.Net.canonical_digest}, so electrically identical nets land
-    on the same shard and its solve cache stays hot for that key range.
+    {!Rip_net.Net.canonical_digest} (an MD5 over the net's IEEE-754
+    float bits, no rendering), so electrically identical nets land on
+    the same shard and its solve cache stays hot for that key range.
     Placement is a pure function of the membership (MD5 positions), so
     it is identical across process restarts, and membership edits move
     only the edited shard's arcs: removing one of [n] equally-weighted

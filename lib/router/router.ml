@@ -362,7 +362,8 @@ let forward ~args t shard frame =
       Obs.Counter.incr shard.inst.failovers);
   result
 
-let serve_solve t ~budget ~deadline_ms ~trace ~net =
+let serve_solve t (solve : Protocol.solve) =
+  let { Protocol.budget; deadline_ms; trace; net; net_text = _ } = solve in
   let started = Cpu_clock.monotonic_seconds () in
   Obs.Counter.incr t.metrics.requests;
   let key = Net.canonical_digest net in
@@ -394,16 +395,17 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
        | None -> [])
   in
   let ingress_id = sid "ingress" in
-  (* A forwarded frame carries a child context parented on that shard's
-     forward span, so shard-side spans nest under the router's forward
-     in the merged timeline. *)
+  (* A forwarded frame is the request's own net lines under a header
+     carrying a child context parented on that shard's forward span, so
+     shard-side spans nest under the router's forward in the merged
+     timeline. *)
   let frame_for shard =
     let trace =
       Option.map
         (fun c -> Trace.child c ~span_id:(sid ("forward:" ^ shard.spec.id)))
         context
     in
-    Protocol.Solve { budget; deadline_ms; trace; net }
+    Protocol.Solve (Protocol.with_trace solve trace)
   in
   let fwd_args shard =
     span_args ~parent:ingress_id ("forward:" ^ shard.spec.id)
@@ -566,11 +568,11 @@ let track_in_flight t delta =
 let handlers t =
   {
     Frontend.solve =
-      (fun ~budget ~deadline_ms ~trace ~net ->
+      (fun solve ->
         track_in_flight t 1;
         Fun.protect
           ~finally:(fun () -> track_in_flight t (-1))
-          (fun () -> serve_solve t ~budget ~deadline_ms ~trace ~net));
+          (fun () -> serve_solve t solve));
     metrics = (fun () -> metrics_body t);
     health = (fun () -> health t);
     on_toobig = (fun () -> Obs.Counter.incr t.metrics.toobig);

@@ -14,6 +14,16 @@
     caches.  A request taken by the second choice counts in its
     [spills], and the owner becomes its failover target.
 
+    Forwarding renders neither the net nor the answer.  The router
+    parses each request and each shard answer in full (placement needs
+    the digest; a malformed or truncated answer is a lost transport and
+    fails over, and the frame-size bound holds on both sides), but it
+    forwards the request's own net lines ({!type:Rip_service.Protocol.solve}'s
+    [net_text]: comments cut, blank lines dropped) under a header it
+    renders — budget, [DEADLINE], and a child [TRACE] context — and
+    answers the client with the shard's body bytes, so a reply through
+    the router equals the shard's reply byte for byte.
+
     Admission is the shards' own: a shard answers BUSY once its queue
     is full and DEGRADED (overload) from its analytic fallback tier
     above its high-water mark, and the router relays either answer

@@ -103,15 +103,16 @@ let degraded ~process ?solver ~budget ~net reason =
   Protocol.Degraded
     {
       reason;
-      solution =
-        {
-          Protocol.repeaters =
-            List.map
-              (fun (r : Solution.repeater) -> (r.position, r.width))
-              (Solution.repeaters solution);
-          total_width;
-          delay = delay_of solution;
-          power_watts =
-            Rip_tech.Power_model.repeater_power power ~repeater ~total_width;
-        };
+      answer =
+        Protocol.answer
+          {
+            Protocol.repeaters =
+              List.map
+                (fun (r : Solution.repeater) -> (r.position, r.width))
+                (Solution.repeaters solution);
+            total_width;
+            delay = delay_of solution;
+            power_watts =
+              Rip_tech.Power_model.repeater_power power ~repeater ~total_width;
+          };
     }

@@ -1,8 +1,5 @@
 type handlers = {
-  solve :
-    budget:float -> deadline_ms:float option ->
-    trace:Rip_obs.Trace.context option -> net:Rip_net.Net.t ->
-    Protocol.response;
+  solve : Protocol.solve -> Protocol.response;
   metrics : unit -> string;
   health : unit -> Protocol.health;
   on_toobig : unit -> unit;
@@ -81,9 +78,9 @@ let handle_connection t handlers fd =
     | Ok (Some Protocol.Shutdown) ->
         send Protocol.Bye;
         request_shutdown t
-    | Ok (Some (Protocol.Solve { budget; deadline_ms; trace; net })) ->
+    | Ok (Some (Protocol.Solve solve)) ->
         let response =
-          try handlers.solve ~budget ~deadline_ms ~trace ~net
+          try handlers.solve solve
           with exn ->
             Protocol.Error_frame
               {

@@ -13,10 +13,7 @@
     EOF ends that connection only. *)
 
 type handlers = {
-  solve :
-    budget:float -> deadline_ms:float option ->
-    trace:Rip_obs.Trace.context option -> net:Rip_net.Net.t ->
-    Protocol.response;
+  solve : Protocol.solve -> Protocol.response;
   metrics : unit -> string;  (** the METRICS body *)
   health : unit -> Protocol.health;
   on_toobig : unit -> unit;  (** called before each TOOBIG answer *)

@@ -15,20 +15,20 @@ let workload ?(seed = Suite.default_seed) ?(distinct_nets = 8) ?(slack = 1.3)
         let net = Netgen.generate rng ~index:(i + 1) in
         let geometry = Geometry.of_net net in
         let budget = slack *. Rip.tau_min process geometry in
-        Protocol.Solve { budget; deadline_ms; trace = None; net })
+        Protocol.solve ?deadline_ms ~budget net)
   in
   Array.init requests (fun i ->
       match frames.(i mod distinct_nets) with
-      | Protocol.Solve { budget; deadline_ms; trace = _; net } when traced ->
+      | Protocol.Solve solve when traced ->
           (* Each request gets its own deterministic root context, even
              when the net repeats — the trace id is the join key across
              every process the request touches. *)
           let trace =
             Some
               (Rip_obs.Trace.make_context ~scope:"loadgen"
-                 ~digest:(Net.canonical_digest net) ~seq:i ())
+                 ~digest:(Net.canonical_digest solve.net) ~seq:i ())
           in
-          Protocol.Solve { budget; deadline_ms; trace; net }
+          Protocol.Solve (Protocol.with_trace solve trace)
       | frame -> frame)
 
 type result = {
@@ -122,10 +122,10 @@ let verify_pin shared frame (outcome : Client.outcome) =
   match (shared.pinned, frame, outcome.response) with
   | ( Some _,
       Protocol.Solve { budget; net; _ },
-      Ok (Protocol.Result { solution; _ }) ) ->
+      Ok (Protocol.Result { answer; _ }) ) ->
       Some
         ( Printf.sprintf "%s#%.17g" (Net.canonical_digest net) budget,
-          Digest.string (Protocol.solution_body solution) )
+          Digest.string answer.Protocol.body )
   | _ -> None
 
 let record shared frame latency (outcome : Client.outcome) =

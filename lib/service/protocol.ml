@@ -11,6 +11,8 @@ type solution = {
   power_watts : float;
 }
 
+type answer = { solution : solution; body : string }
+
 type served = Fresh | Cached
 
 type degrade_reason = Deadline_exceeded | Overload | Worker_lost
@@ -24,17 +26,15 @@ type health = {
 
 module Trace = Rip_obs.Trace
 
-type request =
-  | Ping
-  | Metrics
-  | Health
-  | Shutdown
-  | Solve of {
-      budget : float;
-      deadline_ms : float option;
-      trace : Trace.context option;
-      net : Rip_net.Net.t;
-    }
+type solve = {
+  budget : float;
+  deadline_ms : float option;
+  trace : Trace.context option;
+  net : Rip_net.Net.t;
+  net_text : string;
+}
+
+type request = Ping | Metrics | Health | Shutdown | Solve of solve
 
 type response =
   | Pong
@@ -43,8 +43,8 @@ type response =
   | Timeout
   | Toobig
   | Error_frame of { kind : error_kind; message : string }
-  | Result of { served : served; solution : solution }
-  | Degraded of { reason : degrade_reason; solution : solution }
+  | Result of { served : served; answer : answer }
+  | Degraded of { reason : degrade_reason; answer : answer }
   | Metrics_frame of string
       (* Prometheus text exposition, newline-terminated lines *)
   | Health_frame of health
@@ -105,12 +105,18 @@ let valid_shard_id id =
          || c = '-' || c = '_' || c = '.')
        id
 
+let solve ?deadline_ms ?trace ~budget net =
+  Solve
+    { budget; deadline_ms; trace; net; net_text = Rip_net.Net_io.to_string net }
+
+let with_trace solve trace = { solve with trace }
+
 let print_request = function
   | Ping -> "PING\n"
   | Metrics -> "METRICS\n"
   | Health -> "HEALTH\n"
   | Shutdown -> "SHUTDOWN\n"
-  | Solve { budget; deadline_ms; trace; net } ->
+  | Solve { budget; deadline_ms; trace; net = _; net_text } ->
       let deadline =
         match deadline_ms with
         | None -> ""
@@ -123,8 +129,9 @@ let print_request = function
             Printf.sprintf " TRACE %s %s %d" c.Trace.trace_id
               c.Trace.parent_span_id c.Trace.flags
       in
-      Printf.sprintf "SOLVE %.17g%s%s\n%sEND\n" budget deadline traced
-        (Rip_net.Net_io.to_string net)
+      String.concat ""
+        [ Printf.sprintf "SOLVE %.17g" budget; deadline; traced; "\n";
+          net_text; "END\n" ]
 
 let solution_body solution =
   let buffer = Buffer.create 128 in
@@ -138,6 +145,8 @@ let solution_body solution =
   Buffer.add_string buffer (Printf.sprintf "power %.17g\n" solution.power_watts);
   Buffer.contents buffer
 
+let answer solution = { solution; body = solution_body solution }
+
 let print_response = function
   | Pong -> "PONG\n"
   | Bye -> "BYE\n"
@@ -147,13 +156,13 @@ let print_response = function
   | Error_frame { kind; message } ->
       Printf.sprintf "ERROR %s %s\n" (error_kind_to_string kind)
         (one_line message)
-  | Result { served; solution } ->
-      Printf.sprintf "RESULT %s\n%sEND\n" (served_to_string served)
-        (solution_body solution)
-  | Degraded { reason; solution } ->
-      Printf.sprintf "DEGRADED %s\n%sEND\n"
-        (degrade_reason_to_string reason)
-        (solution_body solution)
+  | Result { served; answer } ->
+      String.concat ""
+        [ "RESULT "; served_to_string served; "\n"; answer.body; "END\n" ]
+  | Degraded { reason; answer } ->
+      String.concat ""
+        [ "DEGRADED "; degrade_reason_to_string reason; "\n"; answer.body;
+          "END\n" ]
   | Metrics_frame body -> Printf.sprintf "METRICS\n%sEND\n" body
   | Health_frame h ->
       Printf.sprintf "HEALTHY %s %d %d %d\n" h.health_shard_id
@@ -201,6 +210,27 @@ let body_until_end read =
 
 let split_words line =
   List.filter (fun s -> s <> "") (String.split_on_char ' ' line)
+
+(* The net lines a parsed SOLVE keeps for forwarding: each line's
+   comment cut, blank lines dropped, every line newline-terminated.  A
+   kept line never equals END, since END is not a net directive and the
+   body has already parsed. *)
+let net_text lines =
+  let blank line = String.for_all (fun c -> c = ' ' || c = '\t') line in
+  let buffer = Buffer.create 1024 in
+  List.iter
+    (fun line ->
+      let line =
+        match String.index_opt line '#' with
+        | Some i -> String.sub line 0 i
+        | None -> line
+      in
+      if not (blank line) then begin
+        Buffer.add_string buffer line;
+        Buffer.add_char buffer '\n'
+      end)
+    lines;
+  Buffer.contents buffer
 
 let input_request read =
   match read () with
@@ -256,7 +286,8 @@ let input_request read =
               (fun e -> Printf.sprintf "bad net body: %s" e)
               (Rip_net.Net_io.parse_string (String.concat "\n" body))
           in
-          Ok (Some (Solve { budget; deadline_ms; trace; net }))
+          let net_text = net_text body in
+          Ok (Some (Solve { budget; deadline_ms; trace; net; net_text }))
       | [] -> Error "empty request line"
       | word :: _ -> Error (Printf.sprintf "unknown request %S" word))
 
@@ -290,6 +321,17 @@ let parse_solution_body lines =
   in
   loop [] lines
 
+(* The body bytes are kept as read, so relaying an answer renders no
+   float. *)
+let answer_of_lines lines =
+  let* solution = parse_solution_body lines in
+  Ok { solution; body = String.concat "\n" lines ^ "\n" }
+
+let answer_of_body body =
+  match List.rev (String.split_on_char '\n' body) with
+  | "" :: rev_lines -> answer_of_lines (List.rev rev_lines)
+  | _ -> Error "answer body does not end with a newline"
+
 let input_response read =
   match read () with
   | None -> Ok None
@@ -322,8 +364,8 @@ let input_response read =
             | other -> Error (Printf.sprintf "unknown RESULT tag %S" other)
           in
           let* body = body_until_end read in
-          let* solution = parse_solution_body body in
-          Ok (Some (Result { served; solution }))
+          let* answer = answer_of_lines body in
+          Ok (Some (Result { served; answer }))
       | [ "DEGRADED"; reason ] ->
           let* reason =
             match degrade_reason_of_string reason with
@@ -331,8 +373,8 @@ let input_response read =
             | None -> Error (Printf.sprintf "unknown DEGRADED reason %S" reason)
           in
           let* body = body_until_end read in
-          let* solution = parse_solution_body body in
-          Ok (Some (Degraded { reason; solution }))
+          let* answer = answer_of_lines body in
+          Ok (Some (Degraded { reason; answer }))
       | [ "METRICS" ] ->
           (* Keep the raw lines: the body is opaque Prometheus text, and
              Prometheus never emits a bare END line. *)
@@ -371,6 +413,7 @@ let request_equal a b =
       && Option.equal Float.equal a.deadline_ms b.deadline_ms
       && Option.equal Trace.context_equal a.trace b.trace
       && Rip_net.Net.equal a.net b.net
+      && String.equal a.net_text b.net_text
   | (Ping | Metrics | Health | Shutdown | Solve _), _ -> false
 
 let solution_equal a b =
@@ -380,15 +423,16 @@ let solution_equal a b =
   && a.total_width = b.total_width && a.delay = b.delay
   && a.power_watts = b.power_watts
 
+let answer_equal a b = solution_equal a.solution b.solution && String.equal a.body b.body
+
 let response_equal a b =
   match (a, b) with
   | Pong, Pong | Bye, Bye | Busy, Busy | Timeout, Timeout | Toobig, Toobig ->
       true
   | Error_frame a, Error_frame b -> a.kind = b.kind && a.message = b.message
-  | Result a, Result b ->
-      a.served = b.served && solution_equal a.solution b.solution
+  | Result a, Result b -> a.served = b.served && answer_equal a.answer b.answer
   | Degraded a, Degraded b ->
-      a.reason = b.reason && solution_equal a.solution b.solution
+      a.reason = b.reason && answer_equal a.answer b.answer
   | Metrics_frame a, Metrics_frame b -> String.equal a b
   | Health_frame a, Health_frame b ->
       String.equal a.health_shard_id b.health_shard_id

@@ -5,6 +5,14 @@
     parse/print round trip is exact.  A trailing [\r] on any line is
     stripped, which keeps interactive [socat]/[telnet] sessions usable.
 
+    Each float is rendered at most once on its way through.  A SOLVE
+    value keeps its net's text ([net_text]) and an answer value keeps
+    its body bytes ({!type:answer}): both are made once — where the
+    frame is built ({!val:solve}, {!val:answer}) or kept as read where
+    it is parsed — and {!print_request}/{!print_response} join them to a
+    header without re-rendering the net or the solution.  So a router
+    relaying a shard's answer sends the shard's bytes.
+
     Requests:
     {v
     PING
@@ -97,6 +105,17 @@ type solution = {
   power_watts : float;
 }
 
+type answer = private {
+  solution : solution;
+  body : string;
+      (** the newline-terminated body lines of the frame (those between
+          the header and [END]): {!solution_body} of [solution] when the
+          answer was made by {!val:answer}, the lines as read when it was
+          parsed *)
+}
+(** A RESULT or DEGRADED payload: the solution and its wire bytes, so
+    serving, caching and relaying an answer render nothing. *)
+
 type served = Fresh | Cached
 
 type degrade_reason =
@@ -114,19 +133,22 @@ type health = {
   health_high_water : int;  (** its static load-shed mark *)
 }
 
-type request =
-  | Ping
-  | Metrics
-  | Health
-  | Shutdown
-  | Solve of {
-      budget : float;
-      deadline_ms : float option;  (** wall-time budget for the request *)
-      trace : Rip_obs.Trace.context option;
-          (** distributed-trace context from the TRACE header, when one
-              was present and valid *)
-      net : Rip_net.Net.t;
-    }
+type solve = private {
+  budget : float;
+  deadline_ms : float option;  (** wall-time budget for the request *)
+  trace : Rip_obs.Trace.context option;
+      (** distributed-trace context from the TRACE header, when one was
+          present and valid *)
+  net : Rip_net.Net.t;
+  net_text : string;
+      (** the body lines {!print_request} sends, newline-terminated: the
+          lines [net] was parsed from, comments cut and blank lines
+          dropped, or {!Rip_net.Net_io.to_string} of [net] when built by
+          {!val:solve}.  It parses to [net]: the record is private, so
+          the two are made together and cannot be set apart. *)
+}
+
+type request = Ping | Metrics | Health | Shutdown | Solve of solve
 
 type response =
   | Pong
@@ -135,8 +157,8 @@ type response =
   | Timeout
   | Toobig
   | Error_frame of { kind : error_kind; message : string }
-  | Result of { served : served; solution : solution }
-  | Degraded of { reason : degrade_reason; solution : solution }
+  | Result of { served : served; answer : answer }
+  | Degraded of { reason : degrade_reason; answer : answer }
   | Metrics_frame of string
       (** the Prometheus text body, newline-terminated lines *)
   | Health_frame of health
@@ -147,21 +169,38 @@ val valid_shard_id : string -> bool
 (** One non-empty token over [[A-Za-z0-9._-]] — what fits on the
     single-line [HEALTHY] frame. *)
 
+val solve :
+  ?deadline_ms:float -> ?trace:Rip_obs.Trace.context -> budget:float ->
+  Rip_net.Net.t -> request
+(** A SOLVE frame for [net], its text rendered once here. *)
+
+val with_trace : solve -> Rip_obs.Trace.context option -> solve
+(** The same SOLVE under another trace context: the one field a relay
+    changes. *)
+
 val print_request : request -> string
-(** The frame's wire form, newline-terminated. *)
+(** The frame's wire form, newline-terminated.  A SOLVE renders its
+    header (budget, DEADLINE, TRACE) and sends [net_text] as it is. *)
 
 val print_response : response -> string
 (** The frame's wire form, newline-terminated.  The message of an
-    [Error_frame] is flattened to one line. *)
+    [Error_frame] is flattened to one line; an answer's body is sent as
+    it is. *)
 
 val solution_body : solution -> string
 (** The deterministic body of a [RESULT] frame (the lines between the
     header and [END]) — what "byte-identical cached replay" promises. *)
 
-val parse_solution_body : string list -> (solution, string) result
-(** Inverse of {!solution_body} on its lines (terminators stripped) —
-    the journal replay path re-parses persisted bodies through this, so
-    a replayed solution is exactly what a RESULT parser would accept. *)
+val answer : solution -> answer
+(** The answer carrying {!solution_body} of the solution: the one place
+    a solution is rendered. *)
+
+val answer_of_body : string -> (answer, string) result
+(** Parse a body as {!solution_body} renders it, through the RESULT
+    grammar, keeping the bytes as given — the journal replay path, so a
+    replayed answer is exactly what a RESULT parser would accept.
+    [Error] on a body that does not end in a newline or does not
+    parse. *)
 
 (** {1 Parsing} *)
 

@@ -42,7 +42,8 @@ type t = {
   process : Rip_tech.Process.t;
   config : config;
   handle : Engine.handle;
-  cache : Protocol.solution Solve_cache.t;
+  key : net:Net.t -> budget:float -> string;  (* Solve_cache.key ~process *)
+  cache : Protocol.answer Solve_cache.t;
   metrics : Metrics.t;
   faults : Faults.t;
   journal : Journal.t option;
@@ -61,7 +62,8 @@ type t = {
    through the RESULT grammar; a record failing either check is rejected
    before anything reaches the cache — the same verify-before-serve
    contract as the live read path, so a restart admits zero
-   digest-mismatched entries. *)
+   digest-mismatched entries.  A record that passes enters the cache
+   with its bytes as persisted. *)
 
 let digest_len = 16
 
@@ -72,23 +74,16 @@ let replay_solution value =
     let body = String.sub value digest_len (String.length value - digest_len) in
     if not (String.equal (Digest.string body) digest) then None
     else
-      let lines =
-        (* [solution_body] terminates every line, so drop the final
-           empty split. *)
-        match List.rev (String.split_on_char '\n' body) with
-        | "" :: rest -> List.rev rest
-        | all -> List.rev all
-      in
-      match Protocol.parse_solution_body lines with
-      | Ok solution -> Some (solution, digest)
+      match Protocol.answer_of_body body with
+      | Ok answer -> Some (answer, digest)
       | Error _ -> None
 
 let replay_journal cache journal entries =
   List.iter
     (fun (key, value) ->
       match replay_solution value with
-      | Some (solution, digest) ->
-          Solve_cache.add_replayed cache key solution ~digest
+      | Some (answer, digest) ->
+          Solve_cache.add_replayed cache key answer ~digest
       | None ->
           (* Framing survived but the payload does not verify: purge the
              record from the journal's live set so compaction drops the
@@ -148,6 +143,7 @@ let create ?(config = default_config) process =
     process;
     config;
     handle = Engine.create_handle ?jobs:config.jobs ();
+    key = Solve_cache.key ~process;
     cache;
     metrics =
       Metrics.create
@@ -180,7 +176,7 @@ let health t =
     health_high_water = t.config.high_water;
   }
 
-let cache_key t ~net ~budget = Solve_cache.key ~process:t.process ~net ~budget
+let cache_key t ~net ~budget = t.key ~net ~budget
 let corrupt_cache_entry t key = Solve_cache.corrupt t.cache key
 
 let request_shutdown t = Frontend.request_shutdown t.frontend
@@ -246,7 +242,7 @@ let error_response error =
   Protocol.Error_frame
     { kind; message = Protocol.one_line (Rip.error_to_string error) }
 
-let solution_digest solution = Digest.string (Protocol.solution_body solution)
+let answer_digest (answer : Protocol.answer) = Digest.string answer.body
 
 (* --- The analytic fallback tier (see {!Fallback}) ------------------------- *)
 
@@ -371,20 +367,20 @@ let serve_admitted t ~budget ~deadline_ms ~net ~key ~trace ~pruned ~queue_wait
       (* A solve that completed before its token's deadline was
          observed wins over the deadline: the work is already paid
          for and the full answer strictly dominates the fallback. *)
-      let solution = solution_of_report report in
-      let body = Protocol.solution_body solution in
-      let digest = Digest.string body in
-      Solve_cache.add_verified t.cache key solution ~digest;
+      let answer = Protocol.answer (solution_of_report report) in
+      let digest = answer_digest answer in
+      Solve_cache.add_verified t.cache key answer ~digest;
       (* Journal the good bytes before any fault can corrupt the
          in-memory entry: durability must persist what was solved,
          not what a fault plan mangled. *)
       (match t.journal with
-      | Some journal -> Journal.append journal ~key ~value:(digest ^ body)
+      | Some journal ->
+          Journal.append journal ~key ~value:(digest ^ answer.Protocol.body)
       | None -> ());
       if Faults.corrupt_cache t.faults then
         ignore (Solve_cache.corrupt t.cache key);
       Obs.Counter.incr t.metrics.solved;
-      Protocol.Result { served = Fresh; solution }
+      Protocol.Result { served = Fresh; answer }
   | Failed error ->
       Obs.Counter.incr t.metrics.errors;
       error_response error
@@ -393,7 +389,7 @@ let serve_admitted t ~budget ~deadline_ms ~net ~key ~trace ~pruned ~queue_wait
   | Worker_lost_mid_solve ->
       degraded_response t ~budget ~net Protocol.Worker_lost
 
-let serve_solve t ~budget ~deadline_ms ~trace ~net =
+let serve_solve t { Protocol.budget; deadline_ms; trace; net; net_text = _ } =
   let started = Cpu_clock.monotonic_seconds () in
   Obs.Counter.incr t.metrics.requests;
   let key = cache_key t ~net ~budget in
@@ -419,11 +415,11 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
        TIMEOUT, even for a deadline that expired in transit. *)
     match
       span "cache_lookup" (fun () ->
-          Solve_cache.find_verified t.cache key ~digest_of:solution_digest)
+          Solve_cache.find_verified t.cache key ~digest_of:answer_digest)
     with
-    | Some solution ->
+    | Some answer ->
         Obs.Counter.incr t.metrics.solved;
-        Protocol.Result { served = Cached; solution }
+        Protocol.Result { served = Cached; answer }
     | None -> (
         match deadline_ms with
         | Some ms when ms <= 0.0 ->
@@ -491,11 +487,7 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
 
 let handlers t =
   {
-    Frontend.solve =
-      (* Eta-expanded, so a call is one direct application, not a chain
-         of partial ones. *)
-      (fun ~budget ~deadline_ms ~trace ~net ->
-        serve_solve t ~budget ~deadline_ms ~trace ~net);
+    Frontend.solve = serve_solve t;
     metrics = (fun () -> metrics_body t);
     health = (fun () -> health t);
     on_toobig = (fun () -> Obs.Counter.incr t.metrics.toobig);

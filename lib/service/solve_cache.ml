@@ -60,17 +60,28 @@ let size t =
   Mutex.unlock t.mutex;
   n
 
-let key ~process ~net ~budget =
+(* The process part is rendered when [key] is applied to [~process];
+   per request the key costs the net digest and the budget's bits, and
+   renders no float. *)
+let key ~process =
   let repeater = process.Rip_tech.Process.repeater in
   let power = process.Rip_tech.Process.power in
-  Printf.sprintf "%s|%.17g,%.17g,%.17g|%.17g,%.17g,%.17g,%.17g|%s|%.17g"
-    process.Rip_tech.Process.name repeater.Rip_tech.Repeater_model.rs
-    repeater.Rip_tech.Repeater_model.co repeater.Rip_tech.Repeater_model.cp
-    power.Rip_tech.Power_model.vdd power.Rip_tech.Power_model.frequency
-    power.Rip_tech.Power_model.activity
-    power.Rip_tech.Power_model.leakage_per_unit_width
-    (Rip_net.Net.canonical_digest net)
-    budget
+  let prefix =
+    Printf.sprintf "%s|%.17g,%.17g,%.17g|%.17g,%.17g,%.17g,%.17g|"
+      process.Rip_tech.Process.name repeater.Rip_tech.Repeater_model.rs
+      repeater.Rip_tech.Repeater_model.co repeater.Rip_tech.Repeater_model.cp
+      power.Rip_tech.Power_model.vdd power.Rip_tech.Power_model.frequency
+      power.Rip_tech.Power_model.activity
+      power.Rip_tech.Power_model.leakage_per_unit_width
+  in
+  fun ~net ~budget ->
+    String.concat ""
+      [
+        prefix;
+        Rip_net.Net.canonical_digest net;
+        "|";
+        Printf.sprintf "%016Lx" (Int64.bits_of_float budget);
+      ]
 
 (* Callers hold the mutex for everything below. *)
 

@@ -1,9 +1,11 @@
 (** The canonical-form result cache in front of the solver.
 
     Keys are strings built by {!key} from the exact triple the solver
-    reads: the process constants, the net's electrical content
-    ({!Rip_net.Net.canonical_digest} — cosmetic names excluded) and the
-    budget, all floats rendered at [%.17g].  Budgets are exact-matched:
+    reads: the process constants (rendered at [%.17g], once per
+    process), the net's electrical content
+    ({!Rip_net.Net.canonical_digest}: an MD5 over IEEE-754 bits, cosmetic
+    names excluded) and the budget's IEEE-754 bits in hex.  Budgets are
+    exact-matched:
     a router re-querying the same net under a nearby-but-different budget
     is a miss by design, because RIP's answer is not continuous in the
     budget and serving a neighbour's solution could violate timing.
@@ -27,7 +29,14 @@ val key :
   process:Rip_tech.Process.t -> net:Rip_net.Net.t -> budget:float -> string
 (** The canonical cache key of a solve request.  Process identity is the
     process name plus its repeater RC and power-model constants, so two
-    processes differing in any solver-visible float never share keys. *)
+    processes differing in any solver-visible float never share keys.
+    [key ~process] renders the process part once and returns the keyer a
+    server applies per request; that renders no float.  Two requests
+    share a key exactly when they did under the earlier all-[%.17g] key
+    (that rendering round-trips every double but NaN and keeps [-0.]
+    apart from [0.]; only NaNs with different payloads now part), but the
+    strings differ, so a journal written by an older build replays and is
+    never hit. *)
 
 val find : 'a t -> string -> 'a option
 (** Lookup; a hit refreshes the entry's recency.  Counts into
@@ -40,8 +49,9 @@ val add : 'a t -> string -> 'a -> unit
 
 (** {1 Digest-verified entries}
 
-    The service stores each solution together with a digest of its
-    rendered body.  Reads recompute the digest and compare: a mismatch
+    The service stores each answer — the solution with its rendered body
+    bytes ({!Protocol.answer}) — together with the MD5 of those bytes.
+    Reads recompute the digest over the stored bytes and compare: a mismatch
     means the stored value was corrupted (bit rot, a fault-injection
     run, a bug), so the entry is evicted on the spot — the cache
     self-heals and the caller re-solves.  A corrupted entry is therefore

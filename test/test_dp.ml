@@ -42,6 +42,22 @@ let test_library_validation () =
   invalid "empty" (fun () -> ignore (Repeater_library.create []));
   invalid "non-positive" (fun () -> ignore (Repeater_library.create [ 0.0 ]))
 
+(* The printer must not wrap, even past the formatter's margin: a trace
+   line that prints a library stays one line. *)
+let test_library_pp_one_line () =
+  let library = Rip_core.Config.reference_library in
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check bool) what false (String.contains text '\n'))
+    [
+      ("alone", Fmt.str "%a" Repeater_library.pp library);
+      ( "after a long prefix",
+        Fmt.str "%s %a" (String.make 70 'x') Repeater_library.pp library );
+      ( "a long library",
+        Fmt.str "%a" Repeater_library.pp
+          (Repeater_library.uniform ~min_width:10.0 ~step:10.0 ~count:40) );
+    ]
+
 let test_library_uniform_range () =
   Alcotest.(check (list (float 1e-9))) "uniform"
     [ 80.0; 160.0; 240.0; 320.0; 400.0 ]
@@ -713,6 +729,8 @@ let suite =
           test_library_uniform_range;
         Alcotest.test_case "round to grid" `Quick test_library_round_to_grid;
         Alcotest.test_case "round clamps" `Quick test_library_round_clamps;
+        Alcotest.test_case "printer never wraps" `Quick
+          test_library_pp_one_line;
       ] );
     ( "dp.candidates",
       [

@@ -397,6 +397,98 @@ let prop_digest_survives_io =
             (Net.canonical_digest parsed)
       | Error _ -> false)
 
+(* The digest hashes IEEE bits, so it sees exactly what %.17g text
+   saw: one value spelled three ways is one key, a one-ulp move of any
+   field the solver reads is another, and -0 stays apart from 0. *)
+let digest_net ?(name = "d") ~driver ~length ?(zone = "zone 1500 2600") () =
+  match
+    Net_io.parse_string
+      (String.concat "\n"
+         [
+           "net " ^ name;
+           "driver " ^ driver;
+           "receiver 60";
+           "segment " ^ length ^ " 0.075 0.118 metal4";
+           "segment 2200 0.045 0.134 metal5";
+           zone;
+         ])
+  with
+  | Ok net -> net
+  | Error e -> Alcotest.fail e
+
+let test_digest_spellings () =
+  let digest ?name driver length =
+    Net.canonical_digest (digest_net ?name ~driver ~length ())
+  in
+  let base = digest "1000" "1800" in
+  List.iter
+    (fun (what, d) -> Alcotest.(check string) what base d)
+    [
+      ("renamed", digest ~name:"other" "1000" "1800");
+      ("driver 1e3", digest "1e3" "1800");
+      ("driver 1000.000", digest "1000.000" "1800");
+      ("segment 1.8e3", digest "1000" "1.8e3");
+      ("segment 1800.0", digest "1000" "1800.0");
+    ]
+
+let test_digest_ulp () =
+  let net = digest_net ~driver:"1000" ~length:"1800" () in
+  let base = Net.canonical_digest net in
+  let up = Float.succ in
+  let rebuild ?(segments = Array.to_list net.Net.segments)
+      ?(zones = net.Net.zones) ?(driver = net.Net.driver_width)
+      ?(receiver = net.Net.receiver_width) () =
+    Net.create ~name:net.Net.name ~segments ~zones ~driver_width:driver
+      ~receiver_width:receiver ()
+  in
+  let segment i f =
+    rebuild
+      ~segments:
+        (List.mapi
+           (fun j (s : Segment.t) -> if i = j then f s else s)
+           (Array.to_list net.Net.segments))
+      ()
+  in
+  let with_segment (s : Segment.t) ?(length = s.length)
+      ?(r = s.resistance_per_um) ?(c = s.capacitance_per_um) () =
+    Segment.create ~layer_name:s.layer_name ~length ~resistance_per_um:r
+      ~capacitance_per_um:c ()
+  in
+  let zone = List.hd net.Net.zones in
+  List.iter
+    (fun (what, moved) ->
+      Alcotest.(check bool) what false
+        (String.equal base (Net.canonical_digest moved)))
+    [
+      ("driver width", rebuild ~driver:(up net.Net.driver_width) ());
+      ("receiver width", rebuild ~receiver:(up net.Net.receiver_width) ());
+      ("segment length", segment 1 (fun s -> with_segment s ~length:(up s.length) ()));
+      ( "segment resistance",
+        segment 0 (fun s -> with_segment s ~r:(up s.resistance_per_um) ()) );
+      ( "segment capacitance",
+        segment 1 (fun s -> with_segment s ~c:(up s.capacitance_per_um) ()) );
+      ( "zone start",
+        rebuild
+          ~zones:[ Zone.create ~z_start:(up zone.Zone.z_start) ~z_end:zone.Zone.z_end ]
+          () );
+      ( "zone end",
+        rebuild
+          ~zones:[ Zone.create ~z_start:zone.Zone.z_start ~z_end:(up zone.Zone.z_end) ]
+          () );
+    ]
+
+let test_digest_signed_zero () =
+  let at start =
+    Net.canonical_digest
+      (digest_net ~driver:"1000" ~length:"1800"
+         ~zone:(Printf.sprintf "zone %.17g 2600" start)
+         ())
+  in
+  Alcotest.(check string) "%.17g keeps the sign of zero" "-0"
+    (Printf.sprintf "%.17g" (-0.0));
+  Alcotest.(check bool) "-0 and 0 keep distinct digests" false
+    (String.equal (at (-0.0)) (at 0.0))
+
 let suite =
   [
     ( "net.segment",
@@ -448,5 +540,11 @@ let suite =
         qcheck prop_io_reprint_identical;
         qcheck prop_digest_ignores_names;
         qcheck prop_digest_survives_io;
+        Alcotest.test_case "digest: one double, three spellings" `Quick
+          test_digest_spellings;
+        Alcotest.test_case "digest: a one-ulp move changes it" `Quick
+          test_digest_ulp;
+        Alcotest.test_case "digest: -0 and 0 stay distinct" `Quick
+          test_digest_signed_zero;
       ] );
   ]

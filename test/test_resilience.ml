@@ -103,8 +103,7 @@ let test_timeout_at_admission () =
       let net = sample_net () in
       (match
          Client.request client
-           (Protocol.Solve
-              { budget = feasible_budget net; deadline_ms = Some 0.0; trace = None; net })
+           (Protocol.solve ~deadline_ms:0.0 ~budget:(feasible_budget net) net)
        with
       | Ok Protocol.Timeout -> ()
       | Ok other ->
@@ -129,7 +128,7 @@ let test_cache_hit_beats_expired_deadline () =
       let budget = feasible_budget net in
       (match
          Client.request client
-           (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
+           (Protocol.solve ~budget net)
        with
       | Ok (Protocol.Result { served = Protocol.Fresh; _ }) -> ()
       | Ok other ->
@@ -139,7 +138,7 @@ let test_cache_hit_beats_expired_deadline () =
          deadline that was already dead on arrival. *)
       (match
          Client.request client
-           (Protocol.Solve { budget; deadline_ms = Some 0.0; trace = None; net })
+           (Protocol.solve ~deadline_ms:0.0 ~budget net)
        with
       | Ok (Protocol.Result { served = Protocol.Cached; _ }) -> ()
       | Ok other ->
@@ -170,9 +169,10 @@ let test_deadline_mid_solve_degrades () =
       let sent = Rip_numerics.Cpu_clock.monotonic_seconds () in
       (match
          Client.request client
-           (Protocol.Solve { budget; deadline_ms = Some 50.0; trace = None; net })
+           (Protocol.solve ~deadline_ms:50.0 ~budget net)
        with
-      | Ok (Protocol.Degraded { reason = Protocol.Deadline_exceeded; solution })
+      | Ok (Protocol.Degraded
+               { reason = Protocol.Deadline_exceeded; answer = { solution; _ } })
         ->
           let elapsed = Rip_numerics.Cpu_clock.monotonic_seconds () -. sent in
           if elapsed >= 0.25 then
@@ -207,11 +207,10 @@ let test_worker_kill_degrades () =
       let client, worker = connect_pair server in
       let net = sample_net () in
       let budget = feasible_budget net in
-      let solve =
-        Protocol.Solve { budget; deadline_ms = None; trace = None; net }
-      in
+      let solve = Protocol.solve ~budget net in
       (match Client.request client solve with
-      | Ok (Protocol.Degraded { reason = Protocol.Worker_lost; solution }) ->
+      | Ok (Protocol.Degraded
+               { reason = Protocol.Worker_lost; answer = { solution; _ } }) ->
           check_degraded_legal net ~budget solution
       | Ok other ->
           Alcotest.failf "killed worker answered %S"
@@ -252,7 +251,7 @@ let test_overload_sheds_to_degraded () =
     (fun server ->
       let net = sample_net () in
       let budget = feasible_budget net in
-      let solve = Protocol.Solve { budget; deadline_ms = None; trace = None; net } in
+      let solve = Protocol.solve ~budget net in
       let responses = Array.make 2 (Error "not run") in
       let one index () =
         let client, worker = connect_pair server in
@@ -269,8 +268,9 @@ let test_overload_sheds_to_degraded () =
         Array.fold_left
           (fun (d, f) r ->
             match r with
-            | Ok (Protocol.Degraded { reason = Protocol.Overload; solution })
-              ->
+            | Ok
+                (Protocol.Degraded
+                  { reason = Protocol.Overload; answer = { solution; _ } }) ->
                 check_degraded_legal net ~budget solution;
                 (d + 1, f)
             | Ok (Protocol.Result _) -> (d, f + 1)
@@ -289,7 +289,7 @@ let test_cache_corruption_self_heals () =
       let client, worker = connect_pair server in
       let net = sample_net () in
       let budget = feasible_budget net in
-      let solve = Protocol.Solve { budget; deadline_ms = None; trace = None; net } in
+      let solve = Protocol.solve ~budget net in
       let served () =
         match Client.request client solve with
         | Ok (Protocol.Result { served; _ }) -> served
@@ -495,8 +495,7 @@ let test_dropped_connection_retries () =
       let net = sample_net () in
       let outcome =
         Client.request_with_retry session
-          (Protocol.Solve
-             { budget = feasible_budget net; deadline_ms = None; trace = None; net })
+          (Protocol.solve ~budget:(feasible_budget net) net)
       in
       Client.close_session session;
       (match outcome.Client.response with
@@ -542,8 +541,7 @@ let test_busy_retries_counted () =
       let net = sample_net () in
       let outcome =
         Client.request_with_retry session
-          (Protocol.Solve
-             { budget = feasible_budget net; deadline_ms = None; trace = None; net })
+          (Protocol.solve ~budget:(feasible_budget net) net)
       in
       (match outcome.Client.response with
       | Ok Protocol.Busy -> ()
@@ -945,14 +943,12 @@ let test_journal_server_restart () =
         let client, worker = connect_pair server in
         let answer =
           Client.request client
-            (Protocol.Solve
-               { budget = feasible_budget net; deadline_ms = None; trace = None; net })
+            (Protocol.solve ~budget:(feasible_budget net) net)
         in
         Client.close client;
         Thread.join worker;
         match answer with
-        | Ok (Protocol.Result { served; solution }) ->
-            (served, Protocol.solution_body solution)
+        | Ok (Protocol.Result { served; answer }) -> (served, answer.Protocol.body)
         | Ok other ->
             Alcotest.failf "unexpected response %s" (Protocol.print_response other)
         | Error e -> Alcotest.failf "transport failure: %s" e

@@ -1,7 +1,8 @@
 (* The router subsystem: consistent-hash ring placement (balance,
    restart determinism, minimal remap on membership edits), config
-   validation, and — against in-process shards — trace parentage,
-   failover off a dead owner, wide-event and trace reconciliation under
+   validation, and — against in-process shards — trace parentage, the
+   shard's answer bytes relayed unchanged, failover off a dead owner or
+   an answer cut short, wide-event and trace reconciliation under
    failover, per-shard cache affinity, two-choice spilling, a shard's
    own overload answer relayed through the router, and counters that
    reconcile exactly through it.  Real daemons (spawned shards,
@@ -224,7 +225,7 @@ let test_router_trace_parentage () =
   let client = Client.connect_unix router_sock in
   (match
      Client.request client
-       (Protocol.Solve { budget; deadline_ms = None; trace = Some ctx; net })
+       (Protocol.solve ~trace:ctx ~budget net)
    with
   | Ok (Protocol.Result _) -> ()
   | Ok other ->
@@ -358,12 +359,13 @@ let fault_plan spec =
 
 let cluster_seq = Atomic.make 0
 
-(* Run [f ~connect router client servers] against shards "a" and "b"
-   ([servers] maps each live shard's id to its server, built from
+(* Run [f ~connect ~sock router client servers] against shards "a" and
+   "b" ([servers] maps each live shard's id to its server, built from
    [shard_config]; a shard listed in [dead] gets no server: its socket
    path refuses every dial; [connect] opens a further connection to the
-   router).  The poller's failure detector is pushed out of the way, so
-   routing sees only the request path's own failover. *)
+   router; [sock id] is the socket path of shard [id], or of the router
+   for ["router"]).  The poller's failure detector is pushed out of the
+   way, so routing sees only the request path's own failover. *)
 let with_tail_router ?(shard_config = Server.default_config)
     ?(faults = fun _ -> None) ?(tracers = fun _ -> None) ?(dead = []) ~config
     f =
@@ -425,20 +427,20 @@ let with_tail_router ?(shard_config = Server.default_config)
         (fun id -> try Sys.remove (sock id) with Sys_error _ -> ())
         ("router" :: tail_ids))
     (fun () ->
-      f ~connect router client
+      f ~connect ~sock router client
         (List.map (fun (id, server, _) -> (id, server)) servers))
 
 let with_tail_cluster ?faults ?tracers ?dead ~config f =
-  with_tail_router ?faults ?tracers ?dead ~config (fun ~connect:_ -> f)
+  with_tail_router ?faults ?tracers ?dead ~config (fun ~connect:_ ~sock:_ ->
+      f)
 
 (* One SOLVE through the router, which must answer a RESULT. *)
 let request_solution client net =
   match
     Client.request client
-      (Protocol.Solve
-         { budget = tail_budget net; deadline_ms = None; trace = None; net })
+      (Protocol.solve ~budget:(tail_budget net) net)
   with
-  | Ok (Protocol.Result { solution; _ }) -> solution
+  | Ok (Protocol.Result { answer; _ }) -> answer.Protocol.solution
   | Ok other ->
       Alcotest.failf "SOLVE answered %S" (Protocol.print_response other)
   | Error e -> Alcotest.failf "SOLVE failed: %s" e
@@ -455,6 +457,118 @@ let solve_through client net = check_direct net (request_solution client net)
 
 let shard_inst router id =
   Rip_router.Router_metrics.shard (Router.metrics router) id
+
+(* Write [frame] raw to [fd]; the answer's raw bytes through its END
+   line. *)
+let raw_answer fd frame =
+  Rip_service.Wire.send fd frame;
+  let buffer = Bytes.create 4096 in
+  let rec read acc =
+    if String.ends_with ~suffix:"END\n" acc then acc
+    else
+      match Unix.read fd buffer 0 (Bytes.length buffer) with
+      | 0 -> acc
+      | n -> read (acc ^ Bytes.sub_string buffer 0 n)
+  in
+  read ""
+
+(* One raw exchange on a fresh connection to the socket at [path]; a
+   stalled peer fails the test after 30 s instead of hanging it. *)
+let raw_at path frame =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      raw_answer fd frame)
+
+(* What a shard with a cold cache answers [frame], as raw bytes. *)
+let fresh_shard_answer frame =
+  let server =
+    Server.create
+      ~config:{ Server.default_config with jobs = Some 1 }
+      Helpers.process
+  in
+  let server_fd, fd =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  let worker = Thread.create (Server.handle_connection server) server_fd in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Thread.join worker;
+      Server.shutdown server)
+    (fun () -> raw_answer fd frame)
+
+(* The same frame with a comment line, blank lines, trailing comments
+   and CRLF line ends: the same request to every parser. *)
+let messy_frame frame =
+  match String.split_on_char '\n' frame with
+  | header :: rest ->
+      let body = List.filter (fun l -> l <> "" && l <> "END") rest in
+      String.concat "\r\n"
+        ((header :: "# a comment line" :: "" :: List.map (fun l -> l ^ "  # note") body)
+        @ [ "\t "; "END"; "" ])
+  | [] -> Alcotest.fail "an empty frame"
+
+let check_prefix what prefix s =
+  if not (String.starts_with ~prefix s) then
+    Alcotest.failf "%s: expected %S..., got %S" what prefix s
+
+(* The router relays the shard's answer bytes: a fresh answer equals
+   what a cold shard answers, a cached one what the owning shard
+   answers directly, and a DEGRADED one (a delayed solve past its
+   deadline) too.  A frame spelled with comments, blank lines and CRLF
+   hits the same cache line and gets the same bytes. *)
+let test_tail_relays_shard_bytes () =
+  let net, degraded_net =
+    match nets_with_primary "a" 2 with
+    | [ net; other ] -> (net, other)
+    | _ -> Alcotest.fail "two nets owned by shard a"
+  in
+  let frame = Protocol.print_request (Protocol.solve ~budget:(tail_budget net) net) in
+  let late =
+    Protocol.print_request
+      (Protocol.solve ~deadline_ms:50.0 ~budget:(tail_budget degraded_net)
+         degraded_net)
+  in
+  with_tail_router
+    ~faults:(fun _ -> Some (fault_plan "seed=5,delay:p=1:ms=300"))
+    ~config:Router.default_config
+    (fun ~connect:_ ~sock router _ _ ->
+      let fresh = raw_at (sock "router") frame in
+      check_prefix "first answer" "RESULT fresh\n" fresh;
+      Alcotest.(check string) "fresh: the router's bytes are a shard's"
+        (fresh_shard_answer frame) fresh;
+      let cached = raw_at (sock "router") frame in
+      check_prefix "second answer" "RESULT cached\n" cached;
+      Alcotest.(check string) "cached: the router's bytes are the owner's"
+        (raw_at (sock "a") frame) cached;
+      Alcotest.(check string) "a messy spelling is the same request" cached
+        (raw_at (sock "router") (messy_frame frame));
+      let degraded = raw_at (sock "router") late in
+      check_prefix "late answer" "DEGRADED deadline\n" degraded;
+      Alcotest.(check string) "degraded: the router's bytes are the owner's"
+        (raw_at (sock "a") late) degraded;
+      Alcotest.(check int) "no failover" 0
+        (Obs.Counter.value (shard_inst router "a").failovers))
+
+(* An owner that cuts its answer short is a lost transport: the router
+   fails over to the other shard and still answers in full. *)
+let test_tail_cut_answer_fails_over () =
+  let net = List.hd (nets_with_primary "a" 1) in
+  with_tail_cluster
+    ~faults:(fun id ->
+      if String.equal id "a" then Some (fault_plan "seed=6,drop:p=1:bytes=20")
+      else None)
+    ~config:Router.default_config
+    (fun router client _ ->
+      solve_through client net;
+      Alcotest.(check int) "the cut answer counted as a failover" 1
+        (Obs.Counter.value (shard_inst router "a").failovers);
+      Alcotest.(check int) "the router answered nothing itself" 0
+        (Obs.Counter.value (Router.metrics router).local_degraded))
 
 let test_tail_dead_primary_fails_over () =
   let net = tail_net 0 in
@@ -622,7 +736,7 @@ let test_busy_owner_spills () =
       if String.equal id "a" then Some (fault_plan "seed=3,delay:p=1:ms=300")
       else None)
     ~config:Router.default_config
-    (fun ~connect router client servers ->
+    (fun ~connect ~sock:_ router client servers ->
       let spills id = Obs.Counter.value (shard_inst router id).spills in
       let forwarded id = Obs.Counter.value (shard_inst router id).forwarded in
       let misses id =
@@ -710,7 +824,7 @@ let test_overload_through_router () =
     ~shard_config:{ Server.default_config with queue_depth = 2; high_water = 1 }
     ~faults:(fun _ -> Some (fault_plan "seed=4,delay:p=1:ms=300"))
     ~config:Router.default_config
-    (fun ~connect router client _ ->
+    (fun ~connect ~sock:_ router client _ ->
       let join_a = hold ~connect held_a in
       wait_until "a has one forward outstanding" (fun () ->
           outstanding router "a" = 1.0);
@@ -720,9 +834,10 @@ let test_overload_through_router () =
       let budget = tail_budget net in
       (match
          Client.request client
-           (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
+           (Protocol.solve ~budget net)
        with
-      | Ok (Protocol.Degraded { reason = Protocol.Overload; solution }) ->
+      | Ok (Protocol.Degraded
+             { reason = Protocol.Overload; answer = { solution; _ } }) ->
           let violations =
             Rip_core.Validate.check Helpers.process net ~budget
               (Rip_elmore.Solution.create solution.Protocol.repeaters)
@@ -809,7 +924,7 @@ let test_cluster_block () =
     (fun router client _ ->
       (match
          Client.request client
-           (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
+           (Protocol.solve ~budget net)
        with
       | Ok (Protocol.Degraded { reason = Protocol.Worker_lost; _ }) -> ()
       | Ok other ->
@@ -844,13 +959,7 @@ let test_routed_reconciliation () =
           (fun net ->
             match
               Client.request client
-                (Protocol.Solve
-                   {
-                     budget = tail_budget net;
-                     deadline_ms = None;
-                     trace = None;
-                     net;
-                   })
+                (Protocol.solve ~budget:(tail_budget net) net)
             with
             | Ok (Protocol.Result { served; _ }) ->
                 incr answers;
@@ -911,6 +1020,10 @@ let suite =
       ] );
     ( "router.tail",
       [
+        Alcotest.test_case "the router relays the shard's bytes" `Quick
+          test_tail_relays_shard_bytes;
+        Alcotest.test_case "a cut answer fails over" `Quick
+          test_tail_cut_answer_fails_over;
         Alcotest.test_case "dead primary fails over" `Quick
           test_tail_dead_primary_fails_over;
         Alcotest.test_case "spool and traces reconcile on failover" `Quick

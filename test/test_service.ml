@@ -70,40 +70,18 @@ let test_protocol_request_round_trips () =
   check_request_round_trip Protocol.Metrics;
   check_request_round_trip Protocol.Health;
   check_request_round_trip Protocol.Shutdown;
+  check_request_round_trip (Protocol.solve ~budget:6.25e-10 (sample_net ()));
   check_request_round_trip
-    (Protocol.Solve
-       {
-         budget = 6.25e-10;
-         deadline_ms = None;
-         trace = None;
-         net = sample_net ();
-       });
+    (Protocol.solve ~deadline_ms:50.0 ~budget:6.25e-10 (sample_net ()));
   check_request_round_trip
-    (Protocol.Solve
-       {
-         budget = 6.25e-10;
-         deadline_ms = Some 50.0;
-         trace = None;
-         net = sample_net ();
-       });
-  check_request_round_trip
-    (Protocol.Solve
-       {
-         budget = 6.25e-10;
-         deadline_ms = Some 50.0;
-         trace =
-           Some
-             (Trace.make_context ~scope:"loadgen" ~digest:"abc" ~seq:7 ());
-         net = sample_net ();
-       });
+    (Protocol.solve ~deadline_ms:50.0
+       ~trace:(Trace.make_context ~scope:"loadgen" ~digest:"abc" ~seq:7 ())
+       ~budget:6.25e-10 (sample_net ()));
   (* A budget that needs all 17 significant digits must survive. *)
   check_request_round_trip
-    (Protocol.Solve
-       { budget = 1.0 /. 3.0 *. 1e-9; deadline_ms = Some (1.0 /. 3.0);
-         trace = None;
-         net = Helpers.Net.uniform ~name:"u"
-           Rip_tech.Layer.metal4 ~length:5000.0 ~segment_count:3
-           ~driver_width:30.0 ~receiver_width:60.0 })
+    (Protocol.solve ~deadline_ms:(1.0 /. 3.0) ~budget:(1.0 /. 3.0 *. 1e-9)
+       (Helpers.Net.uniform ~name:"u" Rip_tech.Layer.metal4 ~length:5000.0
+          ~segment_count:3 ~driver_width:30.0 ~receiver_width:60.0))
 
 let test_protocol_response_round_trips () =
   check_response_round_trip Protocol.Pong;
@@ -114,7 +92,7 @@ let test_protocol_response_round_trips () =
   List.iter
     (fun reason ->
       check_response_round_trip
-        (Protocol.Degraded { reason; solution = sample_solution }))
+        (Protocol.Degraded { reason; answer = Protocol.answer sample_solution }))
     [ Protocol.Deadline_exceeded; Protocol.Overload; Protocol.Worker_lost ];
   List.iter
     (fun kind ->
@@ -125,17 +103,20 @@ let test_protocol_response_round_trips () =
       Protocol.Invalid_net; Protocol.Internal_error;
     ];
   check_response_round_trip
-    (Protocol.Result { served = Fresh; solution = sample_solution });
+    (Protocol.Result
+       { served = Fresh; answer = Protocol.answer sample_solution });
   check_response_round_trip
-    (Protocol.Result { served = Cached; solution = sample_solution });
+    (Protocol.Result
+       { served = Cached; answer = Protocol.answer sample_solution });
   (* The bare-wire answer: zero repeaters is a legal solution. *)
   check_response_round_trip
     (Protocol.Result
        {
          served = Fresh;
-         solution =
-           { Protocol.repeaters = []; total_width = 0.0; delay = 4.5e-10;
-             power_watts = 0.0 };
+         answer =
+           Protocol.answer
+             { Protocol.repeaters = []; total_width = 0.0; delay = 4.5e-10;
+               power_watts = 0.0 };
        });
   check_response_round_trip
     (Protocol.Health_frame
@@ -196,14 +177,7 @@ let test_protocol_errors () =
 let solve_body_lines =
   lazy
     (let base =
-       Protocol.print_request
-         (Protocol.Solve
-            {
-              budget = 2.5e-10;
-              deadline_ms = None;
-              trace = None;
-              net = sample_net ();
-            })
+       Protocol.print_request (Protocol.solve ~budget:2.5e-10 (sample_net ()))
      in
      List.tl (frame_lines base))
 
@@ -296,9 +270,48 @@ let fuzz_trace_header =
       | Ok (Some (Protocol.Solve { budget; _ })) -> budget = 2.5e-10
       | Ok _ | Error _ -> true)
 
+(* A parsed SOLVE keeps its net lines for forwarding: comments cut,
+   blank lines dropped, CR stripped — so re-printing it gives the
+   canonical frame.  A parsed answer keeps its body bytes. *)
+let test_protocol_keeps_bytes () =
+  let canonical =
+    Protocol.print_request (Protocol.solve ~budget:2.5e-10 (sample_net ()))
+  in
+  let messy =
+    match frame_lines canonical with
+    | header :: body ->
+        (header ^ "\r") :: "# routed by hand" :: "" :: "  \t"
+        :: List.map (fun l -> if l = "END" then l else l ^ " # note\r") body
+    | [] -> Alcotest.fail "empty frame"
+  in
+  (* The cut comments leave trailing blanks, which the net grammar
+     ignores. *)
+  let trimmed frame =
+    String.concat "" (List.map (fun l -> String.trim l ^ "\n") (frame_lines frame))
+  in
+  (match Protocol.input_request (Protocol.reader_of_lines messy) with
+  | Ok (Some request) ->
+      Alcotest.(check string) "reprints as the canonical frame" canonical
+        (trimmed (Protocol.print_request request))
+  | Ok None -> Alcotest.fail "end of stream"
+  | Error e -> Alcotest.fail e);
+  let body = Protocol.solution_body sample_solution in
+  (match Protocol.answer_of_body body with
+  | Ok answer ->
+      Alcotest.(check bool) "answer parsed, bytes kept" true
+        (Protocol.response_equal
+           (Protocol.Result { served = Fresh; answer })
+           (Protocol.Result
+              { served = Fresh; answer = Protocol.answer sample_solution }))
+  | Error e -> Alcotest.fail e);
+  match Protocol.answer_of_body (String.sub body 0 (String.length body - 1)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a body without its last newline was accepted"
+
 let test_protocol_cached_body_identical () =
   let body served =
-    Protocol.print_response (Protocol.Result { served; solution = sample_solution })
+    Protocol.print_response
+      (Protocol.Result { served; answer = Protocol.answer sample_solution })
   in
   let strip_header s =
     match String.index_opt s '\n' with
@@ -409,24 +422,37 @@ let test_cache_key_canonicalization () =
 (* --- End to end over a socketpair --------------------------------------- *)
 
 let expect_result = function
-  | Ok (Protocol.Result { served; solution }) -> (served, solution)
+  | Ok (Protocol.Result { served; answer }) -> (served, answer.Protocol.solution)
   | Ok other ->
       Alcotest.failf "expected RESULT, got %S"
         (Protocol.print_response other)
   | Error e -> Alcotest.failf "transport failure: %s" e
 
-let test_server_end_to_end () =
-  let server =
-    Server.create
-      ~config:
-        { Server.default_config with jobs = Some 1; cache_capacity = 8 }
-      process
-  in
+(* Run [f client fd] over one in-process connection to [server] ([fd]
+   is the client's end, for raw bytes).  The connection is closed, its
+   thread joined and the server shut down before [f]'s result or
+   exception comes back, so a failing check cannot leave the connection
+   thread blocked and the test binary hanging. *)
+let with_connection server f =
   let server_fd, client_fd =
     Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
   in
   let worker = Thread.create (Server.handle_connection server) server_fd in
   let client = Client.of_fd client_fd in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      Thread.join worker;
+      Server.shutdown server)
+    (fun () -> f client client_fd)
+
+let test_server_end_to_end () =
+  with_connection
+    (Server.create
+       ~config:
+         { Server.default_config with jobs = Some 1; cache_capacity = 8 }
+       process)
+  @@ fun client _ ->
   (match Client.request client Protocol.Ping with
   | Ok Protocol.Pong -> ()
   | Ok other ->
@@ -434,7 +460,7 @@ let test_server_end_to_end () =
   | Error e -> Alcotest.failf "PING failed: %s" e);
   let net = sample_net () in
   let budget = 1.3 *. Rip.tau_min process (Geometry.of_net net) in
-  let solve = Protocol.Solve { budget; deadline_ms = None; trace = None; net } in
+  let solve = Protocol.solve ~budget net in
   let served1, solution1 = expect_result (Client.request client solve) in
   Alcotest.(check bool) "first solve is fresh" true (served1 = Protocol.Fresh);
   Alcotest.(check bool) "some repeaters inserted" true
@@ -448,7 +474,7 @@ let test_server_end_to_end () =
   (* An infeasible budget comes back as a typed ERROR, uncached. *)
   (match
      Client.request client
-       (Protocol.Solve { budget = 1e-15; deadline_ms = None; trace = None; net })
+       (Protocol.solve ~budget:1e-15 net)
    with
   | Ok (Protocol.Error_frame { kind = Protocol.Infeasible_budget; _ }) -> ()
   | Ok other ->
@@ -502,14 +528,11 @@ let test_server_end_to_end () =
   | Ok other ->
       Alcotest.failf "METRICS answered %S" (Protocol.print_response other)
   | Error e -> Alcotest.failf "METRICS failed: %s" e);
-  (match Client.request client Protocol.Shutdown with
+  match Client.request client Protocol.Shutdown with
   | Ok Protocol.Bye -> ()
   | Ok other ->
       Alcotest.failf "SHUTDOWN answered %S" (Protocol.print_response other)
-  | Error e -> Alcotest.failf "SHUTDOWN failed: %s" e);
-  Thread.join worker;
-  Client.close client;
-  Server.shutdown server
+  | Error e -> Alcotest.failf "SHUTDOWN failed: %s" e
 
 (* The DP work counters are fed by the solver's [Column] probe: after
    one fresh solve, the column count and the [kept] sum equal those of
@@ -528,7 +551,7 @@ let test_server_dp_counters_reconcile () =
   let _ =
     expect_result
       (Client.request client
-         (Protocol.Solve { budget; deadline_ms = None; trace = None; net }))
+         (Protocol.solve ~budget net))
   in
   let columns = ref 0 and kept = ref 0 in
   let probe = function
@@ -582,23 +605,10 @@ let test_server_traced_spans () =
         }
       process
   in
-  let server_fd, client_fd =
-    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-  in
-  let worker = Thread.create (Server.handle_connection server) server_fd in
-  let client = Client.of_fd client_fd in
   let net = sample_net () in
   let budget = 1.3 *. Rip.tau_min process (Geometry.of_net net) in
-  let solve = Protocol.Solve { budget; deadline_ms = None; trace = None; net } in
-  let _ = expect_result (Client.request client solve) in
-  (match Client.request client Protocol.Shutdown with
-  | Ok Protocol.Bye -> ()
-  | Ok other ->
-      Alcotest.failf "SHUTDOWN answered %S" (Protocol.print_response other)
-  | Error e -> Alcotest.failf "SHUTDOWN failed: %s" e);
-  Thread.join worker;
-  Client.close client;
-  Server.shutdown server;
+  with_connection server (fun client _ ->
+      ignore (expect_result (Client.request client (Protocol.solve ~budget net))));
   let spans = Rip_obs.Trace.spans tracer in
   let names = List.map (fun (s : Rip_obs.Trace.span) -> s.name) spans in
   List.iter
@@ -640,28 +650,15 @@ let test_server_trace_parentage () =
         }
       process
   in
-  let server_fd, client_fd =
-    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-  in
-  let worker = Thread.create (Server.handle_connection server) server_fd in
-  let client = Client.of_fd client_fd in
   let net = sample_net () in
   let budget = 1.3 *. Rip.tau_min process (Geometry.of_net net) in
   (* the upstream parent: what a router's forward span would mint *)
   let root = Trace.make_context ~scope:"router" ~digest:"up" ~seq:0 () in
   let ctx = Trace.child root ~span_id:"feedfacefeedface" in
-  let solve =
-    Protocol.Solve { budget; deadline_ms = None; trace = Some ctx; net }
-  in
-  let _ = expect_result (Client.request client solve) in
-  (match Client.request client Protocol.Shutdown with
-  | Ok Protocol.Bye -> ()
-  | Ok other ->
-      Alcotest.failf "SHUTDOWN answered %S" (Protocol.print_response other)
-  | Error e -> Alcotest.failf "SHUTDOWN failed: %s" e);
-  Thread.join worker;
-  Client.close client;
-  Server.shutdown server;
+  with_connection server (fun client _ ->
+      ignore
+        (expect_result
+           (Client.request client (Protocol.solve ~trace:ctx ~budget net))));
   let spans = Rip_obs.Trace.spans tracer in
   let solve_span =
     List.find (fun (s : Rip_obs.Trace.span) -> s.name = "solve") spans
@@ -692,52 +689,35 @@ let test_server_trace_parentage () =
 (* A garbage TRACE header on the live wire must not kill the
    connection: the server answers the solve untraced. *)
 let test_server_garbage_trace_header () =
-  let server =
-    Server.create
-      ~config:{ Server.default_config with jobs = Some 1 }
-      process
-  in
-  let server_fd, client_fd =
-    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-  in
-  let worker = Thread.create (Server.handle_connection server) server_fd in
+  with_connection
+    (Server.create
+       ~config:{ Server.default_config with jobs = Some 1 }
+       process)
+  @@ fun _ client_fd ->
   let net = sample_net () in
   let budget = 1.3 *. Rip.tau_min process (Geometry.of_net net) in
-  let base =
-    Protocol.print_request
-      (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
-  in
+  let base = Protocol.print_request (Protocol.solve ~budget net) in
   let nl = String.index base '\n' in
   let frame =
     String.sub base 0 nl ^ " TRACE zz yy 999"
     ^ String.sub base nl (String.length base - nl)
   in
-  let _ = Unix.write_substring client_fd frame 0 (String.length frame) in
-  let buffer = Bytes.create 65536 in
-  let rec read_response acc =
-    if Helpers.contains acc "END\n" then acc
-    else
-      let n = Unix.read client_fd buffer 0 (Bytes.length buffer) in
-      if n = 0 then acc else read_response (acc ^ Bytes.sub_string buffer 0 n)
-  in
-  let answer = read_response "" in
-  Alcotest.(check bool)
-    "garbage TRACE still answers RESULT" true
-    (String.length answer >= 6 && String.sub answer 0 6 = "RESULT");
-  Unix.close client_fd;
-  Thread.join worker;
-  Server.shutdown server
+  Wire.send client_fd frame;
+  (* One whole frame, whatever its kind: a one-line answer must not
+     leave the read waiting for an END that never comes. *)
+  match Protocol.input_response (Wire.reader (Wire.create client_fd)) with
+  | Ok (Some (Protocol.Result _)) -> ()
+  | Ok (Some other) ->
+      Alcotest.failf "garbage TRACE answered %S" (Protocol.print_response other)
+  | Ok None -> Alcotest.fail "garbage TRACE: the server hung up"
+  | Error e -> Alcotest.failf "garbage TRACE: %s" e
 
 let test_server_rejects_garbage () =
-  let server =
-    Server.create
-      ~config:{ Server.default_config with jobs = Some 1 }
-      process
-  in
-  let server_fd, client_fd =
-    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-  in
-  let worker = Thread.create (Server.handle_connection server) server_fd in
+  with_connection
+    (Server.create
+       ~config:{ Server.default_config with jobs = Some 1 }
+       process)
+  @@ fun _ client_fd ->
   let _ = Unix.write_substring client_fd "FROBNICATE\n" 0 11 in
   let buffer = Bytes.create 256 in
   let n = Unix.read client_fd buffer 0 256 in
@@ -745,9 +725,8 @@ let test_server_rejects_garbage () =
   Alcotest.(check bool) "typed protocol error" true
     (Helpers.contains answer "ERROR protocol");
   (* The server hangs up after a protocol error. *)
-  Thread.join worker;
-  Unix.close client_fd;
-  Server.shutdown server
+  Alcotest.(check int) "then end of stream" 0
+    (Unix.read client_fd buffer 0 256)
 
 (* --- Load generator answer verification --------------------------------- *)
 
@@ -763,7 +742,8 @@ let test_loadgen_verify_mismatch () =
     | Ok (Some (Protocol.Solve _)) ->
         Wire.send peer_fd
           (Protocol.print_response
-             (Protocol.Result { served = Protocol.Fresh; solution }))
+             (Protocol.Result
+                { served = Protocol.Fresh; answer = Protocol.answer solution }))
     | Ok _ | Error _ -> ()
   in
   let peer =
@@ -776,8 +756,7 @@ let test_loadgen_verify_mismatch () =
       ()
   in
   let solve =
-    Protocol.Solve
-      { budget = 1e-9; deadline_ms = None; trace = None; net = sample_net () }
+    Protocol.solve ~budget:1e-9 (sample_net ())
   in
   let r =
     Loadgen.run
@@ -855,6 +834,8 @@ let suite =
         QCheck_alcotest.to_alcotest fuzz_trace_header;
         Alcotest.test_case "cached body identical" `Quick
           test_protocol_cached_body_identical;
+        Alcotest.test_case "frames keep their bytes" `Quick
+          test_protocol_keeps_bytes;
       ] );
     ( "service.cache",
       [
