@@ -71,7 +71,7 @@ let rec parse_attach_all = function
           Result.map (fun pairs -> pair :: pairs) (parse_attach_all rest))
 
 let serve socket_path port host shards shard_dir shard_jobs shard_args attach
-    pool_size poll_interval restart_backoff breaker_threshold trace_out
+    pool_size poll_interval restart_backoff trace_out
     wide_events wide_sample_ratio wide_latency_threshold_ms =
   match parse_attach_all attach with
   | Error e ->
@@ -160,7 +160,6 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
               Router.default_config with
               pool_size;
               poll_interval;
-              breaker_threshold;
               tracer;
               spool;
             }
@@ -195,12 +194,12 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
           in
           Printf.printf
             "rip_routerd: listening on %s (%d shards: %s; pool %d, poll \
-             %.2fs, breaker at %d)\n\
+             %.2fs)\n\
              %!"
             endpoint (List.length specs)
             (String.concat ", "
                (List.map (fun (s : Router.shard_spec) -> s.id) specs))
-            pool_size poll_interval breaker_threshold;
+            pool_size poll_interval;
           Router.run router listen_fd;
           Thread.join supervisor_thread;
           (match (tracer, trace_out) with
@@ -298,8 +297,9 @@ let poll_interval =
     value & opt float Rip_router.Router.default_config.poll_interval
     & info [ "poll-interval" ] ~docv:"SECONDS"
         ~doc:"Liveness tick: how often every shard is polled with HEALTH.  \
-              A shard missing consecutive polls stops receiving traffic, \
-              and one answering again is re-admitted.")
+              A poll unanswered after four ticks is missed; a shard \
+              missing two in a row leaves the hash ring, and its next \
+              answer re-adds it.")
 
 let restart_backoff =
   Arg.(
@@ -308,14 +308,6 @@ let restart_backoff =
         ~doc:"Minimum dead time before a crashed spawned shard is \
               restarted.  Large values keep a killed shard down — useful \
               for observing graceful degradation.")
-
-let breaker_threshold =
-  Arg.(
-    value & opt int Rip_router.Router.default_config.breaker_threshold
-    & info [ "breaker-threshold" ] ~docv:"N"
-        ~doc:"Consecutive transport failures that open a shard's circuit \
-              breaker, removing it from the candidate set until a \
-              successful poll half-opens it again.")
 
 let trace_out =
   Arg.(
@@ -336,8 +328,8 @@ let wide_events =
     & opt (some string) None
     & info [ "wide-events" ] ~docv:"FILE"
         ~doc:"Emit one structured wide-event JSON line per routed SOLVE \
-              (target shard, outcome, failover/spill/breaker \
-              involvement, deadline slack) to this bounded spool, \
+              (target shard, outcome, failover/spill involvement, \
+              deadline slack) to this bounded spool, \
               tail-sampled like rip_serviced's.  A $(docv) ending in '/' \
               writes wide-router.jsonl inside it.  Query offline with \
               rip_trace query.")
@@ -368,7 +360,7 @@ let main =
     Term.(
       const serve $ socket_path $ port $ host $ shards $ shard_dir
       $ shard_jobs $ shard_args $ attach $ pool_size $ poll_interval
-      $ restart_backoff $ breaker_threshold $ trace_out $ wide_events
+      $ restart_backoff $ trace_out $ wide_events
       $ wide_sample_ratio $ wide_latency_threshold_ms)
 
 let () = exit (Cmd.eval' main)

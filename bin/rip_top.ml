@@ -5,8 +5,8 @@
      rip_top --socket r.sock --once
 
    Polls METRICS on every endpoint each refresh and renders one screen:
-   router endpoints contribute a per-shard table (up, breaker state,
-   forwarded/failover/spill counters; "spills" counts the requests the
+   router endpoints contribute a per-shard table (up, forwarded/
+   failover/spill counters; "spills" counts the requests the
    shard took as a key's second choice, because the owner had more
    forwards outstanding) plus a forward-latency line; shard
    endpoints contribute a per-shard row (requests, cache hit rate, queue
@@ -44,12 +44,6 @@ let human_bytes b =
   if b >= 1048576.0 then Printf.sprintf "%.1f MiB" (b /. 1048576.0)
   else if b >= 1024.0 then Printf.sprintf "%.1f KiB" (b /. 1024.0)
   else Printf.sprintf "%.0f B" b
-
-let breaker_name = function
-  | 0.0 -> "closed"
-  | 1.0 -> "OPEN"
-  | 2.0 -> "half-open"
-  | _ -> "?"
 
 (* Shard ids of a router exposition, recovered from the
    [rip_router_shard_<id>_up] gauge names, which every shard has from
@@ -90,17 +84,15 @@ let render_router buf label body =
   let shards = router_shard_ids body in
   if shards <> [] then begin
     Buffer.add_string buf
-      (Printf.sprintf "  %-8s %-4s %-10s %10s %10s %8s %8s\n" "shard" "up"
-         "breaker" "forwarded" "failovers" "spills" "trips");
+      (Printf.sprintf "  %-8s %-4s %10s %10s %8s\n" "shard" "up" "forwarded"
+         "failovers" "spills");
     List.iter
       (fun id ->
         let m name = s (Printf.sprintf "rip_router_shard_%s_%s" id name) in
         Buffer.add_string buf
-          (Printf.sprintf "  %-8s %-4s %-10s %10.0f %10.0f %8.0f %8.0f\n" id
+          (Printf.sprintf "  %-8s %-4s %10.0f %10.0f %8.0f\n" id
              (if m "up" = 1.0 then "yes" else "NO")
-             (breaker_name (m "breaker_state"))
-             (m "forwarded_total") (m "failovers_total")
-             (m "spills_total") (m "breaker_opens_total")))
+             (m "forwarded_total") (m "failovers_total") (m "spills_total")))
       shards
   end
 
@@ -253,8 +245,8 @@ let count =
 let main =
   Cmd.v
     (Cmd.info "rip_top" ~version:"1.0.0"
-       ~doc:"Live per-shard dashboard over METRICS: breaker states, \
-             cache hit rates, latency percentiles")
+       ~doc:"Live per-shard dashboard over METRICS: shards in the ring, \
+             forwards and failovers, cache hit rates, latency percentiles")
     Term.(
       const run $ socket_path $ port $ host $ endpoints $ interval $ once
       $ count)

@@ -49,7 +49,6 @@ type filter = {
   trace_id : string option;
   failover : bool;
   spilled : bool;
-  breaker_skip : bool;
   min_latency : float;  (* seconds *)
 }
 
@@ -60,7 +59,6 @@ let matches f (e : Wide_event.t) =
   && opt_eq f.trace_id e.trace_id
   && ((not f.failover) || e.failover)
   && ((not f.spilled) || e.spilled)
-  && ((not f.breaker_skip) || e.breaker_skip)
   && e.latency >= f.min_latency
 
 let count_by key events =
@@ -74,7 +72,7 @@ let count_by key events =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let run_query files outcome shard process trace_id failover spilled
-    breaker_skip min_latency_ms print_lines =
+    min_latency_ms print_lines =
   if files = [] then begin
     prerr_endline "rip_trace: query needs at least one spool file";
     2
@@ -88,7 +86,6 @@ let run_query files outcome shard process trace_id failover spilled
         trace_id;
         failover;
         spilled;
-        breaker_skip;
         min_latency = min_latency_ms /. 1000.0;
       }
     in
@@ -117,7 +114,6 @@ let run_query files outcome shard process trace_id failover spilled
       in
       flag "failover" (fun (e : Wide_event.t) -> e.failover);
       flag "spilled" (fun (e : Wide_event.t) -> e.spilled);
-      flag "breaker_skip" (fun (e : Wide_event.t) -> e.breaker_skip);
       let lat =
         List.map (fun (e : Wide_event.t) -> e.latency) hits |> Array.of_list
       in
@@ -259,12 +255,6 @@ let query_cmd =
             "Events served by the key's second choice because its owner had \
              more forwards outstanding.")
   in
-  let breaker_skip =
-    Arg.(
-      value & flag
-      & info [ "breaker-skip" ]
-          ~doc:"Events whose primary shard was skipped by an open breaker.")
-  in
   let min_latency_ms =
     Arg.(
       value & opt float 0.0
@@ -281,12 +271,12 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query"
        ~doc:"Filter and aggregate --wide-events spools.  Interesting events \
-             (non-fresh/cached outcomes, failover/spill/breaker \
-             involvement) are spooled at 100%, so their counts here are \
-             exact, not estimates.")
+             (non-fresh/cached outcomes, failover/spill involvement) are \
+             spooled at 100%, so their counts here are exact, not \
+             estimates.")
     Term.(
       const run_query $ files $ outcome $ shard $ process $ trace_id
-      $ failover $ spilled $ breaker_skip $ min_latency_ms $ print_lines)
+      $ failover $ spilled $ min_latency_ms $ print_lines)
 
 let check_cmd =
   let require_multi =

@@ -73,9 +73,8 @@ let parse_line acc lineno line =
           Error (Printf.sprintf "line %d: %s" lineno msg))
   | word :: _ -> Error (Printf.sprintf "line %d: unknown directive %S" lineno word)
 
-let parse_string body =
+let parse_lines lines =
   let acc = fresh () in
-  let lines = String.split_on_char '\n' body in
   let rec feed lineno = function
     | [] -> Ok ()
     | line :: rest -> (
@@ -95,6 +94,8 @@ let parse_string body =
       with
       | net -> Ok net
       | exception Invalid_argument msg -> Error msg)
+
+let parse_string body = parse_lines (String.split_on_char '\n' body)
 
 let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -16,8 +16,12 @@
     Order of [segment] lines is routing order; [zone] lines may appear
     anywhere.  [driver]/[receiver]/at least one [segment] are mandatory. *)
 
+val parse_lines : string list -> (Net.t, string) result
+(** Parse a body already split into lines (without their ['\n']).
+    Errors carry a 1-based line number. *)
+
 val parse_string : string -> (Net.t, string) result
-(** Parse a whole file body.  Errors carry a 1-based line number. *)
+(** [parse_lines] over the body split at ['\n']. *)
 
 val parse_file : string -> (Net.t, string) result
 (** Read and parse a file; I/O failures become [Error]. *)

@@ -17,7 +17,6 @@ type t = {
   cache : string;  (* "hit" | "miss" | "" *)
   failover : bool;
   spilled : bool;
-  breaker_skip : bool;  (* an open breaker excluded the primary shard *)
   dp_backend : string;
   labels_pruned : int;
   queue_wait : float;  (* seconds *)
@@ -37,7 +36,6 @@ let empty =
     cache = "";
     failover = false;
     spilled = false;
-    breaker_skip = false;
     dp_backend = "";
     labels_pruned = 0;
     queue_wait = 0.0;
@@ -58,7 +56,6 @@ let to_json event =
       ("cache", Json.String event.cache);
       ("failover", Json.Bool event.failover);
       ("spilled", Json.Bool event.spilled);
-      ("breaker_skip", Json.Bool event.breaker_skip);
       ("dp_backend", Json.String event.dp_backend);
       ("labels_pruned", Json.Int event.labels_pruned);
       ("queue_wait", Json.Float event.queue_wait);
@@ -106,7 +103,6 @@ let of_line line =
               cache = str "cache" "";
               failover = flag "failover";
               spilled = flag "spilled";
-              breaker_skip = flag "breaker_skip";
               dp_backend = str "dp_backend" "";
               labels_pruned = int "labels_pruned" 0;
               queue_wait = num "queue_wait" 0.0;
@@ -134,7 +130,7 @@ let interesting event =
   (match event.outcome with
   | "fresh" | "cached" -> false
   | _ -> true)
-  || event.failover || event.spilled || event.breaker_skip
+  || event.failover || event.spilled
 
 (* Deterministic [0,1) from the event identity — no wall clock, no
    PRNG state, so a replayed workload samples identically. *)

@@ -2,7 +2,7 @@
     per process with tail sampling.
 
     A wide event is the request's whole story in one record — digest,
-    serving shard, cache outcome, degradation rung, breaker/failover
+    serving shard, cache outcome, degradation rung, failover/spill
     involvement, queue wait, DP backend, deadline slack — so
     offline analysis (rip_trace query) joins nothing.  The schema is
     versioned ({!schema_version}, carried in every line); consumers
@@ -10,7 +10,7 @@
 
     Tail sampling keeps the spool small without losing the tail:
     anomalous events (every outcome other than [fresh]/[cached], and
-    any failover/spill/breaker involvement) are kept at 100% —
+    any failover/spill involvement) are kept at 100% —
     offline counts of them are exact, not estimates — plus everything
     above a latency threshold; the boring rest is sampled
     deterministically from the event identity, never a clock or PRNG,
@@ -30,7 +30,6 @@ type t = {
   cache : string;  (** ["hit" | "miss" | ""] *)
   failover : bool;
   spilled : bool;
-  breaker_skip : bool;  (** an open breaker excluded the primary shard *)
   dp_backend : string;
   labels_pruned : int;
       (** DP labels dropped at frontier freezes ([collected - kept]); the
@@ -66,7 +65,7 @@ val keep_all : sampler
 
 val interesting : t -> bool
 (** The always-keep predicate: any outcome other than [fresh]/[cached],
-    or any failover/spill/breaker involvement. *)
+    or any failover/spill involvement. *)
 
 val keep : sampler -> t -> bool
 

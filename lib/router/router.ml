@@ -1,6 +1,6 @@
-(* The cluster front end.  router.mli states the routing, admission,
-   failure-detection and circuit-breaker contract and DESIGN.md §6d/§6e
-   the reasoning behind it.  Connections are served by the shared
+(* The cluster front end.  router.mli states the routing, admission
+   and failure-detection contract and DESIGN.md §6d the reasoning
+   behind it.  Connections are served by the shared
    [Rip_service.Frontend]; this module answers what arrives on them. *)
 
 module Client = Rip_service.Client
@@ -21,11 +21,9 @@ type config = {
   request_timeout : float;  (* per-forward socket timeout, seconds *)
   poll_interval : float;  (* liveness tick, seconds *)
   vnodes_per_weight : int;
-  down_after : int;  (* missed polls before a shard is down *)
-  remove_after : int;  (* further misses before ring removal *)
+  down_after : int;  (* missed polls before a shard leaves the ring *)
   solver : Rip_core.Config.t option;  (* for the local fallback tier *)
   max_frame_bytes : int;
-  breaker_threshold : int;  (* consecutive transport failures to open *)
   tracer : Trace.t option;  (* ingress/forward spans + TRACE propagation *)
   spool : Wide_event.spool option;  (* one wide event per request *)
 }
@@ -37,37 +35,22 @@ let default_config =
     poll_interval = 0.25;
     vnodes_per_weight = Ring.default_vnodes_per_weight;
     down_after = 2;
-    remove_after = 8;
     solver = None;
     max_frame_bytes = Wire.default_max_frame_bytes;
-    breaker_threshold = 3;
     tracer = None;
     spool = None;
   }
 
-(* The circuit breaker shadows the poller's failure detector on a much
-   faster clock: the poller needs [down_after] ticks to mark a shard
-   down, but [breaker_threshold] consecutive transport failures on the
-   request path trip the breaker immediately, taking the shard out of
-   the candidate set before more requests burn a timeout each.  A
-   successful poll while open moves to half-open (the poller is the
-   probe); the next forwarded request decides — success closes,
-   failure re-opens. *)
-type breaker_state = Breaker_closed | Breaker_open | Breaker_half_open
-
 type shard = {
   spec : shard_spec;
-  pool : Client.Pool.t;
+  pool : Client.Pool.t;  (* forwards, [request_timeout] *)
+  control : Client.Pool.t;  (* HEALTH polls and METRICS scrapes *)
   inst : Router_metrics.shard_instruments;
   (* The remaining fields are guarded by the router mutex. *)
-  mutable up : bool;
+  mutable up : bool;  (* in the ring *)
   mutable missed_polls : int;
-  mutable down_polls : int;
-  mutable in_ring : bool;
   mutable queue_bound : int;  (* the shard's --queue-depth (HEALTH) *)
   mutable high_water : int;  (* the shard's --high-water (HEALTH) *)
-  mutable breaker : breaker_state;
-  mutable breaker_failures : int;  (* consecutive transport failures *)
   mutable outstanding : int;  (* forwards sent, not yet answered *)
 }
 
@@ -90,10 +73,8 @@ let create ?(config = default_config) ~shards process =
     invalid_arg "Router.create: pool_size must be >= 1";
   if config.poll_interval <= 0.0 then
     invalid_arg "Router.create: poll_interval must be positive";
-  if config.down_after < 1 || config.remove_after < 1 then
-    invalid_arg "Router.create: down_after and remove_after must be >= 1";
-  if config.breaker_threshold < 1 then
-    invalid_arg "Router.create: breaker_threshold must be >= 1";
+  if config.down_after < 1 then
+    invalid_arg "Router.create: down_after must be >= 1";
   let ring =
     Ring.create ~vnodes_per_weight:config.vnodes_per_weight
       (List.map (fun s -> (s.id, s.weight)) shards)
@@ -101,26 +82,29 @@ let create ?(config = default_config) ~shards process =
   let metrics =
     Router_metrics.create ~shard_ids:(List.map (fun s -> s.id) shards) ()
   in
+  (* A shard answers HEALTH and METRICS on its connection thread,
+     never behind a solve, so one left unanswered for four ticks is a
+     missed poll: a wedged shard stalls the serial poller for that
+     long, not for [request_timeout].  The timeouts bound each dial
+     too, which blocks once a wedged shard's backlog is full. *)
+  let control_timeout = 4.0 *. config.poll_interval in
   let shard_states =
     Array.of_list
       (List.map
          (fun spec ->
-           let socket = spec.socket in
+           let pool ~timeout ~size =
+             Client.Pool.create ~timeout ~size (fun () ->
+                 Client.connect_unix ~timeout spec.socket)
+           in
            {
              spec;
-             pool =
-               Client.Pool.create ~timeout:config.request_timeout
-                 ~size:config.pool_size (fun () ->
-                   Client.connect_unix socket);
+             pool = pool ~timeout:config.request_timeout ~size:config.pool_size;
+             control = pool ~timeout:control_timeout ~size:1;
              inst = Router_metrics.shard metrics spec.id;
              up = true;
              missed_polls = 0;
-             down_polls = 0;
-             in_ring = true;
              queue_bound = 64;
              high_water = 48;
-             breaker = Breaker_closed;
-             breaker_failures = 0;
              outstanding = 0;
            })
          shards)
@@ -142,110 +126,54 @@ let metrics t = t.metrics
 let stopping t = Frontend.stopping t.frontend
 let request_shutdown t = Frontend.request_shutdown t.frontend
 
-(* --- Circuit breaker ------------------------------------------------------- *)
-
-let breaker_gauge = function
-  | Breaker_closed -> 0.0
-  | Breaker_open -> 1.0
-  | Breaker_half_open -> 2.0
-
-(* [available] is the request path's view of a shard: poller liveness
-   AND a breaker that is not open.  Half-open admits traffic — the next
-   forward is the probe that decides.  Callers hold the router mutex. *)
-let available shard = shard.up && shard.breaker <> Breaker_open
-
-let shard_available t shard =
+(* Whether [shard] is in the ring; the request path asks before a
+   failover forward, the cluster block before a scrape. *)
+let is_up t shard =
   Mutex.lock t.mutex;
-  let a = available shard in
+  let up = shard.up in
   Mutex.unlock t.mutex;
-  a
-
-let note_forward_ok t shard =
-  Mutex.lock t.mutex;
-  shard.breaker_failures <- 0;
-  let closed = shard.breaker <> Breaker_closed in
-  shard.breaker <- Breaker_closed;
-  Mutex.unlock t.mutex;
-  if closed then
-    Obs.Gauge.set shard.inst.breaker_state (breaker_gauge Breaker_closed)
-
-let note_forward_error t shard =
-  Mutex.lock t.mutex;
-  shard.breaker_failures <- shard.breaker_failures + 1;
-  let opened =
-    match shard.breaker with
-    | Breaker_closed -> shard.breaker_failures >= t.config.breaker_threshold
-    | Breaker_half_open -> true  (* the probe failed; snap back open *)
-    | Breaker_open -> false
-  in
-  if opened then shard.breaker <- Breaker_open;
-  Mutex.unlock t.mutex;
-  if opened then begin
-    Obs.Gauge.set shard.inst.breaker_state (breaker_gauge Breaker_open);
-    Obs.Counter.incr shard.inst.breaker_opens
-  end
+  up
 
 (* --- Poller: failure detection --------------------------------------------- *)
 
 (* One HEALTH answer per tick does everything a poll is for: the shard
-   is alive (a down shard is re-admitted, and re-added to the ring if
-   it had been removed), its admission bounds are current (a restarted
-   shard may come back with another configuration), and an open
-   breaker moves to half-open, so the next forwarded request decides
-   (success closes, failure snaps back open). *)
+   is alive (a shard that was down re-enters the ring, a counted
+   rebalance) and its admission bounds are current (a restarted shard
+   may come back with another configuration). *)
 let on_health t shard (h : Protocol.health) =
   Mutex.lock t.mutex;
-  let re_add = not shard.in_ring in
-  shard.up <- true;
-  shard.missed_polls <- 0;
-  shard.down_polls <- 0;
+  let re_add = not shard.up in
   if re_add then begin
     t.ring <- Ring.add t.ring shard.spec.id ~weight:shard.spec.weight;
-    shard.in_ring <- true
+    shard.up <- true
   end;
+  shard.missed_polls <- 0;
   shard.queue_bound <- h.Protocol.health_queue_depth;
   shard.high_water <- h.Protocol.health_high_water;
-  let half_opened =
-    match shard.breaker with
-    | Breaker_open ->
-        shard.breaker <- Breaker_half_open;
-        true
-    | _ -> false
-  in
   Mutex.unlock t.mutex;
-  Obs.Gauge.set shard.inst.up 1.0;
-  if re_add then Obs.Counter.incr t.metrics.rebalances;
-  if half_opened then
-    Obs.Gauge.set shard.inst.breaker_state (breaker_gauge Breaker_half_open)
+  if re_add then begin
+    Obs.Gauge.set shard.inst.up 1.0;
+    Obs.Counter.incr t.metrics.rebalances
+  end
 
+(* The [down_after]-th consecutive miss takes the shard out of the
+   ring at once: its arcs fall to the survivors, a counted rebalance. *)
 let on_poll_failure t shard =
   Mutex.lock t.mutex;
-  let went_down =
-    shard.missed_polls <- shard.missed_polls + 1;
-    shard.up && shard.missed_polls >= t.config.down_after
-  in
+  shard.missed_polls <- shard.missed_polls + 1;
+  let went_down = shard.up && shard.missed_polls >= t.config.down_after in
   if went_down then begin
-    shard.up <- false;
-    shard.down_polls <- 0
-  end
-  else if not shard.up then shard.down_polls <- shard.down_polls + 1;
-  let removed =
-    if
-      (not shard.up) && shard.in_ring
-      && shard.down_polls >= t.config.remove_after
-    then begin
-      t.ring <- Ring.remove t.ring shard.spec.id;
-      shard.in_ring <- false;
-      true
-    end
-    else false
-  in
+    t.ring <- Ring.remove t.ring shard.spec.id;
+    shard.up <- false
+  end;
   Mutex.unlock t.mutex;
-  if went_down then Obs.Gauge.set shard.inst.up 0.0;
-  if removed then Obs.Counter.incr t.metrics.rebalances
+  if went_down then begin
+    Obs.Gauge.set shard.inst.up 0.0;
+    Obs.Counter.incr t.metrics.rebalances
+  end
 
 let poll_shard t shard =
-  match Client.Pool.request shard.pool Protocol.Health with
+  match Client.Pool.request shard.control Protocol.Health with
   | Ok (Protocol.Health_frame h) -> on_health t shard h
   | Ok _ | Error _ -> on_poll_failure t shard
 
@@ -276,14 +204,10 @@ let find_shard t id =
   | None -> invalid_arg (Printf.sprintf "Router: unknown shard %s" id)
 
 type routing =
-  | Forward of {
-      target : shard;
-      failover : shard option;
-      spilled : bool;
-      breaker_skip : bool;  (* the key's primary was skipped breaker-open *)
-    }
+  | Forward of { target : shard; failover : shard option; spilled : bool }
   | No_candidate
 
+(* Every shard in the ring is up, so both of a key's choices are. *)
 let route t key =
   Mutex.lock t.mutex;
   let decision =
@@ -292,40 +216,13 @@ let route t key =
     | Some (primary_id, secondary_id) -> (
         let primary = find_shard t primary_id in
         let secondary = Option.map (find_shard t) secondary_id in
-        let secondary_up =
-          match secondary with Some s when available s -> Some s | _ -> None
-        in
-        if not (available primary) then
-          match secondary_up with
-          | Some s ->
-              Forward
-                {
-                  target = s;
-                  failover = None;
-                  spilled = false;
-                  breaker_skip = primary.breaker = Breaker_open;
-                }
-          | None -> No_candidate
-        else
-          (* Two choices: a busier owner loses the request to an idler
-             second choice; a tie keeps the owner's cache. *)
-          match secondary_up with
-          | Some s when s.outstanding < primary.outstanding ->
-              Forward
-                {
-                  target = s;
-                  failover = Some primary;
-                  spilled = true;
-                  breaker_skip = false;
-                }
-          | _ ->
-              Forward
-                {
-                  target = primary;
-                  failover = secondary_up;
-                  spilled = false;
-                  breaker_skip = false;
-                })
+        (* Two choices: a busier owner loses the request to an idler
+           second choice; a tie keeps the owner's cache. *)
+        match secondary with
+        | Some s when s.outstanding < primary.outstanding ->
+            Forward { target = s; failover = Some primary; spilled = true }
+        | _ ->
+            Forward { target = primary; failover = secondary; spilled = false })
   in
   Mutex.unlock t.mutex;
   decision
@@ -339,9 +236,8 @@ let track_outstanding t shard delta =
 
 (* One forward attempt: the [forward:<id>] span and the shard's
    outstanding count that [route] compares both cover exactly the
-   pool's round trip.  An answer closes the breaker and lands in
-   [rip_router_forward_seconds]; a transport failure feeds the breaker
-   and counts as a failover away from this shard. *)
+   pool's round trip.  An answer lands in [rip_router_forward_seconds];
+   a transport failure counts as a failover away from this shard. *)
 let forward ~args t shard frame =
   let sent_at = Cpu_clock.monotonic_seconds () in
   track_outstanding t shard 1;
@@ -353,13 +249,10 @@ let forward ~args t shard frame =
   track_outstanding t shard (-1);
   (match result with
   | Ok _ ->
-      note_forward_ok t shard;
       Obs.Counter.incr shard.inst.forwarded;
       Obs.Histogram.observe t.metrics.forward_seconds
         (Cpu_clock.monotonic_seconds () -. sent_at)
-  | Error _ ->
-      note_forward_error t shard;
-      Obs.Counter.incr shard.inst.failovers);
+  | Error _ -> Obs.Counter.incr shard.inst.failovers);
   result
 
 let serve_solve t (solve : Protocol.solve) =
@@ -411,7 +304,7 @@ let serve_solve t (solve : Protocol.solve) =
     span_args ~parent:ingress_id ("forward:" ^ shard.spec.id)
   in
   let served_by = ref "" and failed_over = ref false in
-  let spilled_flag = ref false and breaker_flag = ref false in
+  let spilled_flag = ref false in
   let ingress_parent =
     match context with
     | Some c -> c.Trace.parent_span_id
@@ -426,10 +319,9 @@ let serve_solve t (solve : Protocol.solve) =
         | No_candidate ->
             (* Every shard is gone; the router still answers. *)
             worker_lost t ~budget ~net ~key "no candidate shard"
-        | Forward { target; failover; spilled; breaker_skip } -> (
+        | Forward { target; failover; spilled } -> (
             served_by := target.spec.id;
             spilled_flag := spilled;
-            breaker_flag := breaker_skip;
             if spilled then Obs.Counter.incr target.inst.spills;
             let forward_to shard =
               forward ~args:(fwd_args shard) t shard (frame_for shard)
@@ -441,7 +333,7 @@ let serve_solve t (solve : Protocol.solve) =
                 (* The poller will notice the death on its own tick; the
                    request fails over right now. *)
                 match failover with
-                | Some other when shard_available t other -> (
+                | Some other when is_up t other -> (
                     failed_over := true;
                     served_by := other.spec.id;
                     match forward_to other with
@@ -455,8 +347,8 @@ let serve_solve t (solve : Protocol.solve) =
   in
   (* Exactly one wide event per request through the router, always kept
      by the tail sampler when anything interesting happened (degraded,
-     failover, spill, breaker skip), so offline [rip_trace
-     query] counts reconcile exactly with the load generator's. *)
+     failover, spill), so offline [rip_trace query] counts reconcile
+     exactly with the load generator's. *)
   (match t.config.spool with
   | None -> ()
   | Some spool ->
@@ -482,7 +374,6 @@ let serve_solve t (solve : Protocol.solve) =
           cache;
           failover = !failed_over;
           spilled = !spilled_flag;
-          breaker_skip = !breaker_flag;
           latency = finished -. started;
           deadline_slack =
             (match deadline_ms with
@@ -495,7 +386,7 @@ let serve_solve t (solve : Protocol.solve) =
 
 (* The cluster block of the router's METRICS: the cluster as one
    server, under the names a shard uses.  Every unlabelled sample of
-   each available shard's exposition is summed by name, in first-seen
+   each up shard's exposition is summed by name, in first-seen
    order; uptime is left out (the router's own is
    [rip_router_uptime_seconds]) and histogram buckets carry labels, so
    only their [_sum]/[_count] series add up.  The answers the router
@@ -518,8 +409,8 @@ let cluster_block t =
   in
   Array.iter
     (fun shard ->
-      if shard_available t shard then
-        match Client.Pool.request shard.pool Protocol.Metrics with
+      if is_up t shard then
+        match Client.Pool.request shard.control Protocol.Metrics with
         | Ok (Protocol.Metrics_frame body) ->
             List.iter
               (fun ((name, _) as sample) ->
@@ -584,4 +475,8 @@ let run t listen_fd =
   let poller = Thread.create poll_loop t in
   Frontend.run t.frontend (handlers t) listen_fd;
   Thread.join poller;
-  Array.iter (fun shard -> Client.Pool.close_all shard.pool) t.shards
+  Array.iter
+    (fun shard ->
+      Client.Pool.close_all shard.pool;
+      Client.Pool.close_all shard.control)
+    t.shards

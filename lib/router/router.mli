@@ -29,33 +29,29 @@
     above its high-water mark, and the router relays either answer
     unchanged.
 
-    The poller doubles as the failure detector.  Each tick it sends
-    every shard HEALTH; an answer keeps the shard live, refreshes its
-    admission bounds and half-opens an open breaker.  A shard missing
-    [down_after] polls stops receiving traffic, after [remove_after]
-    more its arcs fall to the survivors (a counted rebalance), and a
-    recovery re-adds it — both transitions remap only that shard's
-    keys.  A transport failure on the request path fails over
-    immediately; with no candidate left, or when every forward tried
-    lost its transport, the router answers DEGRADED (worker lost) from
-    its own fallback tier and prints one stderr line with the route
-    decision and each forward's transport error.  The router never
-    drops a request.
+    The poller is the one failure detector, and a shard is either in
+    the ring or out of it.  Each tick it sends every shard HEALTH
+    through a control pool of its own, whose timeout is
+    [4 * poll_interval]; an answer refreshes the shard's admission
+    bounds.  A shard missing [down_after] consecutive polls leaves the
+    ring at once, its arcs falling to the survivors, and its next
+    answer re-adds it; each transition is one counted rebalance
+    ([rip_router_rebalances_total]), remaps only that shard's keys and
+    shows in [rip_router_shard_<id>_up].
 
     Each request is forwarded to one shard, and to a second only when
-    the first one's transport fails (failover).  A shard that stalls
-    without answering is waited on for [request_timeout]; a request
-    that carries a deadline is bounded sooner by the shard's own
-    DEGRADED (deadline) answer.  Forward round trips are exported as
-    [rip_router_forward_seconds].
-
-    The circuit breaker, per shard: [breaker_threshold] consecutive
-    transport failures open the breaker, removing the shard from the
-    candidate set without waiting for the poller's slower failure
-    detector.  A later successful poll half-opens it; the next
-    forwarded request closes it again or snaps it back open.  Exported
-    as [rip_router_shard_<id>_breaker_state] (0 closed, 1 open,
-    2 half-open). *)
+    the first one's transport fails (failover).  A transport failure
+    fails over at once, without waiting for the poller; with no
+    candidate left, or when every forward tried lost its transport,
+    the router answers DEGRADED (worker lost) from its own fallback
+    tier and prints one stderr line with the route decision and each
+    forward's transport error.  The router never drops a request.  A
+    shard that stalls without answering is waited on for
+    [request_timeout]; a request that carries a deadline is bounded
+    sooner by the shard's own DEGRADED (deadline) answer.  A shard
+    that answers HEALTH but cuts its answers stays in the ring, and
+    each request it owns pays one failed forward before failing over.
+    Forward round trips are exported as [rip_router_forward_seconds]. *)
 
 type shard_spec = { id : string; socket : string; weight : int }
 
@@ -64,12 +60,9 @@ type config = {
   request_timeout : float;  (** per-forward socket timeout, seconds *)
   poll_interval : float;  (** liveness tick, seconds *)
   vnodes_per_weight : int;
-  down_after : int;  (** missed polls before a shard is down *)
-  remove_after : int;  (** further misses before ring removal *)
+  down_after : int;  (** missed polls in a row before a shard leaves the ring *)
   solver : Rip_core.Config.t option;  (** for the local fallback tier *)
   max_frame_bytes : int;
-  breaker_threshold : int;
-      (** consecutive transport failures that open a shard's breaker *)
   tracer : Rip_obs.Trace.t option;
       (** when set, every request leaves an ingress span plus one span
           per forward attempt, and forwarded frames carry a TRACE
@@ -79,22 +72,21 @@ type config = {
           context minted at ingress. *)
   spool : Rip_obs.Wide_event.spool option;
       (** when set, every request emits exactly one wide event (outcome,
-          target shard, failover/spill/breaker involvement,
+          target shard, failover/spill involvement,
           deadline slack) through the spool's tail sampler *)
 }
 
 val default_config : config
 (** [pool_size = 8], [request_timeout = 60 s], [poll_interval =
-    0.25 s], [down_after = 2], [remove_after = 8],
-    [breaker_threshold = 3]. *)
+    0.25 s] (so a HEALTH poll or METRICS scrape times out after 1 s),
+    [down_after = 2]. *)
 
 type t
 
 val create : ?config:config -> shards:shard_spec list -> Rip_tech.Process.t -> t
 (** @raise Invalid_argument on an empty shard list, a duplicate or
     invalid shard id, or a nonsensical config
-    ([pool_size >= 1], [poll_interval > 0], [down_after >= 1],
-    [remove_after >= 1], [breaker_threshold >= 1]). *)
+    ([pool_size >= 1], [poll_interval > 0], [down_after >= 1]). *)
 
 val run : t -> Unix.file_descr -> unit
 (** Starts the poller, runs {!Rip_service.Frontend.run} over the
@@ -110,7 +102,7 @@ val metrics : t -> Router_metrics.t
 
 val metrics_body : t -> string
 (** The router's METRICS body: its own registry ({!Router_metrics}),
-    then the cluster block — the unlabelled samples of every available
+    then the cluster block — the unlabelled samples of every up
     shard's METRICS summed under the names a shard uses, without
     [rip_uptime_seconds].  The router's own answers count in the sums
     as a shard's would: a local DEGRADED answer in [rip_requests_total],

@@ -22,9 +22,7 @@ type shard_instruments = {
       (* requests this shard took as the key's second choice because
          the owner had more forwards outstanding *)
   outstanding : Obs.Gauge.t;  (* forwards sent here, not yet settled *)
-  up : Obs.Gauge.t;  (* 1 while the shard answers its polls *)
-  breaker_state : Obs.Gauge.t;  (* 0 closed, 1 open, 2 half-open *)
-  breaker_opens : Obs.Counter.t;  (* closed/half-open -> open transitions *)
+  up : Obs.Gauge.t;  (* 1 while the shard is in the ring *)
 }
 
 type t = {
@@ -57,8 +55,8 @@ let create ~shard_ids () =
   in
   let rebalances =
     counter "rip_router_rebalances_total"
-      "hash-ring membership changes (shard removed on sustained death or \
-       re-added on recovery)"
+      "hash-ring membership changes (shard removed after down_after missed \
+       polls or re-added on recovery)"
   in
   let forward_seconds =
     Obs.histogram registry ~name:"rip_router_forward_seconds"
@@ -94,13 +92,7 @@ let create ~shard_ids () =
             outstanding =
               g "outstanding"
                 "forwards sent and not yet answered";
-            up = g "up" "1 while the shard answers polls";
-            breaker_state =
-              g "breaker_state"
-                "circuit breaker: 0 closed, 1 open, 2 half-open";
-            breaker_opens =
-              p "breaker_opens_total"
-                "circuit breaker trips on consecutive transport failures";
+            up = g "up" "1 while the shard is in the ring";
           } ))
       shard_ids
   in

@@ -15,9 +15,7 @@ type shard_instruments = {
           the owner had more forwards outstanding *)
   outstanding : Obs.Gauge.t;
       (** forwards sent to this shard, not yet answered *)
-  up : Obs.Gauge.t;
-  breaker_state : Obs.Gauge.t;  (** 0 closed, 1 open, 2 half-open *)
-  breaker_opens : Obs.Counter.t;
+  up : Obs.Gauge.t;  (** 1 while the shard is in the ring *)
 }
 
 type t = {

@@ -16,13 +16,18 @@ let of_fd ?timeout fd =
   Option.iter (set_timeout fd) timeout;
   { fd; wire = Wire.create fd; closed = false }
 
+(* The timeouts are armed before the dial: a Unix-domain connect to a
+   listener whose backlog is full blocks until it accepts, and a
+   wedged peer never does. *)
 let connect_unix ?timeout path =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX path)
+  (try
+     Option.iter (set_timeout fd) timeout;
+     Unix.connect fd (Unix.ADDR_UNIX path)
    with exn ->
      Unix.close fd;
      raise exn);
-  of_fd ?timeout fd
+  of_fd fd
 
 let connect_tcp ?timeout ~host ~port () =
   let address =

@@ -17,8 +17,11 @@ val of_fd : ?timeout:float -> Unix.file_descr -> t
     blocking forever. *)
 
 val connect_unix : ?timeout:float -> string -> t
-(** Connect to a Unix-domain socket path.
-    @raise Unix.Unix_error when the daemon is not there. *)
+(** Connect to a Unix-domain socket path.  [timeout] also bounds the
+    dial, which would otherwise block on a listener whose backlog is
+    full (one that stopped accepting).
+    @raise Unix.Unix_error when the daemon is not there or the dial
+    timed out. *)
 
 val connect_tcp : ?timeout:float -> host:string -> port:int -> unit -> t
 (** Connect over TCP.  [timeout] bounds each read/write, not the

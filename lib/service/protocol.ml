@@ -284,7 +284,7 @@ let input_request read =
           let* net =
             Result.map_error
               (fun e -> Printf.sprintf "bad net body: %s" e)
-              (Rip_net.Net_io.parse_string (String.concat "\n" body))
+              (Rip_net.Net_io.parse_lines body)
           in
           let net_text = net_text body in
           Ok (Some (Solve { budget; deadline_ms; trace; net; net_text }))

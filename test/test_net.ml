@@ -358,9 +358,13 @@ let prop_io_round_trip =
   QCheck.Test.make ~name:"net files round-trip exactly" ~count:100
     (Helpers.net_arb ())
     (fun net ->
-      match Net_io.parse_string (Net_io.to_string net) with
-      | Ok parsed -> Net.equal net parsed
-      | Error _ -> false)
+      let body = Net_io.to_string net in
+      List.for_all
+        (function Ok parsed -> Net.equal net parsed | Error _ -> false)
+        [
+          Net_io.parse_string body;
+          Net_io.parse_lines (String.split_on_char '\n' body);
+        ])
 
 (* Stronger than value equality: re-rendering the parse reproduces the
    file byte for byte, so a net can shuttle through the service protocol

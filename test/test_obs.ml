@@ -381,11 +381,13 @@ let test_wide_event_roundtrip () =
         "nan slack round trips" true
         (Float.is_nan e.Wide_event.deadline_slack)
   | Error e -> Alcotest.fail e);
-  (* A line from before request hedging was deleted still carries its
-     "hedged"/"hedge_won" members; members are looked up by name, so it
-     loads as the same event. *)
+  (* A line from before request hedging and the circuit breaker were
+     deleted still carries its "hedged"/"hedge_won" and "breaker_skip"
+     members; members are looked up by name, so it loads as the same
+     event, under the same schema version. *)
+  Alcotest.(check int) "schema version unchanged" 1 Wide_event.schema_version;
   let older =
-    "{\"hedged\":true,\"hedge_won\":true,"
+    "{\"hedged\":true,\"hedge_won\":true,\"breaker_skip\":true,"
     ^ String.sub line 1 (String.length line - 1)
   in
   (match Wide_event.of_line older with
@@ -419,7 +421,6 @@ let test_wide_event_sampling () =
       ("error", { fast with Wide_event.outcome = "error" });
       ("failover", { fast with Wide_event.failover = true });
       ("spilled", { fast with Wide_event.spilled = true });
-      ("breaker skip", { fast with Wide_event.breaker_skip = true });
     ];
   Alcotest.(check bool)
     "ratio 1 keeps everything" true

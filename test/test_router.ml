@@ -4,10 +4,11 @@
    shard's answer bytes relayed unchanged, failover off a dead owner or
    an answer cut short, wide-event and trace reconciliation under
    failover, per-shard cache affinity, two-choice spilling, a shard's
-   own overload answer relayed through the router, and counters that
-   reconcile exactly through it.  Real daemons (spawned shards,
-   one killed mid-run and restarted on its journal) are exercised by
-   the CI cluster smoke job. *)
+   own overload answer relayed through the router, counters that
+   reconcile exactly through it, and the poller taking a wedged shard
+   out of the ring and a recovered one back in.  Real daemons (spawned
+   shards, one killed mid-run and restarted on its journal) are
+   exercised by the CI cluster smoke job. *)
 
 module Ring = Rip_router.Ring
 module Router = Rip_router.Router
@@ -146,8 +147,8 @@ let prop_ring_add_restores =
 
 (* --- Router config ------------------------------------------------------- *)
 
-(* Router.create rejects nonsense breaker / pool configuration before
-   touching any socket, so the bad specs below never reach the
+(* Router.create rejects a nonsense pool or poller configuration
+   before touching any socket, so the bad specs below never reach the
    connection pools. *)
 let test_router_config_validation () =
   let shards =
@@ -159,8 +160,9 @@ let test_router_config_validation () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "expected Invalid_argument"
   in
-  bad { Router.default_config with breaker_threshold = 0 };
-  bad { Router.default_config with pool_size = 0 }
+  bad { Router.default_config with pool_size = 0 };
+  bad { Router.default_config with poll_interval = 0.0 };
+  bad { Router.default_config with down_after = 0 }
 
 (* --- End to end: router -> shard span parentage -------------------------- *)
 
@@ -359,6 +361,23 @@ let fault_plan spec =
 
 let cluster_seq = Atomic.make 0
 
+(* An in-process shard [id] serving on the socket at [path]: its server
+   and the thread running it. *)
+let start_shard ?(config = Server.default_config) ?faults ?tracer id path =
+  let server =
+    Server.create
+      ~config:{ config with jobs = Some 1; shard_id = id; faults; tracer }
+      Helpers.process
+  in
+  let listener = Frontend.listen_unix path in
+  (server, Thread.create (Server.run server) listener)
+
+let stop_shard path (server, thread) =
+  Server.request_shutdown server;
+  (try Client.close (Client.connect_unix path) with Unix.Unix_error _ -> ());
+  Thread.join thread;
+  Server.shutdown server
+
 (* Run [f ~connect ~sock router client servers] against shards "a" and
    "b" ([servers] maps each live shard's id to its server, built from
    [shard_config]; a shard listed in [dead] gets no server: its socket
@@ -380,20 +399,11 @@ let with_tail_router ?(shard_config = Server.default_config)
       (fun id ->
         if List.mem id dead then None
         else
-          let server =
-            Server.create
-              ~config:
-                {
-                  shard_config with
-                  jobs = Some 1;
-                  shard_id = id;
-                  faults = faults id;
-                  tracer = tracers id;
-                }
-              Helpers.process
+          let server, thread =
+            start_shard ~config:shard_config ?faults:(faults id)
+              ?tracer:(tracers id) id (sock id)
           in
-          let listener = Frontend.listen_unix (sock id) in
-          Some (id, server, Thread.create (Server.run server) listener))
+          Some (id, server, thread))
       tail_ids
   in
   let router =
@@ -416,12 +426,7 @@ let with_tail_router ?(shard_config = Server.default_config)
       Router.request_shutdown router;
       Thread.join router_thread;
       List.iter
-        (fun (id, server, thread) ->
-          Server.request_shutdown server;
-          (try Client.close (Client.connect_unix (sock id))
-           with Unix.Unix_error _ -> ());
-          Thread.join thread;
-          Server.shutdown server)
+        (fun (id, server, thread) -> stop_shard (sock id) (server, thread))
         servers;
       List.iter
         (fun id -> try Sys.remove (sock id) with Sys_error _ -> ())
@@ -589,8 +594,8 @@ let test_tail_spool_reconciles () =
   let module Trace_merge = Rip_obs.Trace_merge in
   let module Wide_event = Rip_obs.Wide_event in
   let owner = "a" in
-  (* Fewer than [breaker_threshold] nets, so every one still tries the
-     dead owner first. *)
+  (* The poller never marks the dead owner down here (see
+     [with_tail_router]), so every net still tries it first. *)
   let nets = nets_with_primary owner 3 in
   Alcotest.(check int) "three nets owned by shard a" 3 (List.length nets);
   let router_tracer = Trace.create ~scope:"router" ~pid:1 () in
@@ -994,6 +999,160 @@ let test_routed_reconciliation () =
   Alcotest.(check int) "no hit" 0 hits;
   Alcotest.(check int) "every answer degraded" (List.length lost) degraded
 
+(* --- Liveness: the poller is the one failure detector --------------------
+
+   Shard "a" starts wedged: its socket is bound and listening but never
+   accepts, so no request is ever answered.  Its backlog is 0, so the
+   first dial is queued and every later one finds the queue full, as
+   every dial to a wedged shard eventually does.  Shard "b" is live.
+   The router polls every 0.1 s and gives a poll up after four ticks,
+   so "a" should leave the ring after [down_after] rounds of 0.5 s,
+   long before the 30 s [request_timeout] a forward waits. *)
+
+let live_poll_interval = 0.1
+let live_down_after = 2
+
+let router_sample router name =
+  Option.value ~default:Float.nan
+    (Obs.scalar (Rip_router.Router_metrics.render (Router.metrics router)) name)
+
+let wait_until ~timeout cond =
+  let deadline = Cpu_clock.monotonic_seconds () +. timeout in
+  let rec loop () =
+    cond ()
+    || Cpu_clock.monotonic_seconds () < deadline
+       && (Thread.delay 0.02;
+           loop ())
+  in
+  loop ()
+
+let shard_a_up router = router_sample router "rip_router_shard_a_up"
+let rebalances router = router_sample router "rip_router_rebalances_total"
+
+(* Run [f ~marked_down_after ~recover router client] once the router has
+   taken the wedged shard "a" out of the ring, [marked_down_after]
+   seconds after it started; [recover ()] closes the wedged socket and
+   starts a real shard "a" on its path. *)
+let with_wedged_shard f =
+  let dir = Filename.get_temp_dir_name () in
+  let tag =
+    Printf.sprintf "rip-live-%d-%d" (Unix.getpid ())
+      (Atomic.fetch_and_add cluster_seq 1)
+  in
+  let sock id = Filename.concat dir (Printf.sprintf "%s-%s.sock" tag id) in
+  let wedged =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind fd (Unix.ADDR_UNIX (sock "a"));
+    Unix.listen fd 0;
+    ref (Some fd)
+  in
+  let close_wedged () =
+    Option.iter Unix.close !wedged;
+    wedged := None
+  in
+  let shards = ref [ ("b", start_shard "b" (sock "b")) ] in
+  let router =
+    Router.create
+      ~config:
+        {
+          Router.default_config with
+          poll_interval = live_poll_interval;
+          down_after = live_down_after;
+          request_timeout = 30.0;
+        }
+      ~shards:
+        (List.map
+           (fun id -> { Router.id; socket = sock id; weight = 1 })
+           tail_ids)
+      Helpers.process
+  in
+  let listener = Frontend.listen_unix (sock "router") in
+  let started = Cpu_clock.monotonic_seconds () in
+  let router_thread = Thread.create (Router.run router) listener in
+  let client = Client.connect_unix (sock "router") in
+  Fun.protect
+    ~finally:(fun () ->
+      (* The wedged socket closes first, so a poller stuck dialing it
+         fails the test instead of hanging it. *)
+      close_wedged ();
+      Client.close client;
+      Router.request_shutdown router;
+      Thread.join router_thread;
+      List.iter (fun (id, shard) -> stop_shard (sock id) shard) !shards;
+      List.iter
+        (fun id -> try Sys.remove (sock id) with Sys_error _ -> ())
+        ("router" :: tail_ids))
+    (fun () ->
+      if
+        not
+          (wait_until ~timeout:10.0 (fun () ->
+               shard_a_up router = 0.0 && rebalances router >= 1.0))
+      then Alcotest.fail "the wedged shard never left the ring";
+      let marked_down_after = Cpu_clock.monotonic_seconds () -. started in
+      let recover () =
+        close_wedged ();
+        shards := ("a", start_shard "a" (sock "a")) :: !shards
+      in
+      f ~marked_down_after ~recover router client)
+
+let test_wedged_shard_leaves_ring () =
+  with_wedged_shard (fun ~marked_down_after ~recover:_ router client ->
+      let bound =
+        float_of_int live_down_after
+        *. (live_poll_interval +. (4.0 *. live_poll_interval))
+      in
+      if marked_down_after > 3.0 *. bound then
+        Alcotest.failf "marked down after %.2f s, over 3x the %.2f s bound"
+          marked_down_after bound;
+      Alcotest.(check (float 0.0)) "leaving the ring is one rebalance" 1.0
+        (rebalances router);
+      let nets = nets_with_primary "a" 3 in
+      List.iter
+        (fun net ->
+          let sent = Cpu_clock.monotonic_seconds () in
+          solve_through client net;
+          let took = Cpu_clock.monotonic_seconds () -. sent in
+          if took >= 2.0 then
+            Alcotest.failf "a key of the wedged shard took %.2f s" took)
+        nets;
+      Alcotest.(check int) "the survivor answered them" (List.length nets)
+        (Obs.Counter.value (shard_inst router "b").forwarded);
+      Alcotest.(check int) "no forward tried the wedged shard" 0
+        (Obs.Counter.value (shard_inst router "a").failovers))
+
+(* The survivor caches a key of "a" while "a" is out; once "a" answers
+   a poll again it is back in the ring, and the key's next answer is a
+   fresh solve on "a", then a hit there. *)
+let test_recovered_shard_rejoins () =
+  with_wedged_shard (fun ~marked_down_after:_ ~recover router client ->
+      let net = List.hd (nets_with_primary "a" 1) in
+      solve_through client net;
+      recover ();
+      if
+        not
+          (wait_until ~timeout:10.0 (fun () ->
+               shard_a_up router = 1.0 && rebalances router >= 2.0))
+      then Alcotest.fail "the recovered shard never rejoined the ring";
+      Alcotest.(check (float 0.0)) "leaving and rejoining are two rebalances"
+        2.0 (rebalances router);
+      let served () =
+        match
+          Client.request client (Protocol.solve ~budget:(tail_budget net) net)
+        with
+        | Ok (Protocol.Result { served; answer }) ->
+            check_direct net answer.Protocol.solution;
+            served
+        | Ok other ->
+            Alcotest.failf "SOLVE answered %S" (Protocol.print_response other)
+        | Error e -> Alcotest.failf "SOLVE failed: %s" e
+      in
+      Alcotest.(check bool) "fresh on the rejoined owner" true
+        (served () = Protocol.Fresh);
+      Alcotest.(check bool) "then cached there" true
+        (served () = Protocol.Cached);
+      Alcotest.(check int) "both forwarded to the owner" 2
+        (Obs.Counter.value (shard_inst router "a").forwarded))
+
 let suite =
   [
     ( "router.ring",
@@ -1009,7 +1168,7 @@ let suite =
       ] );
     ( "router.config",
       [
-        Alcotest.test_case "breaker and pool validation" `Quick
+        Alcotest.test_case "router config validation" `Quick
           test_router_config_validation;
       ] );
     ( "router.trace",
@@ -1040,5 +1199,9 @@ let suite =
           `Quick test_cluster_block;
         Alcotest.test_case "routed counters reconcile exactly" `Quick
           test_routed_reconciliation;
+        Alcotest.test_case "a wedged shard leaves the ring within its polls"
+          `Quick test_wedged_shard_leaves_ring;
+        Alcotest.test_case "a recovered shard rejoins the ring" `Quick
+          test_recovered_shard_rejoins;
       ] );
   ]
