@@ -13,8 +13,10 @@
    serving a cache hit, forwarding through the router).
    The suite experiment runs the quick sweep through the rip_engine
    domain pool at jobs=1 and jobs=N, checks the outcome arrays are
-   identical, and writes machine-readable rows to BENCH_suite.json in
-   the working directory (a generated artifact, not tracked in git).
+   identical, checks that Power_dp.run beats its oracle
+   Power_dp.reference on the sweep's g=40u baseline requests, and writes
+   machine-readable rows to BENCH_suite.json in the working directory (a
+   generated artifact, not tracked in git).
    Routed serving throughput and latency are perfbench's to measure
    (perfbench/run.py), not this harness's. *)
 
@@ -300,13 +302,13 @@ let run_micro () =
              | Ok None | Error _ -> failwith "micro: the answer does not parse"));
     ]
   in
-  let dp_micro backend name =
+  let dp_micro solve name =
     let open Bechamel in
     Test.make ~name
       (Staged.stage (fun () ->
-           Rip_dp.Power_dp.run
-             (Rip_dp.Power_dp.request ~backend geometry repeater ~library
-                ~candidates ~budget)))
+           solve
+             (Rip_dp.Power_dp.request geometry repeater ~library ~candidates
+                ~budget)))
   in
   let tests =
     [
@@ -317,8 +319,8 @@ let run_micro () =
       Test.make ~name:"total_delay(eq2)"
         (Staged.stage (fun () ->
              Rip_elmore.Delay.total repeater geometry coarse));
-      dp_micro Rip_dp.Power_dp.Reference "power_dp_ref(g=40u)";
-      dp_micro Rip_dp.Power_dp.Fast "power_dp_fast(g=40u)";
+      dp_micro Rip_dp.Power_dp.reference "power_dp_ref(g=40u)";
+      dp_micro Rip_dp.Power_dp.run "power_dp_fast(g=40u)";
       Test.make ~name:"width_solver(eq5+eq8)"
         (Staged.stage (fun () ->
              Rip_refine.Width_solver.solve geometry repeater ~positions
@@ -378,7 +380,6 @@ let suite_fingerprint runs =
     runs
 
 type suite_row = {
-  row_backend : Rip_dp.Power_dp.backend;
   row_jobs : int;
   row_wall : float;
   row_telemetry : Telemetry.t;
@@ -387,17 +388,38 @@ type suite_row = {
   row_dp_columns : int;
 }
 
+(* The g=40u fixed-size baseline's DP request for every cell of a sweep:
+   the same nets and budgets, so both DPs below solve identical work. *)
+let baseline_requests runs =
+  let baseline = Baseline.fixed_size ~granularity:40.0 in
+  List.concat_map
+    (fun (run : Experiments.net_run) ->
+      let net = run.Experiments.net in
+      let geometry = Geometry.of_net net in
+      let candidates =
+        Rip_dp.Candidates.uniform net ~pitch:baseline.Baseline.pitch
+      in
+      List.map
+        (fun (cell : Experiments.cell) ->
+          Rip_dp.Power_dp.request geometry process.Rip_tech.Process.repeater
+            ~library:baseline.Baseline.library ~candidates
+            ~budget:cell.Experiments.budget)
+        run.Experiments.cells)
+    runs
+
+(* Wall seconds to solve every request once with [solve]. *)
+let time_requests solve requests =
+  let started = Unix.gettimeofday () in
+  List.iter (fun r -> ignore (Sys.opaque_identity (solve r))) requests;
+  Unix.gettimeofday () -. started
+
 let run_suite_bench scale jobs_list =
   section "Engine batch-solve scaling";
   let nets = Suite.nets ~count:scale.nets () in
   let cells = scale.nets * scale.targets in
-  (* The ladder runs once per DP backend: same nets, same targets, so the
-     fingerprint check below doubles as the cross-backend bit-identity
-     gate, and the jobs=1 rows give an apples-to-apples cells/s ratio. *)
-  let one backend jobs =
-    let name = Rip_dp.Power_dp.backend_name backend in
+  let one jobs =
     Trace.span (Trace.global ()) ~cat:"bench"
-      (Printf.sprintf "suite backend=%s jobs=%d" name jobs)
+      (Printf.sprintf "suite jobs=%d" jobs)
     @@ fun () ->
     let labels_pruned = Atomic.make 0 in
     let dp_columns = Atomic.make 0 in
@@ -412,85 +434,67 @@ let run_suite_bench scale jobs_list =
           | Rip.Refine _ -> ())
         ()
     in
-    let config =
-      { Config.default with
-        Config.dp = { Config.default.Config.dp with Config.backend } }
-    in
     let started = Unix.gettimeofday () in
     let runs, telemetry =
       Experiments.run_suite_stats ~jobs ~granularities:[] ~nets
-        ~targets_per_net:scale.targets ~config ~hooks process
+        ~targets_per_net:scale.targets ~hooks process
     in
     let wall = Unix.gettimeofday () -. started in
     Printf.printf
-      "backend=%-9s jobs=%-2d  wall %6.2fs  cpu %6.2fs  %6.1f cells/s  \
+      "jobs=%-2d  wall %6.2fs  cpu %6.2fs  %6.1f cells/s  \
        utilization %3.0f%%  pruned %d/%d columns\n%!"
-      name jobs wall telemetry.Telemetry.cpu_seconds
+      jobs wall telemetry.Telemetry.cpu_seconds
       (float_of_int cells /. wall)
       (100.0 *. telemetry.Telemetry.utilization)
       (Atomic.get labels_pruned) (Atomic.get dp_columns);
-    { row_backend = backend; row_jobs = jobs; row_wall = wall;
-      row_telemetry = telemetry; row_runs = runs;
-      row_labels_pruned = Atomic.get labels_pruned;
+    { row_jobs = jobs; row_wall = wall; row_telemetry = telemetry;
+      row_runs = runs; row_labels_pruned = Atomic.get labels_pruned;
       row_dp_columns = Atomic.get dp_columns }
   in
-  let measurements =
-    List.concat_map
-      (fun backend -> List.map (one backend) jobs_list)
-      [ Rip_dp.Power_dp.Reference; Rip_dp.Power_dp.Fast ]
-  in
+  let measurements = List.map one jobs_list in
   (match measurements with
-  | reference :: rest ->
-      let reference_fp = suite_fingerprint reference.row_runs in
+  | first :: rest ->
+      let first_fp = suite_fingerprint first.row_runs in
       List.iter
         (fun row ->
-          if suite_fingerprint row.row_runs <> reference_fp then begin
+          if suite_fingerprint row.row_runs <> first_fp then begin
             Printf.eprintf
-              "DETERMINISM VIOLATION: backend=%s jobs=%d differs from \
-               backend=%s jobs=%d\n"
-              (Rip_dp.Power_dp.backend_name row.row_backend)
-              row.row_jobs
-              (Rip_dp.Power_dp.backend_name reference.row_backend)
-              reference.row_jobs;
+              "DETERMINISM VIOLATION: jobs=%d differs from jobs=%d\n"
+              row.row_jobs first.row_jobs;
             exit 1
           end)
         rest;
-      Printf.printf
-        "outcome arrays identical across job counts and backends: yes\n"
+      Printf.printf "outcome arrays identical across job counts: yes\n"
   | [] -> ());
-  (* Perf gate: at the first job count, the pruning backend must beat the
-     reference — CI runs @bench-quick, so a Fast regression fails the
-     build. *)
-  (match jobs_list with
-  | first_jobs :: _ ->
-      let cps backend =
-        List.find_map
-          (fun r ->
-            if r.row_backend = backend && r.row_jobs = first_jobs then
-              Some (float_of_int cells /. r.row_wall)
-            else None)
-          measurements
-      in
-      (match (cps Rip_dp.Power_dp.Reference, cps Rip_dp.Power_dp.Fast) with
-      | Some reference, Some fast ->
-          Printf.printf "fast/reference cells/s at jobs=%d: %.1fx\n"
-            first_jobs (fast /. reference);
-          if fast <= reference then begin
-            Printf.eprintf
-              "PERF REGRESSION: fast backend (%.1f cells/s) does not beat \
-               reference (%.1f cells/s) at jobs=%d\n"
-              fast reference first_jobs;
-            exit 1
-          end
-      | _, _ -> ())
-  | [] -> ());
+  (* Perf gate: the production DP must beat its oracle on the sweep's
+     g=40u baseline requests — CI runs @bench-quick, so a regression of
+     [Power_dp.run] fails the build. *)
+  let dp_times =
+    match measurements with
+    | [] -> None
+    | first :: _ ->
+        let requests = baseline_requests first.row_runs in
+        let reference = time_requests Rip_dp.Power_dp.reference requests in
+        let run = time_requests Rip_dp.Power_dp.run requests in
+        Printf.printf
+          "power DP on %d g=40u baseline requests: run %.3fs, reference \
+           %.3fs (%.1fx)\n"
+          (List.length requests) run reference (reference /. run);
+        if run >= reference then begin
+          Printf.eprintf
+            "PERF REGRESSION: Power_dp.run (%.3fs) does not beat \
+             Power_dp.reference (%.3fs) on the g=40u baseline requests\n"
+            run reference;
+          exit 1
+        end;
+        Some (List.length requests, run, reference)
+  in
   (* Machine-readable perf trajectory for future PRs. *)
   let row r =
     Json.Obj
       [
         ("nets", Json.Int scale.nets);
         ("targets", Json.Int scale.targets);
-        ("backend", Json.String (Rip_dp.Power_dp.backend_name r.row_backend));
         ("jobs", Json.Int r.row_jobs);
         ("wall_seconds", Json.Float r.row_wall);
         ("cpu_seconds", Json.Float r.row_telemetry.Telemetry.cpu_seconds);
@@ -500,8 +504,22 @@ let run_suite_bench scale jobs_list =
         ("dp_columns", Json.Int r.row_dp_columns);
       ]
   in
+  let dp =
+    match dp_times with
+    | None -> []
+    | Some (requests, run, reference) ->
+        [
+          ( "baseline_dp",
+            Json.Obj
+              [
+                ("requests", Json.Int requests);
+                ("run_seconds", Json.Float run);
+                ("reference_seconds", Json.Float reference);
+              ] );
+        ]
+  in
   write_json "BENCH_suite.json"
-    (Json.Obj [ ("runs", Json.List (List.map row measurements)) ]);
+    (Json.Obj (("runs", Json.List (List.map row measurements)) :: dp));
   Printf.printf "wrote BENCH_suite.json (%d runs)\n" (List.length measurements)
 
 (* --- Entry point -------------------------------------------------------- *)

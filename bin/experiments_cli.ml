@@ -38,40 +38,21 @@ let exit_status_of_runs runs =
     failures;
   if failures = [] then 0 else 1
 
-(* Only the DP options deviate from the defaults; None keeps the sweep's
-   default config so results are byte-identical when the flag is absent. *)
-let config_of_backend = function
-  | None -> None
-  | Some backend ->
-      Some
-        {
-          Rip_core.Config.default with
-          Rip_core.Config.dp =
-            {
-              Rip_core.Config.default.Rip_core.Config.dp with
-              Rip_core.Config.backend = backend;
-            };
-        }
-
-let table1_run nets targets jobs dp_backend =
+let table1_run nets targets jobs =
   let nets = Suite.nets ~count:nets () in
   let runs, telemetry =
     Experiments.run_suite_stats ?jobs ~granularities:[ 10.0; 20.0; 40.0 ]
-      ~nets ~targets_per_net:targets
-      ?config:(config_of_backend dp_backend)
-      process
+      ~nets ~targets_per_net:targets process
   in
   print_string (Experiments.render_table1 (Experiments.table1 runs));
   print_telemetry telemetry;
   exit_status_of_runs runs
 
-let fig7_run nets targets granularity jobs dp_backend =
+let fig7_run nets targets granularity jobs =
   let nets = Suite.nets ~count:nets () in
   let runs, telemetry =
     Experiments.run_suite_stats ?jobs ~granularities:[ granularity ] ~nets
-      ~targets_per_net:targets
-      ?config:(config_of_backend dp_backend)
-      process
+      ~targets_per_net:targets process
   in
   print_string
     (Experiments.render_fig7 ~granularity
@@ -79,13 +60,11 @@ let fig7_run nets targets granularity jobs dp_backend =
   print_telemetry telemetry;
   exit_status_of_runs runs
 
-let table2_run nets targets jobs dp_backend =
+let table2_run nets targets jobs =
   let nets = Suite.nets ~count:nets () in
   print_string
     (Experiments.render_table2
-       (Experiments.table2 ?jobs ~nets ~targets_per_net:targets
-          ?config:(config_of_backend dp_backend)
-          process));
+       (Experiments.table2 ?jobs ~nets ~targets_per_net:targets process));
   0
 
 open Cmdliner
@@ -115,33 +94,17 @@ let jobs =
               recommended domain count, except table2 which runs \
               sequentially for trustworthy runtime columns).")
 
-let dp_backend =
-  let backends =
-    [
-      ("reference", Rip_dp.Power_dp.Reference);
-      ("fast", Rip_dp.Power_dp.Fast);
-    ]
-  in
-  Arg.(
-    value
-    & opt (some (enum backends)) None
-    & info [ "dp-backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Power-DP backend for the RIP cells and baselines: \
-           $(b,reference) or $(b,fast) (bit-identical results). Defaults \
-           to the solver config's choice (fast).")
-
 let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table 1")
-    Term.(const table1_run $ nets $ targets $ jobs $ dp_backend)
+    Term.(const table1_run $ nets $ targets $ jobs)
 
 let fig7_cmd =
   Cmd.v (Cmd.info "fig7" ~doc:"Reproduce one Figure 7 series")
-    Term.(const fig7_run $ nets $ targets $ granularity $ jobs $ dp_backend)
+    Term.(const fig7_run $ nets $ targets $ granularity $ jobs)
 
 let table2_cmd =
   Cmd.v (Cmd.info "table2" ~doc:"Reproduce Table 2 (runtime-sensitive)")
-    Term.(const table2_run $ nets $ targets $ jobs $ dp_backend)
+    Term.(const table2_run $ nets $ targets $ jobs)
 
 let main =
   Cmd.group

@@ -13,7 +13,6 @@
 module Geometry = Rip_net.Geometry
 module Solution = Rip_elmore.Solution
 module Rip = Rip_core.Rip
-module Config = Rip_core.Config
 module Engine = Rip_engine.Engine
 
 let process = Rip_tech.Process.default_180nm
@@ -58,8 +57,7 @@ let print_trace (report : Rip.report) =
   | Some b ->
       printf "line 3: library %s\n" (Fmt.str "%a" Rip_dp.Repeater_library.pp b)
   | None -> ());
-  (* The window where line 4's schedule stopped: both backends widen
-     alike, so a diff of two traces compares the schedules too. *)
+  (* The window where line 4's schedule stopped. *)
   let window =
     match trace.Rip.final_radius with
     | Some radius ->
@@ -81,19 +79,7 @@ let print_trace (report : Rip.report) =
       printf "anchor pass: width %.1f u\n" a.Rip_dp.Power_dp.total_width
   | None -> ()
 
-(* Only the DP options deviate from the defaults; None leaves Rip.solve
-   on its default config when the flag is absent. *)
-let config_of_backend = function
-  | None -> None
-  | Some backend ->
-      Some
-        {
-          Config.default with
-          Config.dp = { Config.default.Config.dp with Config.backend = backend };
-        }
-
-let solve_command paths budget_ps slack trace jobs dp_backend =
-  let config = config_of_backend dp_backend in
+let solve_command paths budget_ps slack trace jobs =
   let loaded = List.map load paths in
   match
     List.find_map (function Error e -> Some e | Ok _ -> None) loaded
@@ -122,8 +108,7 @@ let solve_command paths budget_ps slack trace jobs dp_backend =
          end the batch. *)
       let solve (net, geometry, budget) =
         try
-          Rip.solve ?config
-            { Rip.process; net; geometry = Some geometry; budget }
+          Rip.solve { Rip.process; net; geometry = Some geometry; budget }
         with exn -> Error (Rip.Internal (Printexc.to_string exn))
       in
       let outcomes, telemetry = Engine.timed_map ?jobs solve problems in
@@ -202,27 +187,9 @@ let jobs =
               recommended domain count, capped at the number of net \
               files; a single net solves inline with no worker domain).")
 
-let dp_backend =
-  let backends =
-    [
-      ("reference", Rip_dp.Power_dp.Reference);
-      ("fast", Rip_dp.Power_dp.Fast);
-    ]
-  in
-  Arg.(
-    value
-    & opt (some (enum backends)) None
-    & info [ "dp-backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Power-DP backend: $(b,reference) (per-state Hashtbl labels) \
-           or $(b,fast) (candidate-pruning, flat label arenas; \
-           bit-identical results). Defaults to the solver config's \
-           choice (fast).")
-
 let solve_term =
   Term.(
-    const solve_command $ net_files $ budget_ps $ slack $ trace $ jobs
-    $ dp_backend)
+    const solve_command $ net_files $ budget_ps $ slack $ trace $ jobs)
 
 let solve_cmd =
   Cmd.v

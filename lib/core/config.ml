@@ -1,10 +1,5 @@
 module Repeater_library = Rip_dp.Repeater_library
 
-type dp_options = {
-  backend : Rip_dp.Power_dp.backend;
-  frontier_cap : int option;
-}
-
 type t = {
   coarse_library : Repeater_library.t;
   coarse_pitch : float;
@@ -16,7 +11,6 @@ type t = {
   max_width : float;
   refine : Rip_refine.Refine.config;
   refine_passes : int;
-  dp : dp_options;
 }
 
 let reference_library =
@@ -39,8 +33,9 @@ let default =
     max_width = 400.0;
     refine = Rip_refine.Refine.default_config;
     refine_passes = 1;
-    dp = { backend = Rip_dp.Power_dp.Fast; frontier_cap = Some 128 };
   }
+
+let frontier_cap = 128
 
 let pp ppf t =
   Fmt.pf ppf
@@ -48,9 +43,6 @@ let pp ppf t =
      coarse library %a at %gum pitch@,\
      refined grid %gu, +/-%d slots at %gum@,\
      width range [%gu, %gu]@,\
-     dp backend %s, frontier cap %a@]"
+     dp frontier cap %d@]"
     Repeater_library.pp t.coarse_library t.coarse_pitch t.refined_granularity
-    t.refined_radius t.refined_pitch t.min_width t.max_width
-    (Rip_dp.Power_dp.backend_name t.dp.backend)
-    Fmt.(option ~none:(any "none") int)
-    t.dp.frontier_cap
+    t.refined_radius t.refined_pitch t.min_width t.max_width frontier_cap

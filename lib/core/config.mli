@@ -1,18 +1,5 @@
 (** All knobs of Algorithm RIP, with the defaults of the paper's Section 6. *)
 
-type dp_options = {
-  backend : Rip_dp.Power_dp.backend;
-      (** which DP backend every {!Rip_dp.Power_dp} pass (coarse, final,
-          rescue, and the engine's baseline jobs) runs on; default
-          [Fast] *)
-  frontier_cap : int option;
-      (** per-state label cap handed to every DP pass: bounds the
-          pseudo-polynomial DP on tall nets with tight budgets, at worst
-          trading a little power optimality; default [Some 128], far
-          above what healthy nets produce.  [None] runs the exact DP. *)
-}
-(** Backend options shared by all DP passes of a solve. *)
-
 type t = {
   coarse_library : Rip_dp.Repeater_library.t;
       (** RIP line 1 library; default 5 widths, 80u..400u step 80u *)
@@ -35,10 +22,15 @@ type t = {
           the previous round's discrete solution; default 1 as in the
           paper, whose conclusion notes that "REFINE may be performed
           several times for further power reduction" *)
-  dp : dp_options;  (** DP backend selection and frontier cap *)
 }
 
 val default : t
+
+val frontier_cap : int
+(** The per-state label cap every DP pass of RIP runs under: 128.  It
+    bounds the pseudo-polynomial DP on tall nets with tight budgets, at
+    worst trading a little power optimality, and sits far above what
+    healthy nets produce. *)
 
 val reference_library : Rip_dp.Repeater_library.t
 (** The full-range discrete library 10u..400u step 10u: the finest design

@@ -80,15 +80,11 @@ module Chain = struct
     Candidates.around (net t) ~centers:(Solution.positions centers) ~radius
       ~pitch
 
-  (* [Reference] ignores width bounds, so it skips the subset passes. *)
-  let bounded t = t.config.Config.dp.Config.backend = Power_dp.Fast
-
-  let halve t candidates =
-    if bounded t && List.compare_length_with candidates halving_floor >= 0
-    then Some (List.filteri (fun i _ -> i mod 2 = 1) candidates)
+  let halve _ candidates =
+    if List.compare_length_with candidates halving_floor >= 0 then
+      Some (List.filteri (fun i _ -> i mod 2 = 1) candidates)
     else None
 
-  (* The schedule is part of the algorithm: both backends widen alike. *)
   let widens = true
 
   (* A site of a window is [center + k * pitch] with [|k| <= radius], so
@@ -105,10 +101,8 @@ module Chain = struct
      round, rescue): the final DPs reuse the capacity the coarse pass
      grew.  Arenas are single-owner; a solve is single-threaded. *)
   let power_dp t ?width_bound ?price ~library ~budget candidates =
-    let dp = t.config.Config.dp in
     Power_dp.run
-      (Power_dp.request ~backend:dp.Config.backend
-         ?frontier_cap:dp.Config.frontier_cap
+      (Power_dp.request ~frontier_cap:Config.frontier_cap
          ?width_bound:(Option.map Power_dp.width_units width_bound)
          ?price ~arena:t.arena ~hooks:t.dp_hooks t.geometry t.repeater
          ~library ~candidates ~budget)
@@ -162,8 +156,7 @@ module Chain = struct
           | Some w -> round ((r.position, w) :: acc) rest
           | None -> None)
     in
-    if not (bounded t) then None
-    else Option.map (seed t) (round [] (Solution.repeaters (placed outcome)))
+    Option.map (seed t) (round [] (Solution.repeaters (placed outcome)))
 end
 
 module Chain_pipeline = Pipeline.Make (Chain)

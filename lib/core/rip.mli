@@ -22,15 +22,15 @@
     {!Pipeline.start_radius} slots around each REFINE location
     and doubles up to [config.refined_radius] (the paper's 10, a ceiling)
     while a repeater of its answer sits on the window's outermost slot;
-    the rescue and anchor passes widen alike.  Under the [Fast] DP
-    backend every coarse pass first solves a subset of its candidates and
-    bounds the full pass by that answer's width, and every wider window
-    is bounded by the narrower one's answer.  The first window is itself
-    bounded by REFINE's insertion rounded up to library B
-    ({!phase_trace.core_bound}), and line 4's bounded runs price delay at
-    REFINE's multiplier.  A bounded run without an answer reruns
-    unbounded, so the answers and every phase of the trace are those of
-    the unbounded passes [Reference] runs (DESIGN.md 3.2a). *)
+    the rescue and anchor passes widen alike.  Every coarse pass first
+    solves a subset of its candidates and bounds the full pass by that
+    answer's width, and every wider window is bounded by the narrower
+    one's answer.  The first window is itself bounded by REFINE's
+    insertion rounded up to library B ({!phase_trace.core_bound}), and
+    line 4's bounded runs price delay at REFINE's multiplier.  A bounded
+    run without an answer reruns unbounded, so the answers and every
+    phase of the trace are those of unbounded passes on
+    {!Rip_dp.Power_dp.reference}, the tests' oracle (DESIGN.md 3.2a). *)
 
 type phase_trace = {
   coarse : Rip_dp.Power_dp.result option;
@@ -43,7 +43,7 @@ type phase_trace = {
   core_bound : Rip_dp.Power_dp.result option;
       (** REFINE's insertion with each width rounded up to library B,
           when it meets the budget: its width bounded line 4's first
-          window.  [None] under [Reference], which ignores bounds. *)
+          window. *)
   final_radius : int option;
       (** the radius, in slots, where line 4's window stopped widening;
           [None] when line 4 ran no DP *)
@@ -111,8 +111,7 @@ val problem :
 
 type probe_event =
   | Dp of Rip_dp.Power_dp.probe_event
-      (** from every DP pass: coarse, final and rescue — whichever
-          backend ran it *)
+      (** from every DP pass: coarse, final and rescue *)
   | Refine of Rip_refine.Refine.probe_event  (** from REFINE rounds *)
 (** Everything the pipeline can report through [hooks.probe]. *)
 
@@ -139,8 +138,8 @@ val solve :
       exceptions) — the shape of {!Rip_obs.Trace.begin_span}, without a
       dependency on it.
 
-    The DP backend and frontier cap come from [config.dp]
-    ({!Config.dp_options}); every DP pass of one solve shares a single
+    Every DP pass runs {!Rip_dp.Power_dp.run} under
+    {!Config.frontier_cap}, and every DP pass of one solve shares a single
     label arena, so batch callers amortise allocation by reusing warmed
     capacity across the coarse, final and rescue passes. *)
 

@@ -34,12 +34,3 @@ let around net ~centers ~radius ~pitch =
   in
   sanitize net
     (List.concat_map (fun c -> List.map (fun o -> c +. o) offsets) centers)
-
-let merge a b =
-  let sorted = List.sort Float.compare (a @ b) in
-  let dedup acc x =
-    match acc with
-    | prev :: _ when x -. prev <= position_tolerance -> acc
-    | _ -> x :: acc
-  in
-  List.rev (List.fold_left dedup [] sorted)

@@ -17,7 +17,3 @@ val around :
 (** For each center [c]: [c + k * pitch] for [k = -radius .. radius],
     clipped to the interior and zone-filtered, merged over all centers.
     @raise Invalid_argument when [pitch <= 0.] or [radius < 0]. *)
-
-val merge : float list -> float list -> float list
-(** Union of two ascending candidate lists, de-duplicated with the same
-    position tolerance the generators use. *)

@@ -1,8 +1,8 @@
-(** The candidate-pruning power-DP backend (Li/Shi-style redundancy
-    predicates over the Lillis/Cheng/Lin label space) with flat-arena
-    label storage.
+(** The power DP's production solver: candidate pruning (Li/Shi-style
+    redundancy predicates over the Lillis/Cheng/Lin label space) with
+    flat-arena label storage.
 
-    Semantics are those of {!Power_dp}'s reference backend: same states,
+    Semantics are those of {!Power_dp.reference}, the oracle: same states,
     same Eq.-(1) transitions, same admission test, bucket rule and Pareto
     freeze — plus a sound forward-infeasibility prune.  A backward pass
     computes each state's least stage-delay sum to the receiver ([minF]);
@@ -23,13 +23,13 @@
     and drops every label whose width plus [minW] exceeds the bound; an
     optional price on delay adds a third, [hl], and drops every label
     whose cheapest priced completion cannot finish within the bound.
-    Returned placements are bit-identical to the reference backend's
-    whenever no [frontier_cap] binds and any width bound is at least the
-    optimum (DESIGN.md, "Pluggable DP backends").
+    Returned placements are bit-identical to the oracle's whenever no
+    [frontier_cap] binds and any width bound is at least the optimum
+    (DESIGN.md 3.2a, "One DP and its oracle").
 
-    This module is deliberately free of {!Power_dp} types so the two
-    backends sit side by side; callers go through {!Power_dp.run}, which
-    dispatches and builds the shared result record. *)
+    This module is deliberately free of {!Power_dp} types, so it sits
+    below the oracle and the result record; callers go through
+    {!Power_dp.run}, which builds that record. *)
 
 module Arena : sig
   type t
@@ -73,8 +73,8 @@ val solve :
   budget:float ->
   ((float * float) list * stats) option
 (** [None] when no assignment meets the budget.  On success the
-    placements are ascending [(position, width)] pairs, exactly the
-    reference backend's solution.
+    placements are ascending [(position, width)] pairs, exactly
+    {!Power_dp.reference}'s solution.
 
     [on_column] fires once per DP state after its frontier is frozen
     (labelled arguments, so an absent listener costs one branch and a

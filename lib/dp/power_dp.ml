@@ -23,19 +23,12 @@ type probe_event =
       kept : int;
     }
 
-type backend = Reference | Fast
-
-let backend_name = function
-  | Reference -> "reference"
-  | Fast -> "fast"
-
 type request = {
   geometry : Rip_net.Geometry.t;
   repeater : Rip_tech.Repeater_model.t;
   library : Repeater_library.t;
   candidates : float list;
   budget : float;
-  backend : backend;
   frontier_cap : int option;
   width_bound : int option;
   price : float option;
@@ -43,10 +36,10 @@ type request = {
   hooks : probe_event Hooks.t;
 }
 
-let request ?(backend = Fast) ?frontier_cap ?width_bound ?price ?arena
-    ?(hooks = Hooks.default) geometry repeater ~library ~candidates ~budget =
-  { geometry; repeater; library; candidates; budget; backend; frontier_cap;
-    width_bound; price; arena; hooks }
+let request ?frontier_cap ?width_bound ?price ?arena ?(hooks = Hooks.default)
+    geometry repeater ~library ~candidates ~budget =
+  { geometry; repeater; library; candidates; budget; frontier_cap; width_bound;
+    price; arena; hooks }
 
 type label = {
   delay : float;
@@ -104,8 +97,8 @@ let freeze_frontier labels =
     arr;
   Array.of_list (List.rev !kept)
 
-(* The reference backend: the textbook Lillis/Cheng/Lin label DP, kept
-   as the exactness baseline the fast backend must match bit for bit. *)
+(* The oracle: the textbook Lillis/Cheng/Lin label DP, kept as the
+   exactness baseline [Fast_dp] must match bit for bit. *)
 let solve_reference ?frontier_cap ~cancel ~probe chain ~library ~budget =
   let geometry = chain.Chain.geometry in
   let repeater = chain.Chain.repeater in
@@ -245,43 +238,46 @@ let solve_reference ?frontier_cap ~cancel ~probe chain ~library ~budget =
       }
   end
 
-let run (r : request) =
+(* Shared by [run] and [reference]: the cap check and the chain. *)
+let chain_of (r : request) =
   (match r.frontier_cap with
   | Some cap when cap < 2 ->
-      invalid_arg "Power_dp.run: frontier_cap must be at least 2"
+      invalid_arg "Power_dp: frontier_cap must be at least 2"
   | Some _ | None -> ());
-  let chain = Chain.create r.geometry r.repeater ~candidates:r.candidates in
-  match r.backend with
-  | Reference ->
-      solve_reference ?frontier_cap:r.frontier_cap
-        ~cancel:r.hooks.Hooks.cancel ~probe:r.hooks.Hooks.probe chain
-        ~library:r.library ~budget:r.budget
-  | Fast -> (
-      let on_column =
-        match r.hooks.Hooks.probe with
-        | None -> None
-        | Some f ->
-            Some
-              (fun ~site ~width_index ~collected ~kept ->
-                f (Column { site; width_index; collected; kept }))
-      in
-      match
-        Fast_dp.solve ?frontier_cap:r.frontier_cap ?width_bound:r.width_bound
-          ?price:r.price ~cancel:r.hooks.Hooks.cancel ?on_column ?arena:r.arena
-          chain ~library:r.library ~budget:r.budget
-      with
-      | None -> None
-      | Some (placements, fstats) ->
-          let solution = Solution.create placements in
-          Some
+  Chain.create r.geometry r.repeater ~candidates:r.candidates
+
+let reference (r : request) =
+  solve_reference ?frontier_cap:r.frontier_cap ~cancel:r.hooks.Hooks.cancel
+    ~probe:r.hooks.Hooks.probe (chain_of r) ~library:r.library
+    ~budget:r.budget
+
+let run (r : request) =
+  let chain = chain_of r in
+  let on_column =
+    match r.hooks.Hooks.probe with
+    | None -> None
+    | Some f ->
+        Some
+          (fun ~site ~width_index ~collected ~kept ->
+            f (Column { site; width_index; collected; kept }))
+  in
+  match
+    Fast_dp.solve ?frontier_cap:r.frontier_cap ?width_bound:r.width_bound
+      ?price:r.price ~cancel:r.hooks.Hooks.cancel ?on_column ?arena:r.arena
+      chain ~library:r.library ~budget:r.budget
+  with
+  | None -> None
+  | Some (placements, fstats) ->
+      let solution = Solution.create placements in
+      Some
+        {
+          solution;
+          total_width = Solution.total_width solution;
+          delay = Delay.total r.repeater r.geometry solution;
+          stats =
             {
-              solution;
-              total_width = Solution.total_width solution;
-              delay = Delay.total r.repeater r.geometry solution;
-              stats =
-                {
-                  sites = fstats.Fast_dp.sites;
-                  transitions = fstats.Fast_dp.transitions;
-                  labels = fstats.Fast_dp.labels;
-                };
-            })
+              sites = fstats.Fast_dp.sites;
+              transitions = fstats.Fast_dp.transitions;
+              labels = fstats.Fast_dp.labels;
+            };
+        }

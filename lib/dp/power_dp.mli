@@ -10,10 +10,12 @@
     quantised total width so each distinct width keeps only its fastest
     label — the pseudo-polynomial bound of [14].
 
-    Two interchangeable backends implement that contract ({!backend});
-    {!run} on a {!type-request} is the single dispatch point every caller
-    — [Rip.solve]'s passes, the engine's baseline jobs, the service's
-    rescue DP, the bench suite — routes through. *)
+    {!run} on a {!type-request} is the one production DP every caller —
+    [Rip.solve]'s passes, the baseline jobs, the service's rescue DP, the
+    bench suite — routes through.  It runs {!Fast_dp}, which prunes
+    candidates in the style of Li & Shi's O(bn{^2}) buffer insertion.
+    {!reference} is the textbook boxed-label DP it must match bit for bit:
+    the tests' oracle, and the bench's yardstick for [run]'s speed. *)
 
 type stats = {
   sites : int;  (** candidate sites including driver and receiver *)
@@ -36,25 +38,12 @@ type probe_event =
       kept : int;  (** frontier size after pruning (and any cap) *)
     }
       (** One DP state finished: its frontier was frozen.  Labels pruned
-          at this state = [collected - kept].  Both backends emit the
-          event; under [Fast] the counts reflect its additional
+          at this state = [collected - kept].  {!run} and {!reference}
+          both emit the event; {!run}'s counts reflect its additional
           forward-infeasibility pruning, which is exactly what makes the
           win visible in METRICS. *)
 
-(** {1 Backends} *)
-
-type backend =
-  | Reference
-      (** the boxed-label Hashtbl DP of [14]: the exactness baseline *)
-  | Fast
-      (** {!Fast_dp}: Li/Shi-style candidate pruning over flat arenas;
-          bit-identical solutions, order-of-magnitude faster on real
-          instances *)
-
-val backend_name : backend -> string
-(** ["reference"], ["fast"] — for reports and bench output. *)
-
-(** {1 Requests and the dispatch point} *)
+(** {1 Requests and the solve} *)
 
 type request = {
   geometry : Rip_net.Geometry.t;
@@ -62,33 +51,32 @@ type request = {
   library : Repeater_library.t;
   candidates : float list;
   budget : float;
-  backend : backend;
   frontier_cap : int option;
       (** bounds every per-state frontier to that many labels (evenly
           sampled along the width axis, keeping the cheapest and the
           fastest).  Without it the DP is exact but pseudo-polynomial;
           with it, an anytime approximation that still never returns a
           budget-violating solution.  Must be at least 2.  When a cap
-          actually binds on a state where [Fast] pruned labels, the two
-          backends may sample different survivors and cease to be
-          bit-identical — callers needing cross-backend identity under
-          all inputs pass [None] (see DESIGN.md). *)
+          actually binds on a state where {!run} pruned labels, {!run}
+          and {!reference} may sample different survivors and cease to be
+          bit-identical — a comparison that must hold on all inputs
+          passes [None] (see DESIGN.md). *)
   width_bound : int option;
       (** an upper bound on the answer's total width in the DP's label
           units ({!width_units}), typically another request's answer on a
-          subset of these candidates.  [Fast] drops every label that
+          subset of these candidates.  {!run} drops every label that
           cannot finish within it: at or above the optimum the answer is
-          unchanged, below it the result is [None].  [Reference] ignores
+          unchanged, below it the result is [None].  {!reference} ignores
           it and stays the unbounded oracle. *)
   price : float option;
       (** a Lagrangian multiplier on delay in label units per second,
           finite and positive, that sharpens [width_bound] (see
           {!Fast_dp.solve}); ignored without one.  Any such price leaves
-          [Fast]'s answer unchanged when no [frontier_cap] binds.
-          [Reference] ignores it. *)
+          {!run}'s answer unchanged when no [frontier_cap] binds.
+          {!reference} ignores it. *)
   arena : Fast_dp.Arena.t option;
-      (** reusable label store for the [Fast] backend (ignored by
-          [Reference]); omitted, the solve allocates a private one *)
+      (** reusable label store for {!run} (ignored by {!reference});
+          omitted, the solve allocates a private one *)
   hooks : probe_event Rip_numerics.Hooks.t;
       (** [cancel] is polled once per candidate column; [probe] receives
           one {!probe_event} per DP state; [phase] is unused at this
@@ -96,7 +84,6 @@ type request = {
 }
 
 val request :
-  ?backend:backend ->
   ?frontier_cap:int ->
   ?width_bound:int ->
   ?price:float ->
@@ -105,9 +92,8 @@ val request :
   Rip_net.Geometry.t -> Rip_tech.Repeater_model.t ->
   library:Repeater_library.t -> candidates:float list -> budget:float ->
   request
-(** Constructor with the defaults of a plain solve: [Fast] backend, no
-    cap, no width bound, no price, no arena,
-    {!Rip_numerics.Hooks.default}. *)
+(** Constructor with the defaults of a plain solve: no cap, no width
+    bound, no price, no arena, {!Rip_numerics.Hooks.default}. *)
 
 val width_units : result -> int
 (** The result's total width in the DP's quantised label units: the sum
@@ -120,5 +106,13 @@ val run : request -> result option
     and library meets the budget.  The returned solution's delay is
     recomputed through {!Rip_elmore.Delay.total} and always satisfies
     [delay <= budget].
-    @raise Invalid_argument when [frontier_cap < 2], or under [Fast]
-    when [price] is not finite and positive. *)
+    @raise Invalid_argument when [frontier_cap < 2] or [price] is not
+    finite and positive. *)
+
+val reference : request -> result option
+(** The oracle: the boxed-label Hashtbl DP of [14], one frontier per
+    state collected in a hash table.  It ignores [width_bound], [price]
+    and [arena] and honours [frontier_cap] and the hooks.  Without a
+    binding cap its answer is {!run}'s, bit for bit; tests compare the
+    two, and the bench times {!run} against it.
+    @raise Invalid_argument when [frontier_cap < 2]. *)

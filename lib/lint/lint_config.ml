@@ -72,11 +72,10 @@ let rules_for_library = function
   | "rip_core" | "rip_elmore" | "rip_refine" | "rip_tech" | "rip_workload" ->
       [ No_poly_compare; No_wall_clock ]
   | "rip_dp" ->
-      (* The fast DP backend mutates its flat label arenas in place;
-         the escape rule rides along so any future attempt to share an
-         arena across a spawn gets flagged, and the hot-loop rule
-         protects the arena loops' allocation-free property behind the
-         backend's measured speedup. *)
+      (* The fast DP mutates its flat label arenas in place; the escape
+         rule rides along so any future attempt to share an arena across
+         a spawn gets flagged, and the hot-loop rule protects the arena
+         loops' allocation-free property behind its measured speedup. *)
       [ No_poly_compare; No_hashtbl_order; No_wall_clock; Domain_escape;
         Alloc_in_hot_loop ]
   | "rip_tree" | "rip_numerics" ->

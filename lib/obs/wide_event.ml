@@ -17,7 +17,6 @@ type t = {
   cache : string;  (* "hit" | "miss" | "" *)
   failover : bool;
   spilled : bool;
-  dp_backend : string;
   labels_pruned : int;
   queue_wait : float;  (* seconds *)
   latency : float;  (* seconds, request wall time at the emitter *)
@@ -36,7 +35,6 @@ let empty =
     cache = "";
     failover = false;
     spilled = false;
-    dp_backend = "";
     labels_pruned = 0;
     queue_wait = 0.0;
     latency = 0.0;
@@ -56,7 +54,6 @@ let to_json event =
       ("cache", Json.String event.cache);
       ("failover", Json.Bool event.failover);
       ("spilled", Json.Bool event.spilled);
-      ("dp_backend", Json.String event.dp_backend);
       ("labels_pruned", Json.Int event.labels_pruned);
       ("queue_wait", Json.Float event.queue_wait);
       ("latency", Json.Float event.latency);
@@ -103,7 +100,6 @@ let of_line line =
               cache = str "cache" "";
               failover = flag "failover";
               spilled = flag "spilled";
-              dp_backend = str "dp_backend" "";
               labels_pruned = int "labels_pruned" 0;
               queue_wait = num "queue_wait" 0.0;
               latency = num "latency" 0.0;

@@ -3,7 +3,7 @@
 
     A wide event is the request's whole story in one record — digest,
     serving shard, cache outcome, degradation rung, failover/spill
-    involvement, queue wait, DP backend, deadline slack — so
+    involvement, queue wait, DP labels pruned, deadline slack — so
     offline analysis (rip_trace query) joins nothing.  The schema is
     versioned ({!schema_version}, carried in every line); consumers
     reject lines from a schema they do not understand.
@@ -30,7 +30,6 @@ type t = {
   cache : string;  (** ["hit" | "miss" | ""] *)
   failover : bool;
   spilled : bool;
-  dp_backend : string;
   labels_pruned : int;
       (** DP labels dropped at frontier freezes ([collected - kept]); the
           labels the fast DP skips before collection are not counted *)

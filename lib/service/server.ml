@@ -273,9 +273,8 @@ type solve_outcome =
   | Worker_lost_mid_solve
 
 (* Probes are always wired: each event is one or two atomic counter
-   bumps, cheap enough to keep on for every solve.  Both DP backends
-   report through the same [Column] event, so the counters are
-   backend-independent. *)
+   bumps, cheap enough to keep on for every solve.  Every DP pass reports
+   through the same [Column] event. *)
 let solver_probe t ~pruned = function
   | Rip.Dp (Rip_dp.Power_dp.Column { collected; kept; _ }) ->
       Obs.Counter.incr t.metrics.dp_columns;
@@ -454,11 +453,6 @@ let serve_solve t { Protocol.budget; deadline_ms; trace; net; net_text = _ } =
         | Protocol.Result { served = Cached; _ } -> "hit"
         | _ -> "miss"
       in
-      let solver =
-        match t.config.solver with
-        | Some c -> c
-        | None -> Rip_core.Config.default
-      in
       Wide_event.emit spool
         {
           Wide_event.empty with
@@ -471,8 +465,6 @@ let serve_solve t { Protocol.budget; deadline_ms; trace; net; net_text = _ } =
           outcome;
           degrade_reason;
           cache;
-          dp_backend =
-            Rip_dp.Power_dp.backend_name solver.Rip_core.Config.dp.backend;
           labels_pruned = Atomic.get pruned;
           queue_wait = !queue_wait;
           latency = finished -. started;

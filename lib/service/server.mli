@@ -65,7 +65,7 @@ type config = {
           as Chrome-trace JSON on exit ([--trace-out]) *)
   spool : Rip_obs.Wide_event.spool option;
       (** when set, every SOLVE emits exactly one wide event (outcome,
-          cache, queue wait, DP backend, labels pruned, deadline slack)
+          cache, queue wait, labels pruned, deadline slack)
           through the spool's tail sampler *)
   journal_dir : string option;
       (** when set, every verified cache insert is appended to a

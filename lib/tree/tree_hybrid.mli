@@ -36,7 +36,7 @@ val solve :
   (report, Rip_core.Rip.error) result
 (** Power-minimal tree repeater insertion with every sink within
     [budget], or [Infeasible_budget] with the tree's {!tau_min} as the
-    hint.  [config.dp] and [config.refine] are chain-only and ignored.
+    hint.  [config.refine] is chain-only and ignored.
     [hooks.phase] brackets the pipeline's phases; the tree solvers poll
     no [cancel] and emit no [probe] events. *)
 

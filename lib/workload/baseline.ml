@@ -31,14 +31,13 @@ type run = {
   runtime_seconds : float;
 }
 
-let solve ?(backend = Power_dp.Fast) t (process : Rip_tech.Process.t) geometry
-    ~budget =
+let solve t (process : Rip_tech.Process.t) geometry ~budget =
   let net = Geometry.net geometry in
   let candidates = Candidates.uniform net ~pitch:t.pitch in
   let started = Rip_numerics.Cpu_clock.thread_seconds () in
   let result =
     Power_dp.run
-      (Power_dp.request ~backend geometry process.Rip_tech.Process.repeater
+      (Power_dp.request geometry process.Rip_tech.Process.repeater
          ~library:t.library ~candidates ~budget)
   in
   {

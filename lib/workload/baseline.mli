@@ -25,7 +25,6 @@ type run = {
 }
 
 val solve :
-  ?backend:Rip_dp.Power_dp.backend ->
   t -> Rip_tech.Process.t -> Rip_net.Geometry.t -> budget:float -> run
-(** Run the baseline DP on one net and budget, timed.  [backend] selects
-    the {!Rip_dp.Power_dp} implementation (default [Fast]). *)
+(** Run the baseline DP ({!Rip_dp.Power_dp.run}, exact: no frontier cap)
+    on one net and budget, timed. *)

@@ -34,13 +34,8 @@ let saving_percent ~(baseline : Power_dp.result) ~(rip : Rip.report) =
    work is untouched, so the result is identical to the old sequential
    sweep for any job count. *)
 let run_suite_stats ?jobs ?(granularities = [ 10.0; 20.0; 40.0 ])
-    ?(fixed_range = false) ?nets ?(targets_per_net = 20) ?config ?hooks
-    process =
+    ?(fixed_range = false) ?nets ?(targets_per_net = 20) ?hooks process =
   let nets = match nets with Some nets -> nets | None -> Suite.nets () in
-  let dp_backend =
-    (Option.value config ~default:Rip_core.Config.default)
-      .Rip_core.Config.dp.Rip_core.Config.backend
-  in
   let baseline_of granularity =
     if fixed_range then Baseline.fixed_range ~granularity
     else Baseline.fixed_size ~granularity
@@ -57,15 +52,14 @@ let run_suite_stats ?jobs ?(granularities = [ 10.0; 20.0; 40.0 ])
           (Suite.timing_targets ~count:targets_per_net ~tau_min ()))
       ~cell:(fun (net, geometry, _) (target_index, budget) ->
         let rip =
-          Rip.solve ?config ?hooks
+          Rip.solve ?hooks
             { Rip.process; net; geometry = Some geometry; budget }
         in
         let baselines =
           List.map
             (fun g ->
               ( g,
-                Baseline.solve ~backend:dp_backend (baseline_of g) process
-                  geometry ~budget ))
+                Baseline.solve (baseline_of g) process geometry ~budget ))
             granularities
         in
         { target_index; budget; rip; baselines })
@@ -76,11 +70,11 @@ let run_suite_stats ?jobs ?(granularities = [ 10.0; 20.0; 40.0 ])
       grouped,
     telemetry )
 
-let run_suite ?jobs ?granularities ?fixed_range ?nets ?targets_per_net
-    ?config ?hooks process =
+let run_suite ?jobs ?granularities ?fixed_range ?nets ?targets_per_net ?hooks
+    process =
   fst
     (run_suite_stats ?jobs ?granularities ?fixed_range ?nets ?targets_per_net
-       ?config ?hooks process)
+       ?hooks process)
 
 (* Savings of RIP over the g-granularity baseline across a net's cells. *)
 let net_savings ~granularity run =
@@ -261,10 +255,10 @@ type table2_row = {
    and even with thread-CPU timing an oversubscribed pool charges each
    cell its share of minor-GC synchronisation.  Parallelism is opt-in. *)
 let table2 ?(jobs = 1) ?(granularities = [ 40.0; 30.0; 20.0; 10.0 ]) ?nets
-    ?(targets_per_net = 20) ?config process =
+    ?(targets_per_net = 20) process =
   let runs =
     run_suite ~jobs ~granularities ~fixed_range:true ?nets ~targets_per_net
-      ?config process
+      process
   in
   let cells = List.concat_map (fun run -> run.cells) runs in
   let rip_times =

@@ -27,7 +27,6 @@ val run_suite :
   ?fixed_range:bool ->
   ?nets:Rip_net.Net.t list ->
   ?targets_per_net:int ->
-  ?config:Rip_core.Config.t ->
   ?hooks:Rip_core.Rip.probe_event Rip_core.Hooks.t ->
   Rip_tech.Process.t ->
   net_run list
@@ -36,8 +35,8 @@ val run_suite :
     granularities [10; 20; 40] with the paper's fixed-size-10 baseline
     libraries ([fixed_range = false]).
 
-    [config] is handed to every RIP solve (its [dp] options also pick the
-    baseline DP backend); [hooks] observes every RIP solve — with
+    Every cell solves RIP on {!Rip_core.Config.default}; [hooks]
+    observes every RIP solve — with
     [jobs > 1] its callbacks run concurrently from pool domains, so they
     must be thread-safe (atomic counters are; see the bench suite).
 
@@ -52,7 +51,6 @@ val run_suite_stats :
   ?fixed_range:bool ->
   ?nets:Rip_net.Net.t list ->
   ?targets_per_net:int ->
-  ?config:Rip_core.Config.t ->
   ?hooks:Rip_core.Rip.probe_event Rip_core.Hooks.t ->
   Rip_tech.Process.t ->
   net_run list * Rip_engine.Telemetry.t
@@ -110,7 +108,7 @@ type table2_row = {
 
 val table2 :
   ?jobs:int -> ?granularities:float list -> ?nets:Rip_net.Net.t list ->
-  ?targets_per_net:int -> ?config:Rip_core.Config.t -> Rip_tech.Process.t ->
+  ?targets_per_net:int -> Rip_tech.Process.t ->
   table2_row list
 (** Fixed-range (10u, 400u) baselines per the paper; defaults to
     granularities [40; 30; 20; 10] over the full suite.

