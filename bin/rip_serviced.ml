@@ -93,8 +93,7 @@ let serve socket_path port host shard_id jobs cache_capacity queue_depth
       | spool -> (
         let config =
           {
-            Server.default_config with
-            shard_id;
+            Server.shard_id;
             jobs;
             queue_depth;
             high_water;
@@ -123,15 +122,11 @@ let serve socket_path port host shard_id jobs cache_capacity queue_depth
             | Some r ->
                 Printf.printf
                   "rip_serviced[%s]: journal replayed %d records from %d \
-                   segment(s) (%d CRC-rejected, %d torn bytes truncated, %s)\n\
-                   %!"
+                   segment(s) (%d CRC-rejected, %d torn bytes truncated)\n%!"
                   shard_id (List.length r.Rip_service.Journal.entries)
                   r.Rip_service.Journal.segments
                   r.Rip_service.Journal.crc_rejected
-                  r.Rip_service.Journal.torn_bytes
-                  (if r.Rip_service.Journal.segments = 0 then "first boot"
-                   else if r.Rip_service.Journal.clean then "clean shutdown"
-                   else "unclean shutdown"));
+                  r.Rip_service.Journal.torn_bytes);
             (* Flush the journal right at the signal, not only at the end of
                the clean-shutdown path: if the supervisor's grace window
                expires while connection threads are still draining, the

@@ -36,13 +36,3 @@ let default =
   }
 
 let frontier_cap = 128
-
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>rip config:@,\
-     coarse library %a at %gum pitch@,\
-     refined grid %gu, +/-%d slots at %gum@,\
-     width range [%gu, %gu]@,\
-     dp frontier cap %d@]"
-    Repeater_library.pp t.coarse_library t.coarse_pitch t.refined_granularity
-    t.refined_radius t.refined_pitch t.min_width t.max_width frontier_cap

@@ -44,5 +44,3 @@ val tau_min_library : Rip_dp.Repeater_library.t
 val tau_min_pitch : float
 (** Candidate pitch for the tau_min anchor, um: finer than the algorithms'
     working pitch so the anchor is a tight lower reference. *)
-
-val pp : t Fmt.t

@@ -15,6 +15,11 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val escape : string -> string
+(** The body of a JSON string literal for [s], without the quotes:
+    ['"'], ['\\'] and control characters escaped, every other byte
+    as is. *)
+
 val to_string : t -> string
 (** Compact (single-line) rendering; integers print as integers, other
     floats at full [%.17g] precision so a parse/print cycle

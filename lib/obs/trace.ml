@@ -164,22 +164,6 @@ let spans t =
 
 let span_count t = List.length (spans t)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 let to_chrome_json t =
   let buffer = Buffer.create 4096 in
   (* ripMeta carries what a cross-process merge needs: the scope that
@@ -189,7 +173,7 @@ let to_chrome_json t =
   Buffer.add_string buffer
     (Printf.sprintf
        "{\"displayTimeUnit\":\"ms\",\"ripMeta\":{\"scope\":\"%s\",\"pid\":%d,\"epoch_us\":%.3f},\"traceEvents\":["
-       (json_escape t.scope) t.pid (t.epoch *. 1e6));
+       (Json.escape t.scope) t.pid (t.epoch *. 1e6));
   let first = ref true in
   let sep () =
     if !first then first := false else Buffer.add_char buffer ','
@@ -199,7 +183,7 @@ let to_chrome_json t =
     Buffer.add_string buffer
       (Printf.sprintf
          "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-         t.pid (json_escape t.scope))
+         t.pid (Json.escape t.scope))
   end;
   List.iter
     (fun s ->
@@ -207,7 +191,7 @@ let to_chrome_json t =
       Buffer.add_string buffer
         (Printf.sprintf
            "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":%d,\"tid\":%d"
-           (json_escape s.name) (json_escape s.cat) (s.start *. 1e6)
+           (Json.escape s.name) (Json.escape s.cat) (s.start *. 1e6)
            (s.duration *. 1e6) t.pid s.tid);
       (match s.args with
       | [] -> ()
@@ -217,8 +201,8 @@ let to_chrome_json t =
             (fun j (k, v) ->
               if j > 0 then Buffer.add_char buffer ',';
               Buffer.add_string buffer
-                (Printf.sprintf "\"%s\":\"%s\"" (json_escape k)
-                   (json_escape v)))
+                (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k)
+                   (Json.escape v)))
             args;
           Buffer.add_char buffer '}');
       Buffer.add_char buffer '}')

@@ -22,7 +22,6 @@ type config = {
   poll_interval : float;  (* liveness tick, seconds *)
   vnodes_per_weight : int;
   down_after : int;  (* missed polls before a shard leaves the ring *)
-  solver : Rip_core.Config.t option;  (* for the local fallback tier *)
   max_frame_bytes : int;
   tracer : Trace.t option;  (* ingress/forward spans + TRACE propagation *)
   spool : Wide_event.spool option;  (* one wide event per request *)
@@ -35,7 +34,6 @@ let default_config =
     poll_interval = 0.25;
     vnodes_per_weight = Ring.default_vnodes_per_weight;
     down_after = 2;
-    solver = None;
     max_frame_bytes = Wire.default_max_frame_bytes;
     tracer = None;
     spool = None;
@@ -193,8 +191,7 @@ let rec poll_loop t =
 let worker_lost t ~budget ~net ~key why =
   Obs.Counter.incr t.metrics.local_degraded;
   Printf.eprintf "router: DEGRADED worker-lost for net %s: %s\n%!" key why;
-  Fallback.degraded ~process:t.process ?solver:t.config.solver ~budget ~net
-    Protocol.Worker_lost
+  Fallback.degraded ~process:t.process ~budget ~net Protocol.Worker_lost
 
 (* --- Request routing ------------------------------------------------------- *)
 

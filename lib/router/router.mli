@@ -61,7 +61,6 @@ type config = {
   poll_interval : float;  (** liveness tick, seconds *)
   vnodes_per_weight : int;
   down_after : int;  (** missed polls in a row before a shard leaves the ring *)
-  solver : Rip_core.Config.t option;  (** for the local fallback tier *)
   max_frame_bytes : int;
   tracer : Rip_obs.Trace.t option;
       (** when set, every request leaves an ingress span plus one span

@@ -50,10 +50,10 @@ let legalise_positions net length pairs =
   in
   List.rev kept
 
-let degraded ~process ?solver ~budget ~net reason =
+let degraded ~process ~budget ~net reason =
   let repeater = process.Rip_tech.Process.repeater in
   let power = process.Rip_tech.Process.power in
-  let solver_config = Option.value solver ~default:Rip_core.Config.default in
+  let solver_config = Rip_core.Config.default in
   let geometry = Rip_net.Geometry.of_net net in
   let length = Rip_net.Geometry.total_length geometry in
   let analytic =

@@ -10,15 +10,13 @@
 
 val degraded :
   process:Rip_tech.Process.t ->
-  ?solver:Rip_core.Config.t ->
   budget:float ->
   net:Rip_net.Net.t ->
   Protocol.degrade_reason ->
   Protocol.response
 (** The [DEGRADED] answer for [reason], carrying a best-effort solution
-    for [net] under [budget].  [solver] supplies the width range, REFINE
-    configuration and coarse library ([None] means
-    {!Rip_core.Config.default}).  The solution is always legal (zones,
-    width range).  It meets the budget whenever the rounded min-delay
-    insertion does; otherwise it is that insertion, and its delay
-    exceeds the budget. *)
+    for [net] under [budget], with the width range, REFINE configuration
+    and coarse library of {!Rip_core.Config.default}.  The solution is
+    always legal (zones, width range).  It meets the budget whenever the
+    rounded min-delay insertion does; otherwise it is that insertion,
+    and its delay exceeds the budget. *)

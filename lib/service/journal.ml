@@ -1,21 +1,27 @@
-(* Append-only CRC32-framed journal with segment rotation, fsync
-   batching, and live-set compaction.  See journal.mli for the contract
-   and DESIGN §6e for the format and recovery invariants.
+(* Append-only CRC32-framed journal with fsync batching and compaction
+   from the caller's live set.  See journal.mli for the contract and
+   DESIGN §6e for the format and recovery invariants.
 
    On-disk layout: each segment file starts with a 9-byte magic line,
    then a sequence of frames
 
-     [type:1]['E'|'F'] [klen:4 BE] [vlen:4 BE] [crc:4 BE] [key] [value]
+     [type:1]['E'] [klen:4 BE] [vlen:4 BE] [crc:4 BE] [key] [value]
 
    where the CRC-32 covers everything except the CRC field itself
-   (type, both lengths, key, value).  'E' is an entry; 'F' with zero
-   lengths is the clean-shutdown footer and must terminate the last
-   segment to count. *)
+   (type, both lengths, key, value).  Any other type byte ends the
+   readable log: the 13-byte 'F' footer older builds wrote at close
+   reads as a torn tail and is truncated once. *)
 
 let magic = "RIPJRNL1\n"
 let magic_len = String.length magic
 let header_len = 13
 let segment_format = format_of_string "segment-%08d.rj"
+
+(* fsync once this many unsynced bytes accrue, or this long after the
+   last fsync; never compact a log smaller than [compact_floor]. *)
+let fsync_bytes = 64 * 1024
+let fsync_seconds = 0.050
+let compact_floor = 256 * 1024
 
 (* Sanity bounds for recovery: a length field beyond these is framing
    garbage (torn tail or corrupted header), not a huge record. *)
@@ -55,19 +61,17 @@ let frame_crc buf ~pos ~total =
   let head = crc32 buf ~pos ~len:9 in
   crc32 ~crc:head buf ~pos:(pos + header_len) ~len:(total - header_len)
 
-let encode_frame ~typ ~key ~value =
+let encode_frame ~key ~value =
   let klen = String.length key and vlen = String.length value in
   let total = header_len + klen + vlen in
   let b = Bytes.create total in
-  Bytes.set b 0 typ;
+  Bytes.set b 0 'E';
   Bytes.set_int32_be b 1 (Int32.of_int klen);
   Bytes.set_int32_be b 5 (Int32.of_int vlen);
   Bytes.blit_string key 0 b header_len klen;
   Bytes.blit_string value 0 b (header_len + klen) vlen;
   Bytes.set_int32_be b 9 (frame_crc b ~pos:0 ~total);
   b
-
-let footer_frame () = encode_frame ~typ:'F' ~key:"" ~value:""
 
 (* --- Directory preparation ------------------------------------------- *)
 
@@ -111,58 +115,32 @@ let prepare_dir dir =
 
 (* --- Types ------------------------------------------------------------ *)
 
-type config = {
-  dir : string;
-  segment_bytes : int;
-  fsync_bytes : int;
-  fsync_seconds : float;
-  compact_min_bytes : int;
-  compact_dead_ratio : float;
-}
-
-let default_config ~dir =
-  {
-    dir;
-    segment_bytes = 1 lsl 20;
-    fsync_bytes = 64 * 1024;
-    fsync_seconds = 0.050;
-    compact_min_bytes = 256 * 1024;
-    compact_dead_ratio = 0.5;
-  }
-
 type recovery = {
   entries : (string * string) list;
   valid_records : int;
   crc_rejected : int;
   torn_bytes : int;
-  clean : bool;
   segments : int;
 }
 
 type stats = {
   bytes : int;
   segments : int;
-  live_entries : int;
-  dead_bytes : int;
   appends : int;
   fsyncs : int;
   compactions : int;
 }
 
 type t = {
-  config : config;
+  dir : string;
+  live : unit -> (string * string) list;  (* the compaction source *)
   faults : Faults.t option;
   mutex : Mutex.t;
-  (* key -> (value, framed record size): the live set, both the
-     compaction source and the dead-bytes ledger. *)
-  live : (string, string * int) Hashtbl.t;
   mutable old_segments : string list;  (* full paths, oldest first *)
-  mutable current_path : string;
   mutable current_fd : Unix.file_descr;
   mutable current_index : int;
-  mutable current_bytes : int;  (* active segment size, magic included *)
   mutable total_bytes : int;  (* across all segments, magic included *)
-  mutable dead_bytes : int;
+  mutable compact_at : int;  (* [total_bytes] that triggers compaction *)
   mutable unsynced_bytes : int;
   mutable last_fsync : float;
   mutable appends : int;
@@ -172,75 +150,52 @@ type t = {
   mutable closed : bool;
 }
 
+(* Doubling keeps each rewrite's cost amortised over at least as many
+   appended bytes as it wrote. *)
+let next_compaction bytes = max compact_floor (2 * bytes)
+
 (* --- Recovery scan ---------------------------------------------------- *)
 
-type scanned = {
-  scan_records : (string * string * int) list;  (* key, value, size; in order *)
-  scan_valid : int;
-  scan_rejected : int;
-  scan_good_end : int;  (* offset of the first bad frame, or the length *)
-  scan_footer : bool;  (* a valid footer terminates the buffer *)
-}
-
-(* Scan one segment image.  Stops at the first frame whose header is
-   unreadable (torn tail / lost framing); a frame with sane lengths but
-   a bad CRC is skipped and the scan continues — the lengths still
-   frame it.  A valid terminating footer marks the segment clean, so
-   the caller skips the truncation repair; the CRC checks above stay on
-   regardless, as cheap defence in depth. *)
+(* Scan one segment image: the records in order, the valid and rejected
+   counts, and the offset of the first unreadable frame (or the length).
+   Stops at the first frame whose header is unreadable (torn tail, lost
+   framing, an older build's footer); a frame with sane lengths but a
+   bad CRC is skipped and the scan continues — the lengths still frame
+   it. *)
 let scan_segment buf len =
   let records = ref [] in
   let valid = ref 0 in
   let rejected = ref 0 in
-  let footer = ref false in
   let pos = ref magic_len in
   let stop = ref false in
   while not !stop do
-    if !pos >= len then stop := true
-    else if !pos + header_len > len then stop := true
+    if !pos + header_len > len then stop := true
     else begin
-      let typ = Bytes.get buf !pos in
       let klen = Int32.to_int (Bytes.get_int32_be buf (!pos + 1)) in
       let vlen = Int32.to_int (Bytes.get_int32_be buf (!pos + 5)) in
       let stored = Bytes.get_int32_be buf (!pos + 9) in
+      let total = header_len + klen + vlen in
       if
-        (typ <> 'E' && typ <> 'F')
+        Bytes.get buf !pos <> 'E'
         || klen < 0 || klen > max_key_bytes || vlen < 0
         || vlen > max_value_bytes
-        || (typ = 'F' && (klen <> 0 || vlen <> 0))
+        || !pos + total > len
       then stop := true
       else begin
-        let total = header_len + klen + vlen in
-        if !pos + total > len then stop := true
-        else if frame_crc buf ~pos:!pos ~total <> stored then begin
+        if frame_crc buf ~pos:!pos ~total <> stored then
           (* Bit rot inside a well-framed record: drop it, keep going. *)
-          incr rejected;
-          pos := !pos + total
-        end
-        else if typ = 'F' then begin
-          (* Only a footer that terminates the segment counts as clean;
-             one followed by more bytes is stale framing — stop there. *)
-          if !pos + total = len then footer := true;
-          stop := true;
-          pos := !pos + total
-        end
+          incr rejected
         else begin
           let key = Bytes.sub_string buf (!pos + header_len) klen in
           let value = Bytes.sub_string buf (!pos + header_len + klen) vlen in
-          records := (key, value, total) :: !records;
-          incr valid;
-          pos := !pos + total
-        end
+          records := (key, value) :: !records;
+          incr valid
+        end;
+        pos := !pos + total
       end
     end
   done;
-  {
-    scan_records = List.rev !records;
-    scan_valid = !valid;
-    scan_rejected = !rejected;
-    scan_good_end = (if !footer then len else !pos);
-    scan_footer = !footer;
-  }
+  (List.rev !records, !valid, !rejected, !pos)
 
 let segment_files dir =
   Sys.readdir dir |> Array.to_list
@@ -266,103 +221,88 @@ let truncate_file path len =
     ~finally:(fun () -> Unix.close fd)
     (fun () -> Unix.ftruncate fd len)
 
+let segment_path dir index =
+  Filename.concat dir (Printf.sprintf segment_format index)
+
+let create_segment dir index =
+  let fd =
+    Unix.openfile (segment_path dir index)
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
+      0o644
+  in
+  Wire.send fd magic;
+  fd
+
 (* --- Open / recover --------------------------------------------------- *)
 
-let open_ ?faults config =
-  match prepare_dir config.dir with
+(* Replay every segment in index order, truncating each torn tail in
+   place; the last write per key wins and keeps its key's first
+   position.  Returns the recovery and the bytes left on disk. *)
+let recover files =
+  let latest = Hashtbl.create 256 in
+  let order = ref [] in
+  let valid = ref 0 in
+  let rejected = ref 0 in
+  let torn = ref 0 in
+  let kept = ref 0 in
+  List.iter
+    (fun (_, path) ->
+      let buf = read_file path in
+      let len = Bytes.length buf in
+      if len < magic_len || Bytes.sub_string buf 0 magic_len <> magic then begin
+        (* Unreadable preamble: nothing in this file can be trusted;
+           empty it so the next recovery skips it too. *)
+        torn := !torn + len;
+        truncate_file path 0
+      end
+      else begin
+        let records, v, r, good_end = scan_segment buf len in
+        valid := !valid + v;
+        rejected := !rejected + r;
+        if good_end < len then begin
+          torn := !torn + (len - good_end);
+          truncate_file path good_end
+        end;
+        kept := !kept + good_end;
+        List.iter
+          (fun (key, value) ->
+            if not (Hashtbl.mem latest key) then order := key :: !order;
+            Hashtbl.replace latest key value)
+          records
+      end)
+    files;
+  ( {
+      entries = List.rev_map (fun key -> (key, Hashtbl.find latest key)) !order;
+      valid_records = !valid;
+      crc_rejected = !rejected;
+      torn_bytes = !torn;
+      segments = List.length files;
+    },
+    !kept )
+
+let open_ ?faults ~live dir =
+  match prepare_dir dir with
   | Error _ as e -> e
   | Ok () -> (
       match
-        let files = segment_files config.dir in
-        let live = Hashtbl.create 256 in
-        let order = ref [] in
-        let valid = ref 0 in
-        let rejected = ref 0 in
-        let torn = ref 0 in
-        (* No segment yet is a first boot, not a crash. *)
-        let clean = ref (files = []) in
-        let total = ref 0 in
-        let last_index = List.fold_left (fun _ (i, _) -> i) 0 files in
-        List.iter
-          (fun (index, path) ->
-            let buf = read_file path in
-            let len = Bytes.length buf in
-            if len < magic_len || Bytes.sub_string buf 0 magic_len <> magic
-            then begin
-              (* Unreadable preamble: nothing in this file can be
-                 trusted; empty it so the next recovery skips it too. *)
-              torn := !torn + len;
-              truncate_file path 0
-            end
-            else begin
-              let s = scan_segment buf len in
-              valid := !valid + s.scan_valid;
-              rejected := !rejected + s.scan_rejected;
-              if index = last_index then clean := s.scan_footer;
-              if s.scan_good_end < len then begin
-                torn := !torn + (len - s.scan_good_end);
-                truncate_file path s.scan_good_end
-              end;
-              total := !total + s.scan_good_end;
-              List.iter
-                (fun (key, value, size) ->
-                  (match Hashtbl.find_opt live key with
-                  | Some (_, _) -> ()
-                  | None -> order := key :: !order);
-                  Hashtbl.replace live key (value, size))
-                s.scan_records
-            end)
-          files;
-        (* Live bytes = what a compaction would keep; everything else on
-           disk (superseded, rejected, stale footers) is dead weight.
-           Integer addition commutes, so hash order cannot change the
-           sum. *)
-        let live_bytes =
-          (Hashtbl.fold [@lint.allow "no-hashtbl-order"])
-            (fun _ (_, size) acc -> acc + size)
-            live 0
-        in
-        let entries =
-          List.rev !order
-          |> List.map (fun key ->
-                 let value, _ = Hashtbl.find live key in
-                 (key, value))
-        in
-        let recovery =
-          {
-            entries;
-            valid_records = !valid;
-            crc_rejected = !rejected;
-            torn_bytes = !torn;
-            clean = !clean;
-            segments = List.length files;
-          }
-        in
+        let files = segment_files dir in
+        let recovery, kept = recover files in
         (* Appends always go to a fresh segment: old segments are never
-           reopened for writing, so a footer can only ever terminate the
-           final segment of a cleanly-closed log. *)
-        let index = last_index + 1 in
-        let path = Filename.concat config.dir (Printf.sprintf segment_format index) in
-        let fd =
-          Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-        in
-        Wire.send fd magic;
+           reopened for writing. *)
+        let index = List.fold_left (fun _ (i, _) -> i) 0 files + 1 in
+        let fd = create_segment dir index in
+        let total = kept + magic_len in
         let t =
           {
-            config;
+            dir;
+            live;
             faults;
             mutex = Mutex.create ();
-            live;
             old_segments = List.map snd files;
-            current_path = path;
             current_fd = fd;
             current_index = index;
-            current_bytes = magic_len;
-            total_bytes = !total + magic_len;
-            dead_bytes =
-              !total - live_bytes
-              - magic_len * List.length files
-              |> max 0;
+            total_bytes = total;
+            compact_at = next_compaction total;
             unsynced_bytes = 0;
             last_fsync = Rip_numerics.Cpu_clock.monotonic_seconds ();
             appends = 0;
@@ -377,10 +317,10 @@ let open_ ?faults config =
       | result -> Ok result
       | exception Unix.Unix_error (code, fn, _) ->
           Error
-            (Printf.sprintf "journal open in %s failed: %s (%s)" config.dir
+            (Printf.sprintf "journal open in %s failed: %s (%s)" dir
                (Unix.error_message code) fn)
       | exception Sys_error message ->
-          Error (Printf.sprintf "journal open in %s failed: %s" config.dir message))
+          Error (Printf.sprintf "journal open in %s failed: %s" dir message))
 
 (* --- Write path -------------------------------------------------------
    All I/O below runs under [t.mutex]: the lock is what serialises the
@@ -388,7 +328,9 @@ let open_ ?faults config =
    so the hold time is bounded by one page-cache copy (fsyncs are the
    long pole and are batched).  Hence the blocking-under-lock waivers:
    the lint cannot see that this mutex exists precisely to order the
-   file appends. *)
+   file appends.  Compaction calls [t.live] under this mutex, so the
+   live source may take its own locks but must never call back into
+   the journal: the lock order is journal, then cache. *)
 
 let do_fsync t =
   (match t.faults with
@@ -401,27 +343,10 @@ let do_fsync t =
 
 let maybe_fsync t =
   if
-    t.unsynced_bytes >= t.config.fsync_bytes
+    t.unsynced_bytes >= fsync_bytes
     || Rip_numerics.Cpu_clock.monotonic_seconds () -. t.last_fsync
-       >= t.config.fsync_seconds
+       >= fsync_seconds
   then do_fsync t
-
-let segment_path t index =
-  Filename.concat t.config.dir (Printf.sprintf segment_format index)
-
-let rotate t =
-  do_fsync t;
-  Unix.close t.current_fd;
-  t.old_segments <- t.old_segments @ [ t.current_path ];
-  let index = t.current_index + 1 in
-  let path = segment_path t index in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Wire.send fd magic;
-  t.current_index <- index;
-  t.current_path <- path;
-  t.current_fd <- fd;
-  t.current_bytes <- magic_len;
-  t.total_bytes <- t.total_bytes + magic_len
 
 (* Rewrite the live set into a fresh segment, fsync it, then delete the
    superseded files.  Crash-safe without any further ceremony: if we die
@@ -429,45 +354,30 @@ let rotate t =
    one last, and last-wins replay converges on the same live set. *)
 let compact t =
   let index = t.current_index + 1 in
-  let path = segment_path t index in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Wire.send fd magic;
+  let fd = create_segment t.dir index in
   let written = ref magic_len in
   (* Sorted by key so the compacted segment's bytes are a function of
-     the live set alone, not of hash order. *)
-  let entries =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold (fun key (value, _) acc -> (key, value) :: acc) t.live [])
-  in
+     the live set alone, not of the source's order. *)
   List.iter
     (fun (key, value) ->
-      let frame = encode_frame ~typ:'E' ~key ~value in
+      let frame = encode_frame ~key ~value in
       Wire.send fd (Bytes.unsafe_to_string frame);
       written := !written + Bytes.length frame)
-    entries;
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) (t.live ()));
   Unix.fsync fd;
   Unix.close t.current_fd;
-  let stale = t.old_segments @ [ t.current_path ] in
-  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) stale;
+  List.iter
+    (fun p -> try Sys.remove p with Sys_error _ -> ())
+    (segment_path t.dir t.current_index :: t.old_segments);
   t.old_segments <- [];
-  t.current_path <- path;
   t.current_fd <- fd;
   t.current_index <- index;
-  t.current_bytes <- !written;
   t.total_bytes <- !written;
-  t.dead_bytes <- 0;
+  t.compact_at <- next_compaction !written;
   t.unsynced_bytes <- 0;
   t.last_fsync <- Rip_numerics.Cpu_clock.monotonic_seconds ();
   t.fsyncs <- t.fsyncs + 1;
   t.compactions <- t.compactions + 1
-
-let maybe_compact t =
-  if
-    t.total_bytes >= t.config.compact_min_bytes
-    && float_of_int t.dead_bytes
-       >= t.config.compact_dead_ratio *. float_of_int t.total_bytes
-  then compact t
 
 (* blocking-under-lock waiver: see the write-path comment above — the
    journal mutex exists to serialise appends to one local file. *)
@@ -479,7 +389,7 @@ let append t ~key ~value =
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () ->
       if not (t.closed || t.wedged) then begin
-        let frame = encode_frame ~typ:'E' ~key ~value in
+        let frame = encode_frame ~key ~value in
         let total = Bytes.length frame in
         (match t.faults with
         | Some faults -> (
@@ -500,46 +410,22 @@ let append t ~key ~value =
                and the journal freezes, leaving the torn tail in place
                for the next recovery to truncate. *)
             Wire.write_all t.current_fd (Bytes.unsafe_to_string frame) 0 prefix;
-            t.current_bytes <- t.current_bytes + prefix;
             t.total_bytes <- t.total_bytes + prefix;
             t.wedged <- true
         | None -> (
             try
               Wire.send t.current_fd (Bytes.unsafe_to_string frame);
               t.appends <- t.appends + 1;
-              t.current_bytes <- t.current_bytes + total;
               t.total_bytes <- t.total_bytes + total;
               t.unsynced_bytes <- t.unsynced_bytes + total;
-              (match Hashtbl.find_opt t.live key with
-              | Some (_, old_size) -> t.dead_bytes <- t.dead_bytes + old_size
-              | None -> ());
-              Hashtbl.replace t.live key (value, total);
-              maybe_fsync t;
-              if t.current_bytes >= t.config.segment_bytes then rotate t;
-              maybe_compact t
+              if t.total_bytes >= t.compact_at then compact t
+              else maybe_fsync t
             with Unix.Unix_error _ | Sys_error _ ->
               (* Disk trouble (full, yanked, ...) must degrade
                  durability, not take down serving: freeze the log and
                  keep answering from memory. *)
               t.wedged <- true)
       end)
-[@@lint.allow "blocking-under-lock"]
-
-(* blocking-under-lock waiver: compaction I/O, same single-file
-   serialisation argument as [append]. *)
-let note_evicted t ~key =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      if not (t.closed || t.wedged) then
-        match Hashtbl.find_opt t.live key with
-        | None -> ()
-        | Some (_, size) -> (
-            Hashtbl.remove t.live key;
-            t.dead_bytes <- t.dead_bytes + size;
-            try maybe_compact t
-            with Unix.Unix_error _ | Sys_error _ -> t.wedged <- true))
 [@@lint.allow "blocking-under-lock"]
 
 (* blocking-under-lock waiver: one bounded fsync of a local file. *)
@@ -553,7 +439,7 @@ let flush t =
         with Unix.Unix_error _ | Sys_error _ -> t.wedged <- true)
 [@@lint.allow "blocking-under-lock"]
 
-(* blocking-under-lock waiver: final footer write + fsync. *)
+(* blocking-under-lock waiver: the final fsync of a local file. *)
 let close t =
   Mutex.lock t.mutex;
   Fun.protect
@@ -561,20 +447,10 @@ let close t =
     (fun () ->
       if not t.closed then begin
         t.closed <- true;
-        if t.wedged then
-          (* A simulated crash must not be followed by a clean footer. *)
-          try Unix.close t.current_fd with Unix.Unix_error _ -> ()
-        else begin
-          (try
-             let footer = footer_frame () in
-             Wire.send t.current_fd (Bytes.unsafe_to_string footer);
-             t.total_bytes <- t.total_bytes + Bytes.length footer;
-             Unix.fsync t.current_fd;
-             t.fsyncs <- t.fsyncs + 1;
-             t.unsynced_bytes <- 0
-           with Unix.Unix_error _ | Sys_error _ -> ());
-          try Unix.close t.current_fd with Unix.Unix_error _ -> ()
-        end
+        (* A wedged log keeps its torn tail as the crash left it. *)
+        if not t.wedged then
+          (try do_fsync t with Unix.Unix_error _ | Sys_error _ -> ());
+        try Unix.close t.current_fd with Unix.Unix_error _ -> ()
       end)
 [@@lint.allow "blocking-under-lock"]
 
@@ -584,8 +460,6 @@ let stats t =
     {
       bytes = t.total_bytes;
       segments = List.length t.old_segments + 1;
-      live_entries = Hashtbl.length t.live;
-      dead_bytes = t.dead_bytes;
       appends = t.appends;
       fsyncs = t.fsyncs;
       compactions = t.compactions;

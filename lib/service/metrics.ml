@@ -107,11 +107,6 @@ let create ?cache_stats ?journal_stats () =
           s.Journal.bytes);
       journal_gauge "rip_journal_segments" "journal segment files" (fun s ->
           s.Journal.segments);
-      journal_gauge "rip_journal_live_entries" "journal live records" (fun s ->
-          s.Journal.live_entries);
-      journal_gauge "rip_journal_dead_bytes"
-        "journal bytes held by superseded or evicted records" (fun s ->
-          s.Journal.dead_bytes);
       journal_gauge "rip_journal_appends" "journal records appended" (fun s ->
           s.Journal.appends);
       journal_gauge "rip_journal_fsyncs" "journal fsync batches" (fun s ->

@@ -16,7 +16,6 @@ type config = {
   high_water : int;
   cache_capacity : int;
   max_frame_bytes : int;
-  solver : Rip_core.Config.t option;
   faults : Faults.t option;
   tracer : Trace.t option;
   spool : Wide_event.spool option;
@@ -31,7 +30,6 @@ let default_config =
     high_water = 48;
     cache_capacity = 512;
     max_frame_bytes = Wire.default_max_frame_bytes;
-    solver = None;
     faults = None;
     tracer = None;
     spool = None;
@@ -67,6 +65,8 @@ type t = {
 
 let digest_len = 16
 
+let answer_digest (answer : Protocol.answer) = Digest.string answer.body
+
 let replay_solution value =
   if String.length value <= digest_len then None
   else
@@ -78,18 +78,25 @@ let replay_solution value =
       | Ok answer -> Some (answer, digest)
       | Error _ -> None
 
-let replay_journal cache journal entries =
+(* A record that fails verification never reaches the cache, so the
+   next compaction, which keeps only the cache's verified entries, drops
+   its bytes for good. *)
+let replay_journal cache entries =
   List.iter
     (fun (key, value) ->
-      match replay_solution value with
-      | Some (answer, digest) ->
-          Solve_cache.add_replayed cache key answer ~digest
-      | None ->
-          (* Framing survived but the payload does not verify: purge the
-             record from the journal's live set so compaction drops the
-             bytes for good. *)
-          Journal.note_evicted journal ~key)
+      Option.iter
+        (fun (answer, digest) ->
+          Solve_cache.add_replayed cache key answer ~digest)
+        (replay_solution value))
     entries
+
+(* The journal's compaction source: the cache's verified entries, as
+   they were appended. *)
+let journal_live cache () =
+  Solve_cache.fold_verified cache ~digest_of:answer_digest
+    (fun key (answer : Protocol.answer) ~digest acc ->
+      (key, digest ^ answer.body) :: acc)
+    []
 
 let create ?(config = default_config) process =
   if config.queue_depth < 1 then
@@ -123,22 +130,14 @@ let create ?(config = default_config) process =
     match config.journal_dir with
     | None -> (None, None)
     | Some dir -> (
-        match Journal.open_ ~faults (Journal.default_config ~dir) with
+        match Journal.open_ ~faults ~live:(journal_live cache) dir with
         | Ok (journal, recovery) -> (Some journal, Some recovery)
         | Error message -> invalid_arg ("Server.create: " ^ message))
   in
-  (match journal with
-  | Some journal ->
-      (* Eviction feedback first, so even replay-time evictions (a
-         journal holding more live records than the cache's capacity)
-         reach the compaction ledger. *)
-      Solve_cache.set_on_evict cache (fun key ->
-          Journal.note_evicted journal ~key);
-      Option.iter
-        (fun (recovery : Journal.recovery) ->
-          replay_journal cache journal recovery.Journal.entries)
-        journal_recovery
-  | None -> ());
+  Option.iter
+    (fun (recovery : Journal.recovery) ->
+      replay_journal cache recovery.Journal.entries)
+    journal_recovery;
   {
     process;
     config;
@@ -184,8 +183,6 @@ let request_shutdown t = Frontend.request_shutdown t.frontend
 let shutdown t =
   request_shutdown t;
   Engine.shutdown_handle t.handle;
-  (* Clean shutdown seals the journal with its footer, so the next boot
-     replays without the torn-tail repair pass. *)
   Option.iter Journal.close t.journal
 
 (* --- Admission control ----------------------------------------------------
@@ -242,14 +239,11 @@ let error_response error =
   Protocol.Error_frame
     { kind; message = Protocol.one_line (Rip.error_to_string error) }
 
-let answer_digest (answer : Protocol.answer) = Digest.string answer.body
-
 (* --- The analytic fallback tier (see {!Fallback}) ------------------------- *)
 
 let degraded_response t ~budget ~net reason =
   Obs.Counter.incr t.metrics.degraded;
-  Fallback.degraded ~process:t.process ?solver:t.config.solver ~budget ~net
-    reason
+  Fallback.degraded ~process:t.process ~budget ~net reason
 
 (* --- Solving -------------------------------------------------------------- *)
 
@@ -328,7 +322,7 @@ let run_full_solve t ~budget ~net ~key ~trace ~pruned token =
                     if Faults.kill_worker t.faults then
                       raise Faults.Worker_killed;
                     match
-                      Rip.solve ?config:t.config.solver
+                      Rip.solve
                         ~hooks:
                           (Rip_core.Hooks.make ~cancel:(Cancel.hook token)
                              ~probe:(solver_probe t ~pruned) ?phase ())

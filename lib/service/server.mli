@@ -52,7 +52,6 @@ type config = {
           [1, queue_depth] *)
   cache_capacity : int;  (** {!Solve_cache} capacity, entries *)
   max_frame_bytes : int;  (** request-frame byte bound before TOOBIG *)
-  solver : Rip_core.Config.t option;  (** [None] means the default *)
   faults : Faults.t option;  (** [None] means no injection *)
   tracer : Rip_obs.Trace.t option;
       (** when set, every request leaves spans (admission, cache lookup,
@@ -79,7 +78,7 @@ type config = {
 val default_config : config
 (** [shard_id = "standalone"], [jobs = None], [queue_depth = 64],
     [high_water = 48], [cache_capacity = 512],
-    [max_frame_bytes = Wire.default_max_frame_bytes], [solver = None],
+    [max_frame_bytes = Wire.default_max_frame_bytes],
     [faults = None], [tracer = None], [spool = None],
     [journal_dir = None]. *)
 
@@ -133,7 +132,7 @@ val handle_connection : t -> Unix.file_descr -> unit
 val run : t -> Unix.file_descr -> unit
 (** {!Frontend.run} over a listening socket (see {!Frontend.listen_unix})
     with this server's answers, then the worker pool is shut down and
-    the journal sealed. *)
+    the journal fsynced and closed. *)
 
 val request_shutdown : t -> unit
 (** Stop accepting connections and reject further solves; idempotent and

@@ -21,12 +21,6 @@ type 'a t = {
   mutable evictions : int;
   mutable self_heals : int;
   mutable replayed : int;
-  (* Eviction feedback (journal compaction hook).  Set once before
-     serving starts; invoked strictly *after* the mutex is released —
-     the callback may do file I/O, which must never run under the cache
-     lock.  Atomic because it is read from connection threads without
-     taking the mutex. *)
-  on_evict : (string -> unit) option Atomic.t;
 }
 
 let create ~capacity =
@@ -42,15 +36,7 @@ let create ~capacity =
     evictions = 0;
     self_heals = 0;
     replayed = 0;
-    on_evict = Atomic.make None;
   }
-
-let set_on_evict t callback = Atomic.set t.on_evict (Some callback)
-
-let notify_evicted t keys =
-  match (Atomic.get t.on_evict, keys) with
-  | None, _ | _, [] -> ()
-  | Some f, keys -> List.iter f (List.rev keys)
 
 let capacity t = t.cache_capacity
 
@@ -104,12 +90,11 @@ let push_front t node =
 
 let evict_lru t =
   match t.tail with
-  | None -> None
+  | None -> ()
   | Some lru ->
       unlink t lru;
       Hashtbl.remove t.table lru.node_key;
-      t.evictions <- t.evictions + 1;
-      Some lru.node_key
+      t.evictions <- t.evictions + 1
 
 (* Verification happens on *read*: a hit whose stored digest disagrees
    with the digest recomputed from the stored value is treated as
@@ -120,7 +105,6 @@ let evict_lru t =
 
 let find_verified t k ~digest_of =
   Mutex.lock t.mutex;
-  let dropped = ref [] in
   let result =
     match Hashtbl.find_opt t.table k with
     | Some node -> (
@@ -131,7 +115,6 @@ let find_verified t k ~digest_of =
             Hashtbl.remove t.table k;
             t.self_heals <- t.self_heals + 1;
             t.misses <- t.misses + 1;
-            dropped := [ k ];
             None
         | _ ->
             t.hits <- t.hits + 1;
@@ -143,7 +126,6 @@ let find_verified t k ~digest_of =
         None
   in
   Mutex.unlock t.mutex;
-  notify_evicted t !dropped;
   result
 
 let find t k = find_verified t k ~digest_of:(fun _ -> "")
@@ -151,7 +133,6 @@ let find t k = find_verified t k ~digest_of:(fun _ -> "")
 let add_digested ?(replay = false) t k value digest =
   if t.cache_capacity > 0 then begin
     Mutex.lock t.mutex;
-    let dropped = ref [] in
     (match Hashtbl.find_opt t.table k with
     | Some node ->
         node.value <- value;
@@ -159,14 +140,12 @@ let add_digested ?(replay = false) t k value digest =
         unlink t node;
         push_front t node
     | None ->
-        if Hashtbl.length t.table >= t.cache_capacity then
-          Option.iter (fun key -> dropped := key :: !dropped) (evict_lru t);
+        if Hashtbl.length t.table >= t.cache_capacity then evict_lru t;
         let node = { node_key = k; value; digest; prev = None; next = None } in
         Hashtbl.replace t.table k node;
         push_front t node);
     if replay then t.replayed <- t.replayed + 1;
-    Mutex.unlock t.mutex;
-    notify_evicted t !dropped
+    Mutex.unlock t.mutex
   end
 
 let add t k value = add_digested t k value None
@@ -175,6 +154,25 @@ let add_verified t k value ~digest = add_digested t k value (Some digest)
 
 let add_replayed t k value ~digest =
   add_digested ~replay:true t k value (Some digest)
+
+(* Most recent first; [digest_of] runs under the mutex, as in
+   [find_verified]. *)
+let fold_verified t ~digest_of f init =
+  Mutex.lock t.mutex;
+  let rec walk acc = function
+    | None -> acc
+    | Some node ->
+        let acc =
+          match node.digest with
+          | Some stored when String.equal stored (digest_of node.value) ->
+              f node.node_key node.value ~digest:stored acc
+          | Some _ | None -> acc
+        in
+        walk acc node.next
+  in
+  let result = walk init t.head in
+  Mutex.unlock t.mutex;
+  result
 
 (* Test/fault hook: flip the stored digest of [k] (when present and
    digest-carrying) so the next verified read detects corruption. *)

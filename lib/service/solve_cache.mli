@@ -13,7 +13,13 @@
     Eviction is LRU with a fixed capacity; {!find} and {!add} are
     O(1) and thread-safe (one internal mutex), so worker domains and
     connection threads share one cache.  Values are immutable snapshots —
-    callers must not mutate what {!find} returns. *)
+    callers must not mutate what {!find} returns.
+
+    For a journaled server the cache is the one live set: the journal
+    keeps no copy of it, and its compaction rewrites what
+    {!fold_verified} yields.  The cache never calls out — evictions and
+    self-heals reach the journal only as absences from that fold — so
+    the one lock order is journal, then cache. *)
 
 type 'a t
 
@@ -66,17 +72,23 @@ val add_replayed : 'a t -> string -> 'a -> digest:string -> unit
     digest against the replayed bytes already; a mismatched record must
     be rejected before this call, never inserted. *)
 
-val set_on_evict : 'a t -> (string -> unit) -> unit
-(** Register eviction feedback: the callback receives the key of every
-    entry dropped by capacity eviction or a self-heal (not overwrites —
-    the key stays live).  Call once, before the cache is shared; the
-    callback runs outside the cache lock (it may do I/O, e.g. journal
-    compaction accounting) and must tolerate concurrent invocations. *)
-
 val find_verified : 'a t -> string -> digest_of:('a -> string) -> 'a option
 (** Like {!find}, but a hit first recomputes [digest_of value] and
     compares it with the stored digest; on mismatch the entry is removed
     and the lookup counts as a miss plus one [self_heals]. *)
+
+val fold_verified :
+  'a t ->
+  digest_of:('a -> string) ->
+  (string -> 'a -> digest:string -> 'b -> 'b) ->
+  'b ->
+  'b
+(** Fold over the entries whose stored digest equals [digest_of value],
+    most recently used first, under the cache lock; an entry without a
+    digest or with a mismatched one (see {!corrupt}) is skipped, not
+    healed, and nothing counts into {!stats} or moves in the LRU order.
+    The journal's compaction source: what it persists is exactly what a
+    verified read would serve.  [f] must not call back into the cache. *)
 
 val corrupt : 'a t -> string -> bool
 (** Fault/test hook: tamper with the stored digest of an entry so the

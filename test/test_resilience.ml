@@ -10,6 +10,7 @@ module Client = Rip_service.Client
 module Frontend = Rip_service.Frontend
 module Faults = Rip_service.Faults
 module Wire = Rip_service.Wire
+module Solve_cache = Rip_service.Solve_cache
 module Loadgen = Rip_service.Loadgen
 module Cancel = Rip_engine.Cancel
 module Net = Rip_net.Net
@@ -665,8 +666,12 @@ let with_journal_dir tag f =
   let dir = temp_dir tag in
   Fun.protect ~finally:(fun () -> remove_dir dir) (fun () -> f dir)
 
-let open_exn ?faults config =
-  match Journal.open_ ?faults config with
+(* A live source that holds nothing: tests that stay below the
+   compaction floor never call it. *)
+let no_live () = []
+
+let open_exn ?faults ?(live = no_live) dir =
+  match Journal.open_ ?faults ~live dir with
   | Ok pair -> pair
   | Error e -> Alcotest.failf "Journal.open_: %s" e
 
@@ -700,45 +705,44 @@ let test_journal_roundtrip () =
         List.init 8 (fun i ->
             (Printf.sprintf "key-%d" i, Printf.sprintf "value-%d-%s" i dir))
       in
-      let journal, recovery = open_exn (Journal.default_config ~dir) in
+      let journal, recovery = open_exn dir in
       Alcotest.(check int) "fresh dir has no entries" 0
         (List.length recovery.Journal.entries);
       List.iter (fun (key, value) -> Journal.append journal ~key ~value) pairs;
       Journal.close journal;
-      let journal2, recovery2 = open_exn (Journal.default_config ~dir) in
-      Alcotest.(check bool) "clean footer found" true recovery2.Journal.clean;
+      let journal2, recovery2 = open_exn dir in
       Alcotest.(check int) "no CRC rejects" 0 recovery2.Journal.crc_rejected;
       Alcotest.(check int) "no torn bytes" 0 recovery2.Journal.torn_bytes;
       Alcotest.(check bool) "entries replay in append order" true
         (recovery2.Journal.entries = pairs);
       Journal.close journal2)
 
-(* A directory with no segment is a first boot, not a crash; a segment
-   its boot never closed still reads as unclean. *)
+(* A directory with no segment is a first boot: nothing to repair.  A
+   flushed segment its boot never closed replays whole. *)
 let test_journal_first_boot () =
   with_journal_dir "firstboot" (fun dir ->
-      let journal, recovery = open_exn (Journal.default_config ~dir) in
+      let journal, recovery = open_exn dir in
       Alcotest.(check int) "no segment yet" 0 recovery.Journal.segments;
-      Alcotest.(check bool) "a first boot is not unclean" true
-        recovery.Journal.clean;
+      Alcotest.(check int) "a first boot tears nothing" 0
+        recovery.Journal.torn_bytes;
       Journal.append journal ~key:"k" ~value:"v";
       Journal.flush journal;
-      let journal2, recovery2 = open_exn (Journal.default_config ~dir) in
+      let journal2, recovery2 = open_exn dir in
       Alcotest.(check int) "the first boot's segment" 1
         recovery2.Journal.segments;
-      Alcotest.(check bool) "a segment without a footer is unclean" false
-        recovery2.Journal.clean;
+      Alcotest.(check bool) "its record replays" true
+        (recovery2.Journal.entries = [ ("k", "v") ]);
       Journal.close journal2;
       Journal.close journal)
 
 let test_journal_last_wins () =
   with_journal_dir "lastwins" (fun dir ->
-      let journal, _ = open_exn (Journal.default_config ~dir) in
+      let journal, _ = open_exn dir in
       Journal.append journal ~key:"a" ~value:"stale";
       Journal.append journal ~key:"b" ~value:"kept";
       Journal.append journal ~key:"a" ~value:"fresh";
       Journal.close journal;
-      let journal2, recovery = open_exn (Journal.default_config ~dir) in
+      let journal2, recovery = open_exn dir in
       Alcotest.(check bool) "last write per key wins" true
         (recovery.Journal.entries = [ ("a", "fresh"); ("b", "kept") ]
         || recovery.Journal.entries = [ ("b", "kept"); ("a", "fresh") ]);
@@ -746,62 +750,139 @@ let test_journal_last_wins () =
         (List.length recovery.Journal.entries);
       Journal.close journal2)
 
-let test_journal_rotation () =
-  with_journal_dir "rotation" (fun dir ->
-      let config =
-        { (Journal.default_config ~dir) with Journal.segment_bytes = 128 }
-      in
-      let journal, _ = open_exn config in
-      let pairs =
-        List.init 16 (fun i ->
-            (Printf.sprintf "rot-%02d" i, String.make 40 (Char.chr (65 + i))))
-      in
-      List.iter (fun (key, value) -> Journal.append journal ~key ~value) pairs;
-      let stats = Journal.stats journal in
-      Alcotest.(check bool) "rotation produced several segments" true
-        (stats.Journal.segments > 1);
-      Journal.close journal;
-      let journal2, recovery = open_exn config in
-      Alcotest.(check bool) "all records survive rotation" true
-        (recovery.Journal.entries = pairs);
-      Journal.close journal2)
-
+(* Compaction keeps what the live source holds and nothing else: the
+   log shrinks to that subset, and the next recovery replays exactly it,
+   in key order.  The first compaction fires at the 256 KiB floor; the
+   subset (48 records, about 193 KiB) is past half the floor, so the
+   second waits until the log has doubled what the first one left, and
+   after a restart the first waits until it has doubled what the
+   recovery left. *)
 let test_journal_compaction () =
   with_journal_dir "compaction" (fun dir ->
-      let config =
-        {
-          (Journal.default_config ~dir) with
-          Journal.compact_min_bytes = 1;
-          compact_dead_ratio = 0.5;
-        }
+      let key i = Printf.sprintf "cmp-%03d" i in
+      let value i = String.make 4096 (Char.chr (65 + (i mod 26))) in
+      let frame = 13 + String.length (key 0) + 4096 in
+      let subset = List.init 48 (fun j -> 94 - (2 * j)) in
+      let live () = List.map (fun i -> (key i, value i)) subset in
+      (* Append until the [n]-th compaction: the next key and the log's
+         size just before and just after that append. *)
+      let rec fill journal i n =
+        if i >= 300 then Alcotest.failf "no compaction %d within 300 appends" n;
+        let before = Journal.stats journal in
+        Journal.append journal ~key:(key i) ~value:(value i);
+        let after = Journal.stats journal in
+        if after.Journal.compactions < n then fill journal (i + 1) n
+        else (i + 1, before, after)
       in
-      let journal, _ = open_exn config in
-      let keys = List.init 8 (fun i -> Printf.sprintf "cmp-%d" i) in
-      List.iter
-        (fun key -> Journal.append journal ~key ~value:(String.make 64 'x'))
-        keys;
-      (* Evict five of eight: the fifth eviction pushes the dead ratio
-         past 0.5 and compaction rewrites the three live records into a
-         fresh segment.  (Evictions *after* the last compaction are not
-         persisted — there are no tombstone records — so the test ends
-         exactly on the compaction to make the on-disk set exact.) *)
-      List.iteri
-        (fun i key -> if i < 5 then Journal.note_evicted journal ~key)
-        keys;
-      let stats = Journal.stats journal in
-      Alcotest.(check bool) "compaction ran" true (stats.Journal.compactions >= 1);
-      Alcotest.(check int) "live entries" 3 stats.Journal.live_entries;
-      Alcotest.(check int) "compaction left no dead bytes" 0
-        stats.Journal.dead_bytes;
+      let fires_at threshold (before : Journal.stats) =
+        before.Journal.bytes < threshold
+        && before.Journal.bytes + frame >= threshold
+      in
+      let journal, _ = open_exn ~live dir in
+      let next, before, first = fill journal 0 1 in
+      Alcotest.(check bool) "the first fires at the floor" true
+        (fires_at (256 * 1024) before);
+      Alcotest.(check bool) "the log shrank" true
+        (first.Journal.bytes < before.Journal.bytes);
+      Alcotest.(check int) "one segment left" 1 first.Journal.segments;
+      Alcotest.(check int) "one segment on disk" 1
+        (List.length (segment_files dir));
+      let next, before, second = fill journal next 2 in
+      Alcotest.(check bool) "the second fires at twice what the first left"
+        true
+        (fires_at (2 * first.Journal.bytes) before);
+      Alcotest.(check int) "the same live set" first.Journal.bytes
+        second.Journal.bytes;
       Journal.close journal;
-      let journal2, recovery = open_exn config in
-      Alcotest.(check bool) "only live keys replay" true
-        (List.map fst recovery.Journal.entries = [ "cmp-5"; "cmp-6"; "cmp-7" ]);
+      let journal2, recovery = open_exn ~live dir in
+      Alcotest.(check (list (pair string string)))
+        "exactly the live subset, in key order"
+        (List.map (fun i -> (key i, value i)) (List.sort compare subset))
+        recovery.Journal.entries;
+      let opened = Journal.stats journal2 in
+      let _, before, _ = fill journal2 next 1 in
+      Alcotest.(check bool) "after a restart, at twice what recovery left"
+        true
+        (fires_at (2 * opened.Journal.bytes) before);
+      Journal.close journal2)
+
+(* The cache's verified fold skips an entry whose digest no longer
+   matches its bytes, so a compaction fed by it never persists them. *)
+let test_journal_compaction_skips_corrupt () =
+  with_journal_dir "corrupt" (fun dir ->
+      let cache = Solve_cache.create ~capacity:8 in
+      List.iter
+        (fun k ->
+          let v = "body-" ^ k in
+          Solve_cache.add_verified cache k v ~digest:(Digest.string v))
+        [ "a"; "b"; "c" ];
+      Alcotest.(check bool) "corrupted" true (Solve_cache.corrupt cache "b");
+      let live () =
+        Solve_cache.fold_verified cache ~digest_of:Digest.string
+          (fun k v ~digest acc -> (k, digest ^ v) :: acc)
+          []
+      in
+      Alcotest.(check (list string)) "the fold skips the corrupt entry"
+        [ "a"; "c" ]
+        (List.sort compare (List.map fst (live ())));
+      let journal, _ = open_exn ~live dir in
+      (* One record past the floor forces the compaction. *)
+      Journal.append journal ~key:"filler" ~value:(String.make (256 * 1024) 'f');
+      Alcotest.(check int) "compaction ran" 1
+        (Journal.stats journal).Journal.compactions;
+      Journal.close journal;
+      let journal2, recovery = open_exn dir in
+      Alcotest.(check (list string)) "only verified entries persist"
+        [ "a"; "c" ]
+        (List.map fst recovery.Journal.entries);
+      List.iter
+        (fun (k, value) ->
+          Alcotest.(check string) "digest then body"
+            (Digest.string ("body-" ^ k) ^ "body-" ^ k)
+            value)
+        recovery.Journal.entries;
+      Journal.close journal2)
+
+(* A segment an older build closed ends in a 13-byte 'F' footer (zero
+   lengths, CRC over the 9 header bytes).  It replays every record and
+   reads the footer as a torn tail, once. *)
+let test_journal_old_footer () =
+  with_journal_dir "footer" (fun dir ->
+      let frame typ key value =
+        let klen = String.length key and vlen = String.length value in
+        let b = Bytes.create (13 + klen + vlen) in
+        Bytes.set b 0 typ;
+        Bytes.set_int32_be b 1 (Int32.of_int klen);
+        Bytes.set_int32_be b 5 (Int32.of_int vlen);
+        Bytes.blit_string key 0 b 13 klen;
+        Bytes.blit_string value 0 b (13 + klen) vlen;
+        let head = Journal.crc32 b ~pos:0 ~len:9 in
+        Bytes.set_int32_be b 9
+          (Journal.crc32 ~crc:head b ~pos:13 ~len:(klen + vlen));
+        Bytes.to_string b
+      in
+      let pairs = [ ("old-a", "one"); ("old-b", "two"); ("old-a", "three") ] in
+      write_file
+        (Filename.concat dir "segment-00000001.rj")
+        (String.concat ""
+           (("RIPJRNL1\n" :: List.map (fun (k, v) -> frame 'E' k v) pairs)
+           @ [ frame 'F' "" "" ]));
+      let journal, recovery = open_exn dir in
+      Alcotest.(check int) "every record valid" 3 recovery.Journal.valid_records;
+      Alcotest.(check (list (pair string string))) "every record replays"
+        [ ("old-a", "three"); ("old-b", "two") ]
+        recovery.Journal.entries;
+      Alcotest.(check int) "the footer is a 13-byte torn tail" 13
+        recovery.Journal.torn_bytes;
+      Journal.close journal;
+      let journal2, recovery2 = open_exn dir in
+      Alcotest.(check int) "truncated once" 0 recovery2.Journal.torn_bytes;
+      Alcotest.(check int) "records kept" 3 recovery2.Journal.valid_records;
       Journal.close journal2)
 
 let test_journal_torn_tail () =
   with_journal_dir "torn" (fun dir ->
-      let journal, _ = open_exn (Journal.default_config ~dir) in
+      let journal, _ = open_exn dir in
       Journal.append journal ~key:"whole" ~value:"survives";
       Journal.flush journal;
       Journal.close journal;
@@ -809,39 +890,36 @@ let test_journal_torn_tail () =
       let path = List.hd (segment_files dir) in
       let bytes = read_file path in
       write_file path (bytes ^ "E\x00\x00\x00\x05\x00");
-      let journal2, recovery = open_exn (Journal.default_config ~dir) in
+      let journal2, recovery = open_exn dir in
       Alcotest.(check bool) "torn tail truncated" true
         (recovery.Journal.torn_bytes > 0);
-      Alcotest.(check bool) "log no longer clean" false recovery.Journal.clean;
       Alcotest.(check bool) "records before the tear survive" true
         (recovery.Journal.entries = [ ("whole", "survives") ]);
       Journal.close journal2;
       (* The repair truncated the file in place: a third recovery sees
          no tear at all. *)
-      let journal3, recovery3 = open_exn (Journal.default_config ~dir) in
+      let journal3, recovery3 = open_exn dir in
       Alcotest.(check int) "repair is durable" 0 recovery3.Journal.torn_bytes;
       Journal.close journal3)
 
 let test_journal_crc_reject () =
   with_journal_dir "crc" (fun dir ->
-      let journal, _ = open_exn (Journal.default_config ~dir) in
+      let journal, _ = open_exn dir in
       Journal.append journal ~key:"first" ~value:"to-be-rotted";
       Journal.append journal ~key:"second" ~value:"intact";
       Journal.close journal;
       let path = List.hd (segment_files dir) in
       let bytes = Bytes.of_string (read_file path) in
       (* Flip one payload bit of the first record (magic 9B + header 13B
-         + "first"): its CRC must reject it while the second record and
-         the footer still parse. *)
+         + "first"): its CRC must reject it while the second record
+         still parses. *)
       let pos = 9 + 13 + 5 + 1 in
       Bytes.set bytes pos (Char.chr (Char.code (Bytes.get bytes pos) lxor 0x10));
       write_file path (Bytes.to_string bytes);
-      let journal2, recovery = open_exn (Journal.default_config ~dir) in
+      let journal2, recovery = open_exn dir in
       Alcotest.(check int) "one record rejected" 1 recovery.Journal.crc_rejected;
       Alcotest.(check bool) "later record unaffected" true
         (recovery.Journal.entries = [ ("second", "intact") ]);
-      Alcotest.(check bool) "footer still terminates the log" true
-        recovery.Journal.clean;
       Journal.close journal2)
 
 let test_journal_prepare_dir () =
@@ -875,7 +953,7 @@ let test_journal_fuzz_recovery =
     Fun.protect
       ~finally:(fun () -> remove_dir dir)
       (fun () ->
-        let journal, _ = open_exn (Journal.default_config ~dir) in
+        let journal, _ = open_exn dir in
         List.iter
           (fun (key, value) -> Journal.append journal ~key ~value)
           base_pairs;
@@ -906,13 +984,25 @@ let test_journal_fuzz_recovery =
           write_file
             (Filename.concat dir "segment-00000000.rj")
             (Bytes.to_string bytes);
-          match Journal.open_ (Journal.default_config ~dir) with
+          match Journal.open_ ~live:no_live dir with
           | Error e -> QCheck.Test.fail_reportf "open_ failed: %s" e
           | Ok (journal, recovery) ->
               Journal.close journal;
               List.for_all
                 (fun entry -> List.mem entry base_pairs)
                 recovery.Journal.entries))
+
+(* One SOLVE over a fresh connection: how it was served, and its body. *)
+let solve_served server ~budget net =
+  let client, worker = connect_pair server in
+  let answer = Client.request client (Protocol.solve ~budget net) in
+  Client.close client;
+  Thread.join worker;
+  match answer with
+  | Ok (Protocol.Result { served; answer }) -> (served, answer.Protocol.body)
+  | Ok other ->
+      Alcotest.failf "unexpected response %s" (Protocol.print_response other)
+  | Error e -> Alcotest.failf "transport failure: %s" e
 
 (* End-to-end crash recovery: solve through a journaled server, tear
    the journal's tail as a crash would, boot a second server on the
@@ -940,18 +1030,7 @@ let test_journal_server_restart () =
               ~driver_width:20.0 ~receiver_width:40.0 ())
       in
       let solve server net =
-        let client, worker = connect_pair server in
-        let answer =
-          Client.request client
-            (Protocol.solve ~budget:(feasible_budget net) net)
-        in
-        Client.close client;
-        Thread.join worker;
-        match answer with
-        | Ok (Protocol.Result { served; answer }) -> (served, answer.Protocol.body)
-        | Ok other ->
-            Alcotest.failf "unexpected response %s" (Protocol.print_response other)
-        | Error e -> Alcotest.failf "transport failure: %s" e
+        solve_served server ~budget:(feasible_budget net) net
       in
       let first_bodies =
         let server = Server.create ~config process in
@@ -996,6 +1075,67 @@ let test_journal_server_restart () =
             (Helpers.count metrics "rip_cache_misses");
           Alcotest.(check int) "replay counts as neither hit nor miss" 5
             (Helpers.count metrics "rip_cache_hits")))
+
+(* A journaled server compacts from its own cache.  Distinct budgets on
+   one net are distinct keys, so solving enough of them through an
+   8-entry cache passes the compaction floor.  A restart then replays
+   fewer records than were solved, every one of them verifies (the
+   cache's entries were persisted as the digest-prefixed bodies replay
+   expects), and the eight most recent answers come back Cached with the
+   bytes first served. *)
+let test_journal_server_compaction () =
+  with_journal_dir "servercompact" (fun dir ->
+      let config =
+        {
+          Server.default_config with
+          jobs = Some 1;
+          cache_capacity = 8;
+          journal_dir = Some dir;
+        }
+      in
+      let net = sample_net ~name:"compact" () in
+      let budget i = feasible_budget net *. (1.0 +. (0.001 *. float_of_int i)) in
+      let solved =
+        let server = Server.create ~config process in
+        Fun.protect
+          ~finally:(fun () -> Server.shutdown server)
+          (fun () ->
+            let compactions () =
+              Helpers.count (Server.metrics_body server) "rip_journal_compactions"
+            in
+            (* Three more solves after the compaction land in the log
+               behind the compacted segment. *)
+            let rec go i after acc =
+              if i >= 4000 then Alcotest.fail "no compaction within 4000 solves";
+              let acc = (budget i, snd (solve_served server ~budget:(budget i) net)) :: acc in
+              if after = 3 then acc
+              else if after > 0 || compactions () > 0 then go (i + 1) (after + 1) acc
+              else go (i + 1) 0 acc
+            in
+            go 0 0 [])
+      in
+      let server2 = Server.create ~config process in
+      Fun.protect
+        ~finally:(fun () -> Server.shutdown server2)
+        (fun () ->
+          let entries =
+            match Server.journal_recovery server2 with
+            | Some r -> List.length r.Journal.entries
+            | None -> Alcotest.fail "journaled server reports no recovery"
+          in
+          Alcotest.(check bool) "the log was compacted" true
+            (entries < List.length solved);
+          Alcotest.(check int) "every replayed record verifies" entries
+            (Helpers.count (Server.metrics_body server2) "rip_cache_replayed");
+          List.iteri
+            (fun i (budget, body) ->
+              if i < 8 then begin
+                let served, replayed = solve_served server2 ~budget net in
+                Alcotest.(check bool) "answered from the replayed cache" true
+                  (served = Protocol.Cached);
+                Alcotest.(check string) "byte-identical" body replayed
+              end)
+            solved))
 
 let suite =
   [
@@ -1047,14 +1187,17 @@ let suite =
       [
         Alcotest.test_case "crc32 check vector" `Quick
           test_journal_crc32_vector;
-        Alcotest.test_case "roundtrip with clean footer" `Quick
+        Alcotest.test_case "roundtrip in append order" `Quick
           test_journal_roundtrip;
         Alcotest.test_case "a first boot is not unclean" `Quick
           test_journal_first_boot;
         Alcotest.test_case "last write wins" `Quick test_journal_last_wins;
-        Alcotest.test_case "segment rotation" `Quick test_journal_rotation;
-        Alcotest.test_case "eviction-driven compaction" `Quick
+        Alcotest.test_case "compaction keeps the live subset" `Quick
           test_journal_compaction;
+        Alcotest.test_case "compaction skips a corrupt cache entry" `Quick
+          test_journal_compaction_skips_corrupt;
+        Alcotest.test_case "an older build's footer is a torn tail" `Quick
+          test_journal_old_footer;
         Alcotest.test_case "torn tail truncated" `Quick
           test_journal_torn_tail;
         Alcotest.test_case "CRC rejection skips a record" `Quick
@@ -1064,5 +1207,7 @@ let suite =
         qcheck test_journal_fuzz_recovery;
         Alcotest.test_case "server crash restart replays cache" `Quick
           test_journal_server_restart;
+        Alcotest.test_case "server compaction keeps its cache" `Quick
+          test_journal_server_compaction;
       ] );
   ]
